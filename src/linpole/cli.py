@@ -2,7 +2,7 @@
 
 One verb per operation: decompose, pi-plus, eval, residue, dep, orth, mul,
 shuffle, lyndon, phi, unphi, expand, flatten, galois.  Exit codes: 0 success,
-1 domain error, 2 parse error.
+1 domain error or a failed galois check, 2 parse error.
 """
 
 from __future__ import annotations
@@ -269,6 +269,7 @@ def cmd_galois(args):
                             "evaluator_value": ser.rational_str(r),
                             "diff": f"{float(d):.3g}", "ok": ok}
                            for name, l, r, d, ok in report.entries]})
+        return 0 if report.all_ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,8 +366,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         args.q = load_inner_product(args.gram) if args.gram else DEFAULT_Q
-        args.func(args)
-        return 0
+        return args.func(args) or 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,9 @@ is exact (fractions.Fraction), immutable and pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+from .errors import LinpoleError
 
 Q = Fraction  # the coefficient field
 
@@ -155,8 +157,12 @@ class InnerProduct:
                 for j in range(i):
                     if g[i][j] != g[j][i]:
                         raise ValueError("gram block must be symmetric")
-            for k in range(1, n + 1):
-                if _det([row[:k] for row in g[:k]]) <= 0:
+            # Eliminating the rows in order leaves pivot D_k/D_(k-1) at variable
+            # k, the ratio of leading minors, so all are > 0 exactly when the
+            # block is positive definite.
+            rows = (LinearForm({j + 1: x for j, x in enumerate(row)}) for row in g)
+            for k, (red, _) in enumerate(_eliminate(rows), 1):
+                if red.get(k, 0) <= 0:
                     raise ValueError("gram block must be positive definite")
             self.gram = g
 
@@ -175,27 +181,6 @@ class InnerProduct:
 
 
 DEFAULT_Q = InnerProduct()
-
-
-def _det(m: list[list[Q]]) -> Q:
-    """Determinant by fraction-free-ish Gaussian elimination (exact)."""
-    m = [list(row) for row in m]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
 
 
 def inner(q: InnerProduct, a: LinearForm, b: LinearForm) -> Q:
@@ -242,11 +227,9 @@ class Subspace:
     def __le__(self, other: "Subspace") -> bool:
         return all(other.contains(f) for f in self.basis)
 
-    def __lt__(self, other: "Subspace") -> bool:
-        return self.dim < other.dim and self <= other
-
     def contains(self, form: LinearForm) -> bool:
-        return not _reduce(form, self.basis)
+        *_, (red, _) = _eliminate((*self.basis, form))
+        return not red
 
     def key(self) -> tuple:
         return tuple(f.key() for f in self.basis)
@@ -258,29 +241,59 @@ class Subspace:
 ZERO_SPACE = Subspace(())
 
 
-def _reduce(form: LinearForm, echelon: Sequence[LinearForm]) -> LinearForm:
-    """Reduce a form against echelon rows (each row's pivot is its smallest
-    variable with the convention used by span)."""
-    for row in echelon:
-        piv = min(row.coeffs)
-        c = form[piv]
-        if c:
-            form = form - row.scale(c / row.coeffs[piv])
-    return form
+def _eliminate(forms: Iterable[LinearForm]) -> Iterator[tuple[dict[int, Q], dict[int, Q]]]:
+    """Incremental Gaussian elimination over the forms in list order.
+
+    For each input yields (residual, combo): the input reduced against the
+    earlier independent inputs, and the {input index: coefficient} combination
+    of inputs that equals it, so a zero residual is a linear relation.  Rows
+    are sparse {var: Fraction} dicts pivoting on their smallest variable; no
+    other routine knows that convention.
+    """
+    rows: list[tuple[int, dict[int, Q], dict[int, Q]]] = []  # (pivot, row, combo), pivot 1
+    for idx, f in enumerate(forms):
+        red, combo = dict(f.coeffs), {idx: Fraction(1)}
+        for piv, row, row_combo in rows:
+            k = red.get(piv)
+            if k:
+                _axpy(red, -k, row)
+                _axpy(combo, -k, row_combo)
+        yield red, combo
+        if red:
+            piv = min(red)
+            inv = 1 / red[piv]
+            rows.append((piv, {v: x * inv for v, x in red.items()},
+                         {i: x * inv for i, x in combo.items()}))
+
+
+def _axpy(acc: dict[int, Q], k: Q, row: Mapping[int, Q]) -> None:
+    """acc += k * row in place, dropping entries that cancel."""
+    for v, x in row.items():
+        y = acc.get(v, 0) + k * x
+        if y:
+            acc[v] = y
+        else:
+            acc.pop(v, None)
 
 
 def span(forms: Iterable[LinearForm]) -> Subspace:
     """Canonical subspace spanned by the given forms (RREF, pivots ascending)."""
-    rows: list[LinearForm] = []
-    for f in forms:
-        f = _reduce(f, rows)
-        if f:
-            piv = min(f.coeffs)
-            f = f.scale(1 / f.coeffs[piv])
-            rows = [r - f.scale(r[piv]) for r in rows]
-            rows.append(f)
-    rows.sort(key=lambda r: min(r.coeffs))
-    return Subspace(rows)
+    rows = sorted((red for red, _ in _eliminate(forms) if red), key=min)
+    for i in reversed(range(len(rows))):  # back-substitute into RREF
+        piv = min(rows[i])
+        inv = 1 / rows[i][piv]
+        rows[i] = row = {v: x * inv for v, x in rows[i].items()}
+        for above in rows[:i]:
+            k = above.get(piv)
+            if k:
+                _axpy(above, -k, row)
+    return Subspace([LinearForm(r) for r in rows])
+
+
+def coordinates(form: LinearForm, basis: Sequence[LinearForm]) -> list[Q]:
+    """Coordinates of a form lying in the span of an independent basis."""
+    *_, (_, combo) = _eliminate((*basis, form))
+    return [-combo.get(i, Fraction(0)) for i in range(len(basis))]
 
 
 def subspace_sum(*spaces: Subspace) -> Subspace:
@@ -296,32 +309,13 @@ def orthogonal(q: InnerProduct, u: Subspace, v: Subspace) -> bool:
 def orth_decompose(q: InnerProduct, f: LinearForm, u: Subspace) -> tuple[LinearForm, LinearForm]:
     """Split f = a + b with a in u and b q-orthogonal to u (unique, exact)."""
     basis = u.basis
-    if not basis:
-        return LinearForm(), f
-    n = len(basis)
-    gram = [[inner(q, basis[i], basis[j]) for j in range(n)] for i in range(n)]
-    rhs = [inner(q, basis[i], f) for i in range(n)]
-    x = _solve(gram, rhs)
-    a = LinearForm()
-    for xi, bi in zip(x, basis):
-        a = a + bi.scale(xi)
+    # The Gram matrix G is symmetric, so G x = r exactly when r = sum x_j G_j.
+    gram = [LinearForm({j + 1: inner(q, bi, bj) for j, bj in enumerate(basis)})
+            for bi in basis]
+    rhs = LinearForm({i + 1: inner(q, bi, f) for i, bi in enumerate(basis)})
+    x = coordinates(rhs, gram)
+    a = LinearForm((v, xi * c) for xi, bi in zip(x, basis) for v, c in bi.coeffs.items())
     return a, f - a
-
-
-def _solve(m: list[list[Q]], rhs: list[Q]) -> list[Q]:
-    """Solve a nonsingular rational system by Gaussian elimination."""
-    n = len(m)
-    aug = [list(row) + [r] for row, r in zip(m, rhs)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 def find_circuit(forms: Sequence[LinearForm]) -> Optional[tuple[tuple[int, ...], tuple[Q, ...]]]:
@@ -335,39 +329,30 @@ def find_circuit(forms: Sequence[LinearForm]) -> Optional[tuple[tuple[int, ...],
     is the fundamental circuit of the first form that depends on its
     predecessors (minimality: dropping any member leaves an independent set).
     """
-    rows: list[LinearForm] = []          # echelon rows
-    combos: list[dict[int, Q]] = []      # row = sum combos[r][i] * forms[i]
-    for idx, f in enumerate(forms):
-        combo = {idx: Fraction(1)}
-        red = f
-        for r, row in enumerate(rows):
-            piv = min(row.coeffs)
-            c = red[piv]
-            if c:
-                k = c / row.coeffs[piv]
-                red = red - row.scale(k)
-                for i, x in combos[r].items():
-                    combo[i] = combo.get(i, Fraction(0)) - k * x
+    for red, combo in _eliminate(forms):
         if not red:
-            members = sorted(i for i, c in combo.items() if c)
-            coeffs = {i: combo[i] for i in members}
+            members = sorted(combo)
             largest = max(members, key=lambda i: forms[i].key())
-            scale = -1 / coeffs[largest]
-            return tuple(members), tuple(coeffs[i] * scale for i in members)
-        piv = min(red.coeffs)
-        k = red.coeffs[piv]
-        red = red.scale(1 / k)
-        combo = {i: x / k for i, x in combo.items()}
-        rows.append(red)
-        combos.append(combo)
+            scale = -1 / combo[largest]
+            return tuple(members), tuple(combo[i] * scale for i in members)
     return None
 
 
 def load_inner_product(path: str) -> InnerProduct:
-    """Read an inner-product config file: {"gram": [["p/q", ...], ...]}."""
+    """Read an inner-product config file: {"gram": [["p/q", ...], ...]}.
+
+    Entries are integers or rational strings; a file of any other shape
+    raises LinpoleError.
+    """
     import json
 
     with open(path) as fh:
         data = json.load(fh)
-    gram = data.get("gram")
+    if not isinstance(data, dict) or "gram" not in data:
+        raise LinpoleError(f'{path}: expected a JSON object with a "gram" key')
+    gram = data["gram"]
+    if not (isinstance(gram, list) and all(isinstance(row, list) for row in gram)
+            and all(isinstance(x, str) or type(x) is int for row in gram for x in row)):
+        raise LinpoleError(f'{path}: "gram" must be a list of rows of integers '
+                           'or "p/q" strings')
     return InnerProduct(gram)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import NotLocal
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, Subspace,
-                       ZERO_SPACE, _as_fraction, find_circuit,
+                       ZERO_SPACE, _as_fraction, coordinates, find_circuit,
                        orth_decompose, span, subspace_sum, zvar)
 from .poly import ONE, Polynomial
 
@@ -348,7 +348,7 @@ def _split_simplex(num: Polynomial, den: Sequence[DenEntry], q: InnerProduct,
     subst: dict[int, Polynomial] = {}
     for v in num.support():
         a, b = orth_decompose(q, zvar(v), u)
-        coords = _coordinates(a, forms)
+        coords = coordinates(a, forms)
         repl = Polynomial.from_linear(b)
         for j, cj in enumerate(coords):
             if cj:
@@ -389,36 +389,6 @@ def _split_simplex(num: Polynomial, den: Sequence[DenEntry], q: InnerProduct,
             polar_acc[s] = polar_acc.get(s, Polynomial()) + coeff_poly
         else:
             holo_acc.append(coeff_poly)
-
-
-def _coordinates(form: LinearForm, basis: Sequence[LinearForm]) -> list[Q]:
-    """Coordinates of a form lying in the span of an independent basis."""
-    variables = sorted({v for b in basis for v in b.support()} | set(form.support()))
-    matrix = [[b[v] for b in basis] for v in variables]
-    rhs = [form[v] for v in variables]
-    n = len(basis)
-    aug = [row + [r] for row, r in zip(matrix, rhs)]
-    coords: list[Q] = [Fraction(0)] * n
-    used_rows: list[int] = []
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                fct = aug[i][col]
-                aug[i] = [x - fct * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        used_rows.append(r)
-        r += 1
-    for rr, col in zip(used_rows, pivots):
-        coords[col] = aug[rr][n]
-    return coords
 
 
 def decompose(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:

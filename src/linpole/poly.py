@@ -133,13 +133,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(not m for m, _ in self.terms)
 
-    def coefficient(self, m: Monomial) -> Q:
-        m = tuple(sorted((v, e) for v, e in m if e))
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return Fraction(0)
-
     def evaluate(self, point: Mapping[int, Q]) -> Q:
         total = Fraction(0)
         for m, c in self.terms:
@@ -211,24 +204,18 @@ class Polynomial:
     def dependence_space(self):
         """Smallest space of linear forms this polynomial factors through.
 
-        Solve for directions with vanishing directional derivative, then take
-        the annihilator under the standard pairing.
+        With M[m][v] the coefficient of monomial m in dP/dz_v, the directions
+        of vanishing derivative are ker M, and their annihilator under the
+        standard pairing is the row space of M.
         """
-        from .exactlin import span, zvar, ZERO_SPACE
+        from .exactlin import span
 
-        vs = self.support()
-        if not vs:
-            return ZERO_SPACE
-        partials = {v: self.partial(v) for v in vs}
-        monomials = sorted({m for p in partials.values() for m, _ in p.terms},
-                           key=_grlex_key)
-        # rows: for each monomial, sum_v t_v * coeff(partial_v, m) = 0
-        matrix = [[partials[v].coefficient(m) for v in vs] for m in monomials]
-        kernel = _kernel(matrix, len(vs))
-        if not kernel:
-            return span([zvar(v) for v in vs])
-        ann = _kernel([list(w) for w in kernel], len(vs))
-        return span([LinearForm({vs[i]: a for i, a in enumerate(row) if a}) for row in ann])
+        rows: dict[Monomial, dict[int, Fraction]] = {}
+        for m, c in self.terms:
+            for i, (v, e) in enumerate(m):
+                lower = m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]
+                rows.setdefault(lower, {})[v] = c * e
+        return span(LinearForm(row) for row in rows.values())
 
     def __repr__(self):
         if not self.terms:
@@ -252,34 +239,3 @@ class Polynomial:
 
 ZERO = Polynomial()
 ONE = Polynomial.constant(1)
-
-
-def _kernel(matrix: list[list[Q]], ncols: int) -> list[tuple[Q, ...]]:
-    """Basis of the right kernel of a rational matrix (RREF back-substitution)."""
-    rows = [list(r) for r in matrix if any(r)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -rows[ri][fc]
-        basis.append(tuple(vec))
-    return basis

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import LinearForm, Subspace
-from .germs import Decomposition, PolarTerm, RationalGerm, SimplexFraction
+from .germs import Decomposition, RationalGerm
 from .poly import Polynomial
 
 
@@ -14,16 +14,8 @@ def rational_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def form_to_json(f: LinearForm) -> dict:
     return {str(v): rational_str(c) for v, c in f.coeffs.items()}
-
-
-def form_from_json(d: dict) -> LinearForm:
-    return LinearForm({int(v): Fraction(c) for v, c in d.items()})
 
 
 def poly_to_json(p: Polynomial) -> list:
@@ -31,19 +23,9 @@ def poly_to_json(p: Polynomial) -> list:
             for mono, c in p.terms]
 
 
-def poly_from_json(data: list) -> Polynomial:
-    return Polynomial({tuple(sorted((int(v), e) for v, e in t["exps"].items())):
-                       Fraction(t["coeff"]) for t in data})
-
-
 def germ_to_json(g: RationalGerm) -> dict:
     return {"num": poly_to_json(g.numerator),
             "den": [{"form": form_to_json(f), "exp": e} for f, e in g.denominator]}
-
-
-def germ_from_json(d: dict) -> RationalGerm:
-    return RationalGerm(poly_from_json(d["num"]),
-                        [(form_from_json(t["form"]), t["exp"]) for t in d["den"]])
 
 
 def decomposition_to_json(d: Decomposition) -> dict:
@@ -52,14 +34,6 @@ def decomposition_to_json(d: Decomposition) -> dict:
                                for f, e in t.simplex.entries]}
                       for t in d.terms],
             "holo": poly_to_json(d.holomorphic)}
-
-
-def decomposition_from_json(data: dict) -> Decomposition:
-    terms = [PolarTerm(poly_from_json(t["num"]),
-                       SimplexFraction([(form_from_json(e["form"]), e["exp"])
-                                        for e in t["den"]]))
-             for t in data["terms"]]
-    return Decomposition(terms, poly_from_json(data["holo"]))
 
 
 def subspace_to_json(s: Subspace) -> dict:

@@ -88,10 +88,6 @@ def subset_alphabet() -> Alphabet:
                     name="subsets")
 
 
-def word_from_letters(letters: Iterable) -> Word:
-    return tuple(letters)
-
-
 class WordPolynomial:
     """Finitely supported rational combination of words."""
 

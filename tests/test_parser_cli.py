@@ -200,6 +200,24 @@ def test_cli_gram_config(capsys, tmp_path):
     assert out.strip() == "true"
 
 
+@pytest.mark.parametrize("config", [[1, 2], {"gram": 5}, {"gram": [[1.5]]},
+                                    {"grm": [[2]]}],
+                         ids=["top-level-list", "gram-not-rows", "float-entry",
+                              "missing-gram-key"])
+def test_cli_gram_config_rejected(capsys, tmp_path, config):
+    cfg = tmp_path / "gram.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "--gram", str(cfg), "orth", "z1", "z2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_galois_check_fail_exits_1(capsys):
+    code, out, _ = run_cli(capsys, "galois", "check", "--evaluator", "zeta",
+                           "--generators", "f[2;1]", "--combos", '["f[3;1]"]')
+    assert code == 1 and "all: FAIL" in out
+
+
 def test_cli_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("z2/(z1+z2)"))

@@ -1,0 +1,142 @@
+"""sympy as an independent oracle for the exact linear algebra.
+
+span, orth_decompose, the positive-definiteness check of InnerProduct and
+Polynomial.dependence_space all run on one elimination routine in exactlin;
+these tests check each against sympy's own rref, solve, det and nullspace.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from linpole import DEFAULT_Q, InnerProduct, Polynomial, orth_decompose, span
+
+from helpers import random_form, random_poly, random_spd_gram
+
+NV = 4
+
+
+def to_sympy(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def from_sympy(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+def vector(form, nv=NV):
+    return [form[v] for v in range(1, nv + 1)]
+
+
+def sympy_rref_rows(rows, nv=NV):
+    """Nonzero rows of the reduced row-echelon form, as Fraction lists."""
+    if not rows:
+        return []
+    m = sympy.Matrix([[to_sympy(x) for x in r] for r in rows])
+    reduced, pivots = m.rref()
+    return [[from_sympy(reduced[i, j]) for j in range(nv)] for i in range(len(pivots))]
+
+
+def test_span_matches_sympy_rref():
+    rng = random.Random(11)
+    for _ in range(150):
+        forms = [random_form(rng, NV).scale(Fraction(rng.randint(1, 4), rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 6))]
+        ours = [vector(f) for f in span(forms).basis]
+        assert ours == sympy_rref_rows([vector(f) for f in forms]), forms
+
+
+def test_orth_decompose_matches_sympy_solve():
+    rng = random.Random(12)
+    for trial in range(80):
+        q = DEFAULT_Q if trial % 2 else random_spd_gram(rng, rng.randint(1, 3))
+        u = span([random_form(rng, NV) for _ in range(rng.randint(1, 3))])
+        f = random_form(rng, NV)
+        xs = sympy.symbols(f"x0:{u.dim}")
+        a = [sum(x * to_sympy(b[v]) for x, b in zip(xs, u.basis))
+             for v in range(1, NV + 1)]
+        n = q.block_size
+        g = sympy.Matrix(NV, NV, lambda i, j: to_sympy(q.gram[i][j]) if i < n and j < n
+                         else int(i == j))
+        rest = sympy.Matrix([to_sympy(f[v]) - a[v - 1] for v in range(1, NV + 1)])
+        eqs = [(sympy.Matrix([vector(b)]).applyfunc(to_sympy) * g * rest)[0]
+               for b in u.basis]
+        sol = sympy.solve(eqs, xs, dict=True)
+        assert len(sol) == 1
+        expected = [from_sympy(sympy.sympify(ai).subs(sol[0])) for ai in a]
+        ours, rest_form = orth_decompose(q, f, u)
+        assert vector(ours) == expected
+        assert ours + rest_form == f
+
+
+def random_symmetric(rng, n):
+    kind = rng.choice(("spd", "gram", "rank-one", "random"))
+    if kind == "spd":
+        return [list(r) for r in random_spd_gram(rng, n).gram]
+    if kind == "gram":  # A^T A: positive semidefinite, often singular
+        a = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n - 1)]
+        return [[sum(r[i] * r[j] for r in a) for j in range(n)] for i in range(n)]
+    if kind == "rank-one":
+        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        return [[v[i] * v[j] for j in range(n)] for i in range(n)]
+    m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+         for _ in range(n)]
+    return [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def test_gram_check_matches_sympy_leading_minors():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        g = random_symmetric(rng, n)
+        m = sympy.Matrix([[to_sympy(Fraction(x)) for x in r] for r in g])
+        expected = all(m[:k, :k].det() > 0 for k in range(1, n + 1))
+        try:
+            InnerProduct(g)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expected, g
+        seen.add((expected, m.det() == 0))
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
+def power_product(rng):
+    """Products of powers of a few forms: dependence spaces of every dimension."""
+    forms = [random_form(rng, NV) for _ in range(rng.randint(1, 3))]
+    p = Polynomial.constant(rng.randint(1, 3))
+    for f in forms:
+        p = p * Polynomial.from_linear(f) ** rng.randint(1, 2)
+    return p + Polynomial.from_linear(forms[0]) ** 2
+
+
+def sympy_dependence_rows(p):
+    """Annihilator of the kernel of the partial-derivative coefficient matrix."""
+    zs = sympy.symbols(f"z1:{NV + 1}")
+    expr = sum(to_sympy(c) * sympy.Mul(*(zs[v - 1] ** e for v, e in m))
+               for m, c in p.terms)
+    partials = [sympy.Poly(sympy.diff(expr, z), *zs).as_dict() for z in zs]
+    monomials = sorted({m for d in partials for m, c in d.items() if c})
+    if not monomials:
+        return []
+    matrix = sympy.Matrix([[d.get(m, 0) for d in partials] for m in monomials])
+    kernel = matrix.nullspace()
+    if not kernel:
+        return sympy_rref_rows([[int(i == j) for j in range(NV)] for i in range(NV)])
+    ann = sympy.Matrix.hstack(*kernel).T.nullspace()
+    return sympy_rref_rows([[from_sympy(x) for x in w] for w in ann])
+
+
+def test_dependence_space_matches_sympy_nullspace():
+    rng = random.Random(14)
+    dims = set()
+    for trial in range(120):
+        p = random_poly(rng, NV) if trial % 2 else power_product(rng)
+        ours = p.dependence_space()
+        assert [vector(f) for f in ours.basis] == sympy_dependence_rows(p), p
+        dims.add(ours.dim)
+    assert dims >= {1, 2, 3}
