@@ -22,9 +22,9 @@ from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, orthogonal,
                        span, zvar, _as_fraction)
 from .germs import RationalGerm, dependence, germ_mul, germ_sum, ms_eval
 from .fracspec import (Combination, FractionSpec, SpecMonomial,
-                       lyndon_decompose)
+                       lyndon_decompose, monomial_mul, spec_monomial)
 from .poly import Polynomial
-from .words import is_lyndon
+from .words import LinComb, is_lyndon
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +223,12 @@ class GermCombo:
         for h, specs in terms:
             if not isinstance(h, Polynomial):
                 h = Polynomial.constant(_as_fraction(h))
-            key = tuple(sorted(specs, key=FractionSpec.sort_key))
+            key = spec_monomial(specs)
             merged[key] = merged.get(key, Polynomial()) + h
         self.terms = tuple((h, m) for m, h in merged.items() if h)
 
     def __eq__(self, other):
-        return isinstance(other, GermCombo) and set(self._key()) == set(other._key())
-
-    def _key(self):
-        return [(h, m) for h, m in self.terms]
+        return isinstance(other, GermCombo) and set(self.terms) == set(other.terms)
 
     def germ(self) -> RationalGerm:
         parts = []
@@ -323,6 +320,15 @@ def _zeta_of_spec(spec: FractionSpec, precision: int) -> tuple[Fraction, Fractio
     return mzv_numeric(s, precision)
 
 
+def _lyndon_product(specs: Sequence[FractionSpec]) -> LinComb:
+    """The product of the specs' Lyndon decompositions: a combination of
+    monomials in the Lyndon generators."""
+    acc = LinComb({(): 1})
+    for sp in specs:
+        acc = acc.product(lyndon_decompose([(sp, Fraction(1))]), monomial_mul)
+    return acc
+
+
 def zeta_eval(combo: GermCombo, precision: int = 8,
               q: InnerProduct = DEFAULT_Q) -> tuple[Fraction, Fraction]:
     """Assign multiple zeta values to the Lyndon Chen generators and extend by
@@ -332,12 +338,8 @@ def zeta_eval(combo: GermCombo, precision: int = 8,
     total = (Fraction(0), Fraction(0))
     for h, specs in combo.terms:
         c0 = h.constant_term()
-        acc: dict[SpecMonomial, Fraction] = {(): Fraction(1)}
-        for sp in specs:
-            piece = lyndon_decompose([(sp, Fraction(1))])
-            acc = _specpoly_mul(acc, piece)
         term_iv = (Fraction(0), Fraction(0))
-        for mono, coeff in acc.items():
+        for mono, coeff in _lyndon_product(specs).items():
             iv = (Fraction(1), Fraction(1))
             for gen in mono:
                 val, err = _zeta_of_spec(gen, precision)
@@ -370,15 +372,6 @@ def _iv_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
 def _iv_scale(a, k: Fraction):
     lo, hi = a[0] * k, a[1] * k
     return (lo, hi) if lo <= hi else (hi, lo)
-
-
-def _specpoly_mul(a: dict[SpecMonomial, Fraction], b: dict[SpecMonomial, Fraction]):
-    out: dict[SpecMonomial, Fraction] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            key = tuple(sorted(m1 + m2, key=FractionSpec.sort_key))
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {m: c for m, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -430,24 +423,13 @@ def apply_transform(t: GaloisTransform, combo: GermCombo,
     combo.validate_locality(q)
     out: list[tuple[Polynomial, tuple[FractionSpec, ...]]] = []
     for h, specs in combo.terms:
-        acc: dict[SpecMonomial, Fraction] = {(): Fraction(1)}
-        for sp in specs:
-            piece = lyndon_decompose([(sp, Fraction(1))])
-            acc = _specpoly_mul(acc, piece)
-        shifted: dict[SpecMonomial, Fraction] = {}
-        for mono, coeff in acc.items():
-            n = len(mono)
-            for keep_mask in itertools.product((False, True), repeat=n):
-                kept = tuple(g for g, k in zip(mono, keep_mask) if k)
-                dropped = [g for g, k in zip(mono, keep_mask) if not k]
-                c = coeff
-                for g in dropped:
-                    c *= t.shift(g)
-                if c:
-                    key = tuple(sorted(kept, key=FractionSpec.sort_key))
-                    shifted[key] = shifted.get(key, Fraction(0)) + c
-        for mono, coeff in shifted.items():
-            out.append((h * coeff, mono))
+        shifted = LinComb()
+        for mono, coeff in _lyndon_product(specs).items():
+            image = LinComb({(): 1})
+            for g in mono:
+                image = image.product(LinComb({(): t.shift(g), (g,): 1}), monomial_mul)
+            shifted.add(image, coeff)
+        out.extend((h * coeff, mono) for mono, coeff in shifted.items())
     return GermCombo(out)
 
 

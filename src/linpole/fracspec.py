@@ -23,8 +23,8 @@ from .exactlin import DEFAULT_Q, InnerProduct, LinearForm, inner, zset, zvar
 from .germs import (RationalGerm, germ_mul, germ_scale, germ_sum,
                     is_local_pair)
 
-from .words import (Alphabet, EMPTY_WORD, Word, WordPolynomial, X0,
-                    integer_alphabet, lyndon_rewrite, shuffle,
+from .words import (Alphabet, EMPTY_WORD, LinComb, Word, X0,
+                    _lyndon_rewriter, integer_alphabet, shuffle,
                     subset_alphabet, word_str)
 
 
@@ -226,28 +226,34 @@ def combination_germ(combo: Combination) -> RationalGerm:
 SpecMonomial = tuple  # tuple of FractionSpec, canonically sorted
 
 
-def _monomial_of_words(words: Sequence[Word], lmap: LMap) -> SpecMonomial:
-    specs = [spec_of_word(w, lmap) for w in words]
-    specs.sort(key=FractionSpec.sort_key)
-    return tuple(specs)
+def spec_monomial(specs: Iterable[FractionSpec]) -> SpecMonomial:
+    """The canonical (sorted) key of the commutative product of the specs."""
+    return tuple(sorted(specs, key=FractionSpec.sort_key))
+
+
+def monomial_mul(m1: SpecMonomial, m2: SpecMonomial):
+    """The product of two spec monomials, for LinComb.product."""
+    return ((spec_monomial(m1 + m2), 1),)
 
 
 def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
     """Rewrite a combination of locality fractions as a commutative polynomial
     in the Lyndon-word fractions (the locality polynomial generators)."""
-    out: dict[SpecMonomial, Fraction] = {}
+    out = LinComb()
+    rewriters: dict[Alphabet, Callable] = {}
     for spec, coeff in combo:
         if not spec.is_local():
             raise NotLocalSpec(f"{spec!r} has non-local letters")
         w = spec.word()
         if not w:
-            m: SpecMonomial = ()
-            out[m] = out.get(m, Fraction(0)) + coeff
+            out.add({(): coeff})
             continue
-        for mono, c in lyndon_rewrite(w, spec.lmap.alphabet).items():
-            key = _monomial_of_words(mono, spec.lmap)
-            out[key] = out.get(key, Fraction(0)) + coeff * c
-    return {m: c for m, c in out.items() if c}
+        alphabet = spec.lmap.alphabet
+        if alphabet not in rewriters:
+            rewriters[alphabet] = _lyndon_rewriter(alphabet)
+        for mono, c in rewriters[alphabet](w).items():
+            out.add({spec_monomial(spec_of_word(v, spec.lmap) for v in mono): coeff * c})
+    return out.coeffs
 
 
 def monomial_germ(mono: SpecMonomial) -> RationalGerm:
@@ -348,9 +354,9 @@ def forest_fraction(f: Forest) -> RationalGerm:
     return RationalGerm(1, dens)
 
 
-def _tree_words(node: ForestNode, lmap: LMap) -> WordPolynomial:
+def _tree_words(node: ForestNode, lmap: LMap) -> LinComb:
     below = _forest_words(node.children, lmap)
-    acc: dict[Word, Fraction] = {}
+    out = LinComb()
     for w, c in below.items():
         covered: frozenset = frozenset().union(*[set(a) for a in w if a is not X0]) \
             if w else frozenset()
@@ -361,12 +367,12 @@ def _tree_words(node: ForestNode, lmap: LMap) -> WordPolynomial:
         else:
             # root adds no new indices: raise the first block's exponent
             new = (X0,) * node.exponent + w
-        acc[new] = acc.get(new, Fraction(0)) + c
-    return WordPolynomial(acc)
+        out.add({new: c})
+    return out
 
 
-def _forest_words(nodes: Sequence[ForestNode], lmap: LMap) -> WordPolynomial:
-    out = WordPolynomial({EMPTY_WORD: 1})
+def _forest_words(nodes: Sequence[ForestNode], lmap: LMap) -> LinComb:
+    out = LinComb({EMPTY_WORD: 1})
     for n in nodes:
         out = out.shuffle_with(_tree_words(n, lmap))
     return out

@@ -8,8 +8,9 @@ plain tuples of letters; all ordering questions go through an Alphabet.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import EmptyWord, NotLocal
 from .exactlin import _as_fraction
@@ -34,6 +35,8 @@ def _x0_instance():
 
 Word = tuple  # tuple of letters (payloads or X0)
 EMPTY_WORD: Word = ()
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class Alphabet:
@@ -88,52 +91,103 @@ def subset_alphabet() -> Alphabet:
                     name="subsets")
 
 
-class WordPolynomial:
-    """Finitely supported rational combination of words."""
+class LinComb:
+    """Finitely supported rational combination of hashable keys: words,
+    commutative monomials in Lyndon words, or monomials in fraction specs.
+
+    `coeffs` maps each key to its nonzero Fraction coefficient, in the order
+    the keys first appeared.  `add` accumulates in place; `product` is the
+    bilinear extension of a product of keys.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        acc: dict[Word, Fraction] = {}
-        for w, c in items:
+        acc: dict = {}
+        for key, c in items:
             c = _as_fraction(c)
             if c:
-                acc[w] = acc.get(w, Fraction(0)) + c
-        self.coeffs = {w: c for w, c in acc.items() if c}
+                acc[key] = acc.get(key, _ZERO) + c
+        self.coeffs = {key: c for key, c in acc.items() if c}
+
+    @classmethod
+    def _trusted(cls, coeffs: dict) -> "LinComb":
+        """Wrap, without copying, a dict whose coefficients are nonzero Fractions."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     def __eq__(self, other):
-        return isinstance(other, WordPolynomial) and self.coeffs == other.coeffs
+        return isinstance(other, LinComb) and self.coeffs == other.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __add__(self, other: "WordPolynomial") -> "WordPolynomial":
-        acc = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            acc[w] = acc.get(w, Fraction(0)) + c
-        return WordPolynomial(acc)
-
-    def scale(self, k) -> "WordPolynomial":
-        k = _as_fraction(k)
-        return WordPolynomial({w: k * c for w, c in self.coeffs.items()})
-
-    def shuffle_with(self, other: "WordPolynomial") -> "WordPolynomial":
-        acc: dict[Word, Fraction] = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                for w, c in shuffle(w1, w2).coeffs.items():
-                    acc[w] = acc.get(w, Fraction(0)) + c1 * c2 * c
-        return WordPolynomial(acc)
-
     def items(self):
         return self.coeffs.items()
+
+    def add(self, other, k=1) -> None:
+        """self += k * other, in place; `other` is a LinComb or a
+        {key: coefficient} dict."""
+        k = _as_fraction(k)
+        coeffs = self.coeffs
+        for key, c in other.items():
+            s = coeffs.get(key, _ZERO) + k * c
+            if s:
+                coeffs[key] = s
+            else:
+                coeffs.pop(key, None)
+
+    def __add__(self, other: "LinComb") -> "LinComb":
+        out = LinComb._trusted(dict(self.coeffs))
+        out.add(other)
+        return out
+
+    def scale(self, k) -> "LinComb":
+        k = _as_fraction(k)
+        return LinComb((key, k * c) for key, c in self.coeffs.items())
+
+    def product(self, other, mul: Callable) -> "LinComb":
+        """Bilinear extension of `mul(key1, key2)`, which yields (key,
+        multiplicity) pairs; `other` is a LinComb or a {key: coefficient} dict."""
+        acc: dict = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.items():
+                c12 = c1 * c2
+                for key, m in mul(k1, k2):
+                    acc[key] = acc.get(key, _ZERO) + c12 * m
+        return LinComb._trusted({key: c for key, c in acc.items() if c})
+
+    def shuffle_with(self, other: "LinComb") -> "LinComb":
+        return self.product(other, lambda w, v: shuffle(w, v).items())
+
+    def expand(self) -> "LinComb":
+        """Substitute each Lyndon indeterminate by its word and multiply by
+        shuffle: a combination of Lyndon monomials becomes one of words."""
+        out = LinComb()
+        for mono, c in self.coeffs.items():
+            term = LinComb._trusted({EMPTY_WORD: _ONE})
+            for w in mono:
+                term = term.shuffle_with({w: _ONE})
+            out.add(term, c)
+        return out
 
     def __repr__(self):
         if not self.coeffs:
             return "0"
-        return " + ".join(f"{c}*{''.join(map(_letter_str, w)) or '1'}"
-                          for w, c in self.coeffs.items())
+        return " + ".join(f"{c}*{_key_str(key)}" for key, c in self.coeffs.items())
+
+
+WordPolynomial = LinComb      # combinations of words
+LyndonPolynomial = LinComb    # commutative polynomials in Lyndon words
+LyndonMonomial = tuple  # tuple of Lyndon words, sorted descending: commutative
+
+
+def _key_str(key) -> str:
+    if all(a is X0 or isinstance(a, (int, frozenset)) for a in key):
+        return word_str(key)
+    return "*".join(f"[{word_str(f)}]" if isinstance(f, tuple) else repr(f) for f in key)
 
 
 def _letter_str(a) -> str:
@@ -148,7 +202,7 @@ def word_str(w: Word) -> str:
     return "".join(map(_letter_str, w)) or "1"
 
 
-def shuffle(w: Word, v: Word) -> WordPolynomial:
+def shuffle(w: Word, v: Word) -> LinComb:
     """All interleavings of the two words, with multiplicity."""
     memo: dict[tuple[Word, Word], dict[Word, int]] = {}
 
@@ -169,14 +223,7 @@ def shuffle(w: Word, v: Word) -> WordPolynomial:
         memo[key] = acc
         return acc
 
-    return WordPolynomial({w2: Fraction(c) for w2, c in rec(w, v).items()})
-
-
-def shuffle_power(w: Word, k: int) -> WordPolynomial:
-    out = WordPolynomial({EMPTY_WORD: 1})
-    for _ in range(k):
-        out = out.shuffle_with(WordPolynomial({w: 1}))
-    return out
+    return LinComb._trusted({w2: Fraction(c) for w2, c in rec(w, v).items()})
 
 
 def is_lyndon(w: Word, alphabet: Alphabet) -> bool:
@@ -214,62 +261,32 @@ def cfl(w: Word, alphabet: Alphabet) -> list[tuple[Word, int]]:
     return grouped
 
 
-LyndonMonomial = tuple  # tuple of Lyndon words, sorted descending: commutative
+def _lyndon_rewriter(alphabet: Alphabet) -> Callable[[Word], LinComb]:
+    """lyndon_rewrite over one alphabet, with one memo for every word it is
+    given: the rewrite of a word recurses into its anagrams, and the words of
+    a shuffle product are anagrams of each other.  The memoised results are
+    shared, so callers must not change them in place."""
+    memo: dict[Word, LinComb] = {}
+
+    def rec(word: Word) -> LinComb:
+        hit = memo.get(word)
+        if hit is not None:
+            return hit
+        factors = cfl(word, alphabet)
+        # the factors are non-increasing, so this monomial is already sorted
+        mono = tuple(f for f, m in factors for _ in range(m))
+        lead = Fraction(1, math.prod(math.factorial(m) for _, m in factors))
+        result = LinComb._trusted({mono: lead})
+        for v, c in LinComb._trusted({mono: _ONE}).expand().items():
+            if v != word:
+                result.add(rec(v), -lead * c)
+        memo[word] = result
+        return result
+
+    return rec
 
 
-class LyndonPolynomial:
-    """Formal commutative polynomial whose indeterminates are Lyndon words."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        acc: dict[LyndonMonomial, Fraction] = {}
-        for m, c in items:
-            c = _as_fraction(c)
-            if c:
-                acc[m] = acc.get(m, Fraction(0)) + c
-        self.coeffs = {m: c for m, c in acc.items() if c}
-
-    def __eq__(self, other):
-        return isinstance(other, LyndonPolynomial) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        acc = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
-        return LyndonPolynomial(acc)
-
-    def scale(self, k):
-        k = _as_fraction(k)
-        return LyndonPolynomial({m: k * c for m, c in self.coeffs.items()})
-
-    def items(self):
-        return self.coeffs.items()
-
-    def expand(self) -> WordPolynomial:
-        """Substitute each indeterminate by its word and multiply by shuffle."""
-        out = WordPolynomial()
-        for mono, c in self.coeffs.items():
-            term = WordPolynomial({EMPTY_WORD: 1})
-            for w in mono:
-                term = term.shuffle_with(WordPolynomial({w: 1}))
-            out = out + term.scale(c)
-        return out
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"{c}*" + ("*".join(f"[{word_str(w)}]" for w in m) or "1")
-            for m, c in self.coeffs.items())
-
-
-def _sort_monomial(words: Iterable[Word], alphabet: Alphabet) -> LyndonMonomial:
-    return tuple(sorted(words, key=alphabet.word_key, reverse=True))
-
-
-def lyndon_rewrite(w: Word, alphabet: Alphabet) -> LyndonPolynomial:
+def lyndon_rewrite(w: Word, alphabet: Alphabet) -> LinComb:
     """Express a word in the polynomial basis of Lyndon words.
 
     Rewrites along the factorisation w = w1^{i1}...wk^{ik}: the shuffle of the
@@ -278,31 +295,7 @@ def lyndon_rewrite(w: Word, alphabet: Alphabet) -> LyndonPolynomial:
     """
     if not w:
         raise EmptyWord("cannot rewrite the empty word")
-    memo: dict[Word, LyndonPolynomial] = {}
-
-    def rec(word: Word) -> LyndonPolynomial:
-        hit = memo.get(word)
-        if hit is not None:
-            return hit
-        factors = cfl(word, alphabet)
-        mono = _sort_monomial([f for f, m in factors for _ in range(m)], alphabet)
-        fact = 1
-        for _, m in factors:
-            for i in range(2, m + 1):
-                fact *= i
-        lead = Fraction(1, fact)
-        expansion = WordPolynomial({EMPTY_WORD: 1})
-        for f, m in factors:
-            expansion = expansion.shuffle_with(shuffle_power(f, m))
-        result = LyndonPolynomial({mono: lead})
-        for v, c in expansion.items():
-            if v == word:
-                continue
-            result = result + rec(v).scale(-lead * c)
-        memo[word] = result
-        return result
-
-    return rec(w)
+    return _lyndon_rewriter(alphabet)(w)
 
 
 def is_local_word(w: Word, alphabet: Alphabet) -> bool:

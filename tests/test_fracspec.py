@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from linpole import (Forest, ForestNode, FractionSpec, NotLocal, NotLocalSpec,
-                     RationalGerm, WordEndsInX0, X0, chen_lmap,
+from linpole import (Forest, ForestNode, FractionSpec, LyndonPolynomial,
+                     NotLocal, NotLocalSpec, RationalGerm, WordEndsInX0,
+                     WordPolynomial, X0, chen_lmap,
                      combination_germ, expand_product, flatten_forest,
                      forest_fraction, germ_mul, germ_scale, germ_sum,
                      lyndon_decompose, phi, spec_of_word, speer_lmap,
@@ -155,6 +156,21 @@ def test_lyndon_decompose_reconstructs():
         spec = FractionSpec([rng.randint(1, 2) for _ in range(k)], letters, chen)
         poly = lyndon_decompose([(spec, Fraction(1))])
         assert spec_poly_germ(poly) == spec.germ()
+    # shuffle products: re-expanding the Lyndon polynomial by shuffle gives
+    # back the words of the product's combination
+    pairs = [(FractionSpec((2, 2), (1, 2), chen), FractionSpec((2, 2), (3, 4), chen)),
+             (FractionSpec((2, 1, 2), (1, 2, 3), chen), FractionSpec((2, 1), (4, 5), chen))]
+    for _ in range(12):
+        letters = rng.sample(range(1, 7), rng.randint(2, 4))
+        cut = rng.randint(1, len(letters) - 1)
+        pairs.append(tuple(FractionSpec([rng.randint(1, 2) for _ in part], part, chen)
+                           for part in (letters[:cut], letters[cut:])))
+    for a, b in pairs:
+        combo = expand_product(a, b)
+        poly = lyndon_decompose(combo)
+        lyndon = LyndonPolynomial({tuple(s.word() for s in mono): c
+                                   for mono, c in poly.items()})
+        assert lyndon.expand() == WordPolynomial({s.word(): c for s, c in combo}), (a, b)
 
 
 def test_forest_fraction_examples():
