@@ -7,6 +7,7 @@ is exact (fractions.Fraction), immutable and pure.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -290,12 +291,6 @@ def span(forms: Iterable[LinearForm]) -> Subspace:
     return Subspace([LinearForm(r) for r in rows])
 
 
-def coordinates(form: LinearForm, basis: Sequence[LinearForm]) -> list[Q]:
-    """Coordinates of a form lying in the span of an independent basis."""
-    *_, (_, combo) = _eliminate((*basis, form))
-    return [-combo.get(i, Fraction(0)) for i in range(len(basis))]
-
-
 def subspace_sum(*spaces: Subspace) -> Subspace:
     forms = [f for s in spaces for f in s.basis]
     return span(forms)
@@ -306,15 +301,29 @@ def orthogonal(q: InnerProduct, u: Subspace, v: Subspace) -> bool:
     return all(inner(q, a, b) == 0 for a in u.basis for b in v.basis)
 
 
-def orth_decompose(q: InnerProduct, f: LinearForm, u: Subspace) -> tuple[LinearForm, LinearForm]:
-    """Split f = a + b with a in u and b q-orthogonal to u (unique, exact)."""
-    basis = u.basis
-    # The Gram matrix G is symmetric, so G x = r exactly when r = sum x_j G_j.
+def _projection_coordinates(q: InnerProduct, basis: Sequence[LinearForm],
+                            targets: Iterable[LinearForm]) -> list[list[Q]]:
+    """For each target f, the coordinates x in the independent basis L of the
+    q-orthogonal projection of f onto span(L): sum_j x_j q(L_i, L_j) = q(L_i, f).
+
+    One elimination of the Gram rows G_i, then of every right-hand side r;
+    G is symmetric and nonsingular, so r = sum x_j G_j and no r is a pivot.
+    """
+    rhs = [LinearForm({i + 1: inner(q, bi, f) for i, bi in enumerate(basis)})
+           for f in targets]
+    if not rhs:
+        return []
+    k = len(basis)
     gram = [LinearForm({j + 1: inner(q, bi, bj) for j, bj in enumerate(basis)})
             for bi in basis]
-    rhs = LinearForm({i + 1: inner(q, bi, f) for i, bi in enumerate(basis)})
-    x = coordinates(rhs, gram)
-    a = LinearForm((v, xi * c) for xi, bi in zip(x, basis) for v, c in bi.coeffs.items())
+    return [[-combo.get(j, Fraction(0)) for j in range(k)]
+            for _, combo in itertools.islice(_eliminate((*gram, *rhs)), k, None)]
+
+
+def orth_decompose(q: InnerProduct, f: LinearForm, u: Subspace) -> tuple[LinearForm, LinearForm]:
+    """Split f = a + b with a in u and b q-orthogonal to u (unique, exact)."""
+    [x] = _projection_coordinates(q, u.basis, [f])
+    a = LinearForm((v, xi * c) for xi, bi in zip(x, u.basis) for v, c in bi.coeffs.items())
     return a, f - a
 
 

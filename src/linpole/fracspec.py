@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (NotLocal, NotLocalSpec, WordEndsInX0, ZeroCumulativeForm)
-from .exactlin import DEFAULT_Q, InnerProduct, LinearForm, inner, zset, zvar
-from .germs import (RationalGerm, germ_mul, germ_scale, germ_sum,
-                    is_local_pair)
+from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, inner, orthogonal,
+                       span, zset, zvar)
+from .germs import RationalGerm, germ_mul, germ_scale, germ_sum
 
 from .words import (Alphabet, EMPTY_WORD, LinComb, Word, X0,
                     _lyndon_rewriter, integer_alphabet, shuffle,
@@ -210,8 +210,9 @@ def expand_product(a: FractionSpec, b: FractionSpec) -> Combination:
     fractions: shuffle the words and map back through phi."""
     if a.lmap.name != b.lmap.name:
         raise ValueError("specs use different L-maps")
-    ga, gb = a.germ(), b.germ()
-    if not is_local_pair(ga, gb, a.lmap.q):
+    # A fraction with numerator 1 depends exactly on the span of its pole forms.
+    ua, ub = (span(f for f, _ in s.denominator_entries()) for s in (a, b))
+    if not orthogonal(a.lmap.q, ua, ub):
         raise NotLocal(f"{a!r} and {b!r} are not q-orthogonal")
     out: Combination = []
     for w, c in shuffle(a.word(), b.word()).items():

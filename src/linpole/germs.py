@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NotLocal
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, Subspace,
-                       ZERO_SPACE, _as_fraction, coordinates, find_circuit,
-                       orth_decompose, span, subspace_sum, zvar)
-from .poly import ONE, Polynomial
+                       ZERO_SPACE, _as_fraction, _axpy, _projection_coordinates,
+                       find_circuit, orthogonal, span, subspace_sum, zvar)
+from .poly import ONE, Monomial, Polynomial
 
 DenEntry = tuple[LinearForm, int]
 
@@ -167,7 +167,7 @@ def germ_sum(germs: Iterable[RationalGerm]) -> RationalGerm:
 class SimplexFraction:
     """1 / (L1^s1 ... Lk^sk) with linearly independent, canonically sorted forms."""
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries", "_space", "_hash")
 
     def __init__(self, entries: Iterable[DenEntry]):
         ent = tuple(sorted(entries, key=lambda t: t[0].key()))
@@ -176,9 +176,11 @@ class SimplexFraction:
             raise ValueError("exponents must be positive")
         if len({f.key() for f in forms}) != len(forms):
             raise ValueError("repeated denominator form")
-        if span(forms).dim != len(forms):
+        space = span(forms)
+        if space.dim != len(forms):
             raise ValueError("denominator forms must be linearly independent")
         object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "_space", space)
         object.__setattr__(self, "_hash", hash(ent))
 
     def __setattr__(self, *a):
@@ -195,7 +197,7 @@ class SimplexFraction:
         return sum(e for _, e in self.entries)
 
     def supporting_space(self) -> Subspace:
-        return span([f for f, _ in self.entries])
+        return self._space
 
     def germ(self) -> RationalGerm:
         return RationalGerm(1, self.entries)
@@ -211,12 +213,9 @@ class PolarTerm:
 
     __slots__ = ("numerator", "simplex", "_hash")
 
-    def __init__(self, numerator: Polynomial, simplex: SimplexFraction,
-                 q: Optional[InnerProduct] = None):
+    def __init__(self, numerator: Polynomial, simplex: SimplexFraction):
         if not numerator:
             raise ValueError("polar term numerator must be nonzero")
-        if q is not None and not orthogonal_polynomial(q, numerator, simplex.supporting_space()):
-            raise ValueError("numerator not q-orthogonal to the supporting space")
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "simplex", simplex)
         object.__setattr__(self, "_hash", hash((numerator, simplex)))
@@ -243,12 +242,6 @@ class PolarTerm:
 
     def __repr__(self):
         return f"({self.numerator!r})*{self.simplex!r}"
-
-
-def orthogonal_polynomial(q: InnerProduct, p: Polynomial, u: Subspace) -> bool:
-    from .exactlin import orthogonal
-
-    return orthogonal(q, p.dependence_space(), u)
 
 
 class Decomposition:
@@ -331,32 +324,32 @@ def _eliminate_dependent(num: Polynomial, den: Sequence[DenEntry]):
     return out
 
 
-def _split_simplex(num: Polynomial, den: Sequence[DenEntry], q: InnerProduct,
-                   polar_acc: dict[SimplexFraction, Polynomial], holo_acc: list[Polynomial]):
+# Phase-2 accumulator: {denominator entries: {monomial: coefficient}}, the
+# holomorphic part under ().
+_Acc = dict[tuple[DenEntry, ...], dict[Monomial, Fraction]]
+
+
+def _split_simplex(num: Polynomial, den: Sequence[DenEntry], q: InnerProduct, acc: _Acc):
     """Phase 2: rewrite the numerator of an independent-denominator fraction
     in coordinates adapted to the supporting space and its q-complement,
     cancel numerator factors of the denominator forms, and collect."""
     if not num:
         return
     if not den:
-        holo_acc.append(num)
+        _axpy(acc.setdefault((), {}), 1, dict(num.terms))
         return
     forms = [f for f, _ in den]
-    exps = [e for _, e in den]
-    u = span(forms)
-    offset = max(itertools.chain(num.support(), *(f.support() for f in forms)), default=0)
+    support = num.support()
+    offset = max(itertools.chain(support, *(f.support() for f in forms)), default=0)
+    # z_v = a_v + b_v with a_v = sum_j x_vj L_j in span(L) and b_v q-orthogonal
+    # to it; L_j becomes the fresh variable offset+1+j.
     subst: dict[int, Polynomial] = {}
-    for v in num.support():
-        a, b = orth_decompose(q, zvar(v), u)
-        coords = coordinates(a, forms)
-        repl = Polynomial.from_linear(b)
-        for j, cj in enumerate(coords):
-            if cj:
-                repl = repl + Polynomial({((offset + 1 + j, 1),): cj})
-        subst[v] = repl
-    expanded = num.substitute(subst)
-    groups: dict[tuple[int, ...], dict] = {}
-    for mono, c in expanded.terms:
+    for v, coords in zip(support, _projection_coordinates(q, forms, map(zvar, support))):
+        a = LinearForm((w, x * c) for x, f in zip(coords, forms) for w, c in f.coeffs.items())
+        subst[v] = Polynomial([*Polynomial.from_linear(zvar(v) - a).terms,
+                               *((((offset + 1 + j, 1),), x) for j, x in enumerate(coords))])
+    groups: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
+    for mono, c in num.substitute(subst).terms:
         slot = [0] * len(forms)
         rest = []
         for v, e in mono:
@@ -364,31 +357,18 @@ def _split_simplex(num: Polynomial, den: Sequence[DenEntry], q: InnerProduct,
                 slot[v - offset - 1] = e
             else:
                 rest.append((v, e))
-        bucket = groups.setdefault(tuple(slot), {})
-        rest_key = tuple(rest)
-        bucket[rest_key] = bucket.get(rest_key, Fraction(0)) + c
+        bucket, rest = groups.setdefault(tuple(slot), {}), tuple(rest)
+        bucket[rest] = bucket.get(rest, 0) + c
     for slot, terms in groups.items():
-        coeff_poly = Polynomial(terms)
-        if not coeff_poly:
-            continue
-        rem_den = []
-        rem_num = []
-        for f, e, m in zip(forms, exps, slot):
-            cancel = min(e, m)
-            if e - cancel:
-                rem_den.append((f, e - cancel))
-            if m - cancel:
-                rem_num.append((f, m - cancel))
+        rem_den = tuple((f, e - m) for (f, e), m in zip(den, slot) if e > m)
+        rem_num = [(f, m - e) for (f, e), m in zip(den, slot) if m > e]
         if rem_num:
             extra = ONE
             for f, e in rem_num:
                 extra = extra * Polynomial.from_linear(f) ** e
-            _split_simplex(coeff_poly * extra, rem_den, q, polar_acc, holo_acc)
-        elif rem_den:
-            s = SimplexFraction(rem_den)
-            polar_acc[s] = polar_acc.get(s, Polynomial()) + coeff_poly
+            _split_simplex(Polynomial(terms) * extra, rem_den, q, acc)
         else:
-            holo_acc.append(coeff_poly)
+            _axpy(acc.setdefault(rem_den, {}), 1, terms)
 
 
 def decompose(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:
@@ -398,14 +378,11 @@ def decompose(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:
     its supporting space, and the output depends only on the rational function
     f, not on its presentation.
     """
-    polar_acc: dict[SimplexFraction, Polynomial] = {}
-    holo_acc: list[Polynomial] = []
+    acc: _Acc = {}
     for num, den in _eliminate_dependent(f.numerator, f.denominator):
-        _split_simplex(num, den, q, polar_acc, holo_acc)
-    holo = Polynomial()
-    for h in holo_acc:
-        holo = holo + h
-    terms = [PolarTerm(n, s) for s, n in polar_acc.items() if n]
+        _split_simplex(num, den, q, acc)
+    holo = Polynomial(acc.pop((), {}))
+    terms = [PolarTerm(Polynomial(t), SimplexFraction(den)) for den, t in acc.items() if t]
     return Decomposition(terms, holo)
 
 
@@ -470,8 +447,6 @@ def dependence(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Subspace:
 
 def is_local_pair(f: RationalGerm, g: RationalGerm, q: InnerProduct = DEFAULT_Q) -> bool:
     """The locality relation: dependence subspaces q-orthogonal."""
-    from .exactlin import orthogonal
-
     return orthogonal(q, dependence(f, q), dependence(g, q))
 
 

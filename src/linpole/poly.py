@@ -155,14 +155,15 @@ class Polynomial:
 
     def substitute(self, values: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Replace each variable in `values` by a polynomial; others stay."""
-        out = Polynomial()
+        acc: dict[Monomial, Fraction] = {}
         for m, c in self.terms:
             term = Polynomial.constant(c)
             for v, e in m:
                 repl = values.get(v)
                 term = term * (repl ** e if repl is not None else Polynomial({((v, e),): 1}))
-            out = out + term
-        return out
+            for mm, k in term.terms:
+                acc[mm] = acc.get(mm, 0) + k
+        return Polynomial(acc)
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         return Polynomial({tuple(sorted((mapping.get(v, v), e) for v, e in m)): c

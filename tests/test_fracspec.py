@@ -8,6 +8,7 @@ from linpole import (Forest, ForestNode, FractionSpec, LyndonPolynomial,
                      WordPolynomial, X0, chen_lmap,
                      combination_germ, expand_product, flatten_forest,
                      forest_fraction, germ_mul, germ_scale, germ_sum,
+                     is_local_pair,
                      lyndon_decompose, phi, spec_of_word, speer_lmap,
                      weak_chen_lmap, word_of_fraction, zvar)
 from linpole.fracspec import spec_poly_germ
@@ -75,6 +76,24 @@ def test_expand_product_requires_locality():
     a = FractionSpec((1,), (1,), chen)
     with pytest.raises(NotLocal):
         expand_product(a, a)
+    # NotLocal exactly when the two germs are not a local pair
+    rng = random.Random(41)
+    outcomes = {True: 0, False: 0}
+    for i in range(60):
+        if i % 2:
+            lmap, letter = chen, lambda: rng.randint(1, 5)
+        else:
+            lmap, letter = speer, lambda: frozenset(rng.sample(range(1, 6), rng.randint(1, 2)))
+        s1, s2 = (FractionSpec([rng.randint(1, 2) for _ in lets], lets, lmap)
+                  for lets in ([letter() for _ in range(rng.randint(1, 3))] for _ in range(2)))
+        local = is_local_pair(s1.germ(), s2.germ(), lmap.q)
+        outcomes[local] += 1
+        if local:
+            expand_product(s1, s2)
+        else:
+            with pytest.raises(NotLocal):
+                expand_product(s1, s2)
+    assert min(outcomes.values()) >= 10
 
 
 def test_homomorphism_random_pairs():

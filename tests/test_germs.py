@@ -6,7 +6,7 @@ import pytest
 from linpole import (DEFAULT_Q, Decomposition, LinearForm, NotLocal,
                      Polynomial, RationalGerm, d_residue, decompose,
                      dependence, germ_add, germ_mul, germ_scale, germ_sub,
-                     germ_sum, is_local_pair, locality_mul, ms_eval,
+                     germ_sum, germs, is_local_pair, locality_mul, ms_eval,
                      p_residue, project_plus, recompose, span, subspace_sum,
                      zvar)
 
@@ -271,7 +271,7 @@ def test_locality_mul():
     assert locality_mul(g1, g2, q) == RationalGerm((P1 - P2) ** 2, [(z1 + z2, 2)])
 
 
-def test_decompose_roundtrip_under_gram_block():
+def test_decompose_roundtrip_under_gram_block(monkeypatch):
     rng = random.Random(49)
     for _ in range(25):
         g = random_germ(rng, max_var=3, max_factors=2, max_exp=2)
@@ -282,3 +282,25 @@ def test_decompose_roundtrip_under_gram_block():
         for t in d.terms:
             assert orthogonal(gram, t.numerator.dependence_space(),
                               t.supporting_space())
+    # up to three denominator factors, so that the simplex split recurses
+    depth = {"now": 0, "max": 0}
+    split = germs._split_simplex
+
+    def traced_split(*args):
+        depth["now"] += 1
+        depth["max"] = max(depth["max"], depth["now"])
+        try:
+            split(*args)
+        finally:
+            depth["now"] -= 1
+
+    monkeypatch.setattr(germs, "_split_simplex", traced_split)
+    for _ in range(25):
+        g = random_germ(rng, max_var=3, max_factors=3, max_exp=2)
+        gram = random_spd_gram(rng, 3)
+        d = decompose(g, gram)
+        assert recompose(d) == g
+        for t in d.terms:
+            assert orthogonal(gram, t.numerator.dependence_space(),
+                              t.supporting_space())
+    assert depth["max"] >= 2
