@@ -12,7 +12,7 @@ from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Subspace,
 from .poly import Polynomial
 from .germs import (Decomposition, PolarTerm, RationalGerm, SimplexFraction,
                     ZERO_GERM, ONE_GERM, d_residue, decompose, dependence,
-                    germ_add, germ_mul, germ_pow, germ_scale, germ_sub,
+                    germ_add, germ_mul, germ_scale, germ_sub,
                     germ_sum, is_local_pair, locality_mul, ms_eval, p_residue,
                     project_plus, recompose)
 from .words import (Alphabet, EMPTY_WORD, LyndonPolynomial, WordPolynomial,

@@ -20,10 +20,11 @@ from .errors import (DependenceEscapesVars, DivergentIndex, EvaluatorDomain,
                      TooManyVariables)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, orthogonal,
                        span, zvar, _as_fraction)
-from .germs import RationalGerm, dependence, germ_mul, germ_sum, ms_eval
-from .fracspec import (Combination, FractionSpec, SpecMonomial,
-                       lyndon_decompose, monomial_mul, spec_monomial)
-from .poly import Polynomial
+from .germs import (RationalGerm, dependence, germ_mul, germ_scale, germ_sum,
+                    ms_eval)
+from .fracspec import (FractionSpec, SpecMonomial, lyndon_decompose,
+                       monomial_mul, spec_monomial)
+from .poly import ZERO, Polynomial
 from .words import LinComb, is_lyndon
 
 
@@ -40,54 +41,54 @@ def ev_reg_single(f: RationalGerm, i: int) -> RationalGerm:
     set of the remaining variables.
     """
     zi = zvar(i)
-    pure_exp = 0
+    m = 0  # order of the pure pole z_i^m
     mixed: list[tuple[Q, LinearForm, int]] = []  # (a, rest, exp), a != 0 != rest
     free: list[tuple[LinearForm, int]] = []
     for form, e in f.denominator:
         a = form[i]
-        rest = form - zi.scale(a)
-        if a and not rest:
-            pure_exp += e  # primitive pure factor is exactly z_i
+        if form == zi:  # a canonical pure factor is exactly z_i
+            m += e
         elif a:
-            mixed.append((a, rest, e))
+            mixed.append((a, form - zi.scale(a), e))
         else:
             free.append((form, e))
-    m = pure_exp
-    # split the numerator by z_i-degree
-    by_degree: dict[int, dict] = {}
-    for mono, c in f.numerator.terms:
-        d = dict(mono)
-        k = d.pop(i, 0)
-        rest_m = tuple(sorted(d.items()))
-        by_degree.setdefault(k, {})[rest_m] = \
-            by_degree.get(k, {}).get(rest_m, Fraction(0)) + c
-    parts = {k: Polynomial(v) for k, v in by_degree.items()}
-    parts = {k: p for k, p in parts.items() if p}
-
     # need [z_i^m] of numerator * prod (a_j z_i + R_j)^{-s_j}; put everything
-    # over the common denominator prod R_j^{s_j + m}
-    rest_polys = [Polynomial.from_linear(r) for _, r, _ in mixed]
-    total = Polynomial()
-    for ts in itertools.product(range(m + 1), repeat=len(mixed)):
-        k = m - sum(ts)
-        if k < 0 or k not in parts:
-            continue
-        piece = parts[k]
-        for (a, _, s), t, rp in zip(mixed, ts, rest_polys):
-            coef = Fraction((-1) ** t) * math.comb(s + t - 1, t) * a ** t
-            piece = piece * coef * rp ** (m - t)
-        total = total + piece
-    dens = list(free) + [(r, s + m) for _, r, s in mixed]
-    return RationalGerm(total, dens)
+    # over the common denominator prod R_j^{s_j + m} and expand as a series in
+    # z_i truncated at degree m: {degree: coefficient polynomial}
+    by_degree: dict[int, list] = {}
+    for mono, c in f.numerator.terms:
+        k = dict(mono).get(i, 0)
+        if k <= m:
+            by_degree.setdefault(k, []).append((tuple(x for x in mono if x[0] != i), c))
+    series = {k: Polynomial(terms) for k, terms in by_degree.items()}
+    if m and series:  # with m = 0 every mixed factor contributes R^0 = 1
+        for a, r, s in mixed:
+            # (a z_i + R)^{-s} = sum_t (-1)^t C(s+t-1, t) a^t z_i^t R^{m-t} / R^{s+m}
+            rp = Polynomial.from_linear(r)
+            steps = [rp ** (m - t) * ((-a) ** t * math.comb(s + t - 1, t))
+                     for t in range(m + 1)]
+            series = {e: Polynomial(itertools.chain.from_iterable(
+                          (p * steps[e - d]).terms for d, p in series.items() if d <= e))
+                      for e in range(min(series), m + 1)}
+    total = series.get(m, ZERO)
+    return RationalGerm(total, free + [(r, s + m) for _, r, s in mixed])
 
 
 def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
               perm_cap: int = 8) -> Q:
     """Average of iterated single-variable regularised evaluations over all
-    orderings of the variables (lexicographic summation order)."""
+    orderings of the variables; `perm_cap` caps the number of variables.
+
+    ev_reg_single is linear, so the average A(S) over the orderings of a set
+    S satisfies A(S) = (1/|S|) sum_{i in S} ev_reg_single(A(S - {i}), i).
+    Building A layer by layer over subset size takes k 2^(k-1)
+    single-variable steps on k variables instead of k k!.  Each A(S) maps
+    germs scaled to a first numerator coefficient of 1 to their weights, so
+    proportional germs reached along different orderings share one entry.
+    """
     if variables is None:
         variables = f.variables()
-    variables = sorted(variables)
+    variables = sorted(set(variables))
     k = len(variables)
     if k > perm_cap:
         raise TooManyVariables(f"{k} variables exceeds the permutation cap {perm_cap}")
@@ -96,17 +97,26 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
     for form in dep.basis:
         if not set(form.support()) <= allowed:
             raise DependenceEscapesVars(f"germ depends on {form!r}")
-    if k == 0:
-        return f.numerator.constant_term()
+    layer: dict[frozenset, dict[RationalGerm, Fraction]] = {frozenset(): {f: Fraction(1)}}
+    for size in range(1, k + 1):
+        nxt: dict[frozenset, dict[RationalGerm, Fraction]] = {}
+        for done, combo in layer.items():
+            for v in variables:
+                if v not in done:
+                    acc = nxt.setdefault(done | {v}, {})
+                    for g, c in combo.items():
+                        h = ev_reg_single(g, v)
+                        if h:
+                            lead = h.numerator.terms[0][1]
+                            key = germ_scale(h, 1 / lead)
+                            acc[key] = acc.get(key, 0) + c * lead
+        layer = {s: {g: c / size for g, c in acc.items() if c} for s, acc in nxt.items()}
     total = Fraction(0)
-    for sigma in itertools.permutations(variables):
-        g = f
-        for v in sigma:
-            g = ev_reg_single(g, v)
+    for g, c in layer[frozenset(variables)].items():
         if not g.is_holomorphic() or not g.numerator.is_constant():
             raise DependenceEscapesVars("iterated evaluation did not reach a constant")
-        total += g.numerator.constant_term()
-    return total / math.factorial(k)
+        total += c * g.numerator.constant_term()
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +270,6 @@ class GermCombo:
             return "0"
         return " + ".join(f"({h!r})*" + ("*".join(map(repr, m)) or "1")
                           for h, m in self.terms)
-
-
-def combo_of_combination(combo: Combination) -> GermCombo:
-    return GermCombo([(Polynomial.constant(c), (s,)) for s, c in combo])
 
 
 # ---------------------------------------------------------------------------

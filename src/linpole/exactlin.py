@@ -19,9 +19,7 @@ Q = Fraction  # the coefficient field
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
@@ -176,6 +174,9 @@ class InnerProduct:
 
     def __eq__(self, other):
         return isinstance(other, InnerProduct) and self.gram == other.gram
+
+    def __hash__(self):
+        return hash(self.gram)
 
     def __repr__(self):
         return "InnerProduct(default)" if not self.gram else f"InnerProduct({len(self.gram)}x{len(self.gram)} block)"

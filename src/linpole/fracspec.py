@@ -86,7 +86,7 @@ def _canon_letter(letter):
 class FractionSpec:
     """Exponent vector + letter vector under an L-map."""
 
-    __slots__ = ("exponents", "letters", "lmap", "_hash")
+    __slots__ = ("exponents", "letters", "lmap", "_hash", "_entries")
 
     def __init__(self, exponents: Iterable[int], letters: Iterable, lmap: LMap):
         exps = tuple(int(s) for s in exponents)
@@ -133,15 +133,18 @@ class FractionSpec:
     def germ(self) -> RationalGerm:
         return RationalGerm(1, self.denominator_entries())
 
-    def denominator_entries(self) -> list:
-        dens = []
-        acc = LinearForm()
-        for s, u in zip(reversed(self.exponents), reversed(self.letters)):
-            acc = acc + self.lmap.form(u)
-            if not acc:
-                raise ZeroCumulativeForm(f"cumulative form vanished at letter {u!r}")
-            dens.append((acc, s))
-        return dens
+    def denominator_entries(self) -> tuple[tuple[LinearForm, int], ...]:
+        """(cumulative form, exponent) pairs, computed on first use."""
+        if not hasattr(self, "_entries"):
+            dens = []
+            acc = LinearForm()
+            for s, u in zip(reversed(self.exponents), reversed(self.letters)):
+                acc = acc + self.lmap.form(u)
+                if not acc:
+                    raise ZeroCumulativeForm(f"cumulative form vanished at letter {u!r}")
+                dens.append((acc, s))
+            object.__setattr__(self, "_entries", tuple(dens))
+        return self._entries
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a rational point off the pole locus."""

@@ -68,9 +68,19 @@ class RationalGerm:
             dens = {}
         entries = tuple(sorted(((f, e) for f, e in dens.items() if e),
                                key=lambda t: t[0].key()))
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", entries)
-        object.__setattr__(self, "_hash", hash((num, entries)))
+        self._fill(num, entries)
+
+    @classmethod
+    def _trusted(cls, numerator: Polynomial, denominator: tuple) -> "RationalGerm":
+        """Wrap a presentation that is already canonical, without normalising."""
+        g = object.__new__(cls)
+        g._fill(numerator, denominator)
+        return g
+
+    def _fill(self, numerator: Polynomial, denominator: tuple):
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "_hash", hash((numerator, denominator)))
 
     def __setattr__(self, *a):
         raise AttributeError("RationalGerm is immutable")
@@ -115,10 +125,6 @@ ZERO_GERM = RationalGerm(0)
 ONE_GERM = RationalGerm(1)
 
 
-def germ_from_fraction(dens: Iterable[DenEntry]) -> RationalGerm:
-    return RationalGerm(1, dens)
-
-
 def germ_add(f: RationalGerm, g: RationalGerm) -> RationalGerm:
     """Common-denominator sum, renormalised."""
     common: dict[LinearForm, int] = dict(f.denominator)
@@ -145,16 +151,9 @@ def germ_mul(f: RationalGerm, g: RationalGerm) -> RationalGerm:
 
 
 def germ_scale(f: RationalGerm, k) -> RationalGerm:
-    return RationalGerm(f.numerator * _as_fraction(k), f.denominator)
-
-
-def germ_pow(f: RationalGerm, k: int) -> RationalGerm:
-    if k < 0:
-        raise ValueError("negative germ power; divide explicitly instead")
-    out = ONE_GERM
-    for _ in range(k):
-        out = germ_mul(out, f)
-    return out
+    """k * f; a nonzero multiple of a canonical germ is canonical as it stands."""
+    k = _as_fraction(k)
+    return RationalGerm._trusted(f.numerator * k, f.denominator) if k else ZERO_GERM
 
 
 def germ_sum(germs: Iterable[RationalGerm]) -> RationalGerm:
@@ -278,12 +277,6 @@ class Decomposition:
     def is_zero(self) -> bool:
         return not self.terms and not self.holomorphic
 
-    def max_p_order(self) -> int:
-        return max((t.p_order for t in self.terms), default=0)
-
-    def max_support_dim(self) -> int:
-        return max((t.supporting_space().dim for t in self.terms), default=0)
-
     def __repr__(self):
         bits = [repr(t) for t in self.terms]
         if self.holomorphic or not bits:
@@ -401,10 +394,14 @@ def ms_eval(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Q:
     return project_plus(f, q).constant_term()
 
 
-def _residue(d: Decomposition, keep) -> Decomposition:
+def _residue(f: RationalGerm, q: InnerProduct, level) -> Decomposition:
+    """The decomposition's terms at the top value of `level`, numerators
+    frozen at zero."""
+    d = decompose(f, q)
+    top = max((level(t) for t in d.terms), default=0)
     terms = []
     for t in d.terms:
-        if keep(t):
+        if level(t) == top:
             c = t.numerator.constant_term()
             if c:
                 terms.append(PolarTerm(Polynomial.constant(c), t.simplex))
@@ -413,11 +410,7 @@ def _residue(d: Decomposition, keep) -> Decomposition:
 
 def p_residue(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:
     """Top-p-order part of the decomposition, numerators frozen at zero."""
-    d = decompose(f, q)
-    if not d.terms:
-        return Decomposition((), Polynomial())
-    top = d.max_p_order()
-    return _residue(d, lambda t: t.p_order == top)
+    return _residue(f, q, lambda t: t.p_order)
 
 
 def d_residue(f: RationalGerm, q: InnerProduct) -> Decomposition:
@@ -426,11 +419,7 @@ def d_residue(f: RationalGerm, q: InnerProduct) -> Decomposition:
     The inner product is a required argument: unlike the p-residue this
     genuinely depends on it.
     """
-    d = decompose(f, q)
-    if not d.terms:
-        return Decomposition((), Polynomial())
-    top = d.max_support_dim()
-    return _residue(d, lambda t: t.supporting_space().dim == top)
+    return _residue(f, q, lambda t: t.supporting_space().dim)
 
 
 def dependence(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Subspace:

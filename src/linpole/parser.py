@@ -23,6 +23,10 @@ from .exactlin import LinearForm, zvar
 from .germs import RationalGerm, germ_add, germ_mul, germ_scale, germ_sub
 from .poly import Polynomial
 
+# Each level of parentheses costs five stack frames: deeper input would
+# exhaust Python's default recursion limit of 1000 before a typed error.
+_MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([-+*/^()])|(.))")
 
 
@@ -84,6 +88,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -139,15 +144,15 @@ class _Parser:
                 return v
 
     def unary(self) -> _Value:
-        kind, val, _pos = self.peek()
-        if kind == "op" and val == "-":
+        negate = False
+        while self.peek()[1] == "-":  # iterative: no recursion per sign
             self.next()
-            inner = self.unary()
-            g = germ_scale(inner.germ, -1)
-            if inner.factorable:
-                return _Value(g, -inner.coef, dict(inner.factors))
-            return _Value(g)
-        return self.power()
+            negate = not negate
+        v = self.power()
+        if negate:
+            g = germ_scale(v.germ, -1)
+            v = _Value(g, -v.coef, dict(v.factors)) if v.factorable else _Value(g)
+        return v
 
     def power(self) -> _Value:
         v = self.atom()
@@ -177,8 +182,12 @@ class _Parser:
                 raise ParseError("variable index must be positive", pos)
             return _Value(RationalGerm(Polynomial.variable(val)), Fraction(1), {zvar(val): 1})
         if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
             v = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return v
         raise ParseError(f"unexpected token {val!r}", pos)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import EmptyWord, NotLocal
 from .exactlin import _as_fraction
@@ -45,11 +45,9 @@ class Alphabet:
 
     def __init__(self, *, key: Callable = lambda u: u,
                  local: Callable = lambda u, v: u != v,
-                 letters: Optional[Sequence] = None,
                  name: str = "integers"):
         self._key = key
         self._local = local
-        self.letters = tuple(letters) if letters is not None else None
         self.name = name
 
     def letter_key(self, letter):
@@ -59,9 +57,6 @@ class Alphabet:
 
     def word_key(self, w: Word):
         return tuple(self.letter_key(a) for a in w)
-
-    def letter_lt(self, a, b) -> bool:
-        return self.letter_key(a) < self.letter_key(b)
 
     def local_letters(self, a, b) -> bool:
         if a is X0 or b is X0:
@@ -331,15 +326,12 @@ def locality_cfl(w: Word, alphabet: Alphabet) -> tuple[list[Word], int]:
 
 
 def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
-                               letters: Optional[Sequence] = None) -> list[Word]:
-    """All locality Lyndon words not ending in x0, up to the length bound,
-    sorted by (length, lex)."""
+                               letters: Sequence) -> list[Word]:
+    """All locality Lyndon words over x0 and `letters` not ending in x0, up
+    to the length bound, sorted by (length, lex)."""
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    base = letters if letters is not None else alphabet.letters
-    if base is None:
-        raise ValueError("alphabet has no finite letter list; pass letters=")
-    pool = [X0] + sorted(base, key=alphabet.letter_key)
+    pool = [X0] + sorted(letters, key=alphabet.letter_key)
     out: list[Word] = []
 
     def extend(prefix: Word, length: int):

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +19,7 @@ from linpole import (DEFAULT_Q, DependenceEscapesVars, DivergentIndex,
                      speer_lmap, zeta_eval, zeta_evaluator, zvar)
 from linpole.words import integer_alphabet
 
-from helpers import random_germ, random_poly
+from helpers import random_form, random_germ, random_poly
 
 q = DEFAULT_Q
 chen = chen_lmap()
@@ -48,6 +51,43 @@ def test_ev_reg_single_drops_poles_and_keeps_regular_part():
         RationalGerm(1, [(z2, 1)])
 
 
+def laurent_constant(f, i, point):
+    """[z_i^0] of f with the other variables fixed at `point`, by dividing
+    truncated power series in z_i (independent of ev_reg_single's binomial
+    expansion)."""
+    m = sum(e for form, e in f.denominator if form == zvar(i))
+    num = [Fraction(0)] * (m + 1)
+    for mono, c in f.numerator.terms:
+        d = dict(mono)
+        k = d.pop(i, 0)
+        if k <= m:
+            num[k] += c * math.prod(Fraction(point[v]) ** e for v, e in d.items())
+    den = [Fraction(1)] + [Fraction(0)] * m
+    for form, e in f.denominator:
+        if form != zvar(i):
+            r0, r1 = form.evaluate({**point, i: 0}), form[i]
+            for _ in range(e):
+                den = [r0 * den[0]] + [r0 * den[k] + r1 * den[k - 1] for k in range(1, m + 1)]
+    quot = []
+    for k in range(m + 1):
+        quot.append((num[k] - sum(quot[j] * den[k - j] for j in range(k))) / den[0])
+    return quot[m]
+
+
+def test_ev_reg_single_matches_series_division():
+    rng = random.Random(23)
+    for _ in range(60):
+        g = random_germ(rng, max_var=3, max_factors=3, max_exp=3)
+        g = germ_mul(g, RationalGerm(1, [(zvar(rng.randint(1, 3)), rng.randint(1, 3))]))
+        for i in g.variables():
+            point = {v: Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 9))
+                     for v in range(1, 4)}
+            if any(f.evaluate({**point, i: 0}) == 0 for f, _ in g.denominator
+                   if f != zvar(i)):
+                continue
+            assert ev_reg_single(g, i).evaluate(point) == laurent_constant(g, i, point)
+
+
 def test_ev_reg_single_higher_order_pole_extraction():
     # z1^2/(z1^2 (z1+z2)) -> [z1^0] 1/(z1+z2) = 1/z2
     g = RationalGerm(P1 ** 2, [(z1, 2), (z1 + z2, 1)])
@@ -75,6 +115,7 @@ def test_iter_eval_multiplicativity_contrast():
 def test_iter_eval_guards():
     with pytest.raises(TooManyVariables):
         iter_eval(F_TILDE, perm_cap=1)
+    assert iter_eval(G_TILDE, perm_cap=2) == 1
     with pytest.raises(DependenceEscapesVars):
         iter_eval(RationalGerm(1, [(z1 + z3, 1)]), variables=[1, 2])
 
@@ -98,6 +139,58 @@ def test_iter_eval_filtration_compatibility():
         g = random_germ(rng, max_var=3, max_factors=2, max_exp=2)
         base = iter_eval(g, variables=[1, 2, 3])
         assert iter_eval(g, variables=[1, 2, 3, 4]) == base
+
+
+def iter_eval_by_orderings(f, variables):
+    """Reference iter_eval: the average over all k! orderings of the variables."""
+    if any(not set(b.support()) <= set(variables) for b in dependence(f, q).basis):
+        raise DependenceEscapesVars("germ depends on a variable outside the list")
+    if not variables:
+        return f.numerator.constant_term()
+    total = Fraction(0)
+    for sigma in itertools.permutations(variables):
+        g = f
+        for v in sigma:
+            g = ev_reg_single(g, v)
+        if not g.is_holomorphic() or not g.numerator.is_constant():
+            raise DependenceEscapesVars("iterated evaluation did not reach a constant")
+        total += g.numerator.constant_term()
+    return total / math.factorial(len(variables))
+
+
+def iter_corpus(rng, n):
+    """Germs in 2-4 variables: repeated forms, pure z_i powers and numerators
+    of z_i-degree above the pole order among them.  Numerator monomials of
+    the denominator's degree keep most values nonzero."""
+    for idx in range(n):
+        nvar = 2 + idx % 3
+        dens = [(random_form(rng, nvar), rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
+        if idx % 2 == 0:
+            dens.append(dens[0])
+        if idx % 3 != 2:
+            dens.append((zvar(rng.randint(1, nvar)), rng.randint(1, 2)))
+        deg = sum(e for _, e in dens)
+        num = random_poly(rng, nvar, max_deg=2, n_terms=2)
+        for _ in range(rng.randint(1, 3)):
+            mono = Counter(rng.randint(1, nvar) for _ in range(deg))
+            num = num + Polynomial({tuple(mono.items()): rng.randint(-3, 3)})
+        yield RationalGerm(num, dens)
+
+
+def test_iter_eval_matches_average_over_orderings():
+    rng = random.Random(24)
+    raised = 0
+    for g in iter_corpus(rng, 60):
+        for variables in (list(g.variables()), list(g.variables())[1:]):
+            try:
+                expected = iter_eval_by_orderings(g, variables)
+            except DependenceEscapesVars as exc:
+                with pytest.raises(type(exc)):
+                    iter_eval(g, variables)
+                raised += 1
+                continue
+            assert iter_eval(g, variables) == expected, (g, variables)
+    assert raised >= 10
 
 
 # ------------------------------------------------------------ mzv

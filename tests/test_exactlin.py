@@ -28,6 +28,15 @@ def test_inner_gram_block():
     assert inner(g, z1, z3) == 0
 
 
+def test_inner_product_hash_matches_eq():
+    a, b = InnerProduct([[2, 1], [1, 2]]), InnerProduct([["2", 1], [1, "4/2"]])
+    assert a == b and hash(a) == hash(b)
+    assert InnerProduct() == DEFAULT_Q and hash(InnerProduct()) == hash(DEFAULT_Q)
+    memo = {a: "block", DEFAULT_Q: "default"}
+    assert memo[b] == "block" and memo[InnerProduct()] == "default"
+    assert InnerProduct([[3, 1], [1, 2]]) not in memo
+
+
 def test_gram_validation():
     with pytest.raises(ValueError):
         InnerProduct([[1, 2], [3, 1]])  # not symmetric

@@ -292,9 +292,17 @@ def test_zero_cumulative_form_detected():
     cancelling = LMap(integer_alphabet(),
                       lambda u: zvar(1) if u == 1 else zvar(1).scale(-1),
                       "cancelling")
-    spec = FractionSpec((1, 1), (1, 2), cancelling)
-    with pytest.raises(ZeroCumulativeForm):
-        spec.germ()
+    spec = FractionSpec((1, 1), (1, 2), cancelling)  # constructing does not raise
+    for _ in range(2):
+        with pytest.raises(ZeroCumulativeForm):
+            spec.germ()
+
+
+def test_denominator_entries_cached_tuple():
+    spec = FractionSpec((2, 1), (1, 2), chen)
+    entries = spec.denominator_entries()
+    assert entries == ((zvar(2), 1), (zvar(1) + zvar(2), 2))
+    assert spec.denominator_entries() is entries
 
 
 def test_custom_lmap_locality_registration_check():

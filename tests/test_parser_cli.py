@@ -126,6 +126,17 @@ def test_cli_exit_codes(capsys):
     assert code == 0 and "z1" in out
 
 
+def test_cli_deep_nesting_is_a_parse_error(capsys):
+    for expr in ("(" * 3000 + "z1" + ")" * 3000, "-(" * 1500 + "1" + ")" * 1500):
+        code, out, err = run_cli(capsys, "decompose", "--", expr)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("parse error:")
+    code, out, _ = run_cli(capsys, "decompose", "--", "-(" * 100 + "z1" + ")" * 100)
+    assert code == 0 and out.strip() == "z1"
+    code, out, _ = run_cli(capsys, "decompose", "--", "-" * 3001 + "z1")
+    assert code == 0 and out.strip() == "-z1"
+
+
 def test_cli_orth(capsys):
     code, out, _ = run_cli(capsys, "orth", "1/(z1+z2)", "z1-z2")
     assert code == 0 and out.strip() == "true"
