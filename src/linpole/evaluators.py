@@ -20,8 +20,7 @@ from .errors import (DependenceEscapesVars, DivergentIndex, EvaluatorDomain,
                      TooManyVariables)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, orthogonal,
                        span, zvar, _as_fraction)
-from .germs import (RationalGerm, dependence, germ_mul, germ_scale, germ_sum,
-                    ms_eval)
+from .germs import RationalGerm, dependence, germ_scale, germ_sum, ms_eval
 from .fracspec import (FractionSpec, SpecMonomial, lyndon_decompose,
                        monomial_mul, spec_monomial)
 from .poly import ZERO, Polynomial
@@ -55,12 +54,7 @@ def ev_reg_single(f: RationalGerm, i: int) -> RationalGerm:
     # need [z_i^m] of numerator * prod (a_j z_i + R_j)^{-s_j}; put everything
     # over the common denominator prod R_j^{s_j + m} and expand as a series in
     # z_i truncated at degree m: {degree: coefficient polynomial}
-    by_degree: dict[int, list] = {}
-    for mono, c in f.numerator.terms:
-        k = dict(mono).get(i, 0)
-        if k <= m:
-            by_degree.setdefault(k, []).append((tuple(x for x in mono if x[0] != i), c))
-    series = {k: Polynomial(terms) for k, terms in by_degree.items()}
+    series = {k: p for k, p in f.numerator.collect(i).items() if k <= m}
     if m and series:  # with m = 0 every mixed factor contributes R^0 = 1
         for a, r, s in mixed:
             # (a z_i + R)^{-s} = sum_t (-1)^t C(s+t-1, t) a^t z_i^t R^{m-t} / R^{s+m}
@@ -86,17 +80,17 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
     germs scaled to a first numerator coefficient of 1 to their weights, so
     proportional germs reached along different orderings share one entry.
     """
-    if variables is None:
-        variables = f.variables()
-    variables = sorted(set(variables))
+    # A germ depends on no form outside its own variables, so only an
+    # explicit list needs the dependence check.
+    check = variables is not None
+    variables = sorted(set(variables if check else f.variables()))
     k = len(variables)
     if k > perm_cap:
         raise TooManyVariables(f"{k} variables exceeds the permutation cap {perm_cap}")
-    dep = dependence(f, DEFAULT_Q)
-    allowed = set(variables)
-    for form in dep.basis:
-        if not set(form.support()) <= allowed:
-            raise DependenceEscapesVars(f"germ depends on {form!r}")
+    if check:
+        for form in dependence(f, DEFAULT_Q).basis:
+            if not set(form.support()) <= set(variables):
+                raise DependenceEscapesVars(f"germ depends on {form!r}")
     layer: dict[frozenset, dict[RationalGerm, Fraction]] = {frozenset(): {f: Fraction(1)}}
     for size in range(1, k + 1):
         nxt: dict[frozenset, dict[RationalGerm, Fraction]] = {}
@@ -241,13 +235,8 @@ class GermCombo:
         return isinstance(other, GermCombo) and set(self.terms) == set(other.terms)
 
     def germ(self) -> RationalGerm:
-        parts = []
-        for h, specs in self.terms:
-            g = RationalGerm(h)
-            for s in specs:
-                g = germ_mul(g, s.germ())
-            parts.append(g)
-        return germ_sum(parts)
+        return germ_sum(RationalGerm(h, [e for s in specs for e in s.denominator_entries()])
+                        for h, specs in self.terms)
 
     def validate_locality(self, q: InnerProduct = DEFAULT_Q):
         """Check each monomial: specs pairwise local, coefficient orthogonal
@@ -261,7 +250,7 @@ class GermCombo:
                                for u in a.letters for v in b.letters):
                         raise NotLocal(f"{a!r} and {b!r} share non-local letters")
             if specs:
-                forms = [f for sp in specs for (f, _) in sp.germ().denominator]
+                forms = [f for sp in specs for f, _ in sp.denominator_entries()]
                 if not orthogonal(q, h.dependence_space(), span(forms)):
                     raise NotLocal(f"coefficient {h!r} not orthogonal to its fraction part")
 
@@ -285,12 +274,10 @@ class Evaluator:
 
     def __init__(self, name: str,
                  on_germ: Optional[Callable[[RationalGerm], tuple[Fraction, Fraction]]] = None,
-                 on_combo: Optional[Callable[["GermCombo"], tuple[Fraction, Fraction]]] = None,
-                 exact: bool = True):
+                 on_combo: Optional[Callable[["GermCombo"], tuple[Fraction, Fraction]]] = None):
         self.name = name
         self._on_germ = on_germ
         self._on_combo = on_combo
-        self.exact = exact
 
     def eval_germ(self, f: RationalGerm) -> tuple[Fraction, Fraction]:
         if self._on_germ is not None:
@@ -367,7 +354,7 @@ def zeta_evaluator(precision: int = 8, q: InnerProduct = DEFAULT_Q) -> Evaluator
         raise NotChen("zeta evaluation needs an explicit Chen presentation")
 
     return Evaluator("zeta", on_germ=on_germ,
-                     on_combo=lambda c: zeta_eval(c, precision, q), exact=False)
+                     on_combo=lambda c: zeta_eval(c, precision, q))
 
 
 def _iv_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):

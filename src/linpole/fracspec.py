@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import (NotLocal, NotLocalSpec, WordEndsInX0, ZeroCumulativeForm)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, inner, orthogonal,
                        span, zset, zvar)
-from .germs import RationalGerm, germ_mul, germ_scale, germ_sum
+from .germs import RationalGerm, germ_scale, germ_sum
 
 from .words import (Alphabet, EMPTY_WORD, LinComb, Word, X0,
                     _lyndon_rewriter, integer_alphabet, shuffle,
@@ -261,10 +261,7 @@ def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
 
 
 def monomial_germ(mono: SpecMonomial) -> RationalGerm:
-    g = RationalGerm(1)
-    for s in mono:
-        g = germ_mul(g, s.germ())
-    return g
+    return RationalGerm(1, [e for s in mono for e in s.denominator_entries()])
 
 
 def spec_poly_germ(poly: dict[SpecMonomial, Fraction]) -> RationalGerm:

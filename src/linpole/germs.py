@@ -126,19 +126,8 @@ ONE_GERM = RationalGerm(1)
 
 
 def germ_add(f: RationalGerm, g: RationalGerm) -> RationalGerm:
-    """Common-denominator sum, renormalised."""
-    common: dict[LinearForm, int] = dict(f.denominator)
-    for form, e in g.denominator:
-        common[form] = max(common.get(form, 0), e)
-    nf, ng = f.numerator, g.numerator
-    for form, e in common.items():
-        ef = dict(f.denominator).get(form, 0)
-        eg = dict(g.denominator).get(form, 0)
-        if e > ef:
-            nf = nf * Polynomial.from_linear(form) ** (e - ef)
-        if e > eg:
-            ng = ng * Polynomial.from_linear(form) ** (e - eg)
-    return RationalGerm(nf + ng, common.items())
+    """f + g, the two-term case of germ_sum."""
+    return germ_sum((f, g))
 
 
 def germ_sub(f: RationalGerm, g: RationalGerm) -> RationalGerm:
@@ -157,10 +146,22 @@ def germ_scale(f: RationalGerm, k) -> RationalGerm:
 
 
 def germ_sum(germs: Iterable[RationalGerm]) -> RationalGerm:
-    out = ZERO_GERM
+    """Sum over one common denominator, each (primitive) form at its largest
+    exponent among the terms, normalised once."""
+    germs = [g for g in germs if g]
+    common: dict[LinearForm, int] = {}
     for g in germs:
-        out = germ_add(out, g)
-    return out
+        for form, e in g.denominator:
+            common[form] = max(common.get(form, 0), e)
+    acc: dict[Monomial, Fraction] = {}
+    for g in germs:
+        num, own = g.numerator, dict(g.denominator)
+        for form, e in common.items():
+            gap = e - own.get(form, 0)
+            if gap:
+                num = num * Polynomial.from_linear(form) ** gap
+        _axpy(acc, 1, dict(num.terms))
+    return RationalGerm(Polynomial(acc), common.items())
 
 
 class SimplexFraction:

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import NonHomogeneousPole, ParseError
 from .exactlin import LinearForm, zvar
-from .germs import RationalGerm, germ_add, germ_mul, germ_scale, germ_sub
+from .germs import RationalGerm, germ_mul, germ_scale, germ_sum
 from .poly import Polynomial
 
 # Each level of parentheses costs five stack frames: deeper input would
@@ -112,15 +112,17 @@ class _Parser:
 
     def expr(self) -> _Value:
         v = self.term()
+        terms = [v.germ]
         while True:
             kind, val, _pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.term()
-                g = germ_add(v.germ, rhs.germ) if val == "+" else germ_sub(v.germ, rhs.germ)
-                v = _refresh_linear(_Value(g))
-            else:
+                g = self.term().germ
+                terms.append(g if val == "+" else germ_scale(g, -1))
+            elif len(terms) == 1:
                 return v
+            else:
+                return _refresh_linear(_Value(germ_sum(terms)))
 
     def term(self) -> _Value:
         v = self.unary()
@@ -163,9 +165,8 @@ class _Parser:
                 kind2, k, pos2 = self.next()
                 if kind2 != "int" or k < 0:
                     raise ParseError("exponent must be a nonnegative integer", pos2)
-                out = RationalGerm(Polynomial.constant(1))
-                for _ in range(k):
-                    out = germ_mul(out, v.germ)
+                g = v.germ
+                out = RationalGerm(g.numerator ** k, [(f, e * k) for f, e in g.denominator])
                 if v.factorable:
                     v = _Value(out, v.coef ** k, {f: e * k for f, e in v.factors.items()})
                 else:

@@ -169,36 +169,35 @@ class Polynomial:
         return Polynomial({tuple(sorted((mapping.get(v, v), e) for v, e in m)): c
                            for m, c in self.terms})
 
+    def collect(self, v: int) -> dict[int, "Polynomial"]:
+        """{k: P_k} with self = sum_k P_k z_v^k and no P_k involving z_v."""
+        groups: dict[int, list[tuple[Monomial, Fraction]]] = {}
+        for m, c in self.terms:
+            k = next((e for w, e in m if w == v), 0)
+            groups.setdefault(k, []).append((tuple(x for x in m if x[0] != v), c))
+        return {k: Polynomial(t) for k, t in groups.items()}
+
     def divide_by_form(self, form: LinearForm) -> "Polynomial | None":
         """Exact quotient self / form, or None when the form does not divide.
 
-        Long division in the smallest variable of the form's support; exact
-        because the leading coefficient there is a nonzero rational.
+        Synthetic division in the smallest variable v of the form: with
+        form = c z_v + R and self = sum_k P_k z_v^k, the quotient is
+        sum_k Q_k z_v^k with Q_{k-1} = (P_k - R Q_k) / c from the top degree
+        down, and the form divides exactly iff R Q_0 = P_0.
         """
         if not form:
             raise ZeroDivisionError("division by the zero form")
         v = min(form.coeffs)
-        c = form.coeffs[v]
-        rest = Polynomial.from_linear(form) - Polynomial({((v, 1),): c})
-        quot: dict[Monomial, Fraction] = {}
-        rem = self
-        while True:
-            tops = [(m, k) for m, k in rem.terms if dict(m).get(v, 0) > 0]
-            if not tops:
-                break
-            dmax = max(dict(m)[v] for m, _ in tops)
-            lead = [(m, k) for m, k in tops if dict(m)[v] == dmax]
-            qpart: dict[Monomial, Fraction] = {}
-            for m, k in lead:
-                d = dict(m)
-                d[v] = dmax - 1
-                mm = tuple(sorted((w, e) for w, e in d.items() if e))
-                qpart[mm] = qpart.get(mm, Fraction(0)) + k / c
-            qp = Polynomial(qpart)
-            for m, k in qp.terms:
-                quot[m] = quot.get(m, Fraction(0)) + k
-            rem = rem - qp * (Polynomial({((v, 1),): c}) + rest)
-        if rem:
+        inv = 1 / form.coeffs[v]
+        minus_r = Polynomial((((w, 1),), -a * inv) for w, a in form.coeffs.items() if w != v)
+        parts = self.collect(v)
+        quot: list[tuple[Monomial, Fraction]] = []
+        carry = ZERO  # -R Q_k / c
+        for k in range(max(parts, default=0), 0, -1):
+            q = parts[k] * inv + carry if k in parts else carry
+            quot.extend((m + ((v, k - 1),), c) for m, c in q.terms)
+            carry = minus_r * q
+        if carry != parts.get(0, ZERO) * -inv:
             return None
         return Polynomial(quot)
 

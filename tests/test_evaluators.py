@@ -17,6 +17,7 @@ from linpole import (DEFAULT_Q, DependenceEscapesVars, DivergentIndex,
                      iter_evaluator, locality_lyndon_generators, ms_eval,
                      ms_evaluator, mzv_numeric, p_residue, spec_of_word,
                      speer_lmap, zeta_eval, zeta_evaluator, zvar)
+from linpole import germs
 from linpole.words import integer_alphabet
 
 from helpers import random_form, random_germ, random_poly
@@ -118,6 +119,23 @@ def test_iter_eval_guards():
     assert iter_eval(G_TILDE, perm_cap=2) == 1
     with pytest.raises(DependenceEscapesVars):
         iter_eval(RationalGerm(1, [(z1 + z3, 1)]), variables=[1, 2])
+
+
+def test_iter_eval_checks_dependence_only_for_explicit_variables(monkeypatch):
+    calls = []
+    decompose = germs.decompose
+
+    def counting(*args):
+        calls.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(germs, "decompose", counting)
+    assert iter_eval(G_TILDE) == 1
+    assert calls == []
+    assert iter_eval(G_TILDE, variables=[1, 2]) == 1
+    assert len(calls) == 1
+    with pytest.raises(DependenceEscapesVars):
+        iter_eval(RationalGerm(1, [(z1, 1), (z2 + z3, 2)]), variables=[1, 2])
 
 
 def test_iter_eval_permutation_invariance():

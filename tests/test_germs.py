@@ -42,6 +42,43 @@ def test_germ_add_examples():
     assert germ_add(g, RationalGerm(0)) == g
 
 
+def pairwise_sum(germs_list):
+    """The former germ_sum: a fold of common-denominator pairwise additions."""
+    out = RationalGerm(0)
+    for g in germs_list:
+        common = dict(out.denominator)
+        for form, e in g.denominator:
+            common[form] = max(common.get(form, 0), e)
+        nf, ng = out.numerator, g.numerator
+        for form, e in common.items():
+            nf = nf * Polynomial.from_linear(form) ** (e - dict(out.denominator).get(form, 0))
+            ng = ng * Polynomial.from_linear(form) ** (e - dict(g.denominator).get(form, 0))
+        out = RationalGerm(nf + ng, common.items())
+    return out
+
+
+def test_germ_sum_matches_pairwise_fold():
+    rng = random.Random(71)
+    pool = [z1, z2, z1 + z2, z1 - z2.scale(2), z3]
+    for trial in range(80):
+        terms = [random_germ(rng, max_var=3, max_factors=2)
+                 for _ in range(rng.randint(0, 3))]
+        # the same forms at different exponents, in both orders
+        for _ in range(rng.randint(1, 3)):
+            dens = [(rng.choice(pool), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            terms.append(RationalGerm(random_poly(rng, max_var=3), dens))
+        if terms and trial % 3 == 0:
+            terms.append(germ_scale(rng.choice(terms), -1))  # cancels a term
+        if trial % 4 == 0:
+            terms.append(RationalGerm(0))
+        rng.shuffle(terms)
+        assert germ_sum(terms) == pairwise_sum(terms), terms
+    assert germ_sum([]) == RationalGerm(0)
+    low, high = RationalGerm(1, [(z1, 1)]), RationalGerm(P2, [(z1, 3)])
+    assert germ_sum([high, low]) == pairwise_sum([high, low]) == \
+        RationalGerm(P1 * P1 + P2, [(z1, 3)])
+
+
 def test_germ_mul_examples():
     assert germ_mul(RationalGerm(1, [(z1, 1)]), RationalGerm(1, [(z2, 1)])) == \
         RationalGerm(1, [(z1, 1), (z2, 1)])

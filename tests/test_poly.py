@@ -55,6 +55,21 @@ def test_divide_random_products():
         assert prod.divide_by_form(form) == p
 
 
+def test_collect_reassembles():
+    rng = random.Random(4)
+    for _ in range(40):
+        p = random_poly(rng, max_var=3, max_deg=3, n_terms=5)
+        v = rng.randint(1, 4)
+        parts = p.collect(v)
+        assert all(v not in part.support() and part for part in parts.values())
+        total = Polynomial()
+        for k, part in parts.items():
+            total = total + part * Polynomial.variable(v) ** k
+        assert total == p
+    assert (x * x * y + 3 * z).collect(1) == {0: 3 * z, 2: y}
+    assert Polynomial().collect(1) == {}
+
+
 def test_dependence_space_examples():
     p = Polynomial.from_linear(LinearForm({1: 1, 2: 1})) ** 2 + z
     assert p.dependence_space() == span([zvar(1) + zvar(2), zvar(3)])

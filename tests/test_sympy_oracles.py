@@ -1,8 +1,9 @@
-"""sympy as an independent oracle for the exact linear algebra.
+"""sympy as an independent oracle for the exact linear algebra and division.
 
 span, orth_decompose, the positive-definiteness check of InnerProduct and
 Polynomial.dependence_space all run on one elimination routine in exactlin;
-these tests check each against sympy's own rref, solve, det and nullspace.
+these tests check each against sympy's own rref, solve, det and nullspace,
+and Polynomial.divide_by_form against sympy's div.
 """
 
 import random
@@ -114,11 +115,15 @@ def power_product(rng):
     return p + Polynomial.from_linear(forms[0]) ** 2
 
 
+def sympy_poly(p, zs):
+    return sum((to_sympy(c) * sympy.Mul(*(zs[v - 1] ** e for v, e in m)) for m, c in p.terms),
+               sympy.Integer(0))
+
+
 def sympy_dependence_rows(p):
     """Annihilator of the kernel of the partial-derivative coefficient matrix."""
     zs = sympy.symbols(f"z1:{NV + 1}")
-    expr = sum(to_sympy(c) * sympy.Mul(*(zs[v - 1] ** e for v, e in m))
-               for m, c in p.terms)
+    expr = sympy_poly(p, zs)
     partials = [sympy.Poly(sympy.diff(expr, z), *zs).as_dict() for z in zs]
     monomials = sorted({m for d in partials for m, c in d.items() if c})
     if not monomials:
@@ -140,3 +145,29 @@ def test_dependence_space_matches_sympy_nullspace():
         assert [vector(f) for f in ours.basis] == sympy_dependence_rows(p), p
         dims.add(ours.dim)
     assert dims >= {1, 2, 3}
+
+
+def test_divide_by_form_matches_sympy_div():
+    rng = random.Random(15)
+    zs = sympy.symbols(f"z1:{NV + 1}")
+    outcomes = set()
+    for trial in range(150):
+        form = random_form(rng, NV)
+        v = min(form.coeffs)
+        # negative and fractional leading coefficients
+        form = form.scale(Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 7])))
+        p = random_poly(rng, NV, max_deg=3, n_terms=4)
+        if trial % 5 == 0:  # free of z_v
+            p = Polynomial([(m, c) for m, c in p.terms if v not in dict(m)])
+        elif trial % 2 == 0:
+            p = p * Polynomial.from_linear(form) ** rng.randint(1, 2)
+        quotient, remainder = sympy.div(sympy_poly(p, zs),
+                                        sympy_poly(Polynomial.from_linear(form), zs),
+                                        *zs, domain=sympy.QQ)
+        ours = p.divide_by_form(form)
+        if remainder == 0:
+            assert ours is not None and sympy.expand(sympy_poly(ours, zs) - quotient) == 0, (p, form)
+        else:
+            assert ours is None, (p, form)
+        outcomes.add((ours is None, trial % 5 == 0, bool(p)))
+    assert outcomes >= {(True, True, True), (False, False, True), (True, False, True)}
