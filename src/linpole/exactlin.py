@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import LinpoleError
 
@@ -30,7 +30,7 @@ class LinearForm:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Mapping[int, Q] | Iterable[tuple[int, Q]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        items = coeffs.items() if isinstance(coeffs, (dict, Mapping)) else coeffs
         clean = {}
         for v, c in items:
             if not isinstance(v, int) or v < 1:
@@ -144,7 +144,7 @@ class InnerProduct:
     coordinates z1, z2, ...
     """
 
-    def __init__(self, gram: Optional[Sequence[Sequence]] = None):
+    def __init__(self, gram: Sequence[Sequence] | None = None):
         if gram is None:
             self.gram: tuple[tuple[Q, ...], ...] = ()
         else:
@@ -328,7 +328,7 @@ def orth_decompose(q: InnerProduct, f: LinearForm, u: Subspace) -> tuple[LinearF
     return a, f - a
 
 
-def find_circuit(forms: Sequence[LinearForm]) -> Optional[tuple[tuple[int, ...], tuple[Q, ...]]]:
+def find_circuit(forms: Sequence[LinearForm]) -> tuple[tuple[int, ...], tuple[Q, ...]] | None:
     """Find a minimal linearly dependent subset (a circuit) of the form list.
 
     Returns None when the forms are independent; otherwise (indices, coeffs)

@@ -9,6 +9,8 @@ dependence subspaces and the locality (q-orthogonality) relation.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -289,32 +291,40 @@ def _eliminate_dependent(num: Polynomial, den: Sequence[DenEntry]):
     """Phase 1 of the decomposition: split until every denominator is a
     linearly independent family.
 
-    Uses the circuit relation sum(c_i L_i) - L_n = 0 (L_n the largest circuit
-    member) to trade one denominator power of each smaller L_i for one of L_n.
-    Termination: the multiset of denominator form keys strictly increases in
-    the sorted-descending lexicographic order at each split, the candidate
-    form set is fixed and the total exponent is preserved, so every branch
-    reaches an independent family.
+    Uses a circuit relation sum(c_i L_i) - L_p = 0 (L_p its first member with
+    coefficient -1) to trade one denominator power of each other L_i for one
+    of L_p.  A split never adds a form to the family, and within one family
+    the circuit is fixed and the pivot's exponent grows, so the potential
+    (fewer forms, then a higher pivot exponent) strictly increases.  States
+    with equal denominators share one summed numerator and pop in potential
+    order, each after all of its parents; a numerator that cancels drops it.
     """
-    out = []
-    stack = [(num, tuple(sorted(den, key=lambda t: t[0].key())))]
-    while stack:
-        n, d = stack.pop()
-        forms = [f for f, _ in d]
-        circuit = find_circuit(forms)
-        if circuit is None:
-            out.append((n, d))
-            continue
-        idxs, coeffs = circuit
-        pivot = next(i for i, c in zip(idxs, coeffs) if c == -1)
-        for i, c in zip(idxs, coeffs):
-            if i == pivot:
-                continue
-            nd = {f: e for f, e in d}
-            nd[forms[i]] -= 1
-            nd[forms[pivot]] += 1
-            stack.append((n * c, tuple(sorted(((f, e) for f, e in nd.items() if e),
-                                              key=lambda t: t[0].key()))))
+    splits, nums, heap, out, order = {}, {}, [], [], itertools.count()
+
+    def state(entries):  # the numerator of this denominator, queued when new
+        d = tuple(sorted(entries, key=lambda t: t[0].key()))
+        if d not in nums:
+            forms = tuple(f for f, _ in d)
+            if forms not in splits:  # (pivot, circuit), None when independent
+                circuit = find_circuit(forms)
+                splits[forms] = circuit and (
+                    next(i for i, c in zip(*circuit) if c == -1), circuit)
+            split, nums[d] = splits[forms], {}
+            heapq.heappush(heap, (-len(d), d[split[0]][1] if split else 0, next(order), d))
+        return nums[d]
+
+    _axpy(state(den), 1, dict(num.terms))
+    while heap:
+        d = heapq.heappop(heap)[-1]
+        n, split = nums[d], splits[tuple(f for f, _ in d)]
+        if n and split is None:
+            out.append((Polynomial(n), d))
+        elif n:
+            pivot, circuit = split
+            for i, c in zip(*circuit):
+                if i != pivot:
+                    nd = {**dict(d), d[i][0]: d[i][1] - 1, d[pivot][0]: d[pivot][1] + 1}
+                    _axpy(state((f, e) for f, e in nd.items() if e), c, n)
     return out
 
 
@@ -370,8 +380,14 @@ def decompose(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:
 
     recompose(decompose(f, q)) == f, every polar numerator is q-orthogonal to
     its supporting space, and the output depends only on the rational function
-    f, not on its presentation.
+    f, not on its presentation.  Results are memoised per (germ, q), so equal
+    germs share one (immutable) Decomposition.
     """
+    return _decompose(f, q)
+
+
+@functools.lru_cache(maxsize=1024)
+def _decompose(f: RationalGerm, q: InnerProduct) -> Decomposition:
     acc: _Acc = {}
     for num, den in _eliminate_dependent(f.numerator, f.denominator):
         _split_simplex(num, den, q, acc)

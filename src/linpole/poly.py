@@ -8,7 +8,7 @@ Variables are the same 1-based indices as in exactlin.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .exactlin import LinearForm, Q, _as_fraction
 
@@ -37,7 +37,7 @@ class Polynomial:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Q] | Iterable[tuple[Monomial, Q]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         acc: dict[Monomial, Fraction] = {}
         for m, c in items:
             m = tuple(sorted((v, e) for v, e in m if e))

@@ -1,16 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from linpole import (DEFAULT_Q, Decomposition, LinearForm, NotLocal,
-                     Polynomial, RationalGerm, d_residue, decompose,
-                     dependence, germ_add, germ_mul, germ_scale, germ_sub,
-                     germ_sum, germs, is_local_pair, locality_mul, ms_eval,
-                     p_residue, project_plus, recompose, span, subspace_sum,
-                     zvar)
+from linpole import (DEFAULT_Q, Decomposition, InnerProduct, LinearForm,
+                     NotLocal, Polynomial, RationalGerm, d_residue, decompose,
+                     dependence, find_circuit, germ_add, germ_mul, germ_scale,
+                     germ_sub, germ_sum, germs, is_local_pair, locality_mul,
+                     ms_eval, p_residue, project_plus, recompose, span,
+                     subspace_sum, zvar)
 
-from helpers import random_germ, random_poly, random_spd_gram
+from helpers import random_form, random_germ, random_poly, random_spd_gram
 
 q = DEFAULT_Q
 z1, z2, z3 = zvar(1), zvar(2), zvar(3)
@@ -332,6 +333,7 @@ def test_decompose_roundtrip_under_gram_block(monkeypatch):
             depth["now"] -= 1
 
     monkeypatch.setattr(germs, "_split_simplex", traced_split)
+    germs._decompose.cache_clear()  # a memoised germ would not split again
     for _ in range(25):
         g = random_germ(rng, max_var=3, max_factors=3, max_exp=2)
         gram = random_spd_gram(rng, 3)
@@ -341,3 +343,102 @@ def test_decompose_roundtrip_under_gram_block(monkeypatch):
             assert orthogonal(gram, t.numerator.dependence_space(),
                               t.supporting_space())
     assert depth["max"] >= 2
+
+
+# ---------------------------------------------------------------- memo
+
+def test_decompose_memo_shares_equal_germs():
+    germs._decompose.cache_clear()
+    num, den = P1 + P2 * P3, [(z1 + z2, 2), (z2 - z3, 1)]
+    plain = RationalGerm(num, den)
+    padded = RationalGerm(num * P1, den + [(z1, 1)])
+    assert padded == plain
+    assert decompose(padded) is decompose(plain)
+    assert decompose(plain) is decompose(plain, DEFAULT_Q)
+    info = germs._decompose.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+
+
+def test_decompose_memo_keys_on_inner_product():
+    g = RationalGerm(P2, [(z1 + z2, 1), (z1 - z3, 1)])
+    grams = [InnerProduct([[2, 1, 0], [1, 2, 0], [0, 0, 1]]),
+             InnerProduct([[1, 0, 0], [0, 3, 1], [0, 1, 1]])]
+    fresh = [germs._decompose.__wrapped__(g, gram) for gram in grams]
+    assert fresh[0] != fresh[1]
+    for order in ((0, 1), (1, 0)):
+        germs._decompose.cache_clear()
+        for i in order:
+            assert decompose(g, grams[i]) == fresh[i]
+            assert decompose(g, grams[i]) is decompose(g, grams[i])
+
+
+# ---------------------------------------------------------------- phase 1
+
+def tree_eliminate(num, den):
+    """The former phase 1: expand the circuit splits as a tree, one leaf per
+    path, without merging equal denominators."""
+    out = []
+    stack = [(num, tuple(sorted(den, key=lambda t: t[0].key())))]
+    while stack:
+        n, d = stack.pop()
+        forms = [f for f, _ in d]
+        circuit = find_circuit(forms)
+        if circuit is None:
+            out.append((n, d))
+            continue
+        idxs, coeffs = circuit
+        pivot = next(i for i, c in zip(idxs, coeffs) if c == -1)
+        for i, c in zip(idxs, coeffs):
+            if i == pivot:
+                continue
+            nd = {f: e for f, e in d}
+            nd[forms[i]] -= 1
+            nd[forms[pivot]] += 1
+            stack.append((n * c, tuple(sorted(((f, e) for f, e in nd.items() if e),
+                                              key=lambda t: t[0].key()))))
+    return out
+
+
+def circuit_germ(rng):
+    """A germ with at least three denominator factors among which lies a
+    circuit, exponents up to 3."""
+    while True:
+        a, b = random_form(rng, 3), random_form(rng, 3)
+        c = a.scale(rng.choice([1, -1, 2])) + b.scale(rng.choice([1, -1, 3]))
+        extra = [random_form(rng, 3) for _ in range(rng.randint(0, 1))]
+        if not c:
+            continue
+        g = RationalGerm(random_poly(rng, max_var=3),
+                         [(f, rng.randint(1, 3)) for f in (a, b, c, *extra)])
+        forms = [f for f, _ in g.denominator]
+        if len(forms) >= 3 and find_circuit(forms) is not None:
+            return g
+
+
+def test_merged_phase1_matches_tree_expansion(monkeypatch):
+    rng = random.Random(81)
+    uncached = germs._decompose.__wrapped__
+    ties = 0  # circuits with two coefficients -1, whose pivot is not the largest form
+    for trial in range(60):
+        g = circuit_germ(rng)
+        ties += find_circuit([f for f, _ in g.denominator])[1].count(-1) > 1
+        gram = random_spd_gram(rng, 3) if trial % 3 == 0 else q
+        merged = uncached(g, gram)
+        with monkeypatch.context() as m:
+            m.setattr(germs, "_eliminate_dependent", tree_eliminate)
+            tree = uncached(g, gram)
+        assert merged == tree, g
+        assert [repr(x) for x in (merged, merged.terms, merged.holomorphic)] == \
+            [repr(x) for x in (tree, tree.terms, tree.holomorphic)]
+    assert ties > 0
+
+
+def test_ladder_germ_decomposes_in_seconds():
+    # the tree expansion has C(80, 40) leaves here
+    f = RationalGerm(1, [(z1 + z2, 40), (z1, 40), (z2, 40)])
+    germs._decompose.cache_clear()
+    t0 = time.perf_counter()
+    d = decompose(f)
+    elapsed = time.perf_counter() - t0
+    assert recompose(d) == f
+    assert elapsed < 30, elapsed
