@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import serialize as ser
-from .errors import LinpoleError, ParseError
+from .errors import LinpoleError, ParseError, _payload_shape
 from .evaluators import (Evaluator, GaloisTransform, GermCombo, apply_transform,
                          check_factorization, compose_transforms,
                          galois_from_evaluator, invert_transform,
@@ -82,12 +82,13 @@ def _parse_combo(payload: str) -> GermCombo:
     if payload.startswith("{"):
         data = json.loads(payload)
         terms = []
-        for t in data["terms"]:
-            holo_germ = parse_germ(t.get("holo", "1"))
-            if not holo_germ.is_holomorphic():
-                raise LinpoleError("combo coefficient must be holomorphic")
-            specs = tuple(parse_spec(s) for s in t.get("specs", []))
-            terms.append((holo_germ.numerator, specs))
+        with _payload_shape("combo"):
+            for t in data["terms"]:
+                holo_germ = parse_germ(t.get("holo", "1"))
+                if not holo_germ.is_holomorphic():
+                    raise LinpoleError("combo coefficient must be holomorphic")
+                specs = tuple(parse_spec(s) for s in t.get("specs", []))
+                terms.append((holo_germ.numerator, specs))
         return GermCombo(terms)
     if payload.startswith("f["):
         return GermCombo([(Polynomial.constant(1), (parse_spec(payload),))])
@@ -101,8 +102,9 @@ def _parse_combo(payload: str) -> GermCombo:
 
 def _parse_transform(payload: str) -> GaloisTransform:
     data = json.loads(payload)
-    return GaloisTransform({parse_spec(t["spec"]): Fraction(t["value"])
-                            for t in data["shifts"]})
+    with _payload_shape("transform"):
+        return GaloisTransform({parse_spec(t["spec"]): Fraction(t["value"])
+                                for t in data["shifts"]})
 
 
 def _transform_json(t: GaloisTransform) -> dict:
@@ -256,9 +258,10 @@ def cmd_galois(args):
         _emit(args, repr(out), _transform_json(out))
     else:  # check
         ev = _evaluator(args)
-        combos = [
-            _parse_combo(json.dumps(entry) if isinstance(entry, dict) else entry)
-            for entry in json.loads(_read_payload(args.combos))]
+        with _payload_shape("combos"):
+            combos = [
+                _parse_combo(json.dumps(entry) if isinstance(entry, dict) else entry)
+                for entry in json.loads(_read_payload(args.combos))]
         gens = _parse_spec_list(args.generators)
         t = galois_from_evaluator(ev, gens)
         tol = Fraction(args.tol) if args.tol else Fraction(0)

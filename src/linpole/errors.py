@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class LinpoleError(Exception):
     """Base class for domain errors."""
@@ -57,3 +59,12 @@ class NotChen(LinpoleError):
 
 class IncompatibleGenerators(LinpoleError):
     """Transforms defined over different generator sets cannot be combined."""
+
+
+@contextlib.contextmanager
+def _payload_shape(what: str):
+    """Report a missing key or a mistyped field of decoded JSON as LinpoleError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise LinpoleError(f"malformed {what} JSON ({type(exc).__name__}: {exc})") from exc

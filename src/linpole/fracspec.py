@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import (NotLocal, NotLocalSpec, WordEndsInX0, ZeroCumulativeForm)
+from .errors import (NotLocal, NotLocalSpec, WordEndsInX0, ZeroCumulativeForm,
+                     _payload_shape)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, inner, orthogonal,
                        span, zset, zvar)
 from .germs import RationalGerm, germ_scale, germ_sum
@@ -334,7 +335,8 @@ class Forest:
         def node(d) -> ForestNode:
             return ForestNode(d["set"], [node(c) for c in d.get("children", [])],
                               d.get("exp", 1))
-        return Forest([node(d) for d in data["nodes"]])
+        with _payload_shape("forest"):
+            return Forest([node(d) for d in data["nodes"]])
 
     def to_json(self) -> dict:
         def node(n: ForestNode, next_id: list[int]) -> dict:

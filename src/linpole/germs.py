@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import NotLocal
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, Subspace,
@@ -287,61 +288,15 @@ class Decomposition:
         return " + ".join(bits)
 
 
-def _eliminate_dependent(num: Polynomial, den: Sequence[DenEntry]):
-    """Phase 1 of the decomposition: split until every denominator is a
-    linearly independent family.
-
-    Uses a circuit relation sum(c_i L_i) - L_p = 0 (L_p its first member with
-    coefficient -1) to trade one denominator power of each other L_i for one
-    of L_p.  A split never adds a form to the family, and within one family
-    the circuit is fixed and the pivot's exponent grows, so the potential
-    (fewer forms, then a higher pivot exponent) strictly increases.  States
-    with equal denominators share one summed numerator and pop in potential
-    order, each after all of its parents; a numerator that cancels drops it.
-    """
-    splits, nums, heap, out, order = {}, {}, [], [], itertools.count()
-
-    def state(entries):  # the numerator of this denominator, queued when new
-        d = tuple(sorted(entries, key=lambda t: t[0].key()))
-        if d not in nums:
-            forms = tuple(f for f, _ in d)
-            if forms not in splits:  # (pivot, circuit), None when independent
-                circuit = find_circuit(forms)
-                splits[forms] = circuit and (
-                    next(i for i, c in zip(*circuit) if c == -1), circuit)
-            split, nums[d] = splits[forms], {}
-            heapq.heappush(heap, (-len(d), d[split[0]][1] if split else 0, next(order), d))
-        return nums[d]
-
-    _axpy(state(den), 1, dict(num.terms))
-    while heap:
-        d = heapq.heappop(heap)[-1]
-        n, split = nums[d], splits[tuple(f for f, _ in d)]
-        if n and split is None:
-            out.append((Polynomial(n), d))
-        elif n:
-            pivot, circuit = split
-            for i, c in zip(*circuit):
-                if i != pivot:
-                    nd = {**dict(d), d[i][0]: d[i][1] - 1, d[pivot][0]: d[pivot][1] + 1}
-                    _axpy(state((f, e) for f, e in nd.items() if e), c, n)
-    return out
-
-
-# Phase-2 accumulator: {denominator entries: {monomial: coefficient}}, the
-# holomorphic part under ().
-_Acc = dict[tuple[DenEntry, ...], dict[Monomial, Fraction]]
-
-
-def _split_simplex(num: Polynomial, den: Sequence[DenEntry], q: InnerProduct, acc: _Acc):
-    """Phase 2: rewrite the numerator of an independent-denominator fraction
-    in coordinates adapted to the supporting space and its q-complement,
-    cancel numerator factors of the denominator forms, and collect."""
-    if not num:
-        return
-    if not den:
-        _axpy(acc.setdefault((), {}), 1, dict(num.terms))
-        return
+def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
+                   acc: dict, state):
+    """Rewrite the numerator of an independent-denominator fraction, once, in
+    coordinates adapted to the supporting space and its q-complement, and
+    cancel numerator factors of the denominator forms.  Finished groups go
+    into acc, {denominator: {monomial: coefficient}} with the holomorphic
+    part under (); a group with a surplus power of a form, times that
+    surplus, is added into the numerator state(rem_den) of its smaller
+    denominator."""
     forms = [f for f, _ in den]
     support = num.support()
     offset = max(itertools.chain(support, *(f.support() for f in forms)), default=0)
@@ -367,10 +322,8 @@ def _split_simplex(num: Polynomial, den: Sequence[DenEntry], q: InnerProduct, ac
         rem_den = tuple((f, e - m) for (f, e), m in zip(den, slot) if e > m)
         rem_num = [(f, m - e) for (f, e), m in zip(den, slot) if m > e]
         if rem_num:
-            extra = ONE
-            for f, e in rem_num:
-                extra = extra * Polynomial.from_linear(f) ** e
-            _split_simplex(Polynomial(terms) * extra, rem_den, q, acc)
+            extra = math.prod((Polynomial.from_linear(f) ** e for f, e in rem_num), start=ONE)
+            _axpy(state(rem_den), 1, dict((Polynomial(terms) * extra).terms))
         else:
             _axpy(acc.setdefault(rem_den, {}), 1, terms)
 
@@ -388,9 +341,45 @@ def decompose(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:
 
 @functools.lru_cache(maxsize=1024)
 def _decompose(f: RationalGerm, q: InnerProduct) -> Decomposition:
-    acc: _Acc = {}
-    for num, den in _eliminate_dependent(f.numerator, f.denominator):
-        _split_simplex(num, den, q, acc)
+    """One worklist of states, one per denominator, each holding the summed
+    numerator of every path that reached it (a numerator that cancels drops
+    its state).  A dependent state is split by a circuit relation
+    sum(c_i L_i) - L_p = 0 (L_p its first member with coefficient -1), which
+    trades one power of each other L_i for one of L_p; an independent one by
+    one _split_simplex; the empty denominator is the holomorphic part.  No
+    split adds a form: a circuit split keeps the family (whose circuit is
+    fixed and pivot exponent grows) or drops a form, an overflow drops one.
+    So states pop with more forms first, then a lower pivot exponent, each
+    after all of its parents, and each is split once.
+    """
+    splits, nums, heap, order, acc = {}, {}, [], itertools.count(), {}
+
+    def state(entries):  # the numerator of this denominator, queued when new
+        d = tuple(sorted(entries, key=lambda t: t[0].key()))
+        if not d:
+            return acc.setdefault((), {})
+        if d not in nums:
+            forms = tuple(f for f, _ in d)
+            if forms not in splits:  # (pivot, circuit), None when independent
+                circuit = find_circuit(forms)
+                splits[forms] = circuit and (
+                    next(i for i, c in zip(*circuit) if c == -1), circuit)
+            split, nums[d] = splits[forms], {}
+            heapq.heappush(heap, (-len(d), d[split[0]][1] if split else 0, next(order), d))
+        return nums[d]
+
+    _axpy(state(f.denominator), 1, dict(f.numerator.terms))
+    while heap:
+        d = heapq.heappop(heap)[-1]
+        n, split = nums.pop(d), splits[tuple(f for f, _ in d)]
+        if n and split is None:
+            _split_simplex(Polynomial(n), d, q, acc, state)
+        elif n:
+            pivot, circuit = split
+            for i, c in zip(*circuit):
+                if i != pivot:
+                    nd = {**dict(d), d[i][0]: d[i][1] - 1, d[pivot][0]: d[pivot][1] + 1}
+                    _axpy(state((f, e) for f, e in nd.items() if e), c, n)
     holo = Polynomial(acc.pop((), {}))
     terms = [PolarTerm(Polynomial(t), SimplexFraction(den)) for den, t in acc.items() if t]
     return Decomposition(terms, holo)

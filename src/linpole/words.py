@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import EmptyWord, NotLocal
-from .exactlin import _as_fraction
+from .exactlin import _as_fraction, _axpy
 
 
 class _X0:
@@ -125,14 +125,7 @@ class LinComb:
     def add(self, other, k=1) -> None:
         """self += k * other, in place; `other` is a LinComb or a
         {key: coefficient} dict."""
-        k = _as_fraction(k)
-        coeffs = self.coeffs
-        for key, c in other.items():
-            s = coeffs.get(key, _ZERO) + k * c
-            if s:
-                coeffs[key] = s
-            else:
-                coeffs.pop(key, None)
+        _axpy(self.coeffs, _as_fraction(k), other)
 
     def __add__(self, other: "LinComb") -> "LinComb":
         out = LinComb._trusted(dict(self.coeffs))

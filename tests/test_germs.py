@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -8,8 +9,10 @@ from linpole import (DEFAULT_Q, Decomposition, InnerProduct, LinearForm,
                      NotLocal, Polynomial, RationalGerm, d_residue, decompose,
                      dependence, find_circuit, germ_add, germ_mul, germ_scale,
                      germ_sub, germ_sum, germs, is_local_pair, locality_mul,
-                     ms_eval, p_residue, project_plus, recompose, span,
-                     subspace_sum, zvar)
+                     ms_eval, p_residue, parse_germ, project_plus, recompose,
+                     span, subspace_sum, zvar)
+from linpole.exactlin import _axpy, _projection_coordinates
+from linpole.poly import ONE
 
 from helpers import random_form, random_germ, random_poly, random_spd_gram
 
@@ -320,29 +323,24 @@ def test_decompose_roundtrip_under_gram_block(monkeypatch):
         for t in d.terms:
             assert orthogonal(gram, t.numerator.dependence_space(),
                               t.supporting_space())
-    # up to three denominator factors, so that the simplex split recurses
-    depth = {"now": 0, "max": 0}
-    split = germs._split_simplex
-
-    def traced_split(*args):
-        depth["now"] += 1
-        depth["max"] = max(depth["max"], depth["now"])
-        try:
-            split(*args)
-        finally:
-            depth["now"] -= 1
-
-    monkeypatch.setattr(germs, "_split_simplex", traced_split)
+    # up to three denominator factors, so that some simplex split overflows
+    # onto a denominator that circuit elimination alone does not reach
+    projected = []
+    monkeypatch.setattr(germs, "_split_simplex", recording_split(projected))
     germs._decompose.cache_clear()  # a memoised germ would not split again
+    overflows = 0
     for _ in range(25):
         g = random_germ(rng, max_var=3, max_factors=3, max_exp=2)
         gram = random_spd_gram(rng, 3)
+        projected.clear()
         d = decompose(g, gram)
+        leaves = {den for _n, den in tree_eliminate(g.numerator, g.denominator)}
+        overflows += any(den not in leaves for den in projected)
         assert recompose(d) == g
         for t in d.terms:
             assert orthogonal(gram, t.numerator.dependence_space(),
                               t.supporting_space())
-    assert depth["max"] >= 2
+    assert overflows > 0
 
 
 # ---------------------------------------------------------------- memo
@@ -372,7 +370,17 @@ def test_decompose_memo_keys_on_inner_product():
             assert decompose(g, grams[i]) is decompose(g, grams[i])
 
 
-# ---------------------------------------------------------------- phase 1
+# ---------------------------------------------------------------- worklist
+
+def recording_split(projected):
+    """germs._split_simplex, recording the denominator of every projection."""
+    split = germs._split_simplex
+
+    def traced_split(num, den, *rest):
+        projected.append(den)
+        split(num, den, *rest)
+    return traced_split
+
 
 def tree_eliminate(num, den):
     """The former phase 1: expand the circuit splits as a tree, one leaf per
@@ -415,22 +423,99 @@ def circuit_germ(rng):
             return g
 
 
+def recursive_split(num, den, q, acc):
+    """The former phase 2: project, then recurse once per overflow group."""
+    if not num:
+        return
+    if not den:
+        _axpy(acc.setdefault((), {}), 1, dict(num.terms))
+        return
+    forms = [f for f, _ in den]
+    support = num.support()
+    offset = max(itertools.chain(support, *(f.support() for f in forms)), default=0)
+    # z_v = a_v + b_v with a_v = sum_j x_vj L_j in span(L) and b_v q-orthogonal
+    # to it; L_j becomes the fresh variable offset+1+j.
+    subst = {}
+    for v, coords in zip(support, _projection_coordinates(q, forms, map(zvar, support))):
+        a = LinearForm((w, x * c) for x, f in zip(coords, forms) for w, c in f.coeffs.items())
+        subst[v] = Polynomial([*Polynomial.from_linear(zvar(v) - a).terms,
+                               *((((offset + 1 + j, 1),), x) for j, x in enumerate(coords))])
+    groups = {}
+    for mono, c in num.substitute(subst).terms:
+        slot = [0] * len(forms)
+        rest = []
+        for v, e in mono:
+            if v > offset:
+                slot[v - offset - 1] = e
+            else:
+                rest.append((v, e))
+        bucket, rest = groups.setdefault(tuple(slot), {}), tuple(rest)
+        bucket[rest] = bucket.get(rest, 0) + c
+    for slot, terms in groups.items():
+        rem_den = tuple((f, e - m) for (f, e), m in zip(den, slot) if e > m)
+        rem_num = [(f, m - e) for (f, e), m in zip(den, slot) if m > e]
+        if rem_num:
+            extra = ONE
+            for f, e in rem_num:
+                extra = extra * Polynomial.from_linear(f) ** e
+            recursive_split(Polynomial(terms) * extra, rem_den, q, acc)
+        else:
+            _axpy(acc.setdefault(rem_den, {}), 1, terms)
+
+
+def tree_decompose(g, q):
+    """The former two-phase pipeline: tree_eliminate, then recursive_split
+    on every leaf."""
+    acc = {}
+    for num, den in tree_eliminate(g.numerator, g.denominator):
+        recursive_split(num, den, q, acc)
+    holo = Polynomial(acc.pop((), {}))
+    return Decomposition([germs.PolarTerm(Polynomial(t), germs.SimplexFraction(den))
+                          for den, t in acc.items() if t], holo)
+
+
 def test_merged_phase1_matches_tree_expansion(monkeypatch):
     rng = random.Random(81)
     uncached = germs._decompose.__wrapped__
+    projected = []
+    monkeypatch.setattr(germs, "_split_simplex", recording_split(projected))
     ties = 0  # circuits with two coefficients -1, whose pivot is not the largest form
-    for trial in range(60):
-        g = circuit_germ(rng)
-        ties += find_circuit([f for f, _ in g.denominator])[1].count(-1) > 1
+    overflows = 0  # germs with a projection onto a denominator that is no leaf
+    cases = [circuit_germ(rng) for _ in range(60)]
+    cases += [random_germ(rng, max_var=3, max_factors=3, max_exp=2) for _ in range(30)]
+    for trial, g in enumerate(cases):
+        forms = [f for f, _ in g.denominator]
+        circuit = find_circuit(forms) if forms else None
+        ties += circuit is not None and circuit[1].count(-1) > 1
         gram = random_spd_gram(rng, 3) if trial % 3 == 0 else q
+        projected.clear()
         merged = uncached(g, gram)
-        with monkeypatch.context() as m:
-            m.setattr(germs, "_eliminate_dependent", tree_eliminate)
-            tree = uncached(g, gram)
+        leaves = {den for _n, den in tree_eliminate(g.numerator, g.denominator)}
+        overflows += any(den not in leaves for den in projected)
+        tree = tree_decompose(g, gram)
         assert merged == tree, g
         assert [repr(x) for x in (merged, merged.terms, merged.holomorphic)] == \
             [repr(x) for x in (tree, tree.terms, tree.holomorphic)]
     assert ties > 0
+    assert overflows > 0
+
+
+def test_each_denominator_projected_once(monkeypatch):
+    uncached = germs._decompose.__wrapped__
+    projected = []
+    monkeypatch.setattr(germs, "_split_simplex", recording_split(projected))
+    # recursive_split projects (3*z1-z2-2*z3)^2 three times and () five times here
+    g = parse_germ("(-z2^2*z3^2 + z1*z3^2)/((z1 + z2 - z3)*(3*z1 - z2 - 2*z3)^2)")
+    uncached(g, q)
+    assert len(projected) > 1 and len(set(projected)) == len(projected)
+    assert () not in projected
+    rng = random.Random(17)
+    for _ in range(30):
+        g = random_germ(rng, max_var=3, max_factors=3, max_exp=2)
+        projected.clear()
+        uncached(g, q)
+        assert len(set(projected)) == len(projected), g
+        assert () not in projected, g
 
 
 def test_ladder_germ_decomposes_in_seconds():

@@ -223,6 +223,22 @@ def test_cli_gram_config_rejected(capsys, tmp_path, config):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["flatten", '{"nodes":5}'],
+    ["galois", "apply", "--transform", "[1,2]", "--combo", "f[2;1]"],
+    ["galois", "apply", "--transform", '{"shifts":[{"spec":"f[2;1]","value":[1]}]}',
+     "--combo", "f[2;1]"],
+    ["galois", "apply", "--transform", '{"shifts":[]}', "--combo", '{"terms":5}'],
+    ["galois", "check", "--evaluator", "zeta", "--generators", "f[2;1]",
+     "--combos", "[5]"],
+], ids=["forest-nodes-not-list", "transform-not-object", "shift-value-list",
+        "combo-terms-not-list", "combos-entry-not-combo"])
+def test_cli_malformed_payload_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_galois_check_fail_exits_1(capsys):
     code, out, _ = run_cli(capsys, "galois", "check", "--evaluator", "zeta",
                            "--generators", "f[2;1]", "--combos", '["f[3;1]"]')
