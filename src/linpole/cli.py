@@ -84,10 +84,14 @@ def _parse_combo(payload: str) -> GermCombo:
         terms = []
         with _payload_shape("combo"):
             for t in data["terms"]:
-                holo_germ = parse_germ(t.get("holo", "1"))
+                holo, specs = t.get("holo", "1"), t.get("specs", [])
+                if not (isinstance(holo, str) and isinstance(specs, list)
+                        and all(isinstance(s, str) for s in specs)):
+                    raise TypeError('"holo" must be a string and "specs" a list of strings')
+                holo_germ = parse_germ(holo)
                 if not holo_germ.is_holomorphic():
                     raise LinpoleError("combo coefficient must be holomorphic")
-                specs = tuple(parse_spec(s) for s in t.get("specs", []))
+                specs = tuple(parse_spec(s) for s in specs)
                 terms.append((holo_germ.numerator, specs))
         return GermCombo(terms)
     if payload.startswith("f["):

@@ -24,9 +24,9 @@ from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, inner, orthogonal,
                        span, zset, zvar)
 from .germs import RationalGerm, germ_scale, germ_sum
 
-from .words import (Alphabet, EMPTY_WORD, LinComb, Word, X0,
-                    _lyndon_rewriter, integer_alphabet, shuffle,
-                    subset_alphabet, word_str)
+from .words import (Alphabet, EMPTY_WORD, LinComb, Word, X0, _ZERO,
+                    _lyndon_solve, integer_alphabet, shuffle, subset_alphabet,
+                    word_str)
 
 
 class LMap:
@@ -243,9 +243,14 @@ def monomial_mul(m1: SpecMonomial, m2: SpecMonomial):
 
 def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
     """Rewrite a combination of locality fractions as a commutative polynomial
-    in the Lyndon-word fractions (the locality polynomial generators)."""
+    in the Lyndon-word fractions (the locality polynomial generators).
+
+    The words of the combination are summed per L-map first, so they cancel
+    before any rewriting, and each L-map's words are then eliminated top-down
+    in one pass under the ordering invariant of `words.lyndon_rewrite`.
+    """
     out = LinComb()
-    rewriters: dict[Alphabet, Callable] = {}
+    by_lmap: dict[str, tuple[LMap, dict]] = {}
     for spec, coeff in combo:
         if not spec.is_local():
             raise NotLocalSpec(f"{spec!r} has non-local letters")
@@ -253,11 +258,11 @@ def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
         if not w:
             out.add({(): coeff})
             continue
-        alphabet = spec.lmap.alphabet
-        if alphabet not in rewriters:
-            rewriters[alphabet] = _lyndon_rewriter(alphabet)
-        for mono, c in rewriters[alphabet](w).items():
-            out.add({spec_monomial(spec_of_word(v, spec.lmap) for v in mono): coeff * c})
+        words = by_lmap.setdefault(spec.lmap.name, (spec.lmap, {}))[1]
+        words[w] = words.get(w, _ZERO) + coeff
+    for lmap, words in by_lmap.values():
+        for mono, c in _lyndon_solve(words, lmap.alphabet).items():
+            out.add({spec_monomial(spec_of_word(v, lmap) for v in mono): c})
     return out.coeffs
 
 
@@ -277,10 +282,10 @@ class ForestNode:
 
     def __init__(self, index_set: Iterable[int], children: Sequence["ForestNode"] = (),
                  exponent: int = 1):
-        s = frozenset(int(i) for i in index_set)
+        s = frozenset(_integer(i) for i in index_set)
         if not s:
             raise ValueError("node index set must be nonempty")
-        if exponent < 1:
+        if _integer(exponent) < 1:
             raise ValueError("node exponent must be positive")
         kids = tuple(children)
         for k in kids:
@@ -288,7 +293,7 @@ class ForestNode:
                 raise ValueError("child set must be contained in the parent set")
         _check_disjoint([k.index_set for k in kids])
         object.__setattr__(self, "index_set", s)
-        object.__setattr__(self, "exponent", int(exponent))
+        object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "children", kids)
 
     def __setattr__(self, *a):
@@ -303,6 +308,12 @@ class ForestNode:
         inner_part = f", children={list(self.children)!r}" if self.children else ""
         exp = f", exp={self.exponent}" if self.exponent != 1 else ""
         return f"Node({set(self.index_set)}{exp}{inner_part})"
+
+
+def _integer(x) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"forest set entries and exponents must be integers, not {x!r}")
+    return x
 
 
 def _check_disjoint(sets: Sequence[frozenset]):

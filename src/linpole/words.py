@@ -8,6 +8,7 @@ plain tuples of letters; all ordering questions go through an Alphabet.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -249,41 +250,61 @@ def cfl(w: Word, alphabet: Alphabet) -> list[tuple[Word, int]]:
     return grouped
 
 
-def _lyndon_rewriter(alphabet: Alphabet) -> Callable[[Word], LinComb]:
-    """lyndon_rewrite over one alphabet, with one memo for every word it is
-    given: the rewrite of a word recurses into its anagrams, and the words of
-    a shuffle product are anagrams of each other.  The memoised results are
-    shared, so callers must not change them in place."""
-    memo: dict[Word, LinComb] = {}
+def _lyndon_solve(combo: dict, alphabet: Alphabet) -> dict:
+    """The Lyndon polynomial whose expansion is `combo`, a {word: Fraction}
+    combination of nonempty words.
 
-    def rec(word: Word) -> LinComb:
-        hit = memo.get(word)
-        if hit is not None:
-            return hit
-        factors = cfl(word, alphabet)
+    Pops the largest word left in the residual, which fixes the coefficient
+    of its own monomial (see `lyndon_rewrite`), and subtracts that monomial's
+    expansion, which only touches smaller anagrams: each word is factorised
+    at most once.
+    """
+    # Rank the letters 1..n and read a word as a base-(n+1) integer: no digit
+    # is 0, so distinct words get distinct codes, ordered lexicographically
+    # within an anagram class, and the heap never compares two words.
+    letters = sorted({a for w in combo for a in w}, key=alphabet.letter_key)
+    rank = {a: i for i, a in enumerate(letters, 1)}
+    base = len(letters) + 1
+
+    def code(w: Word) -> int:
+        n = 0
+        for a in w:
+            n = n * base + rank[a]
+        return n
+
+    residual = dict(combo)
+    heap = [(-code(w), w) for w in residual]
+    heapq.heapify(heap)
+    out: dict = {}
+    while heap:
+        w = heapq.heappop(heap)[1]
+        c = residual.pop(w)
+        if not c:
+            continue
+        factors = cfl(w, alphabet)
         # the factors are non-increasing, so this monomial is already sorted
         mono = tuple(f for f, m in factors for _ in range(m))
-        lead = Fraction(1, math.prod(math.factorial(m) for _, m in factors))
-        result = LinComb._trusted({mono: lead})
-        for v, c in LinComb._trusted({mono: _ONE}).expand().items():
-            if v != word:
-                result.add(rec(v), -lead * c)
-        memo[word] = result
-        return result
-
-    return rec
+        lead = c / math.prod(math.factorial(m) for _, m in factors)
+        out[mono] = lead
+        for v, k in LinComb._trusted({mono: _ONE}).expand().items():
+            if v != w:
+                if v not in residual:
+                    heapq.heappush(heap, (-code(v), v))
+                residual[v] = residual.get(v, _ZERO) - lead * k
+    return out
 
 
 def lyndon_rewrite(w: Word, alphabet: Alphabet) -> LinComb:
     """Express a word in the polynomial basis of Lyndon words.
 
-    Rewrites along the factorisation w = w1^{i1}...wk^{ik}: the shuffle of the
-    factors equals (i1!...ik!) w plus words that are lexicographically smaller
-    within the same anagram class, so the recursion terminates.
+    Ordering invariant: the shuffle of the CFL factors of w = w1^{i1}...wk^{ik}
+    is (i1!...ik!) w plus lexicographically smaller anagrams of w.  So the
+    word-to-monomial matrix is unitriangular under lexicographic order, and
+    one top-down elimination from the largest word inverts it.
     """
     if not w:
         raise EmptyWord("cannot rewrite the empty word")
-    return _lyndon_rewriter(alphabet)(w)
+    return LinComb._trusted(_lyndon_solve({w: _ONE}, alphabet))
 
 
 def is_local_word(w: Word, alphabet: Alphabet) -> bool:

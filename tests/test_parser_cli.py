@@ -167,6 +167,10 @@ def test_cli_flatten(capsys, tmp_path):
     path.write_text(json.dumps(forest))
     code, out, _ = run_cli(capsys, "flatten", f"@{path}")
     assert code == 0 and "f[2,1;{1},{2}]" in out
+    # integer exponents other than 1 pass the integer check
+    code, out, _ = run_cli(capsys, "flatten",
+                           '{"nodes":[{"set":[1,2],"exp":2,"children":[{"set":[2]}]}]}')
+    assert code == 0 and out.startswith("1*f[2,1;{1},{2}]\n")
 
 
 def test_cli_galois_cycle(capsys, tmp_path):
@@ -231,8 +235,16 @@ def test_cli_gram_config_rejected(capsys, tmp_path, config):
     ["galois", "apply", "--transform", '{"shifts":[]}', "--combo", '{"terms":5}'],
     ["galois", "check", "--evaluator", "zeta", "--generators", "f[2;1]",
      "--combos", "[5]"],
+    ["flatten", '{"nodes":[{"set":[1],"exp":1.5}]}'],
+    ["flatten", '{"nodes":[{"set":[1.7]}]}'],
+    ["flatten", '{"nodes":[{"set":[1],"exp":true}]}'],
+    ["eval", "--evaluator", "zeta", '{"terms":[{"specs":"f[2;1]"}]}'],
+    ["eval", "--evaluator", "zeta", '{"terms":[{"specs":""}]}'],
+    ["eval", "--evaluator", "zeta", '{"terms":[{"holo":2,"specs":["f[2;1]"]}]}'],
 ], ids=["forest-nodes-not-list", "transform-not-object", "shift-value-list",
-        "combo-terms-not-list", "combos-entry-not-combo"])
+        "combo-terms-not-list", "combos-entry-not-combo", "forest-float-exp",
+        "forest-float-set-entry", "forest-bool-exp", "combo-specs-string",
+        "combo-specs-empty-string", "combo-holo-not-string"])
 def test_cli_malformed_payload_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""

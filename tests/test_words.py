@@ -2,14 +2,21 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linpole import (EmptyWord, NotLocal, WordPolynomial, X0, cfl,
-                     integer_alphabet, is_local_word, is_lyndon,
-                     local_word_pair, locality_cfl, locality_lyndon_generators,
-                     lyndon_rewrite, shuffle, subset_alphabet, word_str)
+from linpole import (EmptyWord, FractionSpec, NotLocal, WordPolynomial, X0,
+                     cfl, chen_lmap, expand_product, integer_alphabet,
+                     is_local_word, is_lyndon, local_word_pair, locality_cfl,
+                     locality_lyndon_generators, lyndon_decompose,
+                     lyndon_rewrite, shuffle, speer_lmap, subset_alphabet,
+                     word_str)
+from linpole.fracspec import spec_monomial, spec_of_word
+from linpole.words import Alphabet, LinComb, Word
+
+_ONE = Fraction(1)
 
 A = integer_alphabet()
 
@@ -133,10 +140,126 @@ def test_lyndon_rewrite_examples():
     assert lp.coeffs == {((X0,), (X0,)): Fraction(1, 2)}
 
 
+# a word whose rewrite has 209 monomials: the slow case of the recursive rewriter
+FOUND_WORD = (X0, 4, 5, X0, 1, 2, X0, 3)
+
+
 def test_lyndon_rewrite_roundtrip():
-    for w in all_words((X0, 1), 5):
+    long_words = [FOUND_WORD, (X0, 4, X0, 1, X0, 2, X0, 3, 5)]
+    for w in itertools.chain(all_words((X0, 1), 5), long_words):
         lp = lyndon_rewrite(w, A)
         assert lp.expand() == WordPolynomial({w: 1}), word_str(w)
+
+
+def recursive_rewrite(alphabet: Alphabet) -> Callable[[Word], LinComb]:
+    """lyndon_rewrite over one alphabet, with one memo for every word it is
+    given: the rewrite of a word recurses into its anagrams, and the words of
+    a shuffle product are anagrams of each other.  The memoised results are
+    shared, so callers must not change them in place."""
+    memo: dict[Word, LinComb] = {}
+
+    def rec(word: Word) -> LinComb:
+        hit = memo.get(word)
+        if hit is not None:
+            return hit
+        factors = cfl(word, alphabet)
+        # the factors are non-increasing, so this monomial is already sorted
+        mono = tuple(f for f, m in factors for _ in range(m))
+        lead = Fraction(1, math.prod(math.factorial(m) for _, m in factors))
+        result = LinComb._trusted({mono: lead})
+        for v, c in LinComb._trusted({mono: _ONE}).expand().items():
+            if v != word:
+                result.add(rec(v), -lead * c)
+        memo[word] = result
+        return result
+
+    return rec
+
+
+def recursive_decompose(combo):
+    """lyndon_decompose by rewriting each word of the combination on its own
+    with recursive_rewrite and summing the rewrites."""
+    out = LinComb()
+    rewriters = {}
+    for spec, coeff in combo:
+        w = spec.word()
+        if not w:
+            out.add({(): coeff})
+            continue
+        alphabet = spec.lmap.alphabet
+        if alphabet not in rewriters:
+            rewriters[alphabet] = recursive_rewrite(alphabet)
+        for mono, c in rewriters[alphabet](w).items():
+            out.add({spec_monomial(spec_of_word(v, spec.lmap) for v in mono): coeff * c})
+    return out.coeffs
+
+
+def test_lyndon_rewrite_matches_recursive_rewrite():
+    ref = recursive_rewrite(A)
+    for w in all_words((X0, 1, 2), 6):
+        assert lyndon_rewrite(w, A) == ref(w), word_str(w)
+    S = subset_alphabet()
+    ref = recursive_rewrite(S)
+    sets = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
+    for w in all_words([X0] + sets, 4):
+        assert lyndon_rewrite(w, S) == ref(w), word_str(w)
+
+
+def random_local_pair(rng, lmap, max_weight=6):
+    """Two local specs with pairwise-disjoint letters (integers for the Chen
+    map, disjoint index sets for the Speer map) and at most `max_weight`
+    letters in their product's words, which keeps the recursive oracle fast."""
+    pool = rng.sample(range(1, 8), rng.randint(2, 5))
+    if lmap.name == "speer":
+        cuts = sorted(rng.sample(range(1, len(pool)), rng.randint(1, len(pool) - 1)))
+        letters = [frozenset(pool[i:j]) for i, j in zip([0] + cuts, cuts + [len(pool)])]
+    else:
+        letters = pool[:4]
+    exps = [rng.randint(1, 2) for _ in letters]
+    while sum(exps) > max_weight:
+        exps[exps.index(2)] = 1
+    cut = rng.randint(1, len(letters) - 1)
+    return (FractionSpec(exps[:cut], letters[:cut], lmap),
+            FractionSpec(exps[cut:], letters[cut:], lmap))
+
+
+def test_lyndon_decompose_matches_recursive_rewrite():
+    rng = random.Random(23)
+    lmaps = [chen_lmap(), speer_lmap()]
+    pairs = [random_local_pair(rng, lmaps[i % 2]) for i in range(60)]
+    for a, b in pairs:
+        combo = expand_product(a, b)
+        assert lyndon_decompose(combo) == recursive_decompose(combo), (a, b)
+    # sums across pairs and L-maps whose coefficients partly cancel
+    for _ in range(12):
+        combo = []
+        for a, b in rng.sample(pairs, 3):
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            combo += [(s, k * c) for s, c in expand_product(a, b)]
+            combo += [(s, -k * c) for s, c in expand_product(b, a)[:rng.randint(0, 3)]]
+        combo.append((FractionSpec((), (), lmaps[0]), Fraction(2)))
+        assert lyndon_decompose(combo) == recursive_decompose(combo)
+    # the shuffle is commutative, so this combination sums to zero
+    a, b = pairs[1]
+    zero = expand_product(a, b) + [(s, -c) for s, c in expand_product(b, a)]
+    assert lyndon_decompose(zero) == recursive_decompose(zero) == {}
+
+
+def test_each_word_factorised_once(monkeypatch):
+    seen = []
+
+    def counting_cfl(w, alphabet):
+        seen.append(w)
+        return cfl(w, alphabet)
+
+    monkeypatch.setattr("linpole.words.cfl", counting_cfl)
+    chen = chen_lmap()
+    combo = expand_product(FractionSpec((2, 1, 2), (1, 2, 3), chen),
+                           FractionSpec((2, 1), (4, 5), chen))
+    for run in (lambda: lyndon_decompose(combo), lambda: lyndon_rewrite(FOUND_WORD, A)):
+        seen.clear()
+        run()
+        assert seen and len(seen) == len(set(seen))
 
 
 def test_local_words():
