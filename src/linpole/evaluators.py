@@ -3,15 +3,16 @@
 Three evaluators: minimal subtraction (exact), the iterated one-variable
 scheme averaged over variable orders (exact, coordinate dependent), and the
 multiple-zeta evaluator on combinations of Chen fractions (rigorous rational
-enclosures).  Transforms shift Lyndon generators by constants and act on
-presentations term by term, leaving holomorphic coefficients untouched.
+enclosures of MZVs by the Hölder convolution at 1/2).  Transforms shift
+Lyndon generators by constants and act on presentations term by term, leaving
+holomorphic coefficients untouched.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -114,101 +115,82 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
 
 
 # ---------------------------------------------------------------------------
-# multiple zeta values: rigorous rational enclosures of truncated nested sums
+# multiple zeta values: the Hölder convolution at 1/2
 # ---------------------------------------------------------------------------
 
-_MZV_CACHE: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
-_MZV_LOCK = threading.Lock()
+MAX_PRECISION = 1000  # digits; the work grows linearly with the precision
+_DUAL = str.maketrans("01", "10")
 
 
-def _mzv_interval(s: tuple[int, ...], n_terms: int, scale: int) -> tuple[int, int]:
-    """Scaled-integer enclosure of zeta(s) = sum over n1 > ... > nk >= 1 of
-    prod n_j^{-s_j}.
+def _li_half(word: str, n_terms: int, scale: int) -> tuple[int, int]:
+    """Floor and ceiling of scale * Li_r(1/2), the sum over n1 > ... > nm >= 1
+    of 2^-n1 prod n_i^-r_i, where the 0/1 word ends in 1 and r_i is one more
+    than the number of 0s just before its i-th 1.
 
-    Level j accumulates R_j(m) = sum over n1 > ... > nj > m; tails beyond the
-    truncation point are enclosed by integral comparison, with an analytic
-    envelope c * n^(-e) carried through the levels.
+    The nested sums run innermost first to n1 <= n_terms.  Every term is
+    positive and the inner sum is at most n1^(m-1), so for n_terms >= 2m the
+    tail is at most 6 (n_terms+1)^(m-1) 2^(-n_terms-1); the ceiling adds it.
     """
-    big_n = n_terms
-    # level envelopes: R_j(n) in [c_lo * (n+1)^(-e), c_hi * n^(-e)] for n >= big_n
-    c_lo = c_hi = Fraction(1)
-    e = 0
-    lo_arr = [0] * (big_n + 1)
-    hi_arr = [0] * (big_n + 1)
-    prev_lo = [scale] * (big_n + 2)
-    prev_hi = [scale] * (big_n + 2)  # R_0 == 1
-    for s_j in s:
-        a = s_j + e  # decay exponent of the summand at this level
-        if a < 2:
-            raise DivergentIndex(f"index {s} diverges")
-        # tail at big_n
-        new_e = a - 1
-        new_c_hi = c_hi / (a - 1)
-        new_c_lo = (c_lo / (a - 1)) * Fraction(big_n + 1, big_n + 2) ** new_e
-        tail_lo = new_c_lo / Fraction(big_n + 1) ** new_e
-        tail_hi = new_c_hi / Fraction(big_n) ** new_e
-        lo = _floor_scaled(tail_lo, scale)
-        hi = _ceil_scaled(tail_hi, scale)
-        lo_arr[big_n] = lo
-        hi_arr[big_n] = hi
-        for mm in range(big_n - 1, -1, -1):
-            n = mm + 1
-            d = n ** s_j
-            lo += prev_lo[n] // d
-            hi += -((-prev_hi[n]) // d)
-            lo_arr[mm] = lo
-            hi_arr[mm] = hi
-        prev_lo = lo_arr + [0]
-        prev_hi = hi_arr + [0]
-        lo_arr = [0] * (big_n + 1)
-        hi_arr = [0] * (big_n + 1)
-        c_lo, c_hi, e = new_c_lo, new_c_hi, new_e
-    return prev_lo[0], prev_hi[0]
+    r = [len(zeros) + 1 for zeros in word.split("1")[:-1]]
+    if not r:
+        return scale, scale
+    ns = range(1, n_terms + 1)
+    lo = hi = [scale] * n_terms  # at n: the inner levels summed below n
+    for j in range(len(r) - 1, -1, -1):
+        lo = [a // n ** r[j] for a, n in zip(lo, ns)]
+        hi = [-(-a // n ** r[j]) for a, n in zip(hi, ns)]
+        if j:
+            lo = [0, *itertools.accumulate(lo[:-1])]
+            hi = [0, *itertools.accumulate(hi[:-1])]
+    tail = 6 * (n_terms + 1) ** (len(r) - 1) * scale
+    return (sum(a >> n for a, n in zip(lo, ns)),
+            sum(-(-a >> n) for a, n in zip(hi, ns)) - (-tail >> (n_terms + 1)))
 
 
-def _floor_scaled(x: Fraction, scale: int) -> int:
-    return (x.numerator * scale) // x.denominator
-
-
-def _ceil_scaled(x: Fraction, scale: int) -> int:
-    return -((-x.numerator * scale) // x.denominator)
+@functools.lru_cache(maxsize=1024)
+def _mzv(s: tuple[int, ...], precision: int) -> tuple[Fraction, Fraction]:
+    """Hölder convolution at 1/2 (Borwein, Bradley, Broadhurst, Lisonek):
+    with w = 0^(s1-1) 1 ... 0^(sk-1) 1 of length n, zeta(s) is the sum over
+    i = 0..n of Li_{dual(w[:i])}(1/2) Li_{w[i:]}(1/2), where dual reverses a
+    word and swaps 0 and 1.  Each factor has positive terms and is below 1,
+    so a product's bounds are the products of the factors' bounds."""
+    word = "".join("0" * (x - 1) + "1" for x in s)
+    n = len(word)
+    # Each of the 2(n+1) factor tails stays below 10^-(precision+2) / (n+1).
+    bound = 6 * (n + 1) * 10 ** (precision + 2)
+    n_terms = 2 * n + 10 * (precision + 2) // 3
+    while bound * (n_terms + 1) ** (n - 1) > 2 ** (n_terms + 1):
+        n_terms += 1
+    # Rounding loses at most n_terms + n units per factor.
+    scale = 10 ** (precision + 6) * n_terms * (n + 1)
+    lo = hi = 0
+    for i in range(n + 1):
+        a_lo, a_hi = _li_half(word[:i][::-1].translate(_DUAL), n_terms, scale)
+        b_lo, b_hi = _li_half(word[i:], n_terms, scale)
+        lo += a_lo * b_lo
+        hi += a_hi * b_hi
+    lo, hi = lo // scale, -(-hi // scale)  # outward, to keep the Fractions small
+    return Fraction(lo + hi, 2 * scale), Fraction(hi - lo, 2 * scale)
 
 
 def mzv_numeric(s: Sequence[int], precision: int = 8) -> tuple[Fraction, Fraction]:
     """Multiple zeta value (sum over n1 > ... > nk >= 1 of prod n_j^{-s_j})
     as (value, error_bound) with |true - value| <= error_bound < 10^-precision.
 
-    Raises DivergentIndex when the leading exponent is 1.
+    Raises DivergentIndex when the leading exponent is 1, and ValueError for
+    a precision outside 0..MAX_PRECISION.  Results are memoised per
+    (s, precision).
     """
     s = tuple(int(x) for x in s)
+    if not 0 <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must be between 0 and {MAX_PRECISION} digits")
     if not s:
         return Fraction(1), Fraction(0)
     if any(x < 1 for x in s):
         raise ValueError("exponents must be positive integers")
     if s[0] < 2:
         raise DivergentIndex(f"zeta{s} diverges (leading exponent 1)")
-    target = Fraction(1, 10 ** precision)
-    with _MZV_LOCK:
-        hit = _MZV_CACHE.get(s)
-    if hit is not None and hit[1] <= target:
-        return hit
-    n_terms = max(64, _isqrt_ceil(10 ** (precision + 1)))
-    for _ in range(8):
-        scale = 10 ** (precision + 4) * n_terms * max(len(s), 1)
-        lo, hi = _mzv_interval(s, n_terms, scale)
-        value = Fraction(lo + hi, 2 * scale)
-        err = Fraction(hi - lo, 2 * scale)
-        if err <= target:
-            with _MZV_LOCK:
-                _MZV_CACHE[s] = (value, err)
-            return value, err
-        n_terms *= 2
-    raise RuntimeError(f"could not reach precision {precision} for zeta{s}")
-
-
-def _isqrt_ceil(n: int) -> int:
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
+    return _mzv(s, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +200,8 @@ def _isqrt_ceil(n: int) -> int:
 class GermCombo:
     """Sum of terms h * S1 * ... * Sr: a polynomial coefficient times a
     locality monomial of fraction specs.  The explicit presentation is the
-    domain of the zeta evaluator and of Galois transforms."""
+    domain of the zeta evaluator and of Galois transforms.  Terms are kept
+    in one canonical order: by each spec's L-map name, then its word."""
 
     __slots__ = ("terms",)
 
@@ -229,10 +212,11 @@ class GermCombo:
                 h = Polynomial.constant(_as_fraction(h))
             key = spec_monomial(specs)
             merged[key] = merged.get(key, Polynomial()) + h
-        self.terms = tuple((h, m) for m, h in merged.items() if h)
+        self.terms = tuple(sorted(((h, m) for m, h in merged.items() if h),
+                                  key=lambda t: [(s.lmap.name, s.sort_key()) for s in t[1]]))
 
     def __eq__(self, other):
-        return isinstance(other, GermCombo) and set(self.terms) == set(other.terms)
+        return isinstance(other, GermCombo) and self.terms == other.terms
 
     def germ(self) -> RationalGerm:
         return germ_sum(RationalGerm(h, [e for s in specs for e in s.denominator_entries()])
@@ -328,23 +312,21 @@ def zeta_eval(combo: GermCombo, precision: int = 8,
     locality multiplicativity and linearity; holomorphic coefficients
     contribute their value at zero."""
     combo.validate_locality(q)
-    total = (Fraction(0), Fraction(0))
+    mid = rad = Fraction(0)
     for h, specs in combo.terms:
         c0 = h.constant_term()
-        term_iv = (Fraction(0), Fraction(0))
         for mono, coeff in _lyndon_product(specs).items():
-            iv = (Fraction(1), Fraction(1))
+            # MZV enclosures are nonnegative, so bounds multiply directly
+            lo = hi = Fraction(1)
             for gen in mono:
                 val, err = _zeta_of_spec(gen, precision)
-                iv = _iv_mul(iv, (val - err, val + err))
-                if iv == (Fraction(0), Fraction(0)):
+                lo, hi = lo * (val - err), hi * (val + err)
+                if not hi:
                     break
-            iv = _iv_scale(iv, coeff)
-            term_iv = (term_iv[0] + iv[0], term_iv[1] + iv[1])
-        term_iv = _iv_scale(term_iv, c0)
-        total = (total[0] + term_iv[0], total[1] + term_iv[1])
-    lo, hi = total
-    return (lo + hi) / 2, (hi - lo) / 2
+            k = coeff * c0
+            mid += k * (lo + hi) / 2
+            rad += abs(k) * (hi - lo) / 2
+    return mid, rad
 
 
 def zeta_evaluator(precision: int = 8, q: InnerProduct = DEFAULT_Q) -> Evaluator:
@@ -355,16 +337,6 @@ def zeta_evaluator(precision: int = 8, q: InnerProduct = DEFAULT_Q) -> Evaluator
 
     return Evaluator("zeta", on_germ=on_germ,
                      on_combo=lambda c: zeta_eval(c, precision, q))
-
-
-def _iv_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
-    vals = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
-    return min(vals), max(vals)
-
-
-def _iv_scale(a, k: Fraction):
-    lo, hi = a[0] * k, a[1] * k
-    return (lo, hi) if lo <= hi else (hi, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Context
 from fractions import Fraction
 
 from .exactlin import LinearForm, Subspace
@@ -45,6 +46,8 @@ def eval_result_json(value, error_bound, evaluator: str) -> dict:
         val = rational_str(value)
     else:
         val = f"{float(value):.15g}"
-    return {"value": val,
-            "error_bound": f"{float(error_bound):.3g}",
-            "evaluator": evaluator}
+    err = f"{float(error_bound):.3g}"
+    if error_bound and err == "0":  # below the float range, from precision 308 on
+        tiny = Context(prec=3).divide(error_bound.numerator, error_bound.denominator)
+        err = f"{tiny.normalize():g}"
+    return {"value": val, "error_bound": err, "evaluator": evaluator}

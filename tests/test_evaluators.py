@@ -1,8 +1,13 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +22,7 @@ from linpole import (DEFAULT_Q, DependenceEscapesVars, DivergentIndex,
                      iter_evaluator, locality_lyndon_generators, ms_eval,
                      ms_evaluator, mzv_numeric, p_residue, spec_of_word,
                      speer_lmap, zeta_eval, zeta_evaluator, zvar)
-from linpole import germs
+from linpole import evaluators, germs
 from linpole.words import integer_alphabet
 
 from helpers import random_form, random_germ, random_poly
@@ -287,6 +292,160 @@ def test_mzv_divergent():
         mzv_numeric((1, 2), 6)
 
 
+def _mzv_interval(s: tuple[int, ...], n_terms: int, scale: int) -> tuple[int, int]:
+    """Scaled-integer enclosure of zeta(s) = sum over n1 > ... > nk >= 1 of
+    prod n_j^{-s_j}.
+
+    Level j accumulates R_j(m) = sum over n1 > ... > nj > m; tails beyond the
+    truncation point are enclosed by integral comparison, with an analytic
+    envelope c * n^(-e) carried through the levels.
+    """
+    big_n = n_terms
+    # level envelopes: R_j(n) in [c_lo * (n+1)^(-e), c_hi * n^(-e)] for n >= big_n
+    c_lo = c_hi = Fraction(1)
+    e = 0
+    lo_arr = [0] * (big_n + 1)
+    hi_arr = [0] * (big_n + 1)
+    prev_lo = [scale] * (big_n + 2)
+    prev_hi = [scale] * (big_n + 2)  # R_0 == 1
+    for s_j in s:
+        a = s_j + e  # decay exponent of the summand at this level
+        if a < 2:
+            raise DivergentIndex(f"index {s} diverges")
+        # tail at big_n
+        new_e = a - 1
+        new_c_hi = c_hi / (a - 1)
+        new_c_lo = (c_lo / (a - 1)) * Fraction(big_n + 1, big_n + 2) ** new_e
+        tail_lo = new_c_lo / Fraction(big_n + 1) ** new_e
+        tail_hi = new_c_hi / Fraction(big_n) ** new_e
+        lo = _floor_scaled(tail_lo, scale)
+        hi = _ceil_scaled(tail_hi, scale)
+        lo_arr[big_n] = lo
+        hi_arr[big_n] = hi
+        for mm in range(big_n - 1, -1, -1):
+            n = mm + 1
+            d = n ** s_j
+            lo += prev_lo[n] // d
+            hi += -((-prev_hi[n]) // d)
+            lo_arr[mm] = lo
+            hi_arr[mm] = hi
+        prev_lo = lo_arr + [0]
+        prev_hi = hi_arr + [0]
+        lo_arr = [0] * (big_n + 1)
+        hi_arr = [0] * (big_n + 1)
+        c_lo, c_hi, e = new_c_lo, new_c_hi, new_e
+    return prev_lo[0], prev_hi[0]
+
+
+def _floor_scaled(x: Fraction, scale: int) -> int:
+    return (x.numerator * scale) // x.denominator
+
+
+def _ceil_scaled(x: Fraction, scale: int) -> int:
+    return -((-x.numerator * scale) // x.denominator)
+
+
+def truncated_mzv(s, precision):
+    """The earlier mzv_numeric, kept as an oracle without its cache: nested
+    sums truncated near 10^((precision+1)/2) terms with integral-comparison
+    tails, doubling the truncation until the bound is met."""
+    s = tuple(int(x) for x in s)
+    target = Fraction(1, 10 ** precision)
+    n_terms = max(64, _isqrt_ceil(10 ** (precision + 1)))
+    for _ in range(8):
+        scale = 10 ** (precision + 4) * n_terms * max(len(s), 1)
+        lo, hi = _mzv_interval(s, n_terms, scale)
+        value = Fraction(lo + hi, 2 * scale)
+        err = Fraction(hi - lo, 2 * scale)
+        if err <= target:
+            return value, err
+        n_terms *= 2
+    raise RuntimeError(f"could not reach precision {precision} for zeta{s}")
+
+
+def _isqrt_ceil(n: int) -> int:
+    r = math.isqrt(n)
+    return r if r * r == n else r + 1
+
+
+def admissible_indices(max_weight, max_depth):
+    """Every index with leading exponent at least 2, by weight."""
+    out = []
+    for w in range(2, max_weight + 1):
+        for depth in range(1, max_depth + 1):
+            for s in itertools.product(range(1, w + 1), repeat=depth):
+                if sum(s) == w and s[0] >= 2:
+                    out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("precision", [6, 8])
+def test_mzv_overlaps_truncated_oracle(precision):
+    indices = admissible_indices(6, 3)
+    assert len(indices) == 25
+    for s in indices:
+        val, err = mzv_numeric(s, precision)
+        assert err < Fraction(1, 10 ** precision), s
+        o_val, o_err = truncated_mzv(s, precision)
+        assert abs(val - o_val) <= err + o_err, s
+
+
+def mzv_closed_forms(mpmath):
+    z, pi = mpmath.zeta, mpmath.pi
+    return {(3,): z(3), (2, 1): z(3), (2, 1, 1): z(4), (2, 1, 1, 1): z(5),
+            (3, 1): pi ** 4 / 360, (2, 2): pi ** 4 / 120,
+            (4, 1): 2 * z(5) - z(2) * z(3),
+            (3, 2): 3 * z(2) * z(3) - mpmath.mpf(11) / 2 * z(5),
+            (2, 3): mpmath.mpf(9) / 2 * z(5) - 2 * z(2) * z(3)}
+
+
+def encloses(mpmath, s, precision, exact):
+    val, err = mzv_numeric(s, precision)
+    assert err < Fraction(1, 10 ** precision)
+    lo, hi = val - err, val + err
+    return (mpmath.mpf(lo.numerator) / lo.denominator <= exact
+            <= mpmath.mpf(hi.numerator) / hi.denominator)
+
+
+@pytest.mark.parametrize("precision", [8, 20, 50])
+def test_mzv_encloses_closed_forms(precision):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(100):
+        for s, exact in mzv_closed_forms(mpmath).items():
+            assert encloses(mpmath, s, precision, exact), (s, precision)
+
+
+def test_mzv_deep_trailing_ones_is_fast():
+    mpmath = pytest.importorskip("mpmath")
+    start = time.perf_counter()
+    with mpmath.workdps(40):
+        assert encloses(mpmath, (2, 1, 1, 1, 1), 8, mpmath.zeta(6))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_mzv_independent_of_call_history():
+    # A fresh interpreter has seen no other precision.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from linpole import mzv_numeric; print(*mzv_numeric((2,), 8))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    cold = tuple(Fraction(x) for x in proc.stdout.split())
+    mzv_numeric((2,), 10)
+    assert mzv_numeric((2,), 8) == cold
+
+
+def test_mzv_precision_domain():
+    for precision in (-1, evaluators.MAX_PRECISION + 1):
+        with pytest.raises(ValueError):
+            mzv_numeric((2,), precision)
+    val, err = mzv_numeric((2,), 0)
+    assert err < 1 and abs(float(val) - math.pi ** 2 / 6) <= err
+
+
 # ------------------------------------------------------------ zeta evaluator
 
 def spec_combo(*specs, coeff=1, holo=None) -> GermCombo:
@@ -309,6 +468,21 @@ def test_zeta_eval_examples():
     img_v, img_e = zeta_eval(
         GermCombo([(Polynomial.constant(c), (s,)) for s, c in image]), 8)
     assert abs(img_v - prod_v) <= img_e + prod_e + Fraction(1, 10 ** 6)
+
+
+def test_germ_combo_term_order_is_canonical():
+    speer = speer_lmap()
+    terms = [(Polynomial.constant(3), (FractionSpec((2,), ({1, 2},), speer),)),
+             (P1 + 1, (FractionSpec((3,), (2,), chen),)),
+             (Polynomial.constant(2), (FractionSpec((2,), (1,), chen),
+                                       FractionSpec((2,), (3,), chen))),
+             (P2, ()),
+             (Polynomial.constant(5), (FractionSpec((2, 1), (1, 2), chen),))]
+    combos = [GermCombo(order) for order in itertools.permutations(terms)]
+    assert all(c == combos[0] and repr(c) == repr(combos[0]) for c in combos)
+    # the empty monomial first, then the chen words, then the speer one
+    assert repr(combos[0]).startswith("(z2)*1 + ")
+    assert repr(combos[0]).endswith("(3)*f[2;{1,2}]")
 
 
 def test_zeta_eval_extends_ev0():

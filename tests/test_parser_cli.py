@@ -8,6 +8,7 @@ from linpole import (NonHomogeneousPole, ParseError, Polynomial, RationalGerm,
                      X0, parse_germ, parse_spec, parse_word, render_germ,
                      zvar)
 from linpole.cli import main
+from linpole.evaluators import MAX_PRECISION
 
 from helpers import random_germ
 
@@ -249,6 +250,44 @@ def test_cli_malformed_payload_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_galois_apply_output_ignores_term_order(capsys):
+    transform = json.dumps({"shifts": [{"spec": "f[2;1]", "value": "1"},
+                                       {"spec": "f[3;2]", "value": "2"}]})
+    terms = [{"holo": "1", "specs": ["f[2;1]"]}, {"holo": "2", "specs": ["f[3;2]"]},
+             {"holo": "z3", "specs": []}]
+    outputs = set()
+    for order in (terms, terms[::-1]):
+        combo = json.dumps({"terms": order})
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(capsys, "--format", fmt, "galois", "apply",
+                                   "--transform", transform, "--combo", combo)
+            assert code == 0
+            outputs.add((fmt, out))
+    assert len(outputs) == 2
+
+
+@pytest.mark.parametrize("precision", ["-1", str(MAX_PRECISION + 1)])
+def test_cli_precision_out_of_range(capsys, precision):
+    code, out, err = run_cli(capsys, "--precision", precision, "eval",
+                             "--evaluator", "zeta", "f[3;1]")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_precision_20(capsys):
+    code, out, _ = run_cli(capsys, "--precision", "20", "eval", "--evaluator",
+                           "zeta", "f[3;1]")
+    assert code == 0
+    value, bound = out.strip().split(" (err<=")
+    assert abs(float(value) - 1.2020569031595942) < 1e-14
+    assert float(bound.rstrip(")")) < 1e-20
+    # an error bound below the float range is still printed, not as 0
+    code, out, _ = run_cli(capsys, "--precision", "400", "eval", "--evaluator",
+                           "zeta", "f[3;1]")
+    mantissa, exponent = out.strip().split(" (err<=")[1].rstrip(")").split("e")
+    assert code == 0 and float(mantissa) > 0 and int(exponent) < -400
 
 
 def test_cli_galois_check_fail_exits_1(capsys):
