@@ -11,7 +11,7 @@ from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Subspace,
                        zvar)
 from .poly import Polynomial
 from .germs import (Decomposition, PolarTerm, RationalGerm, SimplexFraction,
-                    ZERO_GERM, ONE_GERM, d_residue, decompose, dependence,
+                    ZERO_GERM, d_residue, decompose, dependence,
                     germ_add, germ_mul, germ_scale, germ_sub,
                     germ_sum, is_local_pair, locality_mul, ms_eval, p_residue,
                     project_plus, recompose)

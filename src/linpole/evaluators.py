@@ -55,15 +55,14 @@ def ev_reg_single(f: RationalGerm, i: int) -> RationalGerm:
     # need [z_i^m] of numerator * prod (a_j z_i + R_j)^{-s_j}; put everything
     # over the common denominator prod R_j^{s_j + m} and expand as a series in
     # z_i truncated at degree m: {degree: coefficient polynomial}
-    series = {k: p for k, p in f.numerator.collect(i).items() if k <= m}
+    series = {k: p for (k,), p in f.numerator.collect(i).items() if k <= m}
     if m and series:  # with m = 0 every mixed factor contributes R^0 = 1
         for a, r, s in mixed:
             # (a z_i + R)^{-s} = sum_t (-1)^t C(s+t-1, t) a^t z_i^t R^{m-t} / R^{s+m}
             rp = Polynomial.from_linear(r)
             steps = [rp ** (m - t) * ((-a) ** t * math.comb(s + t - 1, t))
                      for t in range(m + 1)]
-            series = {e: Polynomial(itertools.chain.from_iterable(
-                          (p * steps[e - d]).terms for d, p in series.items() if d <= e))
+            series = {e: sum((p * steps[e - d] for d, p in series.items() if d <= e), ZERO)
                       for e in range(min(series), m + 1)}
     total = series.get(m, ZERO)
     return RationalGerm(total, free + [(r, s + m) for _, r, s in mixed])
@@ -120,6 +119,11 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
 
 MAX_PRECISION = 1000  # digits; the work grows linearly with the precision
 _DUAL = str.maketrans("01", "10")
+
+
+def _check_precision(precision: int) -> None:
+    if not 0 <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must be between 0 and {MAX_PRECISION} digits")
 
 
 def _li_half(word: str, n_terms: int, scale: int) -> tuple[int, int]:
@@ -182,8 +186,7 @@ def mzv_numeric(s: Sequence[int], precision: int = 8) -> tuple[Fraction, Fractio
     (s, precision).
     """
     s = tuple(int(x) for x in s)
-    if not 0 <= precision <= MAX_PRECISION:
-        raise ValueError(f"precision must be between 0 and {MAX_PRECISION} digits")
+    _check_precision(precision)
     if not s:
         return Fraction(1), Fraction(0)
     if any(x < 1 for x in s):
@@ -310,7 +313,9 @@ def zeta_eval(combo: GermCombo, precision: int = 8,
               q: InnerProduct = DEFAULT_Q) -> tuple[Fraction, Fraction]:
     """Assign multiple zeta values to the Lyndon Chen generators and extend by
     locality multiplicativity and linearity; holomorphic coefficients
-    contribute their value at zero."""
+    contribute their value at zero.  Raises ValueError for a precision
+    outside 0..MAX_PRECISION, whether or not an MZV is needed."""
+    _check_precision(precision)
     combo.validate_locality(q)
     mid = rad = Fraction(0)
     for h, specs in combo.terms:
@@ -330,6 +335,8 @@ def zeta_eval(combo: GermCombo, precision: int = 8,
 
 
 def zeta_evaluator(precision: int = 8, q: InnerProduct = DEFAULT_Q) -> Evaluator:
+    _check_precision(precision)
+
     def on_germ(f: RationalGerm):
         if f.is_holomorphic():
             return f.numerator.constant_term(), Fraction(0)

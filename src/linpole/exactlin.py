@@ -109,21 +109,21 @@ class LinearForm:
         return self.scale(1 / scalar), scalar
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for v, c in self.coeffs.items():
-            if c == 1:
-                s = f"z{v}"
-            elif c == -1:
-                s = f"-z{v}"
-            else:
-                s = f"{c}*z{v}"
-            parts.append(s)
-        out = parts[0]
-        for s in parts[1:]:
-            out += f" - {s[1:]}" if s.startswith("-") else f" + {s}"
-        return out
+        return _signed_sum((c, f"z{v}") for v, c in self.coeffs.items())
+
+
+def _signed_sum(terms: Iterable[tuple[Q, str]]) -> str:
+    """Print a sum of (coefficient, monomial text) terms: a coefficient of 1
+    or -1 is elided, an empty monomial prints the coefficient alone, and a
+    negative term after the first joins with " - " and its absolute value."""
+    out = ""
+    for c, mono in terms:
+        text = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+        if out:
+            out += f" - {text}" if c < 0 else f" + {text}"
+        else:
+            out = f"-{text}" if c < 0 else text
+    return out or "0"
 
 
 def zvar(v: int) -> LinearForm:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import (NotLocal, NotLocalSpec, WordEndsInX0, ZeroCumulativeForm,
-                     _payload_shape)
+from .errors import (LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
+                     ZeroCumulativeForm, _payload_shape)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, inner, orthogonal,
                        span, zset, zvar)
 from .germs import RationalGerm, germ_scale, germ_sum
@@ -53,7 +53,11 @@ class LMap:
                             f"not a locality map: {u!r} local {v!r} but forms not orthogonal")
 
     def form(self, letter) -> LinearForm:
-        f = self.assign(letter)
+        try:
+            f = self.assign(letter)
+        except (TypeError, ValueError) as exc:
+            raise LinpoleError(f"letter {word_str((letter,))} is outside the alphabet "
+                               f"of L-map {self.name} ({exc})") from exc
         if not isinstance(f, LinearForm):
             raise TypeError("assignment must produce a LinearForm")
         return f

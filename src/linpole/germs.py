@@ -20,7 +20,7 @@ from .errors import NotLocal
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, Subspace,
                        ZERO_SPACE, _as_fraction, _axpy, _projection_coordinates,
                        find_circuit, orthogonal, span, subspace_sum, zvar)
-from .poly import ONE, Monomial, Polynomial
+from .poly import ONE, Polynomial
 
 DenEntry = tuple[LinearForm, int]
 
@@ -125,7 +125,6 @@ class RationalGerm:
 
 
 ZERO_GERM = RationalGerm(0)
-ONE_GERM = RationalGerm(1)
 
 
 def germ_add(f: RationalGerm, g: RationalGerm) -> RationalGerm:
@@ -156,14 +155,14 @@ def germ_sum(germs: Iterable[RationalGerm]) -> RationalGerm:
     for g in germs:
         for form, e in g.denominator:
             common[form] = max(common.get(form, 0), e)
-    acc: dict[Monomial, Fraction] = {}
+    acc = {}
     for g in germs:
         num, own = g.numerator, dict(g.denominator)
         for form, e in common.items():
             gap = e - own.get(form, 0)
             if gap:
                 num = num * Polynomial.from_linear(form) ** gap
-        _axpy(acc, 1, dict(num.terms))
+        _axpy(acc, 1, num.coeffs)
     return RationalGerm(Polynomial(acc), common.items())
 
 
@@ -305,27 +304,17 @@ def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
     subst: dict[int, Polynomial] = {}
     for v, coords in zip(support, _projection_coordinates(q, forms, map(zvar, support))):
         a = LinearForm((w, x * c) for x, f in zip(coords, forms) for w, c in f.coeffs.items())
-        subst[v] = Polynomial([*Polynomial.from_linear(zvar(v) - a).terms,
-                               *((((offset + 1 + j, 1),), x) for j, x in enumerate(coords))])
-    groups: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
-    for mono, c in num.substitute(subst).terms:
-        slot = [0] * len(forms)
-        rest = []
-        for v, e in mono:
-            if v > offset:
-                slot[v - offset - 1] = e
-            else:
-                rest.append((v, e))
-        bucket, rest = groups.setdefault(tuple(slot), {}), tuple(rest)
-        bucket[rest] = bucket.get(rest, 0) + c
-    for slot, terms in groups.items():
+        fresh = LinearForm({offset + 1 + j: x for j, x in enumerate(coords)})
+        subst[v] = Polynomial.from_linear(zvar(v) - a + fresh)
+    groups = num.substitute(subst).collect(*range(offset + 1, offset + 1 + len(forms)))
+    for slot, part in groups.items():
         rem_den = tuple((f, e - m) for (f, e), m in zip(den, slot) if e > m)
         rem_num = [(f, m - e) for (f, e), m in zip(den, slot) if m > e]
         if rem_num:
             extra = math.prod((Polynomial.from_linear(f) ** e for f, e in rem_num), start=ONE)
-            _axpy(state(rem_den), 1, dict((Polynomial(terms) * extra).terms))
+            _axpy(state(rem_den), 1, (part * extra).coeffs)
         else:
-            _axpy(acc.setdefault(rem_den, {}), 1, terms)
+            _axpy(acc.setdefault(rem_den, {}), 1, part.coeffs)
 
 
 def decompose(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:
@@ -368,7 +357,7 @@ def _decompose(f: RationalGerm, q: InnerProduct) -> Decomposition:
             heapq.heappush(heap, (-len(d), d[split[0]][1] if split else 0, next(order), d))
         return nums[d]
 
-    _axpy(state(f.denominator), 1, dict(f.numerator.terms))
+    _axpy(state(f.denominator), 1, f.numerator.coeffs)
     while heap:
         d = heapq.heappop(heap)[-1]
         n, split = nums.pop(d), splits[tuple(f for f, _ in d)]

@@ -74,11 +74,8 @@ def _refresh_linear(value: _Value) -> _Value:
     if g.numerator.is_constant():
         return _Value(g, g.numerator.constant_term(), {})
     if g.numerator.degree() == 1 and not g.numerator.constant_term():
-        coeffs = {}
-        for mono, c in g.numerator.terms:
-            (v, _e), = mono
-            coeffs[v] = c
-        form = LinearForm(coeffs)
+        form = LinearForm({v: g.numerator.partial(v).constant_term()
+                           for v in g.numerator.support()})
         prim, scalar = form.primitive()
         return _Value(g, scalar, {prim: 1})
     return _Value(g)

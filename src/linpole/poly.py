@@ -1,8 +1,11 @@
 """Sparse multivariate polynomials over the rationals.
 
-Monomials are tuples of (variable, exponent) pairs sorted by variable; terms
-are kept in graded-lexicographic order for display and canonical equality.
-Variables are the same 1-based indices as in exactlin.
+A polynomial is one dict, `coeffs`, from monomials to nonzero Fractions.
+Monomials are tuples of (variable, exponent) pairs sorted by variable, with
+positive exponents; only this module builds or splits them.  Equality and
+hashing go through the dict, and graded-lexicographic order is applied only
+where terms are read in order (`terms`, and so `repr` and JSON).  Variables
+are the same 1-based indices as in exactlin.
 """
 
 from __future__ import annotations
@@ -10,12 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from collections.abc import Iterable, Mapping
 
-from .exactlin import LinearForm, Q, _as_fraction
+from .exactlin import LinearForm, Q, _as_fraction, _axpy, _signed_sum
 
 Monomial = tuple[tuple[int, int], ...]  # ((var, exp), ...) sorted by var
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+def _mono_mul(a: Monomial, b: Iterable[tuple[int, int]]) -> Monomial:
     d = dict(a)
     for v, e in b:
         d[v] = d.get(v, 0) + e
@@ -26,6 +29,12 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
+def _lower(m: Monomial, i: int) -> Monomial:
+    """m with the exponent of its i-th variable lowered by one."""
+    v, e = m[i]
+    return m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]
+
+
 def _grlex_key(m: Monomial):
     top = max((v for v, _ in m), default=0)
     return (_mono_degree(m), tuple(-next((e for w, e in m if w == v), 0) for v in range(1, top + 1)))
@@ -34,7 +43,7 @@ def _grlex_key(m: Monomial):
 class Polynomial:
     """Immutable sparse polynomial; zero coefficients are never stored."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("coeffs",)
 
     def __init__(self, terms: Mapping[Monomial, Q] | Iterable[tuple[Monomial, Q]] = ()):
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
@@ -46,17 +55,28 @@ class Polynomial:
             c = _as_fraction(c)
             if c:
                 acc[m] = acc.get(m, Fraction(0)) + c
-        clean = tuple(sorted(((m, c) for m, c in acc.items() if c),
-                             key=lambda t: _grlex_key(t[0])))
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", hash(clean))
+        object.__setattr__(self, "coeffs", {m: c for m, c in acc.items() if c})
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap a dict this module built: canonical monomials, nonzero
+        Fractions, owned by the result.  Nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
+        """(monomial, coefficient) pairs in graded-lexicographic order."""
+        return tuple(sorted(self.coeffs.items(), key=lambda t: _grlex_key(t[0])))
+
     @staticmethod
     def constant(c) -> "Polynomial":
-        return Polynomial({(): _as_fraction(c)})
+        c = _as_fraction(c)
+        return Polynomial._trusted({(): c} if c else {})
 
     @staticmethod
     def variable(v: int) -> "Polynomial":
@@ -64,28 +84,30 @@ class Polynomial:
 
     @staticmethod
     def from_linear(form: LinearForm) -> "Polynomial":
-        return Polynomial({((v, 1),): c for v, c in form.coeffs.items()})
+        return Polynomial._trusted({((v, 1),): c for v, c in form.coeffs.items()})
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return self._hash
+        return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
-        return Polynomial(list(self.terms) + list(other.terms))
+        acc = dict(self.coeffs)
+        _axpy(acc, 1, other.coeffs)
+        return Polynomial._trusted(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({m: -c for m, c in self.terms})
+        return Polynomial._trusted({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -95,13 +117,13 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             k = _as_fraction(other)
-            return Polynomial({m: k * c for m, c in self.terms})
+            return Polynomial._trusted({m: k * c for m, c in self.coeffs.items()} if k else {})
         acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _mono_mul(m1, m2)
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(acc)
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m, c = _mono_mul(m1, m2), c1 * c2
+                acc[m] = acc[m] + c if m in acc else c
+        return Polynomial._trusted({m: c for m, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -118,24 +140,20 @@ class Polynomial:
         return out
 
     def degree(self) -> int:
-        return max((_mono_degree(m) for m, _ in self.terms), default=0)
+        return max(map(_mono_degree, self.coeffs), default=0)
 
     def support(self) -> tuple[int, ...]:
-        vs = {v for m, _ in self.terms for v, _ in m}
-        return tuple(sorted(vs))
+        return tuple(sorted({v for m in self.coeffs for v, _ in m}))
 
     def constant_term(self) -> Q:
-        for m, c in self.terms:
-            if not m:
-                return c
-        return Fraction(0)
+        return self.coeffs.get((), Fraction(0))
 
     def is_constant(self) -> bool:
-        return all(not m for m, _ in self.terms)
+        return all(not m for m in self.coeffs)
 
     def evaluate(self, point: Mapping[int, Q]) -> Q:
         total = Fraction(0)
-        for m, c in self.terms:
+        for m, c in self.coeffs.items():
             val = c
             for v, e in m:
                 val *= _as_fraction(point.get(v, 0)) ** e
@@ -143,39 +161,33 @@ class Polynomial:
         return total
 
     def partial(self, v: int) -> "Polynomial":
-        acc: dict[Monomial, Fraction] = {}
-        for m, c in self.terms:
-            d = dict(m)
-            e = d.get(v, 0)
-            if e:
-                d[v] = e - 1
-                mm = tuple(sorted((w, k) for w, k in d.items() if k))
-                acc[mm] = acc.get(mm, Fraction(0)) + c * e
-        return Polynomial(acc)
+        return Polynomial._trusted({_lower(m, i): c * e for m, c in self.coeffs.items()
+                                    for i, (w, e) in enumerate(m) if w == v})
 
     def substitute(self, values: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Replace each variable in `values` by a polynomial; others stay."""
         acc: dict[Monomial, Fraction] = {}
-        for m, c in self.terms:
-            term = Polynomial.constant(c)
+        for m, c in self.coeffs.items():
+            term = Polynomial._trusted({tuple(x for x in m if x[0] not in values): c})
             for v, e in m:
-                repl = values.get(v)
-                term = term * (repl ** e if repl is not None else Polynomial({((v, e),): 1}))
-            for mm, k in term.terms:
-                acc[mm] = acc.get(mm, 0) + k
-        return Polynomial(acc)
+                if v in values:
+                    term = term * values[v] ** e
+            _axpy(acc, 1, term.coeffs)
+        return Polynomial._trusted(acc)
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
-        return Polynomial({tuple(sorted((mapping.get(v, v), e) for v, e in m)): c
-                           for m, c in self.terms})
+        """Rename variables; variables mapped to one index merge."""
+        return Polynomial((_mono_mul((), ((mapping.get(v, v), e) for v, e in m)), c)
+                          for m, c in self.coeffs.items())
 
-    def collect(self, v: int) -> dict[int, "Polynomial"]:
-        """{k: P_k} with self = sum_k P_k z_v^k and no P_k involving z_v."""
-        groups: dict[int, list[tuple[Monomial, Fraction]]] = {}
-        for m, c in self.terms:
-            k = next((e for w, e in m if w == v), 0)
-            groups.setdefault(k, []).append((tuple(x for x in m if x[0] != v), c))
-        return {k: Polynomial(t) for k, t in groups.items()}
+    def collect(self, *vs: int) -> dict[tuple[int, ...], "Polynomial"]:
+        """{(k1, ..., kn): P_k} with self = sum_k P_k z_v1^k1 ... z_vn^kn over
+        the variables vs = (v1, ..., vn), and no P_k involving any of them."""
+        groups: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
+        for m, c in self.coeffs.items():
+            rest = dict(m)
+            groups.setdefault(tuple(rest.pop(v, 0) for v in vs), {})[tuple(rest.items())] = c
+        return {k: Polynomial._trusted(t) for k, t in groups.items()}
 
     def divide_by_form(self, form: LinearForm) -> "Polynomial | None":
         """Exact quotient self / form, or None when the form does not divide.
@@ -189,17 +201,19 @@ class Polynomial:
             raise ZeroDivisionError("division by the zero form")
         v = min(form.coeffs)
         inv = 1 / form.coeffs[v]
-        minus_r = Polynomial((((w, 1),), -a * inv) for w, a in form.coeffs.items() if w != v)
+        minus_r = Polynomial._trusted({((w, 1),): -a * inv
+                                       for w, a in form.coeffs.items() if w != v})
         parts = self.collect(v)
-        quot: list[tuple[Monomial, Fraction]] = []
+        quot: dict[Monomial, Fraction] = {}
         carry = ZERO  # -R Q_k / c
-        for k in range(max(parts, default=0), 0, -1):
-            q = parts[k] * inv + carry if k in parts else carry
-            quot.extend((m + ((v, k - 1),), c) for m, c in q.terms)
+        for k in range(max(parts, default=(0,))[0], 0, -1):
+            q = parts[k,] * inv + carry if (k,) in parts else carry
+            shift = ((v, k - 1),) if k > 1 else ()
+            quot.update((_mono_mul(m, shift), c) for m, c in q.coeffs.items())
             carry = minus_r * q
-        if carry != parts.get(0, ZERO) * -inv:
+        if carry != parts.get((0,), ZERO) * -inv:
             return None
-        return Polynomial(quot)
+        return Polynomial._trusted(quot)
 
     def dependence_space(self):
         """Smallest space of linear forms this polynomial factors through.
@@ -211,30 +225,14 @@ class Polynomial:
         from .exactlin import span
 
         rows: dict[Monomial, dict[int, Fraction]] = {}
-        for m, c in self.terms:
+        for m, c in self.coeffs.items():
             for i, (v, e) in enumerate(m):
-                lower = m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]
-                rows.setdefault(lower, {})[v] = c * e
+                rows.setdefault(_lower(m, i), {})[v] = c * e
         return span(LinearForm(row) for row in rows.values())
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in reversed(self.terms):
-            mono = "*".join(f"z{v}^{e}" if e > 1 else f"z{v}" for v, e in m)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_sum((c, "*".join(f"z{v}^{e}" if e > 1 else f"z{v}" for v, e in m))
+                           for m, c in reversed(self.terms))
 
 
 ZERO = Polynomial()

@@ -170,7 +170,6 @@ class LinComb:
 
 WordPolynomial = LinComb      # combinations of words
 LyndonPolynomial = LinComb    # commutative polynomials in Lyndon words
-LyndonMonomial = tuple  # tuple of Lyndon words, sorted descending: commutative
 
 
 def _key_str(key) -> str:
@@ -345,7 +344,7 @@ def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
     to the length bound, sorted by (length, lex)."""
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    pool = [X0] + sorted(letters, key=alphabet.letter_key)
+    pool = [X0] + sorted(set(letters), key=alphabet.letter_key)
     out: list[Word] = []
 
     def extend(prefix: Word, length: int):

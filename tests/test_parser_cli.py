@@ -152,6 +152,9 @@ def test_cli_shuffle_lyndon_phi(capsys):
                            "--max-length", "2")
     assert code == 0
     assert out.split() == ["x1", "x2", "x0x1", "x0x2", "x1x2"]
+    code, out, _ = run_cli(capsys, "lyndon", "generators", "x2,x1,x2",
+                           "--max-length", "2")
+    assert code == 0 and out.split() == ["x1", "x2", "x0x1", "x0x2", "x1x2"]
     code, out, _ = run_cli(capsys, "phi", "x0x1")
     assert code == 0 and "z1" in out
     code, out, _ = run_cli(capsys, "unphi", "f[2;1]")
@@ -274,6 +277,26 @@ def test_cli_precision_out_of_range(capsys, precision):
                              "--evaluator", "zeta", "f[3;1]")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("precision", ["-1", str(MAX_PRECISION + 1)])
+@pytest.mark.parametrize("command", [
+    ("eval", "--evaluator", "zeta", "f[1;1]"),
+    ("eval", "--evaluator", "zeta", "3"),
+    ("galois", "derive", "--evaluator", "zeta", "--generators", "f[1;1]"),
+])
+def test_cli_precision_checked_without_an_mzv(capsys, precision, command):
+    code, out, err = run_cli(capsys, "--precision", precision, *command)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("lmap, word", [("speer", "x1"), ("chen", "x{1,2}")])
+def test_cli_letter_outside_lmap_alphabet(capsys, lmap, word):
+    code, out, err = run_cli(capsys, "phi", "--lmap", lmap, word)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert word in err and lmap in err
 
 
 def test_cli_precision_20(capsys):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from linpole import LinearForm, Polynomial, span, zvar
+from linpole import (DEFAULT_Q, InnerProduct, LinearForm, Polynomial,
+                     decompose, span, zvar)
 
-from helpers import random_form, random_poly
+from helpers import random_form, random_germ, random_poly
 
 x, y, z = Polynomial.variable(1), Polynomial.variable(2), Polynomial.variable(3)
 
@@ -63,10 +64,10 @@ def test_collect_reassembles():
         parts = p.collect(v)
         assert all(v not in part.support() and part for part in parts.values())
         total = Polynomial()
-        for k, part in parts.items():
+        for (k,), part in parts.items():
             total = total + part * Polynomial.variable(v) ** k
         assert total == p
-    assert (x * x * y + 3 * z).collect(1) == {0: 3 * z, 2: y}
+    assert (x * x * y + 3 * z).collect(1) == {(0,): 3 * z, (2,): y}
     assert Polynomial().collect(1) == {}
 
 
@@ -92,3 +93,49 @@ def test_power_matches_repeated_multiplication(a, b, k):
     for _ in range(k):
         expected = expected * p
     assert p ** k == expected
+
+
+def assert_canonical(p):
+    """Monomials sorted by variable with positive exponents, nonzero
+    Fraction coefficients, and nothing the validating constructor would
+    rewrite."""
+    for m, c in p.coeffs.items():
+        assert all(v >= 1 and e >= 1 for v, e in m), m
+        assert [v for v, _ in m] == sorted({v for v, _ in m}), m
+        assert type(c) is Fraction and c, c
+    assert p.coeffs == Polynomial(p.coeffs).coeffs
+
+
+def test_every_operation_keeps_canonical_form():
+    rng = random.Random(12)
+    for _ in range(60):
+        p, r, s = (random_poly(rng, max_var=4, max_deg=3, n_terms=6) for _ in range(3))
+        form = random_form(rng, max_var=4)
+        vs = rng.sample(range(1, 6), rng.randint(1, 3))
+        results = [p + r, p - r, p - p, -p, p * r, p * Fraction(rng.randint(-3, 3), 2),
+                   p + 3, p ** rng.randint(0, 3), p.partial(rng.randint(1, 4)),
+                   p.substitute({vs[0]: r, rng.randint(1, 5): s}),
+                   p.rename({rng.randint(1, 4): rng.randint(1, 5) for _ in range(3)}),
+                   (p * Polynomial.from_linear(form)).divide_by_form(form),
+                   *p.collect(*vs).values()]
+        quot = p.divide_by_form(form)
+        results += [quot] if quot is not None else []
+        for res in results:
+            assert_canonical(res)
+    gram = InnerProduct([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+    for _ in range(25):
+        d = decompose(random_germ(rng, max_var=3, max_factors=4), rng.choice([DEFAULT_Q, gram]))
+        for res in [d.holomorphic, *(t.numerator for t in d.terms)]:
+            assert_canonical(res)
+
+
+def test_equality_hash_repr_ignore_insertion_order():
+    rng = random.Random(13)
+    for _ in range(40):
+        items = list(random_poly(rng, max_var=4, max_deg=3, n_terms=8).coeffs.items())
+        a = Polynomial(dict(items))
+        b = Polynomial(dict(reversed(items)))
+        r = random_poly(rng, max_var=4)
+        for u, w in ((a, b), (a + r, r + b), (a * r, r * b)):
+            assert u == w and hash(u) == hash(w) and repr(u) == repr(w)
+            assert u.terms == w.terms

@@ -311,6 +311,7 @@ def test_locality_lyndon_generators_examples():
     assert locality_lyndon_generators(A, 1, letters=[1, 2]) == [(1,), (2,)]
     gens = locality_lyndon_generators(A, 2, letters=[1, 2])
     assert gens == [(1,), (2,), (X0, 1), (X0, 2), (1, 2)]
+    assert locality_lyndon_generators(A, 2, letters=[2, 1, 2]) == gens
 
 
 def test_locality_algebraic_independence():
