@@ -237,8 +237,9 @@ class GermCombo:
                                for u in a.letters for v in b.letters):
                         raise NotLocal(f"{a!r} and {b!r} share non-local letters")
             if specs:
-                forms = [f for sp in specs for f, _ in sp.denominator_entries()]
-                if not orthogonal(q, h.dependence_space(), span(forms)):
+                dep = h.dependence_space()  # the zero space is orthogonal to any span
+                if dep.dim and not orthogonal(q, dep, span(
+                        f for sp in specs for f, _ in sp.denominator_entries())):
                     raise NotLocal(f"coefficient {h!r} not orthogonal to its fraction part")
 
     def __repr__(self):
@@ -300,12 +301,19 @@ def _zeta_of_spec(spec: FractionSpec, precision: int) -> tuple[Fraction, Fractio
     return mzv_numeric(s, precision)
 
 
+@functools.lru_cache(maxsize=1024)
+def _spec_lyndon(spec: FractionSpec) -> dict[SpecMonomial, Fraction]:
+    """One spec's Lyndon decomposition, memoised per spec; callers only
+    read the shared dict."""
+    return lyndon_decompose([(spec, Fraction(1))])
+
+
 def _lyndon_product(specs: Sequence[FractionSpec]) -> LinComb:
     """The product of the specs' Lyndon decompositions: a combination of
     monomials in the Lyndon generators."""
     acc = LinComb({(): 1})
     for sp in specs:
-        acc = acc.product(lyndon_decompose([(sp, Fraction(1))]), monomial_mul)
+        acc = acc.product(_spec_lyndon(sp), monomial_mul)
     return acc
 
 

@@ -38,8 +38,18 @@ class LinearForm:
             c = _as_fraction(c)
             if c:
                 clean[v] = clean.get(v, Fraction(0)) + c
-        object.__setattr__(self, "coeffs", {v: c for v, c in sorted(clean.items()) if c})
-        object.__setattr__(self, "_hash", hash(tuple(self.coeffs.items())))
+        self._fill({v: c for v, c in sorted(clean.items()) if c})
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, Fraction]) -> "LinearForm":
+        """Wrap a canonical dict (ascending keys, nonzero Fractions) unchecked."""
+        f = object.__new__(cls)
+        f._fill(coeffs)
+        return f
+
+    def _fill(self, coeffs: dict[int, Fraction]):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_hash", hash(tuple(coeffs.items())))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("LinearForm is immutable")
@@ -63,13 +73,13 @@ class LinearForm:
         return self + (-other)
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm({v: -c for v, c in self.coeffs.items()})
+        return LinearForm._trusted({v: -c for v, c in self.coeffs.items()})
 
     def scale(self, k) -> "LinearForm":
         k = _as_fraction(k)
         if not k:
             return LinearForm()
-        return LinearForm({v: k * c for v, c in self.coeffs.items()})
+        return LinearForm._trusted({v: k * c for v, c in self.coeffs.items()})
 
     def __getitem__(self, v: int) -> Q:
         return self.coeffs.get(v, Fraction(0))
@@ -106,6 +116,8 @@ class LinearForm:
         first = self.coeffs[min(self.coeffs)]
         if first < 0:
             scalar = -scalar
+        if scalar == 1:
+            return self, scalar
         return self.scale(1 / scalar), scalar
 
     def __repr__(self):
@@ -128,7 +140,9 @@ def _signed_sum(terms: Iterable[tuple[Q, str]]) -> str:
 
 def zvar(v: int) -> LinearForm:
     """The coordinate form z_v."""
-    return LinearForm({v: Fraction(1)})
+    if not isinstance(v, int) or v < 1:
+        raise ValueError(f"variable index must be a positive integer, got {v!r}")
+    return LinearForm._trusted({v: Fraction(1)})
 
 
 def zset(indices: Iterable[int]) -> LinearForm:
@@ -289,7 +303,7 @@ def span(forms: Iterable[LinearForm]) -> Subspace:
             k = above.get(piv)
             if k:
                 _axpy(above, -k, row)
-    return Subspace([LinearForm(r) for r in rows])
+    return Subspace([LinearForm._trusted(dict(sorted(r.items()))) for r in rows])
 
 
 def subspace_sum(*spaces: Subspace) -> Subspace:

@@ -57,7 +57,8 @@ class RationalGerm:
                 num = num * Polynomial.from_linear(form) ** (-exp)
                 continue
             prim, scalar = form.primitive()
-            num = num * (Fraction(1) / scalar ** exp)
+            if scalar != 1:
+                num = num * (Fraction(1) / scalar ** exp)
             dens[prim] = dens.get(prim, 0) + exp
         if num:
             for form in sorted(dens, key=LinearForm.key):
@@ -295,7 +296,7 @@ def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
     into acc, {denominator: {monomial: coefficient}} with the holomorphic
     part under (); a group with a surplus power of a form, times that
     surplus, is added into the numerator state(rem_den) of its smaller
-    denominator."""
+    denominator, a subfamily of the independent forms and so independent."""
     forms = [f for f, _ in den]
     support = num.support()
     offset = max(itertools.chain(support, *(f.support() for f in forms)), default=0)
@@ -312,7 +313,7 @@ def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
         rem_num = [(f, m - e) for (f, e), m in zip(den, slot) if m > e]
         if rem_num:
             extra = math.prod((Polynomial.from_linear(f) ** e for f, e in rem_num), start=ONE)
-            _axpy(state(rem_den), 1, (part * extra).coeffs)
+            _axpy(state(rem_den, independent=True), 1, (part * extra).coeffs)
         else:
             _axpy(acc.setdefault(rem_den, {}), 1, part.coeffs)
 
@@ -343,14 +344,14 @@ def _decompose(f: RationalGerm, q: InnerProduct) -> Decomposition:
     """
     splits, nums, heap, order, acc = {}, {}, [], itertools.count(), {}
 
-    def state(entries):  # the numerator of this denominator, queued when new
+    def state(entries, independent=False):  # the numerator of this denominator, queued when new
         d = tuple(sorted(entries, key=lambda t: t[0].key()))
         if not d:
             return acc.setdefault((), {})
         if d not in nums:
             forms = tuple(f for f, _ in d)
             if forms not in splits:  # (pivot, circuit), None when independent
-                circuit = find_circuit(forms)
+                circuit = None if independent else find_circuit(forms)
                 splits[forms] = circuit and (
                     next(i for i, c in zip(*circuit) if c == -1), circuit)
             split, nums[d] = splits[forms], {}

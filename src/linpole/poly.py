@@ -40,6 +40,19 @@ def _grlex_key(m: Monomial):
     return (_mono_degree(m), tuple(-next((e for w, e in m if w == v), 0) for v in range(1, top + 1)))
 
 
+def _hyperplane_point(form: LinearForm, variables: set[int]) -> dict[int, Q] | None:
+    """The point z_w = a*w (w != v), z_v = -sum(c_w * w) of the hyperplane
+    sum(c_w z_w) = 0, with v its smallest variable and a = c_v; None when the
+    form has a variable outside `variables`."""
+    if not variables.issuperset(form.coeffs):
+        return None
+    v = min(form.coeffs)
+    a = form.coeffs[v]
+    point = {w: a * w for w in variables}
+    point[v] = -sum(c * w for w, c in form.coeffs.items() if w != v)
+    return point
+
+
 class Polynomial:
     """Immutable sparse polynomial; zero coefficients are never stored."""
 
@@ -52,6 +65,8 @@ class Polynomial:
             m = tuple(sorted((v, e) for v, e in m if e))
             if any(e < 0 or v < 1 for v, e in m):
                 raise ValueError(f"bad monomial {m!r}")
+            if len(dict(m)) < len(m):  # a repeated variable
+                m = _mono_mul((), m)
             c = _as_fraction(c)
             if c:
                 acc[m] = acc.get(m, Fraction(0)) + c
@@ -167,17 +182,20 @@ class Polynomial:
     def substitute(self, values: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Replace each variable in `values` by a polynomial; others stay."""
         acc: dict[Monomial, Fraction] = {}
+        powers: dict[tuple[int, int], Polynomial] = {}
         for m, c in self.coeffs.items():
             term = Polynomial._trusted({tuple(x for x in m if x[0] not in values): c})
             for v, e in m:
                 if v in values:
-                    term = term * values[v] ** e
+                    if (v, e) not in powers:
+                        powers[v, e] = values[v] ** e
+                    term = term * powers[v, e]
             _axpy(acc, 1, term.coeffs)
         return Polynomial._trusted(acc)
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Rename variables; variables mapped to one index merge."""
-        return Polynomial((_mono_mul((), ((mapping.get(v, v), e) for v, e in m)), c)
+        return Polynomial((tuple((mapping.get(v, v), e) for v, e in m), c)
                           for m, c in self.coeffs.items())
 
     def collect(self, *vs: int) -> dict[tuple[int, ...], "Polynomial"]:
@@ -196,9 +214,17 @@ class Polynomial:
         form = c z_v + R and self = sum_k P_k z_v^k, the quotient is
         sum_k Q_k z_v^k with Q_{k-1} = (P_k - R Q_k) / c from the top degree
         down, and the form divides exactly iff R Q_0 = P_0.
+
+        A divisor's variables all occur in self, and self vanishes on its
+        hyperplane, here at `_hyperplane_point`: most forms fail one of these.
         """
         if not form:
             raise ZeroDivisionError("division by the zero form")
+        if not self.coeffs:
+            return ZERO
+        point = _hyperplane_point(form, {w for m in self.coeffs for w, _ in m})
+        if point is None or self.evaluate(point):
+            return None
         v = min(form.coeffs)
         inv = 1 / form.coeffs[v]
         minus_r = Polynomial._trusted({((w, 1),): -a * inv

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import random
@@ -20,7 +21,7 @@ from linpole import (DEFAULT_Q, DependenceEscapesVars, DivergentIndex,
                      ev_reg_single, expand_product, galois_from_evaluator,
                      germ_add, germ_mul, invert_transform, iter_eval,
                      iter_evaluator, locality_lyndon_generators, ms_eval,
-                     ms_evaluator, mzv_numeric, p_residue, spec_of_word,
+                     ms_evaluator, mzv_numeric, p_residue, parse_spec, spec_of_word,
                      speer_lmap, zeta_eval, zeta_evaluator, zvar)
 from linpole import evaluators, germs
 from linpole.words import integer_alphabet
@@ -500,7 +501,10 @@ def test_zeta_eval_rejects_bad_input():
     f11 = FractionSpec((1,), (1,), chen)
     bad = GermCombo([(Polynomial.variable(1), (f11,))])  # h not orthogonal
     with pytest.raises(NotLocal):
+        bad.validate_locality()
+    with pytest.raises(NotLocal):
         zeta_eval(bad, 6)
+    GermCombo([(Polynomial.constant(3), (f11,)), (P2, (f11,))]).validate_locality()
     ev = zeta_evaluator(6)
     with pytest.raises(NotChen):
         ev.eval_germ(RationalGerm(1, [(z1, 1)]))
@@ -578,6 +582,45 @@ def random_combos(rng, n, gens=None):
             terms.append((Polynomial.constant(coeff), tuple(specs)))
         out.append(GermCombo(terms))
     return out
+
+
+def test_spec_memo_independent_of_call_history():
+    """zeta_eval and apply_transform print the same in a fresh interpreter
+    and after other combos have filled the memo of generator rewrites."""
+    rng = random.Random(39)
+    gens = weight4_generators()
+    shifts = {repr(g): rng.randint(-3, 3) for g in gens}
+    combos = [[(str(h.constant_term()), [repr(s) for s in specs]) for h, specs in c.terms]
+              for c in random_combos(rng, 12, gens)]
+    script = (
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "from linpole import (GaloisTransform, GermCombo, Polynomial, apply_transform,\n"
+        "                     parse_spec, zeta_eval)\n"
+        "shifts, combos = json.loads(sys.stdin.read())\n"
+        "t = GaloisTransform({parse_spec(s): Fraction(c) for s, c in shifts.items()})\n"
+        "for terms in combos:\n"
+        "    c = GermCombo([(Polynomial.constant(Fraction(h)), [parse_spec(s) for s in specs])\n"
+        "                   for h, specs in terms])\n"
+        "    print(repr(zeta_eval(c, 8)), repr(apply_transform(t, c)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    fresh = subprocess.run([sys.executable, "-c", script], input=json.dumps([shifts, combos]),
+                           env=env, capture_output=True, text=True, timeout=120, check=True)
+    t = GaloisTransform({g: Fraction(shifts[repr(g)]) for g in gens})
+    for c in random_combos(random.Random(40), 12, gens):  # warm-up on other combos
+        zeta_eval(c, 8)
+        apply_transform(t, c)
+    warm = []
+    for terms in combos:
+        c = GermCombo([(Polynomial.constant(Fraction(h)), [parse_spec(s) for s in specs])
+                       for h, specs in terms])
+        warm.append(f"{zeta_eval(c, 8)!r} {apply_transform(t, c)!r}")
+        for _, specs in c.terms:
+            assert evaluators._lyndon_product(specs) == evaluators._lyndon_product(specs)
+    assert fresh.stdout.splitlines() == warm
 
 
 def test_compose_and_invert():

@@ -167,3 +167,54 @@ def test_find_circuit_relation_and_minimality():
 def test_zset():
     assert zset([1, 3]) == LinearForm({1: 1, 3: 1})
     assert zset([2]) == zvar(2)
+
+
+def primitive_reference(f):
+    """The primitive part by the gcd and lcm of the coefficients, with no
+    shortcut for forms that are primitive already."""
+    from math import gcd, lcm
+    den = lcm(*(c.denominator for c in f.coeffs.values()))
+    scalar = Fraction(gcd(*(abs(c.numerator) for c in f.coeffs.values())), den)
+    if f.coeffs[min(f.coeffs)] < 0:
+        scalar = -scalar
+    return LinearForm({v: c / scalar for v, c in f.coeffs.items()}), scalar
+
+
+def assert_canonical_form(f):
+    """Ascending positive indices, nonzero Fraction values, and the value
+    and hash the validating constructor gives."""
+    assert list(f.coeffs) == sorted(f.coeffs) and all(v >= 1 for v in f.coeffs)
+    assert all(type(c) is Fraction and c for c in f.coeffs.values())
+    g = LinearForm(dict(f.coeffs))
+    assert f == g and hash(f) == hash(g)
+
+
+def test_primitive_matches_reference():
+    rng = random.Random(41)
+    for _ in range(80):
+        f = random_form(rng)
+        prim, scalar = f.primitive()
+        if prim == f:  # coprime integers, positive lead: returned as it stands
+            assert scalar == 1 and type(scalar) is Fraction
+        k = Fraction(rng.choice([-6, -3, -1, 2, 4]), rng.choice([1, 3, 5]))
+        for g in (f, f.scale(k), -f):
+            assert g.primitive() == primitive_reference(g)
+            prim, scalar = g.primitive()
+            assert prim.scale(scalar) == g and prim.primitive() == (prim, 1)
+            assert_canonical_form(prim)
+    assert (z1 - z2).primitive() == (z1 - z2, 1)
+    assert (z2.scale(-2) + z3.scale(Fraction(4, 3))).primitive() == (
+        LinearForm({2: 3, 3: -2}), Fraction(-2, 3))
+
+
+def test_trusted_forms_are_canonical():
+    rng = random.Random(42)
+    for _ in range(60):
+        forms = [random_form(rng, max_var=5) for _ in range(rng.randint(1, 5))]
+        f = forms[0]
+        for g in (-f, f.scale(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))),
+                  zvar(rng.randint(1, 6)), *span(forms).basis):
+            assert_canonical_form(g)
+    for bad in (0, -1, 1.0, "1"):
+        with pytest.raises(ValueError):
+            zvar(bad)

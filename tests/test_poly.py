@@ -25,6 +25,13 @@ def test_canonical_equality():
     assert a == b and hash(a) == hash(b)
 
 
+def test_constructor_merges_repeated_variables():
+    p = Polynomial([(((1, 1), (1, 1)), 1)])
+    assert p == x * x and hash(p) == hash(x * x) and repr(p) == "z1^2"
+    assert repr(Polynomial({((1, 2),): 1, ((1, 1), (1, 1)): 1})) == "2*z1^2"
+    assert Polynomial([(((2, 1), (1, 0), (2, 2)), 3)]) == 3 * y ** 3
+
+
 def test_evaluate_and_partial():
     p = x * x * y + 3 * z
     assert p.evaluate({1: 2, 2: 3, 3: 1}) == 15

@@ -13,7 +13,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from linpole import DEFAULT_Q, InnerProduct, Polynomial, orth_decompose, span
+from linpole import DEFAULT_Q, InnerProduct, LinearForm, Polynomial, orth_decompose, span
+from linpole.poly import _hyperplane_point
 
 from helpers import random_form, random_poly, random_spd_gram
 
@@ -151,6 +152,18 @@ def test_divide_by_form_matches_sympy_div():
     rng = random.Random(15)
     zs = sympy.symbols(f"z1:{NV + 1}")
     outcomes = set()
+
+    def check(p, form):
+        quotient, remainder = sympy.div(sympy_poly(p, zs),
+                                        sympy_poly(Polynomial.from_linear(form), zs),
+                                        *zs, domain=sympy.QQ)
+        ours = p.divide_by_form(form)
+        if remainder == 0:
+            assert ours is not None and sympy.expand(sympy_poly(ours, zs) - quotient) == 0, (p, form)
+        else:
+            assert ours is None, (p, form)
+        return ours
+
     for trial in range(150):
         form = random_form(rng, NV)
         v = min(form.coeffs)
@@ -161,13 +174,41 @@ def test_divide_by_form_matches_sympy_div():
             p = Polynomial([(m, c) for m, c in p.terms if v not in dict(m)])
         elif trial % 2 == 0:
             p = p * Polynomial.from_linear(form) ** rng.randint(1, 2)
-        quotient, remainder = sympy.div(sympy_poly(p, zs),
-                                        sympy_poly(Polynomial.from_linear(form), zs),
-                                        *zs, domain=sympy.QQ)
-        ours = p.divide_by_form(form)
-        if remainder == 0:
-            assert ours is not None and sympy.expand(sympy_poly(ours, zs) - quotient) == 0, (p, form)
-        else:
-            assert ours is None, (p, form)
+        ours = check(p, form)
         outcomes.add((ours is None, trial % 5 == 0, bool(p)))
     assert outcomes >= {(True, True, True), (False, False, True), (True, False, True)}
+
+    # Each early exit, and numerators that vanish at the point the hyperplane
+    # test evaluates without being divisible, so the division must answer.
+    rng = random.Random(16)
+    vanishing = 0
+    for _ in range(60):
+        form = random_form(rng, NV).scale(Fraction(rng.choice([-2, 1, 3]), rng.choice([1, 5])))
+        lin = Polynomial.from_linear(form)
+        p = random_poly(rng, NV, max_deg=2, n_terms=3)
+        assert check(Polynomial(), form) == Polynomial()
+        assert check(Polynomial.constant(rng.randint(1, 9)), form) is None
+        w = rng.choice(form.support())
+        free = Polynomial([(m, c) for m, c in p.terms if w not in dict(m)])
+        assert check(free, form) == (None if free else Polynomial())
+        assert check(p * lin, form) == p
+        # k(point) = 0 for a form k not proportional to L, and r(point) != 0,
+        # so L cannot divide k * r (L is prime) although k * r vanishes there.
+        point = _hyperplane_point(form, set(range(1, NV + 1)))
+        ks = {u: Fraction(rng.randint(-3, 3)) for u in {*form.coeffs, rng.randint(1, NV)}}
+        u0 = next((u for u in ks if point[u]), None)
+        if u0 is None:
+            continue
+        ks[u0] = -sum(c * point[u] for u, c in ks.items() if u != u0) / point[u0]
+        k = LinearForm(ks)
+        r = p + rng.randint(1, 5)
+        if not k or k.primitive()[0] == form.primitive()[0] or not r.evaluate(point):
+            continue
+        num = Polynomial.from_linear(k) * r
+        if not set(form.coeffs) <= set(num.support()):
+            continue
+        assert not num.evaluate(point)
+        assert check(num, form) is None
+        assert check(num * lin, form) == num
+        vanishing += 1
+    assert vanishing >= 20
