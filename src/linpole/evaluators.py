@@ -25,7 +25,7 @@ from .germs import RationalGerm, dependence, germ_scale, germ_sum, ms_eval
 from .fracspec import (FractionSpec, SpecMonomial, lyndon_decompose,
                        monomial_mul, spec_monomial)
 from .poly import ZERO, Polynomial
-from .words import LinComb, is_lyndon
+from .words import LinComb, is_lyndon, local_word_pair
 
 
 # ---------------------------------------------------------------------------
@@ -221,21 +221,20 @@ class GermCombo:
     def __eq__(self, other):
         return isinstance(other, GermCombo) and self.terms == other.terms
 
+    def term_germs(self) -> list[RationalGerm]:
+        return [RationalGerm(h, [e for s in specs for e in s.denominator_entries()])
+                for h, specs in self.terms]
+
     def germ(self) -> RationalGerm:
-        return germ_sum(RationalGerm(h, [e for s in specs for e in s.denominator_entries()])
-                        for h, specs in self.terms)
+        return germ_sum(self.term_germs())
 
     def validate_locality(self, q: InnerProduct = DEFAULT_Q):
         """Check each monomial: specs pairwise local, coefficient orthogonal
         to the fraction part."""
         for h, specs in self.terms:
-            n = len(specs)
-            for idx in range(n):
-                for jdx in range(idx + 1, n):
-                    a, b = specs[idx], specs[jdx]
-                    if not all(a.lmap.alphabet.local_letters(u, v)
-                               for u in a.letters for v in b.letters):
-                        raise NotLocal(f"{a!r} and {b!r} share non-local letters")
+            for a, b in itertools.combinations(specs, 2):
+                if not local_word_pair(a.letters, b.letters, a.lmap.alphabet):
+                    raise NotLocal(f"{a!r} and {b!r} share non-local letters")
             if specs:
                 dep = h.dependence_space()  # the zero space is orthogonal to any span
                 if dep.dim and not orthogonal(q, dep, span(
@@ -275,7 +274,9 @@ class Evaluator:
     def eval_combo(self, c: "GermCombo") -> tuple[Fraction, Fraction]:
         if self._on_combo is not None:
             return self._on_combo(c)
-        return self.eval_germ(c.germ())
+        # germ evaluators are linear, and each term is smaller than the sum
+        pairs = [self.eval_germ(g) for g in c.term_germs()]
+        return sum((v for v, _ in pairs), Fraction(0)), sum((e for _, e in pairs), Fraction(0))
 
     def __repr__(self):
         return f"Evaluator({self.name})"
@@ -448,7 +449,7 @@ def check_factorization(e: Evaluator, t: GaloisTransform, tests: Sequence[GermCo
     tol = _as_fraction(tol)
     entries = []
     for x in tests:
-        lhs = ms_eval(apply_transform(t, x, q).germ(), q)
+        lhs, _err = ms_evaluator(q).eval_combo(apply_transform(t, x, q))
         rhs, _err = e.eval_combo(x)
         diff = abs(lhs - rhs)
         entries.append((repr(x), lhs, rhs, diff, diff <= tol))

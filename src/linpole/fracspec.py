@@ -25,8 +25,8 @@ from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, inner, orthogonal,
 from .germs import RationalGerm, germ_scale, germ_sum
 
 from .words import (Alphabet, EMPTY_WORD, LinComb, Word, X0, _ZERO,
-                    _lyndon_solve, integer_alphabet, shuffle, subset_alphabet,
-                    word_str)
+                    _lyndon_solve, integer_alphabet, is_local_word, shuffle,
+                    subset_alphabet, word_str)
 
 
 class LMap:
@@ -124,9 +124,7 @@ class FractionSpec:
         return sum(self.exponents)
 
     def is_local(self) -> bool:
-        n = len(self.letters)
-        return all(self.lmap.alphabet.local_letters(self.letters[i], self.letters[j])
-                   for i in range(n) for j in range(i + 1, n))
+        return is_local_word(self.letters, self.lmap.alphabet)
 
     def word(self) -> Word:
         w: list = []
@@ -372,8 +370,8 @@ def forest_fraction(f: Forest) -> RationalGerm:
     return RationalGerm(1, dens)
 
 
-def _tree_words(node: ForestNode, lmap: LMap) -> LinComb:
-    below = _forest_words(node.children, lmap)
+def _tree_words(node: ForestNode) -> LinComb:
+    below = _forest_words(node.children)
     out = LinComb()
     for w, c in below.items():
         covered: frozenset = frozenset().union(*[set(a) for a in w if a is not X0]) \
@@ -389,17 +387,16 @@ def _tree_words(node: ForestNode, lmap: LMap) -> LinComb:
     return out
 
 
-def _forest_words(nodes: Sequence[ForestNode], lmap: LMap) -> LinComb:
+def _forest_words(nodes: Sequence[ForestNode]) -> LinComb:
     out = LinComb({EMPTY_WORD: 1})
     for n in nodes:
-        out = out.shuffle_with(_tree_words(n, lmap))
+        out = out.shuffle_with(_tree_words(n))
     return out
 
 
-def flatten_forest(f: Forest, lmap: Optional[LMap] = None) -> Combination:
-    """Write the forest fraction as a rational combination of set-indexed
-    ordered fractions: flatten subtrees to ladder words, shuffle-merge the
-    disjoint siblings, then fold in each root factor."""
-    lmap = lmap or speer_lmap()
-    words = _forest_words(f.roots, lmap)
-    return [(spec_of_word(w, lmap), c) for w, c in words.items()]
+def flatten_forest(f: Forest) -> Combination:
+    """Write the forest fraction as a rational combination of Speer
+    fractions: flatten subtrees to ladder words, shuffle-merge the disjoint
+    siblings, then fold in each root factor."""
+    lmap = speer_lmap()
+    return [(spec_of_word(w, lmap), c) for w, c in _forest_words(f.roots).items()]

@@ -20,8 +20,8 @@ from typing import Optional
 
 from .errors import NonHomogeneousPole, ParseError
 from .exactlin import LinearForm, zvar
-from .germs import RationalGerm, germ_mul, germ_scale, germ_sum
-from .poly import Polynomial
+from .germs import ZERO_GERM, RationalGerm, germ_mul, germ_sum
+from .poly import ONE
 
 # Each level of parentheses costs five stack frames: deeper input would
 # exhaust Python's default recursion limit of 1000 before a typed error.
@@ -51,34 +51,51 @@ def _tokenize(text: str):
 
 
 class _Value:
-    """Germ plus, when available, its factorisation as coef * prod(form^exp)."""
+    """coef * prod(form^exp) * rest.  rest is None for a product of powers of
+    primitive linear forms, the only shape a divisor may take, and a germ
+    otherwise.  *, / and ^ act on coef and the exponents; a germ is built
+    only for the terms of a sum and once for the result."""
 
-    __slots__ = ("germ", "coef", "factors")
+    __slots__ = ("coef", "factors", "rest")
 
-    def __init__(self, germ: RationalGerm, coef: Optional[Fraction] = None,
-                 factors: Optional[dict[LinearForm, int]] = None):
-        self.germ = germ
+    def __init__(self, coef: Fraction, factors: Optional[dict[LinearForm, int]] = None,
+                 rest: Optional[RationalGerm] = None):
         self.coef = coef
-        self.factors = factors
+        self.factors = {} if factors is None else factors
+        self.rest = rest
 
-    @property
-    def factorable(self) -> bool:
-        return self.coef is not None
+    def __neg__(self) -> "_Value":
+        return _Value(-self.coef, self.factors, self.rest)
+
+    def germ(self) -> RationalGerm:
+        if not self.coef:  # no power of a form is expanded only to vanish
+            return ZERO_GERM
+        num, den = (ONE, ()) if self.rest is None else (self.rest.numerator, self.rest.denominator)
+        return RationalGerm(num * self.coef,
+                            [*den, *((f, -e) for f, e in self.factors.items())])
 
 
-def _refresh_linear(value: _Value) -> _Value:
-    """Detect a constant or a single homogeneous linear form after +/-."""
-    g = value.germ
-    if not g.is_holomorphic():
-        return _Value(g)
-    if g.numerator.is_constant():
-        return _Value(g, g.numerator.constant_term(), {})
-    if g.numerator.degree() == 1 and not g.numerator.constant_term():
-        form = LinearForm({v: g.numerator.partial(v).constant_term()
-                           for v in g.numerator.support()})
-        prim, scalar = form.primitive()
-        return _Value(g, scalar, {prim: 1})
-    return _Value(g)
+def _product(a: _Value, b: _Value, sign: int) -> _Value:
+    """a * b for sign 1, a / b for sign -1 (b then has no rest)."""
+    factors = dict(a.factors)
+    for f, e in b.factors.items():
+        factors[f] = factors.get(f, 0) + sign * e
+    rest = a.rest if b.rest is None else b.rest if a.rest is None else germ_mul(a.rest, b.rest)
+    return _Value(a.coef * b.coef ** sign, factors, rest)
+
+
+def _factored(g: RationalGerm) -> _Value:
+    """A summed germ, factored again when it is a constant or a single
+    homogeneous linear form."""
+    num = g.numerator
+    if not g.denominator:
+        if num.is_constant():
+            return _Value(num.constant_term())
+        if num.degree() == 1 and not num.constant_term():
+            form = LinearForm({v: num.partial(v).constant_term() for v in num.support()})
+            prim, scalar = form.primitive()
+            return _Value(scalar, {prim: 1})
+    return _Value(Fraction(1), rest=g)
 
 
 class _Parser:
@@ -108,37 +125,32 @@ class _Parser:
         return v
 
     def expr(self) -> _Value:
-        v = self.term()
-        terms = [v.germ]
+        terms = [self.term()]
         while True:
             kind, val, _pos = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                g = self.term().germ
-                terms.append(g if val == "+" else germ_scale(g, -1))
+                t = self.term()
+                terms.append(t if val == "+" else -t)
             elif len(terms) == 1:
-                return v
+                return terms[0]
             else:
-                return _refresh_linear(_Value(germ_sum(terms)))
+                return _factored(germ_sum(t.germ() for t in terms))
 
     def term(self) -> _Value:
         v = self.unary()
         while True:
-            kind, val, pos = self.peek()
+            kind, val, _pos = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.unary()
-                if val == "*":
-                    g = germ_mul(v.germ, rhs.germ)
-                    if v.factorable and rhs.factorable:
-                        factors = dict(v.factors)
-                        for f, e in rhs.factors.items():
-                            factors[f] = factors.get(f, 0) + e
-                        v = _Value(g, v.coef * rhs.coef, factors)
-                    else:
-                        v = _Value(g)
-                else:
-                    v = _divide(v, rhs, pos)
+                if val == "/":
+                    if rhs.rest is not None:
+                        raise NonHomogeneousPole(
+                            "divisor is not a product of homogeneous linear forms")
+                    if not rhs.coef:
+                        raise ZeroDivisionError("division by zero")
+                v = _product(v, rhs, 1 if val == "*" else -1)
             else:
                 return v
 
@@ -148,37 +160,33 @@ class _Parser:
             self.next()
             negate = not negate
         v = self.power()
-        if negate:
-            g = germ_scale(v.germ, -1)
-            v = _Value(g, -v.coef, dict(v.factors)) if v.factorable else _Value(g)
-        return v
+        return -v if negate else v
 
     def power(self) -> _Value:
         v = self.atom()
         while True:
-            kind, val, pos = self.peek()
+            kind, val, _pos = self.peek()
             if kind == "op" and val == "^":
                 self.next()
                 kind2, k, pos2 = self.next()
                 if kind2 != "int" or k < 0:
                     raise ParseError("exponent must be a nonnegative integer", pos2)
-                g = v.germ
-                out = RationalGerm(g.numerator ** k, [(f, e * k) for f, e in g.denominator])
-                if v.factorable:
-                    v = _Value(out, v.coef ** k, {f: e * k for f, e in v.factors.items()})
-                else:
-                    v = _Value(out)
+                rest = v.rest
+                if rest is not None:
+                    rest = RationalGerm(rest.numerator ** k,
+                                        [(f, e * k) for f, e in rest.denominator])
+                v = _Value(v.coef ** k, {f: e * k for f, e in v.factors.items()}, rest)
             else:
                 return v
 
     def atom(self) -> _Value:
         kind, val, pos = self.next()
         if kind == "int":
-            return _Value(RationalGerm(Polynomial.constant(val)), Fraction(val), {})
+            return _Value(Fraction(val))
         if kind == "var":
             if val < 1:
                 raise ParseError("variable index must be positive", pos)
-            return _Value(RationalGerm(Polynomial.variable(val)), Fraction(1), {zvar(val): 1})
+            return _Value(Fraction(1), {zvar(val): 1})
         if kind == "op" and val == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
@@ -190,25 +198,9 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
-def _divide(lhs: _Value, rhs: _Value, pos: int) -> _Value:
-    if not rhs.factorable:
-        raise NonHomogeneousPole(
-            "divisor is not a product of homogeneous linear forms")
-    if rhs.coef == 0:
-        raise ZeroDivisionError("division by zero")
-    g = RationalGerm(lhs.germ.numerator * (1 / rhs.coef),
-                     list(lhs.germ.denominator) + list(rhs.factors.items()))
-    if lhs.factorable:
-        factors = dict(lhs.factors)
-        for f, e in rhs.factors.items():
-            factors[f] = factors.get(f, 0) - e
-        return _Value(g, lhs.coef / rhs.coef, factors)
-    return _Value(g)
-
-
 def parse_germ(text: str) -> RationalGerm:
     """Parse a germ expression; affine or nonlinear pole factors are rejected."""
-    return _Parser(text).parse().germ
+    return _Parser(text).parse().germ()
 
 
 def render_germ(g: RationalGerm) -> str:
@@ -245,7 +237,7 @@ def parse_word(text: str):
 _SPEC_RE = re.compile(r"^\s*f\[([^;\]]*);([^\]]*)\]\s*$")
 
 
-def parse_spec(text: str, lmap=None):
+def parse_spec(text: str):
     """Fraction-spec literal f[s1,...,sk; u1,...,uk]; set letters as {1,3}."""
     from .fracspec import FractionSpec, chen_lmap, speer_lmap
 
@@ -260,6 +252,5 @@ def parse_spec(text: str, lmap=None):
             letters.append(frozenset(int(x) for x in chunk[1:-1].split(",") if x.strip()))
         else:
             letters.append(int(chunk))
-    if lmap is None:
-        lmap = speer_lmap() if any(isinstance(u, frozenset) for u in letters) else chen_lmap()
+    lmap = speer_lmap() if any(isinstance(u, frozenset) for u in letters) else chen_lmap()
     return FractionSpec(exps, letters, lmap)

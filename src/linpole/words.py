@@ -354,7 +354,7 @@ def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
         if length == max_length:
             return
         for a in pool:
-            if all(alphabet.local_letters(a, b) for b in prefix):
+            if local_word_pair((a,), prefix, alphabet):
                 extend(prefix + (a,), length + 1)
 
     extend(EMPTY_WORD, 0)

@@ -1,15 +1,19 @@
 import json
 import random
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from linpole import (NonHomogeneousPole, ParseError, Polynomial, RationalGerm,
-                     X0, parse_germ, parse_spec, parse_word, render_germ,
-                     zvar)
+from linpole import (LinearForm, NonHomogeneousPole, ParseError, Polynomial,
+                     RationalGerm, X0, parse_germ, parse_spec, parse_word,
+                     render_germ, zvar)
 from linpole.cli import main
 from linpole.evaluators import MAX_PRECISION
 
+import parser_oracle
 from helpers import random_germ
 
 z1, z2 = zvar(1), zvar(2)
@@ -56,6 +60,102 @@ def test_render_roundtrip_corpus():
     for _ in range(200):
         g = random_germ(rng)
         assert parse_germ(render_germ(g)) == g
+
+
+# ------------------------------------------ parser against the eager oracle
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _linear_text(rng):
+    parts = [f"{rng.randint(-2, 2)}*z{v}" for v in rng.sample((1, 2, 3), rng.randint(1, 3))]
+    if rng.random() < 0.1:
+        parts.append(str(rng.randint(0, 2)))  # an affine factor
+    return "(" + " + ".join(parts) + ")"
+
+
+def _divisor_text(rng, depth):
+    if rng.random() < 0.15:
+        return f"({_expr_text(rng, depth)})"
+    factors = [f"{_linear_text(rng)}^{rng.randint(0, 3)}" for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        factors.append(str(rng.randint(0, 3)))
+    return "(" + "*".join(factors) + ")"
+
+
+def _expr_text(rng, depth):
+    kind = rng.choice((0, 1, 2, 3, 4, 4, 5, 6)) if depth else 0
+    if kind == 0:
+        return rng.choice((str(rng.randint(0, 3)), f"z{rng.randint(1, 3)}"))
+    if kind == 1:
+        return _linear_text(rng)
+    if kind == 2:
+        return f"{_expr_text(rng, depth - 1)} {rng.choice('+-')} {_expr_text(rng, depth - 1)}"
+    if kind == 3:
+        return f"({_expr_text(rng, depth - 1)})*{_expr_text(rng, depth - 1)}"
+    if kind == 4:
+        return f"({_expr_text(rng, depth - 1)})/{_divisor_text(rng, depth - 1)}"
+    if kind == 5:
+        return f"({_expr_text(rng, depth - 1)})^{rng.randint(0, 3)}"
+    return f"-{_expr_text(rng, depth - 1)}"
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc), None
+    return g, repr(g)
+
+
+def _assert_same_as_oracle(texts):
+    rejected = 0
+    for text in texts:
+        got, want = _outcome(parse_germ, text), _outcome(parser_oracle.parse_germ, text)
+        assert got == want, text
+        rejected += want[1] is None
+    return rejected
+
+
+def test_parser_matches_eager_oracle_on_random_expressions():
+    rng = random.Random(1405)
+    texts = [_expr_text(rng, 3) for _ in range(2400)]
+    rejected = _assert_same_as_oracle(texts)
+    assert 100 < rejected < len(texts) - 1000  # both outcomes well represented
+
+
+def test_parser_matches_eager_oracle_on_benchmark_germs():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    texts = [g[key] for rnd in workloads.generate("germ-queries", 5, 60)
+             for g in rnd["germs"] for key in ("text", "alt", "partner_text")]
+    texts += [t for rnd in workloads.generate("zeta-renorm", 5, 30) for t in rnd["iter_texts"]]
+    assert _assert_same_as_oracle(texts) == 0
+
+
+def test_parser_rejects_like_eager_oracle():
+    texts = ["1/(1+z1)", "1/(z1^2-z2^2)", "1/(0*(z1+1))", "1/(z1-z1)", "0/z1",
+             "1/(1/z1)", "1/((z1+1)^0)", "1/(0*z1)", "1/(z1*(z1+1))", "1/(z1/z2 + 1)",
+             "(z1+1)/(z1+1)", "1/((z1+z2)/(z1+z2))", "1/0", "z1/(2*z1+2*z2)^0"]
+    _assert_same_as_oracle(texts)
+    with pytest.raises(NonHomogeneousPole):
+        parse_germ("1/(0*(z1+1))")  # the affine factor is named before the zero
+    with pytest.raises(ZeroDivisionError):
+        parse_germ("1/(z1-z1)")
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1/((z1+z2+z3+z4)^30*(z1-z2)^10)",
+     RationalGerm(1, [(LinearForm({1: 1, 2: 1, 3: 1, 4: 1}), 30), (z1 - z2, 10)])),
+    ("(z1+z2)^300/(z1+z2)^300", RationalGerm(1)),
+])
+def test_parser_never_expands_a_divisor(text, want):
+    start = time.perf_counter()
+    assert parse_germ(text) == want
+    assert time.perf_counter() - start < 0.5
 
 
 def test_parse_word_literals():
