@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -34,8 +35,6 @@ LMAPS = {"chen": chen_lmap, "weak-chen": weak_chen_lmap, "speer": speer_lmap}
 
 
 def _parse_spec_list(text: str) -> list[FractionSpec]:
-    import re
-
     literals = re.findall(r"f\[[^\]]*\]", text)
     if not literals:
         raise ParseError("expected spec literals like f[2;1]", 0)
@@ -279,6 +278,25 @@ def cmd_galois(args):
         return 0 if report.all_ok else 1
 
 
+# Minus signs, then what may follow a unary minus in a germ expression.
+_NEGATED_EXPRESSION = re.compile(r"-+[\sz\d(]")
+
+
+class _VerbParser(argparse.ArgumentParser):
+    """The parser of one verb.  With expressions=True its positionals are
+    germ expressions, so a token such as -z1 or -(z1+z2) is read as one
+    rather than as an unknown option; options still parse in any position."""
+
+    def __init__(self, *args, expressions: bool = False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.expressions = expressions
+
+    def _parse_optional(self, arg_string):  # argparse's token classifier: None is a positional
+        if self.expressions and _NEGATED_EXPRESSION.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="linpole",
@@ -290,36 +308,36 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--perm-cap", type=int, default=8, dest="perm_cap",
                     help="max variables for the iterated evaluator")
     ap.add_argument("--format", choices=("text", "json"), default="text")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_VerbParser)
 
-    p = sub.add_parser("decompose", help="canonical polar decomposition")
+    p = sub.add_parser("decompose", help="canonical polar decomposition", expressions=True)
     p.add_argument("expr")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("pi-plus", help="holomorphic part of the decomposition")
+    p = sub.add_parser("pi-plus", help="holomorphic part of the decomposition", expressions=True)
     p.add_argument("expr")
     p.set_defaults(func=cmd_pi_plus)
 
-    p = sub.add_parser("eval", help="run an evaluator")
+    p = sub.add_parser("eval", help="run an evaluator", expressions=True)
     p.add_argument("--evaluator", choices=("ms", "iter", "zeta"), required=True)
     p.add_argument("expr", help="germ expression, spec literal, combo JSON, @file or -")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("residue", help="p- or d-residue")
+    p = sub.add_parser("residue", help="p- or d-residue", expressions=True)
     p.add_argument("--kind", choices=("p", "d"), default="p")
     p.add_argument("expr")
     p.set_defaults(func=cmd_residue)
 
-    p = sub.add_parser("dep", help="dependence subspace")
+    p = sub.add_parser("dep", help="dependence subspace", expressions=True)
     p.add_argument("expr")
     p.set_defaults(func=cmd_dep)
 
-    p = sub.add_parser("orth", help="locality check for two germs")
+    p = sub.add_parser("orth", help="locality check for two germs", expressions=True)
     p.add_argument("expr")
     p.add_argument("expr2")
     p.set_defaults(func=cmd_orth)
 
-    p = sub.add_parser("mul", help="product of germs")
+    p = sub.add_parser("mul", help="product of germs", expressions=True)
     p.add_argument("--locality", choices=("strict", "raw"), default="strict")
     p.add_argument("expr")
     p.add_argument("expr2")

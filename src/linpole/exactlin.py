@@ -7,6 +7,7 @@ is exact (fractions.Fraction), immutable and pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -27,7 +28,7 @@ def _as_fraction(x) -> Fraction:
 class LinearForm:
     """A rational linear form sum(c_v * z_v) with finite support."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("coeffs", "_hash", "_key")
 
     def __init__(self, coeffs: Mapping[int, Q] | Iterable[tuple[int, Q]] = ()):
         items = coeffs.items() if isinstance(coeffs, (dict, Mapping)) else coeffs
@@ -95,11 +96,15 @@ class LinearForm:
         """Total-order key: compare coefficient sequences along z1, z2, ...
 
         Missing coefficients count as 0, so e.g. z1 > z2 and z1+z2 > z1.
+        Built on the first call and kept, since the form cannot change.
         """
-        if not self.coeffs:
-            return ()
-        top = max(self.coeffs)
-        return tuple(self.coeffs.get(v, Fraction(0)) for v in range(1, top + 1))
+        try:
+            return self._key
+        except AttributeError:
+            top = max(self.coeffs, default=0)
+            key = tuple(self.coeffs.get(v, Fraction(0)) for v in range(1, top + 1))
+            object.__setattr__(self, "_key", key)
+            return key
 
     def primitive(self) -> tuple["LinearForm", Q]:
         """Return (canonical primitive form, scalar) with self = scalar * form.
@@ -155,13 +160,15 @@ class InnerProduct:
     first n variables, extended by the identity beyond.
 
     The default (no block) is the standard dot product for the orthonormal
-    coordinates z1, z2, ...
+    coordinates z1, z2, ...  Immutable, since it keys the memoised results of
+    exactlin and germs.
     """
 
+    __slots__ = ("gram", "_hash")
+
     def __init__(self, gram: Sequence[Sequence] | None = None):
-        if gram is None:
-            self.gram: tuple[tuple[Q, ...], ...] = ()
-        else:
+        g: tuple[tuple[Q, ...], ...] = ()
+        if gram is not None:
             g = tuple(tuple(_as_fraction(x) for x in row) for row in gram)
             n = len(g)
             if any(len(row) != n for row in g):
@@ -177,7 +184,11 @@ class InnerProduct:
             for k, (red, _) in enumerate(_eliminate(rows), 1):
                 if red.get(k, 0) <= 0:
                     raise ValueError("gram block must be positive definite")
-            self.gram = g
+        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "_hash", hash(g))
+
+    def __setattr__(self, *a):
+        raise AttributeError("InnerProduct is immutable")
 
     @property
     def block_size(self) -> int:
@@ -190,7 +201,7 @@ class InnerProduct:
         return isinstance(other, InnerProduct) and self.gram == other.gram
 
     def __hash__(self):
-        return hash(self.gram)
+        return self._hash
 
     def __repr__(self):
         return "InnerProduct(default)" if not self.gram else f"InnerProduct({len(self.gram)}x{len(self.gram)} block)"
@@ -293,7 +304,13 @@ def _axpy(acc: dict[int, Q], k: Q, row: Mapping[int, Q]) -> None:
 
 
 def span(forms: Iterable[LinearForm]) -> Subspace:
-    """Canonical subspace spanned by the given forms (RREF, pivots ascending)."""
+    """Canonical subspace spanned by the given forms (RREF, pivots ascending).
+    Memoised per tuple of forms, so equal inputs share one Subspace."""
+    return _span(tuple(forms))
+
+
+@functools.lru_cache(maxsize=1024)
+def _span(forms: tuple[LinearForm, ...]) -> Subspace:
     rows = sorted((red for red, _ in _eliminate(forms) if red), key=min)
     for i in reversed(range(len(rows))):  # back-substitute into RREF
         piv = min(rows[i])
@@ -316,23 +333,30 @@ def orthogonal(q: InnerProduct, u: Subspace, v: Subspace) -> bool:
     return all(inner(q, a, b) == 0 for a in u.basis for b in v.basis)
 
 
-def _projection_coordinates(q: InnerProduct, basis: Sequence[LinearForm],
-                            targets: Iterable[LinearForm]) -> list[list[Q]]:
+def _projection_coordinates(q: InnerProduct, basis: Iterable[LinearForm],
+                            targets: Iterable[LinearForm]) -> tuple[tuple[Q, ...], ...]:
     """For each target f, the coordinates x in the independent basis L of the
     q-orthogonal projection of f onto span(L): sum_j x_j q(L_i, L_j) = q(L_i, f).
+    Memoised per (q, basis, targets); the result is a tuple of tuples.
+    """
+    return _projection(q, tuple(basis), tuple(targets))
 
-    One elimination of the Gram rows G_i, then of every right-hand side r;
+
+@functools.lru_cache(maxsize=1024)
+def _projection(q: InnerProduct, basis: tuple[LinearForm, ...],
+                targets: tuple[LinearForm, ...]) -> tuple[tuple[Q, ...], ...]:
+    """One elimination of the Gram rows G_i, then of every right-hand side r;
     G is symmetric and nonsingular, so r = sum x_j G_j and no r is a pivot.
     """
     rhs = [LinearForm({i + 1: inner(q, bi, f) for i, bi in enumerate(basis)})
            for f in targets]
     if not rhs:
-        return []
+        return ()
     k = len(basis)
     gram = [LinearForm({j + 1: inner(q, bi, bj) for j, bj in enumerate(basis)})
             for bi in basis]
-    return [[-combo.get(j, Fraction(0)) for j in range(k)]
-            for _, combo in itertools.islice(_eliminate((*gram, *rhs)), k, None)]
+    return tuple(tuple(-combo.get(j, Fraction(0)) for j in range(k))
+                 for _, combo in itertools.islice(_eliminate((*gram, *rhs)), k, None))
 
 
 def orth_decompose(q: InnerProduct, f: LinearForm, u: Subspace) -> tuple[LinearForm, LinearForm]:

@@ -10,10 +10,11 @@ are the same 1-based indices as in exactlin.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from collections.abc import Iterable, Mapping
 
-from .exactlin import LinearForm, Q, _as_fraction, _axpy, _signed_sum
+from .exactlin import LinearForm, Q, _as_fraction, _axpy, _signed_sum, span
 
 Monomial = tuple[tuple[int, int], ...]  # ((var, exp), ...) sorted by var
 
@@ -241,15 +242,14 @@ class Polynomial:
             return None
         return Polynomial._trusted(quot)
 
+    @functools.lru_cache(maxsize=1024)
     def dependence_space(self):
         """Smallest space of linear forms this polynomial factors through.
 
         With M[m][v] the coefficient of monomial m in dP/dz_v, the directions
         of vanishing derivative are ker M, and their annihilator under the
-        standard pairing is the row space of M.
+        standard pairing is the row space of M.  Memoised per polynomial.
         """
-        from .exactlin import span
-
         rows: dict[Monomial, dict[int, Fraction]] = {}
         for m, c in self.coeffs.items():
             for i, (v, e) in enumerate(m):

@@ -37,6 +37,19 @@ def test_inner_product_hash_matches_eq():
     assert InnerProduct([[3, 1], [1, 2]]) not in memo
 
 
+def test_inner_product_is_immutable():
+    """q keys memoised results, so changing it in place must fail."""
+    g = InnerProduct([[2, 1], [1, 2]])
+    before = hash(g)
+    with pytest.raises(AttributeError):
+        g.gram = ((1, 0), (0, 1))
+    with pytest.raises(AttributeError):
+        g.label = "other"
+    with pytest.raises(AttributeError):
+        DEFAULT_Q.gram = ((2,),)
+    assert g.gram == ((2, 1), (1, 2)) and hash(g) == before and DEFAULT_Q.gram == ()
+
+
 def test_gram_validation():
     with pytest.raises(ValueError):
         InnerProduct([[1, 2], [3, 1]])  # not symmetric

@@ -478,3 +478,41 @@ def test_text_and_json_agree(capsys):
     _c, json_out, _ = run_cli(capsys, "--format", "json", "eval",
                               "--evaluator", "ms", "z2/(z1+z2)")
     assert json.loads(json_out)["value"] == text_out.strip()
+
+
+@pytest.mark.parametrize("verb, options, exprs", [
+    ("decompose", [], ["-z1/(z1*(z1+z2))"]),
+    ("pi-plus", [], ["-z2/(z1+z2)"]),
+    ("eval", ["--evaluator", "ms"], ["-3*z2/(z1+z2)+1"]),
+    ("residue", ["--kind", "d"], ["-(z1+z2)/(z1*z2)"]),
+    ("dep", [], ["-z1/(z1+z2)"]),
+    ("orth", [], ["-1/(z1+z2)", "-(z1-z2)"]),
+    ("mul", ["--locality", "raw"], ["--z1", "-2/z2"]),
+])
+def test_cli_expression_may_begin_with_minus(capsys, verb, options, exprs):
+    """A germ expression starting with "-" is read as the expression, with
+    the verb's options before or after it, as if it followed "--"."""
+    want = run_cli(capsys, verb, *options, "--", *exprs)
+    assert want[0] == 0 and want[1]
+    assert run_cli(capsys, verb, *options, *exprs) == want
+    assert run_cli(capsys, verb, *exprs, *options) == want
+    if len(exprs) == 2:
+        assert run_cli(capsys, verb, exprs[0], *options, exprs[1]) == want
+    json_want = run_cli(capsys, "--format", "json", verb, *options, "--", *exprs)
+    assert run_cli(capsys, "--format", "json", verb, *exprs, *options) == json_want
+
+
+@pytest.mark.parametrize("argv", [["decompose", "-h"], ["decompose", "-z1", "-h"],
+                                  ["orth", "--help", "-z1", "-z2"]])
+def test_cli_help_still_parses_beside_a_negated_expression(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: linpole {argv[0]} [-h]")
+
+
+def test_cli_unknown_option_is_still_an_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--bogus", "z1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
