@@ -2,7 +2,7 @@
 """Walk through the canonical decomposition machinery on small germs:
 the four-term cancellation, residues, and dependence subspaces."""
 
-from linpole import (DEFAULT_Q, d_residue, decompose, dependence, germ_add,
+from linpole import (DEFAULT_Q, d_residue, decompose, dependence, germ_sum,
                      p_residue, parse_germ, recompose, zvar)
 
 q = DEFAULT_Q
@@ -22,7 +22,7 @@ def main():
     four = parse_germ("1/(z1*(z1+z2)) + 1/(z2*(z1+z2)) "
                       "- 2/(z1*(z1+2*z2)) - 1/(z2*(z1+2*z2))")
     show("four-term sum:", four)
-    five = germ_add(four, parse_germ("1/z3"))
+    five = germ_sum((four, parse_germ("1/z3")))
     show("dependence of the five-term germ:", dependence(five, q))
 
     mixed = parse_germ("1/(z1*z2) + 1/z1^2 + (1+z2)/z1")

@@ -11,25 +11,23 @@ from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Subspace,
                        zvar)
 from .poly import Polynomial
 from .germs import (Decomposition, PolarTerm, RationalGerm, SimplexFraction,
-                    ZERO_GERM, d_residue, decompose, dependence,
-                    germ_add, germ_mul, germ_scale, germ_sub,
-                    germ_sum, is_local_pair, locality_mul, ms_eval, p_residue,
-                    project_plus, recompose)
-from .words import (Alphabet, EMPTY_WORD, LyndonPolynomial, WordPolynomial,
-                    X0, cfl, integer_alphabet, is_local_word, is_lyndon,
-                    local_word_pair, locality_cfl, locality_lyndon_generators,
-                    lyndon_rewrite, shuffle, subset_alphabet, word_str)
+                    ZERO_GERM, d_residue, decompose, dependence, germ_mul,
+                    germ_scale, germ_sum, is_local_pair, locality_mul, ms_eval,
+                    p_residue, project_plus, recompose)
+from .words import (Alphabet, EMPTY_WORD, LinComb, X0, cfl, integer_alphabet,
+                    is_local_word, is_lyndon, local_word_pair, locality_cfl,
+                    locality_lyndon_generators, lyndon_rewrite, shuffle,
+                    subset_alphabet, word_str)
 from .fracspec import (Forest, ForestNode, FractionSpec, LMap, chen_lmap,
-                       combination_germ, expand_product, flatten_forest,
-                       forest_fraction, lyndon_decompose, monomial_germ, phi,
-                       spec_of_word, speer_lmap, weak_chen_lmap,
-                       word_of_fraction)
+                       expand_product, flatten_forest, forest_fraction,
+                       lyndon_decompose, phi, spec_of_word, speer_lmap,
+                       weak_chen_lmap, word_of_fraction)
 from .evaluators import (Evaluator, FactorizationReport, GaloisTransform,
                          GermCombo, apply_transform, check_factorization,
                          compose_transforms, ev_reg_single,
                          galois_from_evaluator, invert_transform, iter_eval,
                          iter_evaluator, ms_evaluator, mzv_numeric, zeta_eval,
                          zeta_evaluator)
-from .parser import parse_germ, parse_spec, parse_word, render_germ
+from .parser import parse_germ, parse_spec, parse_word
 
 __version__ = "0.1.0"

@@ -33,6 +33,9 @@ from .words import (Alphabet, cfl, integer_alphabet, is_lyndon,
 
 LMAPS = {"chen": chen_lmap, "weak-chen": weak_chen_lmap, "speer": speer_lmap}
 
+# A comma between letters, not one inside a set letter such as x{1,2}.
+_LETTER_SEPARATOR = re.compile(r",(?![^{}]*\})")
+
 
 def _parse_spec_list(text: str) -> list[FractionSpec]:
     literals = re.findall(r"f\[[^\]]*\]", text)
@@ -135,14 +138,10 @@ def cmd_pi_plus(args):
 def cmd_eval(args):
     payload = _read_payload(args.expr).strip()
     ev = _evaluator(args)
-    if payload.startswith("{") or payload.startswith("f["):
+    if ev.name == "zeta" or payload.startswith(("{", "f[")):
         value, err = ev.eval_combo(_parse_combo(payload))
     else:
-        g = parse_germ(payload)
-        if ev.name == "zeta" and not g.is_holomorphic():
-            value, err = ev.eval_combo(_parse_combo(payload))
-        else:
-            value, err = ev.eval_germ(g)
+        value, err = ev.eval_germ(parse_germ(payload))
     out = ser.eval_result_json(value, err, ev.name)
     _emit(args, out["value"] if err == 0 else f"{out['value']} (err<={out['error_bound']})",
           out)
@@ -184,7 +183,7 @@ def cmd_shuffle(args):
 
 def cmd_lyndon(args):
     if args.action == "generators":
-        flat = list(parse_word(args.word.replace(",", "")))
+        flat = list(parse_word(_LETTER_SEPARATOR.sub("", args.word)))
         alpha = _alphabet_for(flat)
         gens = locality_lyndon_generators(alpha, args.max_length, letters=flat)
         _emit(args, "\n".join(word_str(w) for w in gens),

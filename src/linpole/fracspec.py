@@ -22,7 +22,7 @@ from .errors import (LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
                      ZeroCumulativeForm, _payload_shape)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, inner, orthogonal,
                        span, zset, zvar)
-from .germs import RationalGerm, germ_scale, germ_sum
+from .germs import RationalGerm
 
 from .words import (Alphabet, EMPTY_WORD, LinComb, Word, X0, _ZERO,
                     _lyndon_solve, integer_alphabet, is_local_word, shuffle,
@@ -226,10 +226,6 @@ def expand_product(a: FractionSpec, b: FractionSpec) -> Combination:
     return out
 
 
-def combination_germ(combo: Combination) -> RationalGerm:
-    return germ_sum([germ_scale(s.germ(), c) for s, c in combo])
-
-
 SpecMonomial = tuple  # tuple of FractionSpec, canonically sorted
 
 
@@ -266,14 +262,6 @@ def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
         for mono, c in _lyndon_solve(words, lmap.alphabet).items():
             out.add({spec_monomial(spec_of_word(v, lmap) for v in mono): c})
     return out.coeffs
-
-
-def monomial_germ(mono: SpecMonomial) -> RationalGerm:
-    return RationalGerm(1, [e for s in mono for e in s.denominator_entries()])
-
-
-def spec_poly_germ(poly: dict[SpecMonomial, Fraction]) -> RationalGerm:
-    return germ_sum([germ_scale(monomial_germ(m), c) for m, c in poly.items()])
 
 
 class ForestNode:

@@ -119,6 +119,7 @@ class RationalGerm:
         return val
 
     def __repr__(self):
+        """An expression that parse_germ reads back to an equal germ."""
         if not self.denominator:
             return repr(self.numerator)
         den = "*".join(f"({f!r})^{e}" if e > 1 else f"({f!r})" for f, e in self.denominator)
@@ -126,15 +127,6 @@ class RationalGerm:
 
 
 ZERO_GERM = RationalGerm(0)
-
-
-def germ_add(f: RationalGerm, g: RationalGerm) -> RationalGerm:
-    """f + g, the two-term case of germ_sum."""
-    return germ_sum((f, g))
-
-
-def germ_sub(f: RationalGerm, g: RationalGerm) -> RationalGerm:
-    return germ_add(f, germ_scale(g, -1))
 
 
 def germ_mul(f: RationalGerm, g: RationalGerm) -> RationalGerm:

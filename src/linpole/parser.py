@@ -203,11 +203,6 @@ def parse_germ(text: str) -> RationalGerm:
     return _Parser(text).parse().germ()
 
 
-def render_germ(g: RationalGerm) -> str:
-    """Expression string that parses back to the same germ."""
-    return repr(g)
-
-
 _WORD_TOKEN = re.compile(r"x0|x\{(\d+(?:,\d+)*)\}|x(\d+)")
 
 

@@ -24,16 +24,17 @@ def poly_to_json(p: Polynomial) -> list:
             for mono, c in p.terms]
 
 
+def _fraction_json(num: Polynomial, den) -> dict:
+    return {"num": poly_to_json(num),
+            "den": [{"form": form_to_json(f), "exp": e} for f, e in den]}
+
+
 def germ_to_json(g: RationalGerm) -> dict:
-    return {"num": poly_to_json(g.numerator),
-            "den": [{"form": form_to_json(f), "exp": e} for f, e in g.denominator]}
+    return _fraction_json(g.numerator, g.denominator)
 
 
 def decomposition_to_json(d: Decomposition) -> dict:
-    return {"terms": [{"num": poly_to_json(t.numerator),
-                       "den": [{"form": form_to_json(f), "exp": e}
-                               for f, e in t.simplex.entries]}
-                      for t in d.terms],
+    return {"terms": [_fraction_json(t.numerator, t.simplex.entries) for t in d.terms],
             "holo": poly_to_json(d.holomorphic)}
 
 

@@ -133,10 +133,6 @@ class LinComb:
         out.add(other)
         return out
 
-    def scale(self, k) -> "LinComb":
-        k = _as_fraction(k)
-        return LinComb((key, k * c) for key, c in self.coeffs.items())
-
     def product(self, other, mul: Callable) -> "LinComb":
         """Bilinear extension of `mul(key1, key2)`, which yields (key,
         multiplicity) pairs; `other` is a LinComb or a {key: coefficient} dict."""
@@ -168,8 +164,8 @@ class LinComb:
         return " + ".join(f"{c}*{_key_str(key)}" for key, c in self.coeffs.items())
 
 
-WordPolynomial = LinComb      # combinations of words
-LyndonPolynomial = LinComb    # commutative polynomials in Lyndon words
+# Not exported: bench/tracing.py wraps LinComb.__add__ under this name.
+LyndonPolynomial = LinComb
 
 
 def _key_str(key) -> str:
@@ -344,7 +340,7 @@ def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
     to the length bound, sorted by (length, lex)."""
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    pool = [X0] + sorted(set(letters), key=alphabet.letter_key)
+    pool = [X0] + sorted(set(letters) - {X0}, key=alphabet.letter_key)
     out: list[Word] = []
 
     def extend(prefix: Word, length: int):

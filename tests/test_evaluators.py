@@ -19,7 +19,7 @@ from linpole import (DEFAULT_Q, DependenceEscapesVars, DivergentIndex,
                      apply_transform, chen_lmap, check_factorization,
                      compose_transforms, d_residue, dependence,
                      ev_reg_single, expand_product, galois_from_evaluator,
-                     germ_add, germ_mul, invert_transform, iter_eval,
+                     germ_mul, germ_sum, invert_transform, iter_eval,
                      iter_evaluator, locality_lyndon_generators, ms_eval,
                      ms_evaluator, mzv_numeric, p_residue, parse_spec, spec_of_word,
                      speer_lmap, zeta_eval, zeta_evaluator, zvar)
@@ -44,14 +44,14 @@ G_TILDE = RationalGerm((P1 - P2) ** 2, [(z1 + z2, 2)])
 def test_ev_reg_single_examples():
     assert ev_reg_single(F_TILDE, 1) == RationalGerm(-1)
     assert ev_reg_single(F_PLAIN, 1) == RationalGerm(0)
-    h = germ_add(RationalGerm(1, [(z1, 1)]), RationalGerm(P2))
+    h = germ_sum((RationalGerm(1, [(z1, 1)]), RationalGerm(P2)))
     assert ev_reg_single(h, 1) == RationalGerm(P2)
 
 
 def test_ev_reg_single_drops_poles_and_keeps_regular_part():
     # 1/(z1^2) + z1 + 5 in z1 -> 5
-    g = germ_add(RationalGerm(1, [(z1, 2)]),
-                 RationalGerm(P1 + Polynomial.constant(5)))
+    g = germ_sum((RationalGerm(1, [(z1, 2)]),
+                  RationalGerm(P1 + Polynomial.constant(5))))
     assert ev_reg_single(g, 1) == RationalGerm(5)
     # mixed pole: (z1+z2)^-1 at z1^0 is 1/z2
     assert ev_reg_single(RationalGerm(1, [(z1 + z2, 1)]), 1) == \
@@ -551,7 +551,7 @@ def test_apply_transform_example():
     t = GaloisTransform({f11: Fraction(5)})
     combo = GermCombo([(P2, (f11,))])
     out = apply_transform(t, combo)
-    assert out.germ() == germ_add(RationalGerm(P2, [(z1, 1)]), RationalGerm(P2 * 5))
+    assert out.germ() == germ_sum((RationalGerm(P2, [(z1, 1)]), RationalGerm(P2 * 5)))
 
 
 def test_identity_transform_acts_trivially():

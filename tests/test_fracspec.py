@@ -3,15 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from linpole import (Forest, ForestNode, FractionSpec, LyndonPolynomial,
+from linpole import (Forest, ForestNode, FractionSpec, GermCombo, LinComb,
                      NotLocal, NotLocalSpec, RationalGerm, WordEndsInX0,
-                     WordPolynomial, X0, chen_lmap,
-                     combination_germ, expand_product, flatten_forest,
+                     X0, chen_lmap, expand_product, flatten_forest,
                      forest_fraction, germ_mul, germ_scale, germ_sum,
                      is_local_pair,
                      lyndon_decompose, phi, spec_of_word, speer_lmap,
                      weak_chen_lmap, word_of_fraction, zvar)
-from linpole.fracspec import spec_poly_germ
 
 from helpers import combination_equals_germ, random_point_off_poles
 
@@ -59,14 +57,16 @@ def test_expand_product_examples():
     combo = expand_product(a, b)
     assert sorted((repr(s), c) for s, c in combo) == [
         ("f[1,1;1,2]", Fraction(1)), ("f[1,1;2,1]", Fraction(1))]
-    assert combination_germ(combo) == RationalGerm(1, [(z1, 1), (z2, 1)])
+    assert GermCombo([(c, (s,)) for s, c in combo]).germ() == \
+        RationalGerm(1, [(z1, 1), (z2, 1)])
 
     a2, b2 = FractionSpec((2,), (1,), chen), FractionSpec((2,), (2,), chen)
     combo2 = expand_product(a2, b2)
     assert sorted((repr(s), c) for s, c in combo2) == [
         ("f[2,2;1,2]", Fraction(1)), ("f[2,2;2,1]", Fraction(1)),
         ("f[3,1;1,2]", Fraction(2)), ("f[3,1;2,1]", Fraction(2))]
-    assert combination_germ(combo2) == germ_mul(a2.germ(), b2.germ())
+    assert GermCombo([(c, (s,)) for s, c in combo2]).germ() == \
+        germ_mul(a2.germ(), b2.germ())
 
     empty = FractionSpec((), (), chen)
     assert expand_product(a, empty) == [(a, Fraction(1))]
@@ -174,7 +174,7 @@ def test_lyndon_decompose_reconstructs():
         letters = rng.sample(range(1, 5), k)
         spec = FractionSpec([rng.randint(1, 2) for _ in range(k)], letters, chen)
         poly = lyndon_decompose([(spec, Fraction(1))])
-        assert spec_poly_germ(poly) == spec.germ()
+        assert GermCombo([(c, m) for m, c in poly.items()]).germ() == spec.germ()
     # shuffle products: re-expanding the Lyndon polynomial by shuffle gives
     # back the words of the product's combination
     pairs = [(FractionSpec((2, 2), (1, 2), chen), FractionSpec((2, 2), (3, 4), chen)),
@@ -187,9 +187,9 @@ def test_lyndon_decompose_reconstructs():
     for a, b in pairs:
         combo = expand_product(a, b)
         poly = lyndon_decompose(combo)
-        lyndon = LyndonPolynomial({tuple(s.word() for s in mono): c
-                                   for mono, c in poly.items()})
-        assert lyndon.expand() == WordPolynomial({s.word(): c for s, c in combo}), (a, b)
+        lyndon = LinComb({tuple(s.word() for s in mono): c
+                          for mono, c in poly.items()})
+        assert lyndon.expand() == LinComb({s.word(): c for s, c in combo}), (a, b)
 
 
 def test_forest_fraction_examples():
@@ -218,7 +218,7 @@ def test_flatten_forest_examples():
     wide = Forest([ForestNode({1, 2}, [ForestNode({1}), ForestNode({2})])])
     combo = flatten_forest(wide)
     assert sorted(repr(s) for s, _ in combo) == ["f[2,1;{1},{2}]", "f[2,1;{2},{1}]"]
-    assert combination_germ(combo) == forest_fraction(wide)
+    assert GermCombo([(c, (s,)) for s, c in combo]).germ() == forest_fraction(wide)
     # the germ identity behind it
     lhs = germ_sum([RationalGerm(1, [(z1 + z2, 2), (z2, 1)]),
                     RationalGerm(1, [(z1 + z2, 2), (z1, 1)])])
@@ -227,7 +227,7 @@ def test_flatten_forest_examples():
     ladder = Forest([ForestNode({1, 2}, [ForestNode({1})])])
     out = flatten_forest(ladder)
     assert len(out) == 1 and out[0][1] == 1
-    assert combination_germ(out) == forest_fraction(ladder)
+    assert GermCombo([(c, (s,)) for s, c in out]).germ() == forest_fraction(ladder)
 
 
 def random_forest(rng: random.Random, pool, max_children=3, depth=0):
@@ -282,7 +282,7 @@ def test_speer_flatten_matches_chen_on_singletons():
     # singleton sets reproduce the Chen pattern
     ladder = Forest([ForestNode({1, 2, 3}, [ForestNode({1, 2}, [ForestNode({2})])])])
     combo = flatten_forest(ladder)
-    assert combination_germ(combo) == forest_fraction(ladder)
+    assert GermCombo([(c, (s,)) for s, c in combo]).germ() == forest_fraction(ladder)
 
 
 def test_zero_cumulative_form_detected():

@@ -14,7 +14,7 @@ import sympy
 import linpole
 from linpole import (DEFAULT_Q, LinearForm, Polynomial, dependence, exactlin,
                      germs, is_local_pair, iter_eval, parse_germ, poly,
-                     render_germ, span)
+                     span)
 from linpole.exactlin import _projection_coordinates
 
 from helpers import random_form, random_germ, random_poly, random_spd_gram
@@ -58,7 +58,7 @@ if __name__ == "__main__":
 
 def corpus(seed, n_germs=20, n_combos=20):
     rng = random.Random(seed)
-    texts = [render_germ(random_germ(rng, max_var=3, max_factors=3, max_exp=2))
+    texts = [repr(random_germ(rng, max_var=3, max_factors=3, max_exp=2))
              for _ in range(n_germs)]
     combos = []
     for _ in range(n_combos):

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from linpole import (LinearForm, NonHomogeneousPole, ParseError, Polynomial,
-                     RationalGerm, X0, parse_germ, parse_spec, parse_word,
-                     render_germ, zvar)
+                     RationalGerm, X0, locality_lyndon_generators, parse_germ,
+                     parse_spec, parse_word, subset_alphabet, word_str, zvar)
 from linpole.cli import main
 from linpole.evaluators import MAX_PRECISION
 
@@ -59,7 +59,7 @@ def test_render_roundtrip_corpus():
     rng = random.Random(100)
     for _ in range(200):
         g = random_germ(rng)
-        assert parse_germ(render_germ(g)) == g
+        assert parse_germ(repr(g)) == g
 
 
 # ------------------------------------------ parser against the eager oracle
@@ -207,6 +207,13 @@ def test_cli_eval_ms_and_zeta(capsys):
     data = json.loads(out)
     assert data["evaluator"] == "zeta"
     assert abs(float(data["value"]) - 1.6449340668) < 1e-8
+    # a pole needs an explicit Chen presentation; a holomorphic germ gives its value at 0
+    code, out, err = run_cli(capsys, "eval", "--evaluator", "zeta", "1/z1")
+    assert code == 1 and out == ""
+    assert err == ("error: eval with this evaluator needs a holomorphic expression, "
+                   "a spec literal f[...], or a combo JSON payload\n")
+    code, out, _ = run_cli(capsys, "eval", "--evaluator", "zeta", "3+z1")
+    assert code == 0 and out.strip() == "3"
 
 
 def test_cli_dep_example(capsys):
@@ -255,12 +262,29 @@ def test_cli_shuffle_lyndon_phi(capsys):
     code, out, _ = run_cli(capsys, "lyndon", "generators", "x2,x1,x2",
                            "--max-length", "2")
     assert code == 0 and out.split() == ["x1", "x2", "x0x1", "x0x2", "x1x2"]
+    code, out, _ = run_cli(capsys, "lyndon", "generators", "x0,x1",
+                           "--max-length", "3")
+    assert code == 0 and out.split() == ["x1", "x0x1", "x0x0x1"]
     code, out, _ = run_cli(capsys, "phi", "x0x1")
     assert code == 0 and "z1" in out
     code, out, _ = run_cli(capsys, "unphi", "f[2;1]")
     assert code == 0 and out.strip() == "x0x1"
     code, out, _ = run_cli(capsys, "expand", "f[2;1]", "f[2;2]")
     assert code == 0 and "2*f[3,1;1,2]" in out
+
+
+def test_cli_lyndon_generators_keeps_set_letters_whole(capsys):
+    """Only the commas between letters separate them: x{1,2} stays one letter."""
+    want = locality_lyndon_generators(subset_alphabet(), 2,
+                                      [frozenset({1, 2}), frozenset({3})])
+    assert [word_str(w) for w in want] == ["x{1,2}", "x{3}", "x0x{1,2}",
+                                           "x0x{3}", "x{1,2}x{3}"]
+    code, out, _ = run_cli(capsys, "lyndon", "generators", "x{1,2},x{3}",
+                           "--max-length", "2")
+    assert code == 0 and out.split() == [word_str(w) for w in want]
+    code, out, _ = run_cli(capsys, "--format", "json", "lyndon", "generators",
+                           "x{3},x{1,2}", "--max-length", "2")
+    assert code == 0 and json.loads(out) == [word_str(w) for w in want]
 
 
 def test_cli_flatten(capsys, tmp_path):

@@ -7,14 +7,14 @@ from typing import Callable
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linpole import (EmptyWord, FractionSpec, NotLocal, WordPolynomial, X0,
+from linpole import (EmptyWord, FractionSpec, LinComb, NotLocal, X0,
                      cfl, chen_lmap, expand_product, integer_alphabet,
                      is_local_word, is_lyndon, local_word_pair, locality_cfl,
                      locality_lyndon_generators, lyndon_decompose,
                      lyndon_rewrite, shuffle, speer_lmap, subset_alphabet,
                      word_str)
 from linpole.fracspec import spec_monomial, spec_of_word
-from linpole.words import Alphabet, LinComb, Word
+from linpole.words import Alphabet, Word
 
 _ONE = Fraction(1)
 
@@ -65,9 +65,9 @@ def test_shuffle_matches_bruteforce_and_counts(w, v):
 @settings(max_examples=40, deadline=None)
 @given(words, words, words)
 def test_shuffle_commutative_associative(u, v, w):
-    pu = WordPolynomial({u: 1})
-    pv = WordPolynomial({v: 1})
-    pw = WordPolynomial({w: 1})
+    pu = LinComb({u: 1})
+    pv = LinComb({v: 1})
+    pw = LinComb({w: 1})
     assert shuffle(u, v).coeffs == shuffle(v, u).coeffs
     lhs = pu.shuffle_with(pv).shuffle_with(pw)
     rhs = pu.shuffle_with(pv.shuffle_with(pw))
@@ -148,7 +148,7 @@ def test_lyndon_rewrite_roundtrip():
     long_words = [FOUND_WORD, (X0, 4, X0, 1, X0, 2, X0, 3, 5)]
     for w in itertools.chain(all_words((X0, 1), 5), long_words):
         lp = lyndon_rewrite(w, A)
-        assert lp.expand() == WordPolynomial({w: 1}), word_str(w)
+        assert lp.expand() == LinComb({w: 1}), word_str(w)
 
 
 def recursive_rewrite(alphabet: Alphabet) -> Callable[[Word], LinComb]:
@@ -312,6 +312,11 @@ def test_locality_lyndon_generators_examples():
     gens = locality_lyndon_generators(A, 2, letters=[1, 2])
     assert gens == [(1,), (2,), (X0, 1), (X0, 2), (1, 2)]
     assert locality_lyndon_generators(A, 2, letters=[2, 1, 2]) == gens
+    # x0 is always in the pool; listing it as well adds no duplicate words
+    want = [(1,), (X0, 1), (X0, X0, 1)]
+    assert locality_lyndon_generators(A, 3, letters=[1]) == want
+    assert locality_lyndon_generators(A, 3, letters=[X0, 1]) == want
+    assert locality_lyndon_generators(A, 3, letters=[1, X0, X0]) == want
 
 
 def test_locality_algebraic_independence():
@@ -331,9 +336,9 @@ def test_locality_algebraic_independence():
             monomials.append(combo)
     vectors = []
     for combo in monomials:
-        wp = WordPolynomial({(): 1})
+        wp = LinComb({(): 1})
         for w in combo:
-            wp = wp.shuffle_with(WordPolynomial({w: 1}))
+            wp = wp.shuffle_with(LinComb({w: 1}))
         vectors.append(wp.coeffs)
     basis = sorted({w for vec in vectors for w in vec},
                    key=lambda t: (len(t), A.word_key(t)))
