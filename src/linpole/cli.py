@@ -27,7 +27,7 @@ from .germs import (d_residue, decompose, dependence, germ_mul,
                     is_local_pair, locality_mul, p_residue, project_plus)
 from .parser import parse_germ, parse_spec, parse_word
 from .poly import Polynomial
-from .words import (Alphabet, cfl, integer_alphabet, is_lyndon,
+from .words import (X0, Alphabet, cfl, integer_alphabet, is_lyndon,
                     locality_lyndon_generators, lyndon_rewrite, shuffle,
                     subset_alphabet, word_str)
 
@@ -61,9 +61,12 @@ def _emit(args, text_repr: str, json_obj):
 
 
 def _alphabet_for(letters) -> Alphabet:
-    if any(isinstance(u, frozenset) for u in letters):
-        return subset_alphabet()
-    return integer_alphabet()
+    """The subset alphabet for set letters, the integer one otherwise; one
+    word cannot mix the two, since no order compares them."""
+    kinds = {isinstance(u, frozenset) for u in letters if u is not X0}
+    if len(kinds) > 1:
+        raise LinpoleError("integer letters and set letters cannot be mixed in one word")
+    return subset_alphabet() if True in kinds else integer_alphabet()
 
 
 def _evaluator(args) -> Evaluator:

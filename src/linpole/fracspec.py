@@ -24,8 +24,8 @@ from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, inner, orthogonal,
                        span, zset, zvar)
 from .germs import RationalGerm
 
-from .words import (Alphabet, EMPTY_WORD, LinComb, Word, X0, _ZERO,
-                    _lyndon_solve, integer_alphabet, is_local_word, shuffle,
+from .words import (Alphabet, LinComb, Word, X0, _ZERO, _lyndon_solve,
+                    _shuffle_ints, integer_alphabet, is_local_word, shuffle,
                     subset_alphabet, word_str)
 
 
@@ -358,28 +358,22 @@ def forest_fraction(f: Forest) -> RationalGerm:
     return RationalGerm(1, dens)
 
 
-def _tree_words(node: ForestNode) -> LinComb:
-    below = _forest_words(node.children)
-    out = LinComb()
-    for w, c in below.items():
-        covered: frozenset = frozenset().union(*[set(a) for a in w if a is not X0]) \
-            if w else frozenset()
-        fresh = node.index_set - covered
-        # the root factor is the largest cumulative sum, i.e. the first block
+def _tree_words(node: ForestNode) -> dict[Word, int]:
+    out: dict[Word, int] = {}
+    for w, c in _forest_words(node.children).items():
+        fresh = node.index_set.difference(*(a for a in w if a is not X0))
+        # the root factor is the largest cumulative sum, i.e. the first block;
+        # a root that adds no new indices raises that block's exponent.
+        # Distinct words keep distinct images, so no two entries collide.
         if fresh:
-            new = (X0,) * (node.exponent - 1) + (frozenset(fresh),) + w
+            out[(X0,) * (node.exponent - 1) + (fresh,) + w] = c
         else:
-            # root adds no new indices: raise the first block's exponent
-            new = (X0,) * node.exponent + w
-        out.add({new: c})
+            out[(X0,) * node.exponent + w] = c
     return out
 
 
-def _forest_words(nodes: Sequence[ForestNode]) -> LinComb:
-    out = LinComb({EMPTY_WORD: 1})
-    for n in nodes:
-        out = out.shuffle_with(_tree_words(n))
-    return out
+def _forest_words(nodes: Sequence[ForestNode]) -> dict[Word, int]:
+    return _shuffle_ints(_tree_words(n) for n in nodes)
 
 
 def flatten_forest(f: Forest) -> Combination:
@@ -387,4 +381,5 @@ def flatten_forest(f: Forest) -> Combination:
     fractions: flatten subtrees to ladder words, shuffle-merge the disjoint
     siblings, then fold in each root factor."""
     lmap = speer_lmap()
-    return [(spec_of_word(w, lmap), c) for w, c in _forest_words(f.roots).items()]
+    return [(spec_of_word(w, lmap), Fraction(c))
+            for w, c in _forest_words(f.roots).items()]

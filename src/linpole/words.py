@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyWord, NotLocal
 from .exactlin import _as_fraction, _axpy
@@ -93,7 +93,9 @@ class LinComb:
 
     `coeffs` maps each key to its nonzero Fraction coefficient, in the order
     the keys first appeared.  `add` accumulates in place; `product` is the
-    bilinear extension of a product of keys.
+    bilinear extension of a product of keys, whose multiplicities may be
+    ints.  Shuffle multiplicities stay ints inside this module and become
+    Fractions only as coefficients of a LinComb.
     """
 
     __slots__ = ("coeffs",)
@@ -145,18 +147,17 @@ class LinComb:
         return LinComb._trusted({key: c for key, c in acc.items() if c})
 
     def shuffle_with(self, other: "LinComb") -> "LinComb":
-        return self.product(other, lambda w, v: shuffle(w, v).items())
+        return self.product(other, lambda w, v: _shuffle_counts(w, v).items())
 
     def expand(self) -> "LinComb":
         """Substitute each Lyndon indeterminate by its word and multiply by
-        shuffle: a combination of Lyndon monomials becomes one of words."""
-        out = LinComb()
+        shuffle: a combination of Lyndon monomials becomes one of words.
+        Each monomial expands in integer multiplicities and is scaled by
+        its coefficient once."""
+        out: dict = {}
         for mono, c in self.coeffs.items():
-            term = LinComb._trusted({EMPTY_WORD: _ONE})
-            for w in mono:
-                term = term.shuffle_with({w: _ONE})
-            out.add(term, c)
-        return out
+            _axpy(out, c, _shuffle_ints({w: 1} for w in mono))
+        return LinComb._trusted(out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -186,8 +187,8 @@ def word_str(w: Word) -> str:
     return "".join(map(_letter_str, w)) or "1"
 
 
-def shuffle(w: Word, v: Word) -> LinComb:
-    """All interleavings of the two words, with multiplicity."""
+def _shuffle_counts(w: Word, v: Word) -> dict[Word, int]:
+    """All interleavings of the two words, with integer multiplicity."""
     memo: dict[tuple[Word, Word], dict[Word, int]] = {}
 
     def rec(a: Word, b: Word) -> dict[Word, int]:
@@ -207,7 +208,28 @@ def shuffle(w: Word, v: Word) -> LinComb:
         memo[key] = acc
         return acc
 
-    return LinComb._trusted({w2: Fraction(c) for w2, c in rec(w, v).items()})
+    return rec(w, v)
+
+
+def _shuffle_ints(combos: Iterable[dict[Word, int]]) -> dict[Word, int]:
+    """The shuffle product of {word: positive int} combinations, extended
+    multilinearly.  Multiplicities only add up (Radford: they are
+    nonnegative integers), so no entry is zero."""
+    acc = {EMPTY_WORD: 1}
+    for b in combos:
+        nxt: dict[Word, int] = {}
+        for u, i in acc.items():
+            for v, j in b.items():
+                ij = i * j
+                for w, m in _shuffle_counts(u, v).items():
+                    nxt[w] = nxt.get(w, 0) + ij * m
+        acc = nxt
+    return acc
+
+
+def shuffle(w: Word, v: Word) -> LinComb:
+    """All interleavings of the two words, with multiplicity."""
+    return LinComb._trusted({u: Fraction(c) for u, c in _shuffle_counts(w, v).items()})
 
 
 def is_lyndon(w: Word, alphabet: Alphabet) -> bool:
@@ -215,8 +237,7 @@ def is_lyndon(w: Word, alphabet: Alphabet) -> bool:
     if not w:
         raise EmptyWord("the empty word has no Lyndon status")
     k = alphabet.word_key(w)
-    n = len(w)
-    return all(k < alphabet.word_key(w[i:] + w[:i]) for i in range(1, n))
+    return all(k < k[i:] + k[:i] for i in range(1, len(k)))
 
 
 def cfl(w: Word, alphabet: Alphabet) -> list[tuple[Word, int]]:
@@ -224,14 +245,14 @@ def cfl(w: Word, alphabet: Alphabet) -> list[tuple[Word, int]]:
     with multiplicities, by Duval's algorithm."""
     if not w:
         raise EmptyWord("cannot factorise the empty word")
-    key = alphabet.letter_key
+    key = alphabet.word_key(w)
     n = len(w)
     factors: list[Word] = []
     k = 0
     while k < n:
         i, j = k, k + 1
-        while j < n and key(w[i]) <= key(w[j]):
-            i = k if key(w[i]) < key(w[j]) else i + 1
+        while j < n and key[i] <= key[j]:
+            i = k if key[i] < key[j] else i + 1
             j += 1
         while k <= i:
             factors.append(w[k:k + j - i])
@@ -252,7 +273,8 @@ def _lyndon_solve(combo: dict, alphabet: Alphabet) -> dict:
     Pops the largest word left in the residual, which fixes the coefficient
     of its own monomial (see `lyndon_rewrite`), and subtracts that monomial's
     expansion, which only touches smaller anagrams: each word is factorised
-    at most once.
+    at most once.  The expansion is in integer multiplicities, so each
+    residual update is one Fraction times an int.
     """
     # Rank the letters 1..n and read a word as a base-(n+1) integer: no digit
     # is 0, so distinct words get distinct codes, ordered lexicographically
@@ -281,7 +303,7 @@ def _lyndon_solve(combo: dict, alphabet: Alphabet) -> dict:
         mono = tuple(f for f, m in factors for _ in range(m))
         lead = c / math.prod(math.factorial(m) for _, m in factors)
         out[mono] = lead
-        for v, k in LinComb._trusted({mono: _ONE}).expand().items():
+        for v, k in _shuffle_ints({w: 1} for w in mono).items():
             if v != w:
                 if v not in residual:
                     heapq.heappush(heap, (-code(v), v))

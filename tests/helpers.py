@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -90,3 +91,32 @@ def combination_equals_germ(combo, target: RationalGerm, rng: random.Random,
         if lhs != target.evaluate(pt):
             return False
     return True
+
+
+def brute_shuffle(w, v):
+    """Oracle: enumerate interleaving position choices directly."""
+    n, m = len(w), len(v)
+    acc = {}
+    for positions in itertools.combinations(range(n + m), n):
+        out = [None] * (n + m)
+        wi = iter(w)
+        for p in positions:
+            out[p] = next(wi)
+        vi = iter(v)
+        for i in range(n + m):
+            if out[i] is None:
+                out[i] = next(vi)
+        t = tuple(out)
+        acc[t] = acc.get(t, 0) + 1
+    return {t: Fraction(c) for t, c in acc.items()}
+
+
+def fraction_shuffle(a, b):
+    """Oracle: the bilinear shuffle of two {word: Fraction} dicts, folded in
+    Fractions over brute_shuffle, with cancelled entries dropped."""
+    acc = {}
+    for u, c in a.items():
+        for v, d in b.items():
+            for w, m in brute_shuffle(u, v).items():
+                acc[w] = acc.get(w, Fraction(0)) + c * d * m
+    return {w: c for w, c in acc.items() if c}

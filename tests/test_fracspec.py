@@ -8,10 +8,12 @@ from linpole import (Forest, ForestNode, FractionSpec, GermCombo, LinComb,
                      X0, chen_lmap, expand_product, flatten_forest,
                      forest_fraction, germ_mul, germ_scale, germ_sum,
                      is_local_pair,
-                     lyndon_decompose, phi, spec_of_word, speer_lmap,
-                     weak_chen_lmap, word_of_fraction, zvar)
+                     lyndon_decompose, lyndon_rewrite, phi, shuffle,
+                     spec_of_word, speer_lmap, weak_chen_lmap,
+                     word_of_fraction, zvar)
 
-from helpers import combination_equals_germ, random_point_off_poles
+from helpers import (combination_equals_germ, fraction_shuffle,
+                     random_point_off_poles)
 
 chen = chen_lmap()
 speer = speer_lmap()
@@ -267,6 +269,64 @@ def test_flatten_forest_random_identity():
             pt = random_point_off_poles(rng, germs, variables)
             lhs = sum((c * s.germ().evaluate(pt) for s, c in combo), Fraction(0))
             assert lhs == target.evaluate(pt)
+
+
+def random_full_forest(rng: random.Random, indices):
+    """A forest whose nodes cover exactly `indices`: each node passes a
+    random subset of its set down to its children, below the top two levels
+    a proper one."""
+    def build(s, depth):
+        rest = rng.sample(s, rng.randint(0, len(s) - (depth >= 2)))
+        kids = []
+        while rest:
+            k = rng.randint(1, len(rest))
+            kids.append(build(rest[:k], depth + 1))
+            rest = rest[k:]
+        return ForestNode(s, kids, exponent=rng.randint(1, 2))
+
+    idx = rng.sample(indices, len(indices))
+    cut = rng.randint(1, len(idx))
+    return Forest([build(part, 0) for part in (idx[:cut], idx[cut:]) if part])
+
+
+def fraction_forest_words(nodes):
+    """Oracle: the words of a forest, folded in Fractions over brute_shuffle."""
+    acc = {(): Fraction(1)}
+    for n in nodes:
+        tree = {}
+        for w, c in fraction_forest_words(n.children).items():
+            fresh = n.index_set.difference(*(a for a in w if a is not X0))
+            head = (X0,) * (n.exponent - 1) + (fresh,) if fresh else (X0,) * n.exponent
+            tree[head + w] = tree.get(head + w, Fraction(0)) + c
+        acc = fraction_shuffle(acc, tree)
+    return acc
+
+
+def test_flatten_forest_matches_fraction_fold():
+    rng = random.Random(19)
+    for _ in range(40):
+        forest = random_full_forest(rng, list(range(1, rng.randint(4, 6) + 1)))
+        got = flatten_forest(forest)
+        want = {spec_of_word(w, speer): c
+                for w, c in fraction_forest_words(forest.roots).items()}
+        assert dict(got) == want and len(got) == len(want), forest
+
+
+def test_coefficients_leave_the_words_layer_as_fractions():
+    combo = expand_product(FractionSpec((2, 1), (1, 2), chen),
+                           FractionSpec((2,), (3,), chen))
+    forest = Forest([ForestNode({1}, exponent=2),
+                     ForestNode({2, 3}, [ForestNode({3})], exponent=2)])
+    outputs = {
+        "shuffle": shuffle((X0, 1), (X0, 2)).coeffs.values(),
+        "expand": LinComb({((X0, 1), (1,)): 3}).expand().coeffs.values(),
+        "lyndon_rewrite": lyndon_rewrite((1, 1, X0, X0, 1), chen.alphabet).coeffs.values(),
+        "lyndon_decompose": lyndon_decompose(combo).values(),
+        "expand_product": [c for _, c in combo],
+        "flatten_forest": [c for _, c in flatten_forest(forest)],
+    }
+    for name, values in outputs.items():
+        assert values and all(type(c) is Fraction for c in values), name
 
 
 def test_forest_json_roundtrip():

@@ -287,6 +287,54 @@ def test_cli_lyndon_generators_keeps_set_letters_whole(capsys):
     assert code == 0 and json.loads(out) == [word_str(w) for w in want]
 
 
+@pytest.mark.parametrize("argv", [
+    ("lyndon", "factor", "x1x{2}"),
+    ("lyndon", "rewrite", "x{1}x2"),
+    ("lyndon", "test", "x1x{2}"),
+    ("lyndon", "generators", "x1,x{2}"),
+])
+def test_cli_lyndon_rejects_mixed_letter_kinds(capsys, argv):
+    """No order compares an integer letter with a set letter."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: integer letters and set letters cannot be mixed in one word\n"
+
+
+def test_cli_shuffle_mixes_letter_kinds(capsys):
+    code, out, _ = run_cli(capsys, "shuffle", "x1", "x{2}")
+    assert code == 0 and out.strip() == "1*x1x{2} + 1*x{2}x1"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("flatten", '{"nodes":[{"set":[1],"exp":2},'
+                 '{"set":[2,3],"exp":2,"children":[{"set":[3]}]}]}'),
+     [("f[2,1,2;{2},{3},{1}]", "1"), ("f[2,2,1;{1},{2},{3}]", "1"),
+      ("f[2,2,1;{2},{1},{3}]", "1"), ("f[2,2,1;{2},{3},{1}]", "1"),
+      ("f[3,1,1;{1},{2},{3}]", "2"), ("f[3,1,1;{2},{1},{3}]", "2"),
+      ("f[3,1,1;{2},{3},{1}]", "2")]),
+    (("expand", "f[2,1;1,2]", "f[2;3]"),
+     [("f[2,1,2;1,2,3]", "1"), ("f[2,2,1;1,2,3]", "1"), ("f[2,2,1;1,3,2]", "1"),
+      ("f[2,2,1;3,1,2]", "1"), ("f[3,1,1;1,2,3]", "2"), ("f[3,1,1;1,3,2]", "2"),
+      ("f[3,1,1;3,1,2]", "2")]),
+    (("lyndon", "rewrite", "x1x1x0x0x1"),
+     [(["x0x0x1x1x1"], "-3"), (["x0x1x0x1x1"], "-1"), (["x0x1x1", "x0x1"], "1"),
+      (["x1", "x0x1", "x0x1"], "-1/2"), (["x1", "x1", "x0x0x1"], "1/2")]),
+])
+def test_cli_json_coefficients_pinned(capsys, argv, want):
+    """Integer multiplicities inside the words layer still print as the
+    rationals they were before."""
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
+    assert code == 0
+    data = json.loads(out)
+    terms = data["terms"] if argv[0] == "flatten" else data
+    key = "monomial" if argv[0] == "lyndon" else "spec"
+    assert [(t[key], t["coeff"]) for t in terms] == want
+    if argv[0] == "flatten":
+        assert data["fraction"]["den"] == [
+            {"form": {"3": "1"}, "exp": 1}, {"form": {"2": "1", "3": "1"}, "exp": 2},
+            {"form": {"1": "1"}, "exp": 2}]
+
+
 def test_cli_flatten(capsys, tmp_path):
     forest = {"nodes": [{"id": 1, "set": [1, 2], "exp": 1, "children": [
         {"id": 2, "set": [1], "exp": 1, "children": []},

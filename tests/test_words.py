@@ -14,29 +14,13 @@ from linpole import (EmptyWord, FractionSpec, LinComb, NotLocal, X0,
                      lyndon_rewrite, shuffle, speer_lmap, subset_alphabet,
                      word_str)
 from linpole.fracspec import spec_monomial, spec_of_word
-from linpole.words import Alphabet, Word
+from linpole.words import Alphabet, Word, _shuffle_ints
+
+from helpers import brute_shuffle, fraction_shuffle
 
 _ONE = Fraction(1)
 
 A = integer_alphabet()
-
-
-def brute_shuffle(w, v):
-    """Oracle: enumerate interleaving position choices directly."""
-    n, m = len(w), len(v)
-    acc = {}
-    for positions in itertools.combinations(range(n + m), n):
-        out = [None] * (n + m)
-        wi = iter(w)
-        for p in positions:
-            out[p] = next(wi)
-        vi = iter(v)
-        for i in range(n + m):
-            if out[i] is None:
-                out[i] = next(vi)
-        t = tuple(out)
-        acc[t] = acc.get(t, 0) + 1
-    return {t: Fraction(c) for t, c in acc.items()}
 
 
 def test_shuffle_examples():
@@ -72,6 +56,66 @@ def test_shuffle_commutative_associative(u, v, w):
     lhs = pu.shuffle_with(pv).shuffle_with(pw)
     rhs = pu.shuffle_with(pv.shuffle_with(pw))
     assert lhs == rhs
+
+
+def fraction_expand(mono):
+    acc = {(): _ONE}
+    for w in mono:
+        acc = fraction_shuffle(acc, {w: _ONE})
+    return acc
+
+
+def random_lyndon_monomials(rng, letters, alphabet, count, max_total=7):
+    """`count` random monomials in Lyndon words over `letters` whose word
+    lengths add up to at most `max_total`."""
+    lyndon = [w for w in all_words(letters, 4) if is_lyndon(w, alphabet)]
+    out = []
+    while len(out) < count:
+        mono, total = [], 0
+        for _ in range(rng.randint(1, 4)):
+            w = rng.choice(lyndon)
+            if total + len(w) <= max_total:
+                mono.append(w)
+                total += len(w)
+        out.append(tuple(mono))
+    return out
+
+
+SETS = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
+ALPHABETS = [(A, (X0, 1, 2, 3)), (subset_alphabet(), (X0, *SETS))]
+
+
+def test_integer_expansion_matches_fraction_fold():
+    rng = random.Random(17)
+    for alphabet, letters in ALPHABETS:
+        for mono in random_lyndon_monomials(rng, letters, alphabet, 40):
+            got = _shuffle_ints({w: 1} for w in mono)
+            assert got == fraction_expand(mono), mono
+            assert all(type(m) is int for m in got.values())
+
+
+def test_expand_and_shuffle_with_match_fraction_fold():
+    rng = random.Random(18)
+    for alphabet, letters in ALPHABETS:
+        monos = random_lyndon_monomials(rng, letters, alphabet, 24, max_total=6)
+        for _ in range(8):
+            # repeated monomials and opposite signs make some words cancel
+            combo = [(m, Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                     for m in rng.sample(monos, 3)]
+            combo.append((combo[0][0], -combo[0][1]))
+            combo.append((combo[1][0], rng.choice([-1, 1]) * combo[1][1]))
+            want = {}
+            for m, c in combo:
+                for w, k in fraction_expand(m).items():
+                    want[w] = want.get(w, Fraction(0)) + c * k
+            want = {w: c for w, c in want.items() if c}
+            assert LinComb(combo).expand().coeffs == want
+        for _ in range(12):
+            a, b = ({w: Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                     for w in rng.sample([w for m in monos for w in m], 3)}
+                    for _ in range(2))
+            got = LinComb(a).shuffle_with(LinComb(b))
+            assert got.coeffs == fraction_shuffle(LinComb(a).coeffs, LinComb(b).coeffs)
 
 
 def test_is_lyndon_examples():
