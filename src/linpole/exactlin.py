@@ -2,7 +2,9 @@
 
 Linear forms live in the direct limit of the duals of Q^k: a form is a finite
 sparse map from 1-based variable indices to nonzero rationals.  Everything here
-is exact (fractions.Fraction), immutable and pure.
+is exact, immutable and pure.  Forms and every value returned from this module
+hold fractions.Fraction; inside, one fraction-free elimination (`_eliminate`)
+works on integer rows, and the Fractions are made where its results leave.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import LinpoleError
@@ -114,16 +117,14 @@ class LinearForm:
         """
         if not self.coeffs:
             return self, Fraction(1)
-        from math import gcd, lcm
-        den = lcm(*(c.denominator for c in self.coeffs.values()))
-        num = gcd(*(abs(c.numerator) for c in self.coeffs.values()))
-        scalar = Fraction(num, den)
-        first = self.coeffs[min(self.coeffs)]
-        if first < 0:
-            scalar = -scalar
-        if scalar == 1:
-            return self, scalar
-        return self.scale(1 / scalar), scalar
+        row, den = _int_row(self.coeffs)
+        num = gcd(*row.values())
+        if self.coeffs[min(self.coeffs)] < 0:
+            num = -num
+        if num == den:
+            return self, Fraction(1)
+        return (LinearForm._trusted({v: Fraction(x // num) for v, x in row.items()}),
+                Fraction(num, den))
 
     def __repr__(self):
         return _signed_sum((c, f"z{v}") for v, c in self.coeffs.items())
@@ -180,7 +181,7 @@ class InnerProduct:
             # Eliminating the rows in order leaves pivot D_k/D_(k-1) at variable
             # k, the ratio of leading minors, so all are > 0 exactly when the
             # block is positive definite.
-            rows = (LinearForm({j + 1: x for j, x in enumerate(row)}) for row in g)
+            rows = ({j + 1: x for j, x in enumerate(row)} for row in g)
             for k, (red, _) in enumerate(_eliminate(rows), 1):
                 if red.get(k, 0) <= 0:
                     raise ValueError("gram block must be positive definite")
@@ -212,15 +213,21 @@ DEFAULT_Q = InnerProduct()
 
 def inner(q: InnerProduct, a: LinearForm, b: LinearForm) -> Q:
     """Symmetric bilinear value of the two forms under q."""
+    return Fraction(_dot(q, a.coeffs, b.coeffs))
+
+
+def _dot(q: InnerProduct, a: Mapping[int, Q], b: Mapping[int, Q]) -> Q:
+    """inner() on {var: coeff} mappings: an int for integer rows that meet
+    no Gram block entry, else a Fraction (which _int_row clears)."""
     n = q.block_size
-    total = Fraction(0)
-    for i, ai in a.coeffs.items():
+    total = 0
+    for i, ai in a.items():
         if i <= n:
-            for j, bj in b.coeffs.items():
+            for j, bj in b.items():
                 if j <= n:
-                    total += ai * q.gram[i - 1][j - 1] * bj
+                    total += q.gram[i - 1][j - 1] * (ai * bj)
         else:
-            bi = b.coeffs.get(i)
+            bi = b.get(i)
             if bi:
                 total += ai * bi
     return total
@@ -255,7 +262,7 @@ class Subspace:
         return all(other.contains(f) for f in self.basis)
 
     def contains(self, form: LinearForm) -> bool:
-        *_, (red, _) = _eliminate((*self.basis, form))
+        *_, (red, _) = _eliminate(f.coeffs for f in (*self.basis, form))
         return not red
 
     def key(self) -> tuple:
@@ -268,29 +275,54 @@ class Subspace:
 ZERO_SPACE = Subspace(())
 
 
-def _eliminate(forms: Iterable[LinearForm]) -> Iterator[tuple[dict[int, Q], dict[int, Q]]]:
-    """Incremental Gaussian elimination over the forms in list order.
+def _int_row(coeffs: Mapping[int, Q]) -> tuple[dict[int, int], int]:
+    """(d * row, d) for the least common denominator d > 0 of the row's
+    entries, with zero entries dropped."""
+    d = lcm(*(c.denominator for c in coeffs.values()))
+    return {v: c.numerator * (d // c.denominator) for v, c in coeffs.items() if c}, d
 
-    For each input yields (residual, combo): the input reduced against the
-    earlier independent inputs, and the {input index: coefficient} combination
-    of inputs that equals it, so a zero residual is a linear relation.  Rows
-    are sparse {var: Fraction} dicts pivoting on their smallest variable; no
-    other routine knows that convention.
+
+def _eliminate(rows: Iterable[Mapping[int, Q]]
+               ) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+    """Incremental fraction-free Gaussian elimination over {var: rational}
+    rows in list order (Bareiss, Math. Comp. 22, 1968).
+
+    For each input yields (residual, combo), both integer dicts with
+    residual = sum(combo[i] * input_i): the input reduced against the earlier
+    independent inputs, so a zero residual is a linear relation.  The residual
+    is a positive multiple of the one exact rational elimination gives, so its
+    support and signs are those of the rational residual.  Each step
+    cross-multiplies by the cofactors of the gcd of the two entries and
+    divides out the gcd of the row and its combo.  Rows pivot on their
+    smallest variable, stored with a positive pivot; no other routine knows
+    that convention.  The yielded dicts are the working rows: change them
+    only once the generator is exhausted.
     """
-    rows: list[tuple[int, dict[int, Q], dict[int, Q]]] = []  # (pivot, row, combo), pivot 1
-    for idx, f in enumerate(forms):
-        red, combo = dict(f.coeffs), {idx: Fraction(1)}
-        for piv, row, row_combo in rows:
+    pivots: list[tuple[int, int, dict[int, int], dict[int, int]]] = []  # (var, p, row, combo)
+    for idx, coeffs in enumerate(rows):
+        red, d = _int_row(coeffs)
+        combo = {idx: d}
+        for piv, p, row, row_combo in pivots:
             k = red.get(piv)
             if k:
-                _axpy(red, -k, row)
-                _axpy(combo, -k, row_combo)
+                g = gcd(p, k)
+                a = p // g
+                if a != 1:
+                    red = {v: a * x for v, x in red.items()}
+                    combo = {i: a * x for i, x in combo.items()}
+                _axpy(red, -(k // g), row)
+                _axpy(combo, -(k // g), row_combo)
+                g = gcd(*red.values(), *combo.values())
+                if g != 1:
+                    red = {v: x // g for v, x in red.items()}
+                    combo = {i: x // g for i, x in combo.items()}
         yield red, combo
         if red:
             piv = min(red)
-            inv = 1 / red[piv]
-            rows.append((piv, {v: x * inv for v, x in red.items()},
-                         {i: x * inv for i, x in combo.items()}))
+            if red[piv] < 0:
+                red = {v: -x for v, x in red.items()}
+                combo = {i: -x for i, x in combo.items()}
+            pivots.append((piv, red[piv], red, combo))
 
 
 def _axpy(acc: dict[int, Q], k: Q, row: Mapping[int, Q]) -> None:
@@ -311,10 +343,10 @@ def span(forms: Iterable[LinearForm]) -> Subspace:
 
 @functools.lru_cache(maxsize=1024)
 def _span(forms: tuple[LinearForm, ...]) -> Subspace:
-    rows = sorted((red for red, _ in _eliminate(forms) if red), key=min)
+    rows = sorted((red for red, _ in _eliminate(f.coeffs for f in forms) if red), key=min)
     for i in reversed(range(len(rows))):  # back-substitute into RREF
         piv = min(rows[i])
-        inv = 1 / rows[i][piv]
+        inv = Fraction(1, rows[i][piv])
         rows[i] = row = {v: x * inv for v, x in rows[i].items()}
         for above in rows[:i]:
             k = above.get(piv)
@@ -347,16 +379,22 @@ def _projection(q: InnerProduct, basis: tuple[LinearForm, ...],
                 targets: tuple[LinearForm, ...]) -> tuple[tuple[Q, ...], ...]:
     """One elimination of the Gram rows G_i, then of every right-hand side r;
     G is symmetric and nonsingular, so r = sum x_j G_j and no r is a pivot.
+    Both are built from the integer rows B_j = d_j L_j and F = e f, whose
+    solution y_j = x_j e / d_j is read from the relation's combo.
     """
-    rhs = [LinearForm({i + 1: inner(q, bi, f) for i, bi in enumerate(basis)})
-           for f in targets]
-    if not rhs:
+    if not targets:
         return ()
+    basis_rows = [_int_row(b.coeffs) for b in basis]
+    target_rows = [_int_row(f.coeffs) for f in targets]
+    gram = [{j + 1: _dot(q, bi, bj) for j, (bj, _) in enumerate(basis_rows)}
+            for bi, _ in basis_rows]
+    rhs = [{j + 1: _dot(q, bj, f) for j, (bj, _) in enumerate(basis_rows)}
+           for f, _ in target_rows]
     k = len(basis)
-    gram = [LinearForm({j + 1: inner(q, bi, bj) for j, bj in enumerate(basis)})
-            for bi in basis]
-    return tuple(tuple(-combo.get(j, Fraction(0)) for j in range(k))
-                 for _, combo in itertools.islice(_eliminate((*gram, *rhs)), k, None))
+    relations = itertools.islice(_eliminate((*gram, *rhs)), k, None)
+    return tuple(tuple(Fraction(-combo.get(j, 0) * d, combo[k + t] * e)
+                       for j, (_, d) in enumerate(basis_rows))
+                 for t, ((_, e), (_, combo)) in enumerate(zip(target_rows, relations)))
 
 
 def orth_decompose(q: InnerProduct, f: LinearForm, u: Subspace) -> tuple[LinearForm, LinearForm]:
@@ -377,12 +415,11 @@ def find_circuit(forms: Sequence[LinearForm]) -> tuple[tuple[int, ...], tuple[Q,
     is the fundamental circuit of the first form that depends on its
     predecessors (minimality: dropping any member leaves an independent set).
     """
-    for red, combo in _eliminate(forms):
+    for red, combo in _eliminate(f.coeffs for f in forms):
         if not red:
             members = sorted(combo)
             largest = max(members, key=lambda i: forms[i].key())
-            scale = -1 / combo[largest]
-            return tuple(members), tuple(combo[i] * scale for i in members)
+            return tuple(members), tuple(Fraction(-combo[i], combo[largest]) for i in members)
     return None
 
 

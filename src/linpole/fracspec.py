@@ -100,6 +100,17 @@ class FractionSpec:
             raise ValueError("exponent and letter vectors must have equal length")
         if any(s < 1 for s in exps):
             raise ValueError("exponents must be positive integers")
+        self._fill(exps, lets, lmap)
+
+    @classmethod
+    def _trusted(cls, exps: tuple[int, ...], lets: tuple, lmap: LMap) -> "FractionSpec":
+        """Wrap canonical vectors (positive int exponents, canonical letters,
+        equal lengths) unchecked."""
+        spec = object.__new__(cls)
+        spec._fill(exps, lets, lmap)
+        return spec
+
+    def _fill(self, exps: tuple[int, ...], lets: tuple, lmap: LMap):
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "letters", lets)
         object.__setattr__(self, "lmap", lmap)
@@ -184,8 +195,10 @@ def phi(w: Word, lmap: LMap) -> RationalGerm:
 
 
 def spec_of_word(w: Word, lmap: LMap) -> FractionSpec:
+    """The spec of a word not ending in x0; int and frozenset letters are
+    taken as canonical, any other letter is canonicalised as by FractionSpec."""
     if not w:
-        return FractionSpec((), (), lmap)
+        return FractionSpec._trusted((), (), lmap)
     if w[-1] is X0:
         raise WordEndsInX0(f"{word_str(w)} ends in x0")
     exps: list[int] = []
@@ -196,9 +209,9 @@ def spec_of_word(w: Word, lmap: LMap) -> FractionSpec:
             run += 1
         else:
             exps.append(run + 1)
-            letters.append(a)
+            letters.append(a if type(a) is int or type(a) is frozenset else _canon_letter(a))
             run = 0
-    return FractionSpec(exps, letters, lmap)
+    return FractionSpec._trusted(tuple(exps), tuple(letters), lmap)
 
 
 def word_of_fraction(spec: FractionSpec) -> Word:

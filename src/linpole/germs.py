@@ -296,9 +296,12 @@ def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
     # to it; L_j becomes the fresh variable offset+1+j.
     subst: dict[int, Polynomial] = {}
     for v, coords in zip(support, _projection_coordinates(q, forms, map(zvar, support))):
-        a = LinearForm((w, x * c) for x, f in zip(coords, forms) for w, c in f.coeffs.items())
-        fresh = LinearForm({offset + 1 + j: x for j, x in enumerate(coords)})
-        subst[v] = Polynomial.from_linear(zvar(v) - a + fresh)
+        lin = {v: Fraction(1)}  # z_v - a_v + sum_j x_vj z_(offset+1+j)
+        for j, (x, f) in enumerate(zip(coords, forms)):
+            if x:
+                _axpy(lin, -x, f.coeffs)
+                lin[offset + 1 + j] = x
+        subst[v] = Polynomial.from_linear(LinearForm._trusted(dict(sorted(lin.items()))))
     groups = num.substitute(subst).collect(*range(offset + 1, offset + 1 + len(forms)))
     for slot, part in groups.items():
         rem_den = tuple((f, e - m) for (f, e), m in zip(den, slot) if e > m)

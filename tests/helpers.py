@@ -10,9 +10,12 @@ from linpole import (InnerProduct, LinearForm, Polynomial, RationalGerm,
                      germ_sum)
 
 
-def random_form(rng: random.Random, max_var: int = 4, max_coef: int = 3) -> LinearForm:
+def random_form(rng: random.Random, max_var: int = 4, max_coef: int = 3,
+                rational: bool = False) -> LinearForm:
+    """A nonzero form; `rational` draws denominators 1-4 as well."""
     while True:
-        coeffs = {v: Fraction(rng.randint(-max_coef, max_coef))
+        coeffs = {v: Fraction(rng.randint(-max_coef, max_coef),
+                              rng.randint(1, 4) if rational else 1)
                   for v in range(1, max_var + 1) if rng.random() < 0.6}
         f = LinearForm(coeffs)
         if f:
@@ -37,12 +40,23 @@ def random_germ(rng: random.Random, max_var: int = 4, max_factors: int = 3,
     return RationalGerm(num, dens)
 
 
-def random_spd_gram(rng: random.Random, n: int) -> InnerProduct:
-    """A^T A + n*I with a random small integer A is symmetric positive definite."""
-    a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+def random_spd_gram(rng: random.Random, n: int, rational: bool = False) -> InnerProduct:
+    """A^T A + n*I with a random small integer A (`rational`: entries with
+    denominators 1-3) is symmetric positive definite."""
+    a = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3) if rational else 1)
+          for _ in range(n)] for _ in range(n)]
     g = [[sum(a[k][i] * a[k][j] for k in range(n)) + (n if i == j else 0)
           for j in range(n)] for i in range(n)]
     return InnerProduct(g)
+
+
+def assert_canonical_form(f):
+    """Ascending positive indices, nonzero Fraction values, and the value
+    and hash the validating constructor gives."""
+    assert list(f.coeffs) == sorted(f.coeffs) and all(v >= 1 for v in f.coeffs)
+    assert all(type(c) is Fraction and c for c in f.coeffs.values())
+    g = LinearForm(dict(f.coeffs))
+    assert f == g and hash(f) == hash(g)
 
 
 def germ_point_value(g: RationalGerm, point: dict[int, Fraction]) -> Fraction:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from linpole import (DEFAULT_Q, InnerProduct, LinearForm, find_circuit, inner,
                      orth_decompose, orthogonal, span, zvar, zset)
+from linpole.exactlin import _axpy, _eliminate, _projection_coordinates
 
-from helpers import random_form
+from helpers import assert_canonical_form, random_form
 
 q = DEFAULT_Q
 z1, z2, z3 = zvar(1), zvar(2), zvar(3)
@@ -123,6 +125,64 @@ def test_orth_decompose_nondefault_gram():
     assert inner(g, b, z1) == 0
 
 
+def rational_eliminate(rows):
+    """Reference: the same incremental elimination in Fractions, pivot rows
+    scaled to pivot 1, so each residual has coefficient 1 on its input."""
+    pivots = []
+    for row in rows:
+        red = {v: Fraction(c) for v, c in row.items() if c}
+        for piv, prow in pivots:
+            if red.get(piv):
+                _axpy(red, -red[piv], prow)
+        yield red
+        if red:
+            inv = 1 / red[min(red)]
+            pivots.append((min(red), {v: x * inv for v, x in red.items()}))
+
+
+def test_eliminate_integer_contract():
+    """Integer residual and combo, residual = sum(combo[i] * input_i), a
+    positive multiple of the rational residual, with no common factor."""
+    rng = random.Random(44)
+    for _ in range(200):
+        rows = [{v: Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for v in range(1, 5)
+                 if rng.random() < 0.7} for _ in range(rng.randint(1, 6))]
+        for idx, ((red, combo), ref) in enumerate(zip(_eliminate(rows), rational_eliminate(rows))):
+            assert all(type(x) is int and x for x in (*red.values(), *combo.values()))
+            total = {}
+            for i, c in combo.items():
+                _axpy(total, c, rows[i])
+            assert total == red
+            assert combo[idx] > 0 and red == {v: combo[idx] * x for v, x in ref.items()}
+            assert math.gcd(*red.values(), *combo.values()) == 1
+
+
+def test_projection_with_zero_gram_entries():
+    """Zero inner products leave zero entries in the Gram and right-hand-side
+    rows; none may become a pivot."""
+    assert _projection_coordinates(q, [z1, z2], [z1 + z2, z3]) == ((1, 1), (0, 0))
+    g = InnerProduct([[2, 1], [1, 2]])
+    basis = [z1, z1 - z2.scale(2)]  # q-orthogonal under g: a diagonal Gram matrix
+    assert inner(g, basis[0], basis[1]) == 0
+    targets = [z2, z1 + z3, z3, z1.scale(Fraction(1, 3)) - z2]
+    coords = _projection_coordinates(g, basis, targets)
+    assert coords == tuple(tuple(inner(g, b, f) / inner(g, b, b) for b in basis)
+                           for f in targets)
+    assert all(type(x) is Fraction for row in coords for x in row)
+    assert coords[2] == (0, 0)
+
+
+def test_inner_product_with_zero_entries():
+    g = InnerProduct([[2, 0, 1], [0, 3, 0], [1, 0, 2]])
+    assert inner(g, z1, z2) == 0 and inner(g, z1, z3) == 1
+    a, b = orth_decompose(g, z1 + z2, span([z2, z3]))
+    assert a + b == z1 + z2 and inner(g, b, z2) == 0 and inner(g, b, z3) == 0
+    assert a == z2 + z3.scale(Fraction(1, 2))
+    for bad in ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]]):
+        with pytest.raises(ValueError):
+            InnerProduct(bad)
+
+
 @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
        st.integers(-9, 9), st.integers(1, 9), st.integers(1, 9))
 def test_inner_symmetric_bilinear(a1, a2, b1, b2, k_num, k_den):
@@ -191,15 +251,6 @@ def primitive_reference(f):
     if f.coeffs[min(f.coeffs)] < 0:
         scalar = -scalar
     return LinearForm({v: c / scalar for v, c in f.coeffs.items()}), scalar
-
-
-def assert_canonical_form(f):
-    """Ascending positive indices, nonzero Fraction values, and the value
-    and hash the validating constructor gives."""
-    assert list(f.coeffs) == sorted(f.coeffs) and all(v >= 1 for v in f.coeffs)
-    assert all(type(c) is Fraction and c for c in f.coeffs.values())
-    g = LinearForm(dict(f.coeffs))
-    assert f == g and hash(f) == hash(g)
 
 
 def test_primitive_matches_reference():

@@ -329,6 +329,34 @@ def test_coefficients_leave_the_words_layer_as_fractions():
         assert values and all(type(c) is Fraction for c in values), name
 
 
+def test_spec_of_word_matches_validating_constructor():
+    """spec_of_word wraps its vectors unchecked; the spec must be the one the
+    validating constructor builds from the same exponents and letters."""
+    rng = random.Random(43)
+    for trial in range(200):
+        lmap = chen if trial % 2 else speer
+        word = []
+        for _ in range(rng.randint(1, 5)):
+            word += [X0] * rng.choice((0, 0, 1, 2))
+            if lmap is chen:
+                word.append(rng.randint(1, 4))
+            else:
+                word.append(frozenset(rng.sample(range(1, 5), rng.randint(1, 3))))
+        spec = spec_of_word(tuple(word), lmap)
+        ref = FractionSpec([int(s) for s in spec.exponents],
+                           [set(u) if isinstance(u, frozenset) else u for u in spec.letters],
+                           lmap)
+        assert spec == ref and hash(spec) == hash(ref) and repr(spec) == repr(ref)
+        assert spec.word() == tuple(word)
+        assert type(spec.exponents) is tuple and type(spec.letters) is tuple
+    for letter in ((1, 2), [1, 2], {1, 2}):  # not canonical: a frozenset, as the constructor makes it
+        spec = spec_of_word((X0, letter), speer)
+        assert spec == FractionSpec((2,), (frozenset({1, 2}),), speer) and repr(spec) == "f[2;{1,2}]"
+    empty = spec_of_word((), chen)
+    ref = FractionSpec((), (), chen)
+    assert empty == ref and hash(empty) == hash(ref) and repr(empty) == repr(ref)
+
+
 def test_forest_json_roundtrip():
     wide = Forest([ForestNode({1, 2}, [ForestNode({1}), ForestNode({2})], 2)])
     data = wide.to_json()

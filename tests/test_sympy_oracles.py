@@ -1,9 +1,9 @@
 """sympy as an independent oracle for the exact linear algebra and division.
 
-span, orth_decompose, the positive-definiteness check of InnerProduct and
-Polynomial.dependence_space all run on one elimination routine in exactlin;
-these tests check each against sympy's own rref, solve, det and nullspace,
-and Polynomial.divide_by_form against sympy's div.
+span, orth_decompose, find_circuit, the positive-definiteness check of
+InnerProduct and Polynomial.dependence_space all run on one elimination
+routine in exactlin; these tests check each against sympy's own rref, solve,
+det and nullspace, and Polynomial.divide_by_form against sympy's div.
 """
 
 import random
@@ -13,10 +13,12 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from linpole import DEFAULT_Q, InnerProduct, LinearForm, Polynomial, orth_decompose, span
+from linpole import (DEFAULT_Q, InnerProduct, LinearForm, Polynomial, find_circuit,
+                     orth_decompose, span)
+from linpole.exactlin import _projection_coordinates
 from linpole.poly import _hyperplane_point
 
-from helpers import random_form, random_poly, random_spd_gram
+from helpers import assert_canonical_form, random_form, random_poly, random_spd_gram
 
 NV = 4
 
@@ -47,16 +49,21 @@ def test_span_matches_sympy_rref():
     for _ in range(150):
         forms = [random_form(rng, NV).scale(Fraction(rng.randint(1, 4), rng.randint(1, 4)))
                  for _ in range(rng.randint(1, 6))]
-        ours = [vector(f) for f in span(forms).basis]
-        assert ours == sympy_rref_rows([vector(f) for f in forms]), forms
+        basis = span(forms).basis
+        assert [vector(f) for f in basis] == sympy_rref_rows([vector(f) for f in forms]), forms
+        for f in basis:
+            assert_canonical_form(f)
 
 
 def test_orth_decompose_matches_sympy_solve():
+    """Integer trials, then rational forms, targets and Gram blocks, whose
+    denominators the integer elimination must clear."""
     rng = random.Random(12)
-    for trial in range(80):
-        q = DEFAULT_Q if trial % 2 else random_spd_gram(rng, rng.randint(1, 3))
-        u = span([random_form(rng, NV) for _ in range(rng.randint(1, 3))])
-        f = random_form(rng, NV)
+    for trial in range(160):
+        rational = trial >= 80
+        q = DEFAULT_Q if trial % 2 else random_spd_gram(rng, rng.randint(1, 3), rational)
+        u = span([random_form(rng, NV, rational=rational) for _ in range(rng.randint(1, 3))])
+        f = random_form(rng, NV, rational=rational)
         xs = sympy.symbols(f"x0:{u.dim}")
         a = [sum(x * to_sympy(b[v]) for x, b in zip(xs, u.basis))
              for v in range(1, NV + 1)]
@@ -72,6 +79,48 @@ def test_orth_decompose_matches_sympy_solve():
         ours, rest_form = orth_decompose(q, f, u)
         assert vector(ours) == expected
         assert ours + rest_form == f
+        for form in (ours, rest_form, *u.basis):
+            assert_canonical_form(form)
+        [coords] = _projection_coordinates(q, u.basis, [f])
+        assert all(type(x) is Fraction for x in coords)
+
+
+def columns(forms):
+    """The matrix whose columns are the forms' coefficient vectors."""
+    return sympy.Matrix([[to_sympy(x) for x in vector(f)] for f in forms]).T
+
+
+def test_find_circuit_matches_sympy_nullspace():
+    """The circuit is the kernel vector of the shortest dependent prefix,
+    scaled to -1 on its lexicographically largest form."""
+    rng = random.Random(17)
+    kinds = set()
+    for trial in range(150):
+        forms = [random_form(rng, NV, rational=True) for _ in range(rng.randint(1, 4))]
+        if trial % 3 == 0:  # a proportional copy
+            k = Fraction(rng.choice([-3, -1, 2]), rng.choice([1, 2, 5]))
+            forms.insert(rng.randint(0, len(forms)), rng.choice(forms).scale(k))
+        elif trial % 3 == 1:  # a rational combination of two forms
+            a, b = rng.sample(forms, 2) if len(forms) > 1 else (forms[0], forms[0])
+            forms.append(a.scale(Fraction(rng.randint(1, 3), rng.randint(1, 4)))
+                         - b.scale(Fraction(rng.randint(1, 3), rng.randint(1, 4))))
+            if not forms[-1]:
+                forms.pop()
+        ours = find_circuit(forms)
+        prefix = next((m for m in range(1, len(forms) + 1)
+                       if columns(forms[:m]).rank() < m), None)
+        if prefix is None:
+            assert ours is None, forms
+            kinds.add("independent")
+            continue
+        [kernel] = columns(forms[:prefix]).nullspace()
+        members = tuple(i for i in range(prefix) if kernel[i] != 0)
+        largest = max(members, key=lambda i: forms[i].key())
+        expected = tuple(from_sympy(-kernel[i] / kernel[largest]) for i in members)
+        assert ours == (members, expected), forms
+        assert all(type(c) is Fraction for c in ours[1])
+        kinds.add(len(members))
+    assert kinds >= {"independent", 2, 3}
 
 
 def random_symmetric(rng, n):
