@@ -14,23 +14,61 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (DependenceEscapesVars, DivergentIndex, EvaluatorDomain,
                      IncompatibleGenerators, NotChen, NotLocal,
                      TooManyVariables)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, orthogonal,
-                       span, zvar, _as_fraction)
+                       span, _as_fraction)
 from .germs import RationalGerm, dependence, germ_scale, germ_sum, ms_eval
 from .fracspec import (FractionSpec, SpecMonomial, lyndon_decompose,
                        monomial_mul, spec_monomial)
-from .poly import ZERO, Polynomial
+from .poly import Polynomial
 from .words import LinComb, is_lyndon, local_word_pair
 
 
 # ---------------------------------------------------------------------------
 # the iterated (Speer-style) evaluator
 # ---------------------------------------------------------------------------
+
+def _splits(n: int, r: int) -> Iterator[tuple[int, ...]]:
+    """Every r-tuple of nonnegative integers with sum n."""
+    if not r:
+        if not n:
+            yield ()
+        return
+    for bars in itertools.combinations(range(n + r - 1), r - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, n + r - 1)))
+
+
+def _reg_terms(f: RationalGerm, i: int) -> Iterator[RationalGerm]:
+    """The terms whose sum is ev_reg_single(f, i).
+
+    With z_i^m the pure pole and (a_j z_i + R_j)^s_j the mixed factors, the
+    constant coefficient is [z_i^m] of the numerator times
+    prod_j sum_t C(s_j+t-1, t) (-a_j)^t z_i^t / R_j^(s_j+t): one term per
+    numerator slice N_d z_i^d (d <= m) and split of the m - d missing powers
+    of z_i over the mixed factors.
+    """
+    m = 0
+    mixed: list[tuple[Q, LinearForm, int]] = []  # (a, rest, exp), a != 0 != rest
+    free: list[tuple[LinearForm, int]] = []
+    for form, e in f.denominator:
+        a = form.coeffs.get(i)
+        if a is None:
+            free.append((form, e))
+        elif len(form.coeffs) == 1:  # a canonical pure factor is exactly z_i
+            m += e
+        else:
+            rest = LinearForm._trusted({v: c for v, c in form.coeffs.items() if v != i})
+            mixed.append((a, rest, e))
+    for (d,), part in f.numerator.collect(i).items():
+        for ts in _splits(m - d, len(mixed)) if d <= m else ():
+            k = math.prod(math.comb(s + t - 1, t) * (-a) ** t
+                          for (a, _, s), t in zip(mixed, ts))
+            yield RationalGerm(part * k, free + [(r, s + t) for (_, r, s), t in zip(mixed, ts)])
+
 
 def ev_reg_single(f: RationalGerm, i: int) -> RationalGerm:
     """Constant Laurent coefficient of f in the variable z_i, over the field
@@ -40,45 +78,102 @@ def ev_reg_single(f: RationalGerm, i: int) -> RationalGerm:
     are treated as invertible at z_i = 0, which is the value off a measure-zero
     set of the remaining variables.
     """
-    zi = zvar(i)
-    m = 0  # order of the pure pole z_i^m
-    mixed: list[tuple[Q, LinearForm, int]] = []  # (a, rest, exp), a != 0 != rest
-    free: list[tuple[LinearForm, int]] = []
-    for form, e in f.denominator:
-        a = form[i]
-        if form == zi:  # a canonical pure factor is exactly z_i
-            m += e
-        elif a:
-            mixed.append((a, form - zi.scale(a), e))
+    return germ_sum(_reg_terms(f, i))
+
+
+def _blocks(f: RationalGerm) -> list[list[int]]:
+    """The variables of f, grouped so that two share a block when a chain of
+    denominator forms links them; a numerator-only variable is a block of its
+    own.  Largest block first."""
+    blocks = [{v} for v in f.variables()]
+    for form, _ in f.denominator:
+        linked = [b for b in blocks if not b.isdisjoint(form.coeffs)]
+        blocks = [b for b in blocks if b.isdisjoint(form.coeffs)] + [set().union(*linked)]
+    return sorted((sorted(b) for b in blocks), key=len, reverse=True)
+
+
+def _normalised(g: RationalGerm) -> tuple[RationalGerm, Fraction]:
+    """(g / c, c) with c the coefficient of the least monomial of g's
+    numerator, so that proportional germs share one key."""
+    coeffs = g.numerator.coeffs
+    lead = coeffs[min(coeffs)]
+    return germ_scale(g, 1 / lead), lead
+
+
+def _layered(f: RationalGerm) -> Fraction:
+    """The average over the orderings of f's variables, built by subset
+    size.  Each A(S) maps normalised germs to their weights, so
+    proportional terms reached along different orderings share one entry."""
+    variables = f.variables()
+    layer: dict[frozenset, dict[RationalGerm, Fraction]] = {frozenset(): {f: Fraction(1)}}
+    for size in range(1, len(variables) + 1):
+        nxt: dict[frozenset, dict[RationalGerm, Fraction]] = {}
+        for done, combo in layer.items():
+            for v in variables:
+                if v not in done:
+                    acc = nxt.setdefault(done | {v}, {})
+                    for g, c in combo.items():
+                        for h in _reg_terms(g, v):
+                            key, lead = _normalised(h)
+                            acc[key] = acc.get(key, 0) + c * lead
+        layer = {s: {g: c / size for g, c in acc.items() if c} for s, acc in nxt.items()}
+    total = Fraction(0)
+    for g, c in layer[frozenset(variables)].items():
+        if not g.is_holomorphic() or not g.numerator.is_constant():
+            raise DependenceEscapesVars("iterated evaluation did not reach a constant")
+        total += c * g.numerator.constant_term()
+    return total
+
+
+def _block_value(f: RationalGerm, memo: dict[RationalGerm, Fraction]) -> Fraction:
+    """The iterated value of f.  With the numerator written as
+    sum_a P_a m_a, P_a in the first block's variables and m_a a monomial in
+    the others', it is sum_a value(P_a / D_1) prod_b value(m_ab / D_b), D_b
+    the forms of block b.  This is exact: the constant coefficient in z_i
+    passes through a factor free of z_i, so each order of the variables
+    gives the product of the blocks' values in the orders it induces, and
+    the average over all orders is the product of the averages.  Values are
+    memoised per normalised germ."""
+    if not f:
+        return Fraction(0)
+    key, lead = _normalised(f)
+    if key not in memo:
+        blocks = _blocks(key)
+        if len(blocks) < 2:
+            memo[key] = _layered(key)
         else:
-            free.append((form, e))
-    # need [z_i^m] of numerator * prod (a_j z_i + R_j)^{-s_j}; put everything
-    # over the common denominator prod R_j^{s_j + m} and expand as a series in
-    # z_i truncated at degree m: {degree: coefficient polynomial}
-    series = {k: p for (k,), p in f.numerator.collect(i).items() if k <= m}
-    if m and series:  # with m = 0 every mixed factor contributes R^0 = 1
-        for a, r, s in mixed:
-            # (a z_i + R)^{-s} = sum_t (-1)^t C(s+t-1, t) a^t z_i^t R^{m-t} / R^{s+m}
-            rp = Polynomial.from_linear(r)
-            steps = [rp ** (m - t) * ((-a) ** t * math.comb(s + t - 1, t))
-                     for t in range(m + 1)]
-            series = {e: sum((p * steps[e - d] for d, p in series.items() if d <= e), ZERO)
-                      for e in range(min(series), m + 1)}
-    total = series.get(m, ZERO)
-    return RationalGerm(total, free + [(r, s + m) for _, r, s in mixed])
+            block_of = {v: j for j, vs in enumerate(blocks) for v in vs}
+            dens: list[list[tuple[LinearForm, int]]] = [[] for _ in blocks]
+            for form, e in key.denominator:
+                dens[block_of[form.support()[0]]].append((form, e))
+            rest_vars = [v for vs in blocks[1:] for v in vs]
+            total = Fraction(0)
+            for exps, part in key.numerator.collect(*rest_vars).items():
+                powers = dict(zip(rest_vars, exps))
+                value = _block_value(RationalGerm(part, dens[0]), memo)
+                for vs, den in zip(blocks[1:], dens[1:]):
+                    if not value:
+                        break
+                    mono = Polynomial({tuple((v, powers[v]) for v in vs): 1})
+                    value *= _block_value(RationalGerm(mono, den), memo)
+                total += value
+            memo[key] = total
+    return lead * memo[key]
 
 
 def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
               perm_cap: int = 8) -> Q:
     """Average of iterated single-variable regularised evaluations over all
-    orderings of the variables; `perm_cap` caps the number of variables.
+    orderings of the variables; `perm_cap` caps the number of variables,
+    counted over all blocks.
 
-    ev_reg_single is linear, so the average A(S) over the orderings of a set
-    S satisfies A(S) = (1/|S|) sum_{i in S} ev_reg_single(A(S - {i}), i).
-    Building A layer by layer over subset size takes k 2^(k-1)
-    single-variable steps on k variables instead of k k!.  Each A(S) maps
-    germs scaled to a first numerator coefficient of 1 to their weights, so
-    proportional germs reached along different orderings share one entry.
+    Variables linked by denominator forms make a block, and the value is a
+    sum of products of block values.  Within a block of k variables,
+    ev_reg_single is linear, so the average A(S) over the orderings of a
+    set S satisfies A(S) = (1/|S|) sum_{i in S} ev_reg_single(A(S - {i}), i);
+    building A by subset size takes k 2^(k-1) single-variable steps instead
+    of k k!.  Each step yields the terms of ev_reg_single one by one, and
+    proportional terms share one entry of A(S).
     """
     # A germ depends on no form outside its own variables, so only an
     # explicit list needs the dependence check.
@@ -91,26 +186,7 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
         for form in dependence(f, DEFAULT_Q).basis:
             if not set(form.support()) <= set(variables):
                 raise DependenceEscapesVars(f"germ depends on {form!r}")
-    layer: dict[frozenset, dict[RationalGerm, Fraction]] = {frozenset(): {f: Fraction(1)}}
-    for size in range(1, k + 1):
-        nxt: dict[frozenset, dict[RationalGerm, Fraction]] = {}
-        for done, combo in layer.items():
-            for v in variables:
-                if v not in done:
-                    acc = nxt.setdefault(done | {v}, {})
-                    for g, c in combo.items():
-                        h = ev_reg_single(g, v)
-                        if h:
-                            lead = h.numerator.terms[0][1]
-                            key = germ_scale(h, 1 / lead)
-                            acc[key] = acc.get(key, 0) + c * lead
-        layer = {s: {g: c / size for g, c in acc.items() if c} for s, acc in nxt.items()}
-    total = Fraction(0)
-    for g, c in layer[frozenset(variables)].items():
-        if not g.is_holomorphic() or not g.numerator.is_constant():
-            raise DependenceEscapesVars("iterated evaluation did not reach a constant")
-        total += c * g.numerator.constant_term()
-    return total
+    return _block_value(f, {})
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,20 @@ class SimplexFraction:
         space = span(forms)
         if space.dim != len(forms):
             raise ValueError("denominator forms must be linearly independent")
-        object.__setattr__(self, "entries", ent)
+        self._fill(ent, space)
+
+    @classmethod
+    def _trusted(cls, entries: tuple[DenEntry, ...]) -> "SimplexFraction":
+        """Wrap sorted entries of independent forms and positive exponents
+        without checking them."""
+        s = object.__new__(cls)
+        s._fill(entries, span(f for f, _ in entries))
+        return s
+
+    def _fill(self, entries: tuple[DenEntry, ...], space: Subspace):
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_space", space)
-        object.__setattr__(self, "_hash", hash(ent))
+        object.__setattr__(self, "_hash", hash(entries))
 
     def __setattr__(self, *a):
         raise AttributeError("SimplexFraction is immutable")
@@ -253,12 +264,23 @@ class Decomposition:
         merged: dict[SimplexFraction, Polynomial] = {}
         for t in terms:
             merged[t.simplex] = merged.get(t.simplex, Polynomial()) + t.numerator
-        clean = [PolarTerm(num, s) for s, num in merged.items() if num]
-        clean.sort(key=lambda t: (t.supporting_space().key(), t.p_order,
-                                  tuple((f.key(), e) for f, e in t.simplex.entries)))
-        object.__setattr__(self, "terms", tuple(clean))
+        self._fill([PolarTerm(num, s) for s, num in merged.items() if num], holomorphic)
+
+    @classmethod
+    def _trusted(cls, terms: list[PolarTerm], holomorphic: Polynomial) -> "Decomposition":
+        """Wrap polar terms whose simplices are pairwise distinct, without
+        merging them."""
+        d = object.__new__(cls)
+        d._fill(terms, holomorphic)
+        return d
+
+    def _fill(self, terms: list[PolarTerm], holomorphic: Polynomial):
+        terms = tuple(sorted(terms, key=lambda t: (
+            t.supporting_space().key(), t.p_order,
+            tuple((f.key(), e) for f, e in t.simplex.entries))))
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "holomorphic", holomorphic)
-        object.__setattr__(self, "_hash", hash((self.terms, holomorphic)))
+        object.__setattr__(self, "_hash", hash((terms, holomorphic)))
 
     def __setattr__(self, *a):
         raise AttributeError("Decomposition is immutable")
@@ -358,16 +380,19 @@ def _decompose(f: RationalGerm, q: InnerProduct) -> Decomposition:
         d = heapq.heappop(heap)[-1]
         n, split = nums.pop(d), splits[tuple(f for f, _ in d)]
         if n and split is None:
-            _split_simplex(Polynomial(n), d, q, acc, state)
+            _split_simplex(Polynomial._trusted(n), d, q, acc, state)
         elif n:
             pivot, circuit = split
             for i, c in zip(*circuit):
                 if i != pivot:
                     nd = {**dict(d), d[i][0]: d[i][1] - 1, d[pivot][0]: d[pivot][1] + 1}
                     _axpy(state((f, e) for f, e in nd.items() if e), c, n)
-    holo = Polynomial(acc.pop((), {}))
-    terms = [PolarTerm(Polynomial(t), SimplexFraction(den)) for den, t in acc.items() if t]
-    return Decomposition(terms, holo)
+    # Every dict was built by _axpy from canonical monomials and Fractions,
+    # and every denominator is sorted, independent and its own key.
+    holo = Polynomial._trusted(acc.pop((), {}))
+    return Decomposition._trusted(
+        [PolarTerm(Polynomial._trusted(t), SimplexFraction._trusted(den))
+         for den, t in acc.items() if t], holo)
 
 
 def recompose(d: Decomposition) -> RationalGerm:

@@ -75,8 +75,8 @@ class Polynomial:
 
     @classmethod
     def _trusted(cls, coeffs: dict[Monomial, Fraction]) -> "Polynomial":
-        """Wrap a dict this module built: canonical monomials, nonzero
-        Fractions, owned by the result.  Nothing is checked."""
+        """Wrap a dict of canonical monomials to nonzero Fractions, owned by
+        the result.  Nothing is checked."""
         p = object.__new__(cls)
         object.__setattr__(p, "coeffs", coeffs)
         return p

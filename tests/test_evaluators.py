@@ -217,6 +217,89 @@ def test_iter_eval_matches_average_over_orderings():
     assert raised >= 10
 
 
+def _shifted(g, shift):
+    """g with every variable v renamed to v + shift."""
+    return RationalGerm(g.numerator.rename({v: v + shift for v in g.variables()}),
+                        [(LinearForm({v + shift: c for v, c in f.coeffs.items()}), e)
+                         for f, e in g.denominator])
+
+
+def _coupling_monomial(rng, a, b):
+    """A monomial in the variables of both germs of the degree of the
+    denominator of a*b."""
+    deg = sum(e for _, e in a.denominator + b.denominator)
+    va, vb = a.variables(), b.variables()
+    vs = [rng.choice(va), rng.choice(vb)] + [rng.choice(va + vb) for _ in range(deg - 2)]
+    return Polynomial({tuple(Counter(vs).items()): rng.choice((-2, -1, 1, 2))})
+
+
+def test_iter_eval_on_disconnected_germs_matches_average_over_orderings():
+    rng = random.Random(25)
+    P4, z4 = Polynomial.variable(4), zvar(4)
+    # factors in 2 or 3 variables with a nonzero value, so that products in
+    # disjoint variables are nonzero and the oracle's orderings stay few
+    factors = [g for g in iter_corpus(rng, 45)
+               if len(g.variables()) < 4 and iter_eval_by_orderings(g, g.variables())]
+    twos = [g for g in factors if len(g.variables()) == 2]
+    germs = [RationalGerm((P1 - P4) ** 2, [(z1, 1), (z4, 1), (z1 + z2, 1)])]
+    for a, b in zip(factors, twos[::-1]):
+        b = _shifted(b, max(a.variables()))
+        ab = germ_mul(a, b)
+        n = len(ab.variables())
+        top = Polynomial.variable(n + 1)
+        germs += [
+            ab,
+            # a numerator monomial coupling the two blocks, of the degree
+            # of the denominator so that values stay nonzero
+            RationalGerm(ab.numerator + _coupling_monomial(rng, a, b), ab.denominator),
+            # a variable that appears only in the numerator
+            germ_mul(a, RationalGerm(top ** 2 + top * Polynomial.variable(1) + 3)),
+        ]
+    nonzero = raised = 0
+    for g in germs:
+        vs = list(g.variables())
+        # a superset only below four variables: the oracle's cost is factorial
+        for variables in [None, vs[1:]] + ([vs + [vs[-1] + 2]] if len(vs) < 4 else []):
+            try:
+                expected = iter_eval_by_orderings(g, vs if variables is None else variables)
+            except DependenceEscapesVars as exc:
+                with pytest.raises(type(exc)):
+                    iter_eval(g, variables)
+                raised += 1
+                continue
+            assert iter_eval(g, variables) == expected, (g, variables)
+            nonzero += expected != 0
+    assert len(germs) >= 25 and nonzero >= 25 and raised >= 20
+
+
+def test_iter_eval_steps_block_by_block(monkeypatch):
+    steps = []
+    reg_terms = evaluators._reg_terms
+
+    def counting(f, i):
+        steps.append(i)
+        return reg_terms(f, i)
+
+    monkeypatch.setattr(evaluators, "_reg_terms", counting)
+    a = RationalGerm((P1 - P2) ** 2, [(z1, 1), (z1 + z2 + zvar(3), 2)])
+    b = _shifted(G_TILDE, 3)
+    ab = germ_mul(a, b)
+    counts = []
+    for g in (a, b, ab):
+        steps.clear()
+        iter_eval(g)
+        counts.append(len(steps))
+    slices = len(ab.numerator.collect(4, 5))
+    assert counts[2] <= (counts[0] + counts[1]) * slices
+    assert counts[2] < 5 * 2 ** 4  # one germ per subset of all five variables
+    assert iter_eval(ab) == iter_eval(a) * iter_eval(b) == iter_eval_by_orderings(ab, [1, 2, 3, 4, 5])
+    # the cap counts every variable, though each block is below it
+    with pytest.raises(TooManyVariables):
+        iter_eval(ab, perm_cap=4)
+    with pytest.raises(TooManyVariables):
+        iter_eval(a, variables=[1, 2, 3, 4, 5], perm_cap=4)
+
+
 # ------------------------------------------------------------ mzv
 
 def oracle_mzv(s, n_max):

@@ -199,6 +199,15 @@ def test_cli_eval_iter(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_cli_eval_iter_nested_sum_in_seven_variables(capsys):
+    # (z1-z7)^2/(z1 (z1+z2) ... (z1+...+z7)): one block of seven variables
+    den = "*".join("(" + "+".join(f"z{j}" for j in range(1, i + 1)) + ")"
+                  for i in range(1, 8))
+    code, out, _ = run_cli(capsys, "--perm-cap", "12", "eval", "--evaluator", "iter",
+                           f"(z1-z7)^2/({den})")
+    assert code == 0 and out.strip() == "0"
+
+
 def test_cli_eval_ms_and_zeta(capsys):
     code, out, _ = run_cli(capsys, "eval", "--evaluator", "ms", "z2/(z1+z2)")
     assert code == 0 and out.strip() == "1/2"
