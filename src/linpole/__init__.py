@@ -1,9 +1,9 @@
 """Exact calculus of meromorphic germs at zero with linear poles."""
 
-from .errors import (DependenceEscapesVars, DivergentIndex, EmptyWord,
-                     EvaluatorDomain, IncompatibleGenerators, LinpoleError,
-                     NonHomogeneousPole, NotChen, NotLocal, NotLocalSpec,
-                     ParseError, TooManyVariables, WordEndsInX0,
+from .errors import (BudgetExceeded, DependenceEscapesVars, DivergentIndex,
+                     EmptyWord, EvaluatorDomain, IncompatibleGenerators,
+                     LinpoleError, NonHomogeneousPole, NotChen, NotLocal,
+                     NotLocalSpec, ParseError, TooManyVariables, WordEndsInX0,
                      ZeroCumulativeForm)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Subspace,
                        ZERO_SPACE, find_circuit, inner, load_inner_product,

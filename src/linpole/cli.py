@@ -126,6 +126,14 @@ def _combo_json(c: GermCombo) -> dict:
                       for h, specs in c.terms]}
 
 
+def _spec_terms(combo) -> tuple[str, list[dict]]:
+    """A list of (spec, coeff) pairs, sorted by spec text, as text and as
+    JSON terms."""
+    combo = sorted(combo, key=lambda t: repr(t[0]))
+    return (" + ".join(f"{c}*{s!r}" for s, c in combo),
+            [{"spec": repr(s), "coeff": ser.rational_str(c)} for s, c in combo])
+
+
 def cmd_decompose(args):
     g = parse_germ(_read_payload(args.expr))
     d = decompose(g, args.q)
@@ -224,21 +232,15 @@ def cmd_unphi(args):
 
 def cmd_expand(args):
     a, b = parse_spec(args.spec), parse_spec(args.spec2)
-    combo = expand_product(a, b)
-    combo.sort(key=lambda t: repr(t[0]))
-    _emit(args, " + ".join(f"{c}*{s!r}" for s, c in combo),
-          [{"spec": repr(s), "coeff": ser.rational_str(c)} for s, c in combo])
+    _emit(args, *_spec_terms(expand_product(a, b)))
 
 
 def cmd_flatten(args):
     forest = Forest.from_json(json.loads(_read_payload(args.forest)))
-    combo = flatten_forest(forest)
-    combo.sort(key=lambda t: repr(t[0]))
+    text, terms = _spec_terms(flatten_forest(forest))
     germ = forest_fraction(forest)
-    _emit(args, " + ".join(f"{c}*{s!r}" for s, c in combo) +
-          f"\n= {germ!r}",
-          {"fraction": ser.germ_to_json(germ),
-           "terms": [{"spec": repr(s), "coeff": ser.rational_str(c)} for s, c in combo]})
+    _emit(args, f"{text}\n= {germ!r}",
+          {"fraction": ser.germ_to_json(germ), "terms": terms})
 
 
 def cmd_galois(args):

@@ -45,6 +45,10 @@ class TooManyVariables(LinpoleError):
     """Iterated evaluation over more variables than the permutation cap allows."""
 
 
+class BudgetExceeded(LinpoleError):
+    """The estimated work of a computation exceeds its fixed budget."""
+
+
 class DependenceEscapesVars(LinpoleError):
     """The germ depends on directions outside the requested variable list."""
 

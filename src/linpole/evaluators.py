@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import (DependenceEscapesVars, DivergentIndex, EvaluatorDomain,
-                     IncompatibleGenerators, NotChen, NotLocal,
+from .errors import (BudgetExceeded, DependenceEscapesVars, DivergentIndex,
+                     EvaluatorDomain, IncompatibleGenerators, NotChen, NotLocal,
                      TooManyVariables)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, orthogonal,
                        span, _as_fraction)
@@ -92,73 +92,57 @@ def _blocks(f: RationalGerm) -> list[list[int]]:
     return sorted((sorted(b) for b in blocks), key=len, reverse=True)
 
 
-def _normalised(g: RationalGerm) -> tuple[RationalGerm, Fraction]:
-    """(g / c, c) with c the coefficient of the least monomial of g's
-    numerator, so that proportional germs share one key."""
+def _value(g: RationalGerm, memo: dict[RationalGerm, Fraction]) -> Fraction:
+    """The average over the orderings of g's k variables.  A uniform order
+    starts at a uniform i and induces a uniform order on the variables of
+    each term h of ev_reg_single(g, i), a variable h lacks being an identity
+    step, so value(g) = (1/k) sum_i sum_h value(h); a germ without variables
+    is its constant.  Values are memoised per germ divided by the
+    coefficient of its numerator's least monomial, so proportional terms
+    reached along different orders are evaluated once."""
+    if not g:
+        return Fraction(0)
     coeffs = g.numerator.coeffs
     lead = coeffs[min(coeffs)]
-    return germ_scale(g, 1 / lead), lead
+    key = germ_scale(g, 1 / lead)
+    if key not in memo:
+        variables = key.variables()
+        if not variables:
+            memo[key] = key.numerator.constant_term()
+        else:
+            memo[key] = sum((_value(h, memo) for i in variables for h in _reg_terms(key, i)),
+                            Fraction(0)) / len(variables)
+    return lead * memo[key]
 
 
-def _layered(f: RationalGerm) -> Fraction:
-    """The average over the orderings of f's variables, built by subset
-    size.  Each A(S) maps normalised germs to their weights, so
-    proportional terms reached along different orderings share one entry."""
-    variables = f.variables()
-    layer: dict[frozenset, dict[RationalGerm, Fraction]] = {frozenset(): {f: Fraction(1)}}
-    for size in range(1, len(variables) + 1):
-        nxt: dict[frozenset, dict[RationalGerm, Fraction]] = {}
-        for done, combo in layer.items():
-            for v in variables:
-                if v not in done:
-                    acc = nxt.setdefault(done | {v}, {})
-                    for g, c in combo.items():
-                        for h in _reg_terms(g, v):
-                            key, lead = _normalised(h)
-                            acc[key] = acc.get(key, 0) + c * lead
-        layer = {s: {g: c / size for g, c in acc.items() if c} for s, acc in nxt.items()}
-    total = Fraction(0)
-    for g, c in layer[frozenset(variables)].items():
-        if not g.is_holomorphic() or not g.numerator.is_constant():
-            raise DependenceEscapesVars("iterated evaluation did not reach a constant")
-        total += c * g.numerator.constant_term()
-    return total
-
-
-def _block_value(f: RationalGerm, memo: dict[RationalGerm, Fraction]) -> Fraction:
+def _block_value(f: RationalGerm) -> Fraction:
     """The iterated value of f.  With the numerator written as
     sum_a P_a m_a, P_a in the first block's variables and m_a a monomial in
     the others', it is sum_a value(P_a / D_1) prod_b value(m_ab / D_b), D_b
     the forms of block b.  This is exact: the constant coefficient in z_i
     passes through a factor free of z_i, so each order of the variables
     gives the product of the blocks' values in the orders it induces, and
-    the average over all orders is the product of the averages.  Values are
-    memoised per normalised germ."""
-    if not f:
-        return Fraction(0)
-    key, lead = _normalised(f)
-    if key not in memo:
-        blocks = _blocks(key)
-        if len(blocks) < 2:
-            memo[key] = _layered(key)
-        else:
-            block_of = {v: j for j, vs in enumerate(blocks) for v in vs}
-            dens: list[list[tuple[LinearForm, int]]] = [[] for _ in blocks]
-            for form, e in key.denominator:
-                dens[block_of[form.support()[0]]].append((form, e))
-            rest_vars = [v for vs in blocks[1:] for v in vs]
-            total = Fraction(0)
-            for exps, part in key.numerator.collect(*rest_vars).items():
-                powers = dict(zip(rest_vars, exps))
-                value = _block_value(RationalGerm(part, dens[0]), memo)
-                for vs, den in zip(blocks[1:], dens[1:]):
-                    if not value:
-                        break
-                    mono = Polynomial({tuple((v, powers[v]) for v in vs): 1})
-                    value *= _block_value(RationalGerm(mono, den), memo)
-                total += value
-            memo[key] = total
-    return lead * memo[key]
+    the average over all orders is the product of the averages."""
+    memo: dict[RationalGerm, Fraction] = {}
+    blocks = _blocks(f)
+    if len(blocks) < 2:
+        return _value(f, memo)
+    block_of = {v: j for j, vs in enumerate(blocks) for v in vs}
+    dens: list[list[tuple[LinearForm, int]]] = [[] for _ in blocks]
+    for form, e in f.denominator:
+        dens[block_of[form.support()[0]]].append((form, e))
+    rest_vars = [v for vs in blocks[1:] for v in vs]
+    total = Fraction(0)
+    for exps, part in f.numerator.collect(*rest_vars).items():
+        powers = dict(zip(rest_vars, exps))
+        value = _value(RationalGerm(part, dens[0]), memo)
+        for vs, den in zip(blocks[1:], dens[1:]):
+            if not value:
+                break
+            mono = Polynomial({tuple((v, powers[v]) for v in vs): 1})
+            value *= _value(RationalGerm(mono, den), memo)
+        total += value
+    return total
 
 
 def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
@@ -168,12 +152,8 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
     counted over all blocks.
 
     Variables linked by denominator forms make a block, and the value is a
-    sum of products of block values.  Within a block of k variables,
-    ev_reg_single is linear, so the average A(S) over the orderings of a
-    set S satisfies A(S) = (1/|S|) sum_{i in S} ev_reg_single(A(S - {i}), i);
-    building A by subset size takes k 2^(k-1) single-variable steps instead
-    of k k!.  Each step yields the terms of ev_reg_single one by one, and
-    proportional terms share one entry of A(S).
+    sum of products of block values, each the mean over the first variable
+    i of the values of the terms of ev_reg_single(., i).
     """
     # A germ depends on no form outside its own variables, so only an
     # explicit list needs the dependence check.
@@ -186,7 +166,7 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
         for form in dependence(f, DEFAULT_Q).basis:
             if not set(form.support()) <= set(variables):
                 raise DependenceEscapesVars(f"germ depends on {form!r}")
-    return _block_value(f, {})
+    return _block_value(f)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +174,9 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
 # ---------------------------------------------------------------------------
 
 MAX_PRECISION = 1000  # digits; the work grows linearly with the precision
+# Cap on (n+1)^2 n_terms (precision+100), the work of one MZV of weight n;
+# zeta(16) at 1000 digits (1.1e9) takes about 2 s with CPython 3.11.
+MZV_BUDGET = 1_500_000_000
 _DUAL = str.maketrans("01", "10")
 
 
@@ -241,6 +224,9 @@ def _mzv(s: tuple[int, ...], precision: int) -> tuple[Fraction, Fraction]:
     n_terms = 2 * n + 10 * (precision + 2) // 3
     while bound * (n_terms + 1) ** (n - 1) > 2 ** (n_terms + 1):
         n_terms += 1
+    if (n + 1) ** 2 * n_terms * (precision + 100) > MZV_BUDGET:
+        raise BudgetExceeded(f"zeta{s} at {precision} digits exceeds the work budget "
+                             f"(weight {n}, {n_terms} terms)")
     # Rounding loses at most n_terms + n units per factor.
     scale = 10 ** (precision + 6) * n_terms * (n + 1)
     lo = hi = 0
@@ -257,8 +243,10 @@ def mzv_numeric(s: Sequence[int], precision: int = 8) -> tuple[Fraction, Fractio
     """Multiple zeta value (sum over n1 > ... > nk >= 1 of prod n_j^{-s_j})
     as (value, error_bound) with |true - value| <= error_bound < 10^-precision.
 
-    Raises DivergentIndex when the leading exponent is 1, and ValueError for
-    a precision outside 0..MAX_PRECISION.  Results are memoised per
+    Raises DivergentIndex when the leading exponent is 1, ValueError for a
+    precision outside 0..MAX_PRECISION, and BudgetExceeded, before any
+    summation, when (n+1)^2 n_terms (precision+100) exceeds MZV_BUDGET, n
+    the weight and n_terms the truncation length.  Results are memoised per
     (s, precision).
     """
     s = tuple(int(x) for x in s)

@@ -25,6 +25,11 @@ from .poly import ONE, Polynomial
 DenEntry = tuple[LinearForm, int]
 
 
+def _den_repr(entries: Iterable[DenEntry]) -> str:
+    """The product of the entries as text that parse_germ reads back."""
+    return "*".join(f"({f!r})^{e}" if e > 1 else f"({f!r})" for f, e in entries)
+
+
 def _coerce_poly(x) -> Polynomial:
     if isinstance(x, Polynomial):
         return x
@@ -122,8 +127,7 @@ class RationalGerm:
         """An expression that parse_germ reads back to an equal germ."""
         if not self.denominator:
             return repr(self.numerator)
-        den = "*".join(f"({f!r})^{e}" if e > 1 else f"({f!r})" for f, e in self.denominator)
-        return f"({self.numerator!r})/({den})"
+        return f"({self.numerator!r})/({_den_repr(self.denominator)})"
 
 
 ZERO_GERM = RationalGerm(0)
@@ -209,8 +213,7 @@ class SimplexFraction:
         return RationalGerm(1, self.entries)
 
     def __repr__(self):
-        return "1/(" + "*".join(f"({f!r})^{e}" if e > 1 else f"({f!r})"
-                                for f, e in self.entries) + ")"
+        return f"1/({_den_repr(self.entries)})"
 
 
 class PolarTerm:

@@ -12,17 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from linpole import (DEFAULT_Q, DependenceEscapesVars, DivergentIndex,
-                     Evaluator, FractionSpec, GaloisTransform, GermCombo,
-                     IncompatibleGenerators, LinearForm, NotChen, NotLocal,
-                     Polynomial, RationalGerm, TooManyVariables,
+from linpole import (DEFAULT_Q, BudgetExceeded, DependenceEscapesVars,
+                     DivergentIndex, Evaluator, FractionSpec, GaloisTransform,
+                     GermCombo, IncompatibleGenerators, LinearForm, NotChen,
+                     NotLocal, Polynomial, RationalGerm, TooManyVariables,
                      apply_transform, chen_lmap, check_factorization,
                      compose_transforms, d_residue, dependence,
                      ev_reg_single, expand_product, galois_from_evaluator,
                      germ_mul, germ_sum, invert_transform, iter_eval,
                      iter_evaluator, locality_lyndon_generators, ms_eval,
-                     ms_evaluator, mzv_numeric, p_residue, parse_spec, spec_of_word,
-                     speer_lmap, zeta_eval, zeta_evaluator, zvar)
+                     ms_evaluator, mzv_numeric, p_residue, parse_germ,
+                     parse_spec, spec_of_word, speer_lmap, zeta_eval,
+                     zeta_evaluator, zvar)
 from linpole import evaluators, germs
 from linpole.words import integer_alphabet
 
@@ -284,14 +285,19 @@ def test_iter_eval_steps_block_by_block(monkeypatch):
     a = RationalGerm((P1 - P2) ** 2, [(z1, 1), (z1 + z2 + zvar(3), 2)])
     b = _shifted(G_TILDE, 3)
     ab = germ_mul(a, b)
+    # a step in z1 leaves the constant 1 and a step in z2..z5 leaves no
+    # term, so the value is 1/5 after five steps
+    lost = parse_germ("z2*z3*z4*z5/((z1+z2)*(z1+z3)*(z1+z4)*(z1+z5))")
     counts = []
-    for g in (a, b, ab):
+    for g in (a, b, ab, lost):
         steps.clear()
         iter_eval(g)
         counts.append(len(steps))
     slices = len(ab.numerator.collect(4, 5))
     assert counts[2] <= (counts[0] + counts[1]) * slices
-    assert counts[2] < 5 * 2 ** 4  # one germ per subset of all five variables
+    assert counts[2] < 5 * 2 ** 4  # below a pass over every subset of the five variables
+    assert counts[3] <= 10
+    assert iter_eval(lost) == iter_eval_by_orderings(lost, [1, 2, 3, 4, 5]) == Fraction(1, 5)
     assert iter_eval(ab) == iter_eval(a) * iter_eval(b) == iter_eval_by_orderings(ab, [1, 2, 3, 4, 5])
     # the cap counts every variable, though each block is below it
     with pytest.raises(TooManyVariables):
@@ -528,6 +534,17 @@ def test_mzv_precision_domain():
             mzv_numeric((2,), precision)
     val, err = mzv_numeric((2,), 0)
     assert err < 1 and abs(float(val) - math.pi ** 2 / 6) <= err
+
+
+def test_mzv_work_budget():
+    for s, precision in (((24,), 1000), ((128,), 8)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            mzv_numeric(s, precision)
+        assert time.perf_counter() - start < 0.1
+    val, err = mzv_numeric((16,), 1000)
+    assert err < Fraction(1, 10 ** 1000)
+    assert 1 + Fraction(1, 2 ** 16) < val - err and val + err < 1 + Fraction(1, 2 ** 15)
 
 
 # ------------------------------------------------------------ zeta evaluator

@@ -460,6 +460,13 @@ def test_cli_precision_out_of_range(capsys, precision):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cli_mzv_over_budget(capsys):
+    code, out, err = run_cli(capsys, "--precision", "1000", "eval",
+                             "--evaluator", "zeta", "f[24;1]")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+
+
 @pytest.mark.parametrize("precision", ["-1", str(MAX_PRECISION + 1)])
 @pytest.mark.parametrize("command", [
     ("eval", "--evaluator", "zeta", "f[1;1]"),
