@@ -6,6 +6,13 @@ multiple-zeta evaluator on combinations of Chen fractions (rigorous rational
 enclosures of MZVs by the Hölder convolution at 1/2).  Transforms shift
 Lyndon generators by constants and act on presentations term by term, leaving
 holomorphic coefficients untouched.
+
+Minimal subtraction is ev_0 after the projection onto the holomorphic part of
+the splitting into holomorphic and polar germs.  Both parts are closed under
+taking homogeneous components and the splitting is unique, so the projection
+preserves degree and ms(f) depends only on the degree-0 part of f.  On a
+combo, ms therefore evaluates one slice per term and skips the many terms
+whose slice is zero; the other evaluators act term by term on whole germs.
 """
 
 from __future__ import annotations
@@ -180,6 +187,10 @@ MZV_BUDGET = 1_500_000_000
 _DUAL = str.maketrans("01", "10")
 
 
+def _zeta_str(s: tuple[int, ...]) -> str:
+    return f"zeta({','.join(map(str, s))})"
+
+
 def _check_precision(precision: int) -> None:
     if not 0 <= precision <= MAX_PRECISION:
         raise ValueError(f"precision must be between 0 and {MAX_PRECISION} digits")
@@ -225,7 +236,7 @@ def _mzv(s: tuple[int, ...], precision: int) -> tuple[Fraction, Fraction]:
     while bound * (n_terms + 1) ** (n - 1) > 2 ** (n_terms + 1):
         n_terms += 1
     if (n + 1) ** 2 * n_terms * (precision + 100) > MZV_BUDGET:
-        raise BudgetExceeded(f"zeta{s} at {precision} digits exceeds the work budget "
+        raise BudgetExceeded(f"{_zeta_str(s)} at {precision} digits exceeds the work budget "
                              f"(weight {n}, {n_terms} terms)")
     # Rounding loses at most n_terms + n units per factor.
     scale = 10 ** (precision + 6) * n_terms * (n + 1)
@@ -256,7 +267,7 @@ def mzv_numeric(s: Sequence[int], precision: int = 8) -> tuple[Fraction, Fractio
     if any(x < 1 for x in s):
         raise ValueError("exponents must be positive integers")
     if s[0] < 2:
-        raise DivergentIndex(f"zeta{s} diverges (leading exponent 1)")
+        raise DivergentIndex(f"{_zeta_str(s)} diverges (leading exponent 1)")
     return _mzv(s, precision)
 
 
@@ -293,16 +304,17 @@ class GermCombo:
         return germ_sum(self.term_germs())
 
     def validate_locality(self, q: InnerProduct = DEFAULT_Q):
-        """Check each monomial: specs pairwise local, coefficient orthogonal
-        to the fraction part."""
+        """Check each monomial: specs pairwise local, every letter inside its
+        L-map's alphabet with no vanishing cumulative form, coefficient
+        orthogonal to the fraction part."""
         for h, specs in self.terms:
             for a, b in itertools.combinations(specs, 2):
                 if not local_word_pair(a.letters, b.letters, a.lmap.alphabet):
                     raise NotLocal(f"{a!r} and {b!r} share non-local letters")
-            if specs:
+            entries = [e for sp in specs for e in sp.denominator_entries()]
+            if entries:
                 dep = h.dependence_space()  # the zero space is orthogonal to any span
-                if dep.dim and not orthogonal(q, dep, span(
-                        f for sp in specs for f, _ in sp.denominator_entries())):
+                if dep.dim and not orthogonal(q, dep, span(f for f, _ in entries)):
                     raise NotLocal(f"coefficient {h!r} not orthogonal to its fraction part")
 
     def __repr__(self):
@@ -346,8 +358,23 @@ class Evaluator:
         return f"Evaluator({self.name})"
 
 
+def _ms_combo(c: GermCombo, q: InnerProduct) -> tuple[Fraction, Fraction]:
+    """ms of a combo from the degree-0 part of each term h*S: S is
+    homogeneous of degree -w, w the sum of its exponents, so that part is
+    h_w*S with h_w the degree-w part of h, and no germ is built when h_w = 0
+    (a constant over a nonempty spec product)."""
+    total = Fraction(0)
+    for h, specs in c.terms:
+        entries = [e for sp in specs for e in sp.denominator_entries()]
+        h_w = h.homogeneous_part(sum(e for _, e in entries))
+        if h_w:
+            total += ms_eval(RationalGerm(h_w, entries), q)
+    return total, Fraction(0)
+
+
 def ms_evaluator(q: InnerProduct = DEFAULT_Q) -> Evaluator:
-    return Evaluator("ms", on_germ=lambda f: (ms_eval(f, q), Fraction(0)))
+    return Evaluator("ms", on_germ=lambda f: (ms_eval(f, q), Fraction(0)),
+                     on_combo=lambda c: _ms_combo(c, q))
 
 
 def iter_evaluator(perm_cap: int = 8) -> Evaluator:

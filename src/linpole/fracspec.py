@@ -20,8 +20,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
                      ZeroCumulativeForm, _payload_shape)
-from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, inner, orthogonal,
-                       span, zset, zvar)
+from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, _axpy, inner,
+                       orthogonal, span, zset, zvar)
 from .germs import RationalGerm
 
 from .words import (Alphabet, LinComb, Word, X0, _ZERO, _lyndon_solve,
@@ -151,12 +151,12 @@ class FractionSpec:
         """(cumulative form, exponent) pairs, computed on first use."""
         if not hasattr(self, "_entries"):
             dens = []
-            acc = LinearForm()
+            acc: dict[int, Fraction] = {}
             for s, u in zip(reversed(self.exponents), reversed(self.letters)):
-                acc = acc + self.lmap.form(u)
+                _axpy(acc, 1, self.lmap.form(u).coeffs)
                 if not acc:
                     raise ZeroCumulativeForm(f"cumulative form vanished at letter {u!r}")
-                dens.append((acc, s))
+                dens.append((LinearForm._trusted(dict(sorted(acc.items()))), s))
             object.__setattr__(self, "_entries", tuple(dens))
         return self._entries
 

@@ -158,6 +158,11 @@ class Polynomial:
     def degree(self) -> int:
         return max(map(_mono_degree, self.coeffs), default=0)
 
+    def homogeneous_part(self, d: int) -> "Polynomial":
+        """The sum of the terms of total degree d."""
+        return Polynomial._trusted({m: c for m, c in self.coeffs.items()
+                                    if _mono_degree(m) == d})
+
     def support(self) -> tuple[int, ...]:
         return tuple(sorted({v for m in self.coeffs for v, _ in m}))
 

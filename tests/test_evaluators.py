@@ -14,16 +14,16 @@ import pytest
 
 from linpole import (DEFAULT_Q, BudgetExceeded, DependenceEscapesVars,
                      DivergentIndex, Evaluator, FractionSpec, GaloisTransform,
-                     GermCombo, IncompatibleGenerators, LinearForm, NotChen,
-                     NotLocal, Polynomial, RationalGerm, TooManyVariables,
-                     apply_transform, chen_lmap, check_factorization,
-                     compose_transforms, d_residue, dependence,
-                     ev_reg_single, expand_product, galois_from_evaluator,
-                     germ_mul, germ_sum, invert_transform, iter_eval,
-                     iter_evaluator, locality_lyndon_generators, ms_eval,
-                     ms_evaluator, mzv_numeric, p_residue, parse_germ,
-                     parse_spec, spec_of_word, speer_lmap, zeta_eval,
-                     zeta_evaluator, zvar)
+                     GermCombo, IncompatibleGenerators, InnerProduct,
+                     LinearForm, NotChen, NotLocal, Polynomial, RationalGerm,
+                     TooManyVariables, apply_transform, chen_lmap,
+                     check_factorization, compose_transforms, d_residue,
+                     dependence, ev_reg_single, expand_product,
+                     galois_from_evaluator, germ_mul, germ_sum,
+                     invert_transform, iter_eval, iter_evaluator,
+                     locality_lyndon_generators, ms_eval, ms_evaluator,
+                     mzv_numeric, p_residue, parse_germ, parse_spec,
+                     spec_of_word, speer_lmap, zeta_eval, zeta_evaluator, zvar)
 from linpole import evaluators, germs
 from linpole.words import integer_alphabet
 
@@ -378,8 +378,10 @@ def test_mzv_euler_identity():
 
 
 def test_mzv_divergent():
-    with pytest.raises(DivergentIndex):
+    with pytest.raises(DivergentIndex, match=r"^zeta\(1,2\) diverges"):
         mzv_numeric((1, 2), 6)
+    with pytest.raises(DivergentIndex, match=r"^zeta\(1\) diverges"):
+        mzv_numeric((1,), 6)
 
 
 def _mzv_interval(s: tuple[int, ...], n_terms: int, scale: int) -> tuple[int, int]:
@@ -539,7 +541,7 @@ def test_mzv_precision_domain():
 def test_mzv_work_budget():
     for s, precision in (((24,), 1000), ((128,), 8)):
         start = time.perf_counter()
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=rf"^zeta\({s[0]}\) at {precision} digits"):
             mzv_numeric(s, precision)
         assert time.perf_counter() - start < 0.1
     val, err = mzv_numeric((16,), 1000)
@@ -785,10 +787,27 @@ def test_check_factorization_iter_on_chen_z1z2():
     assert report.all_ok, repr(report)
 
 
-@pytest.mark.parametrize("make", [ms_evaluator, iter_evaluator], ids=["ms", "iter"])
+GRAM_Q = InnerProduct([[2, 1, 0], [1, 3, -1], [0, -1, 2]])
+
+
+def random_homogeneous(rng, degree, max_var=3) -> Polynomial:
+    """A random polynomial in z1..z_max_var whose terms all have the given
+    total degree."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = Counter(rng.randint(1, max_var) for _ in range(degree))
+        terms[tuple(sorted(exps.items()))] = Fraction(rng.randint(-4, 4))
+    return Polynomial(terms)
+
+
+@pytest.mark.parametrize("make", [ms_evaluator, iter_evaluator, lambda: ms_evaluator(GRAM_Q)],
+                         ids=["ms", "iter", "ms-gram"])
 def test_eval_combo_term_by_term_matches_summed_germ(make):
     """A germ evaluator applied to a combo sums over its terms; by linearity
-    that equals its value on the summed germ."""
+    that equals its value on the summed germ.  Under ms the combo path reads
+    only the degree-w slice of each coefficient, w the weight of its specs,
+    so some coefficients mix that slice with other degrees; the summed germ
+    goes through the full decomposition."""
     ev = make()
     rng = random.Random(42)
     gens = weight4_generators()
@@ -797,6 +816,9 @@ def test_eval_combo_term_by_term_matches_summed_germ(make):
     for c in random_combos(rng, 40, gens):
         combos.append(apply_transform(t, c))
         combos.append(GermCombo([(h * random_poly(rng, 3), specs) for h, specs in c.terms]))
+        combos.append(GermCombo([
+            (h * random_homogeneous(rng, sum(sp.weight for sp in specs)) + random_poly(rng, 3),
+             specs) for h, specs in c.terms]))
     for c in combos:
         assert ev.eval_combo(c) == ev.eval_germ(c.germ())
 
@@ -817,6 +839,30 @@ def test_check_factorization_evaluates_terms_not_their_sum():
     report = check_factorization(ev, t, [combo], Fraction(1, 10 ** 6))
     assert time.perf_counter() - start < 10
     assert len(chen_gens) == 65 and report.all_ok, repr(report)
+
+
+def test_ms_combo_builds_germs_only_for_spec_free_terms(monkeypatch):
+    """ms of a combo reads the degree-0 slice of each term: a constant over
+    a nonempty spec product has none, so under the zeta transform of the 65
+    generators of weight <= 5 on letters 1-3 only the spec-free terms reach
+    ms_eval."""
+    chen_gens = [spec_of_word(w, chen) for w in
+                 locality_lyndon_generators(integer_alphabet(), 5, letters=[1, 2, 3])]
+    t = galois_from_evaluator(zeta_evaluator(8), chen_gens)
+    combo = GermCombo([
+        (Polynomial.constant(-2), (parse_spec("f[5;3]"), parse_spec("f[3;1]"))),
+        (Polynomial.constant(-2), (parse_spec("f[4,1;1,2]"), parse_spec("f[2;3]"))),
+        (Polynomial.constant(1), (parse_spec("f[2,1,2;1,3,2]"),))])
+    transformed = apply_transform(t, combo)
+    calls = []
+    real = evaluators.ms_eval
+    monkeypatch.setattr(evaluators, "ms_eval",
+                        lambda f, q=DEFAULT_Q: calls.append(f) or real(f, q))
+    value, err = ms_evaluator().eval_combo(transformed)
+    spec_free = [h for h, specs in transformed.terms if not specs]
+    assert len(transformed.terms) > 1 and len(spec_free) == 1
+    assert calls == [RationalGerm(h) for h in spec_free]
+    assert (value, err) == (spec_free[0].constant_term(), 0)
 
 
 def test_ms_evaluator_extends_ev0_and_axioms():

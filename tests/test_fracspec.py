@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from linpole import (Forest, ForestNode, FractionSpec, GermCombo, LinComb,
-                     NotLocal, NotLocalSpec, RationalGerm, WordEndsInX0,
-                     X0, chen_lmap, expand_product, flatten_forest,
-                     forest_fraction, germ_mul, germ_scale, germ_sum,
-                     is_local_pair,
-                     lyndon_decompose, lyndon_rewrite, phi, shuffle,
-                     spec_of_word, speer_lmap, weak_chen_lmap,
-                     word_of_fraction, zvar)
+                     LinearForm, NotLocal, NotLocalSpec, RationalGerm,
+                     WordEndsInX0, X0, chen_lmap, expand_product,
+                     flatten_forest, forest_fraction, germ_mul, germ_scale,
+                     germ_sum, is_local_pair, lyndon_decompose, lyndon_rewrite,
+                     parse_spec, phi, shuffle, spec_of_word, speer_lmap,
+                     weak_chen_lmap, word_of_fraction, zvar)
 
 from helpers import (combination_equals_germ, fraction_shuffle,
                      random_point_off_poles)
@@ -391,6 +390,42 @@ def test_denominator_entries_cached_tuple():
     entries = spec.denominator_entries()
     assert entries == ((zvar(2), 1), (zvar(1) + zvar(2), 2))
     assert spec.denominator_entries() is entries
+
+
+def _summed_entries(spec):
+    """(cumulative form, exponent) pairs, each form a validating LinearForm sum."""
+    acc, out = LinearForm(), []
+    for s, u in zip(reversed(spec.exponents), reversed(spec.letters)):
+        acc = acc + spec.lmap.form(u)
+        out.append((acc, s))
+    return tuple(out)
+
+
+def test_denominator_entries_match_validating_sums():
+    from linpole import LMap, ZeroCumulativeForm
+    from linpole.words import integer_alphabet
+
+    # letter u -> (z_u - z_(u+1))/2: consecutive letters cancel in part, and
+    # later letters bring smaller variables into the running sum
+    half = Fraction(1, 2)
+    telescoping = LMap(integer_alphabet(),
+                       lambda u: LinearForm({u: half, u + 1: -half}), "telescoping")
+    specs = [parse_spec("f[2,1,3;1,3,2]"), parse_spec("f[1;5]"),
+             FractionSpec((1, 1), (1, 1), weak_chen_lmap()),
+             parse_spec("f[1,2,1;{2,4},{1},{3,5}]"),
+             FractionSpec((1, 2, 1), (3, 1, 2), telescoping),
+             FractionSpec((1, 1), (2, 1), telescoping)]
+    for spec in specs:
+        entries, expected = spec.denominator_entries(), _summed_entries(spec)
+        assert entries == expected
+        for (form, s), (want, t) in zip(entries, expected):
+            assert (s, hash(form), repr(form)) == (t, hash(want), repr(want))
+            assert list(form.coeffs.items()) == list(want.coeffs.items())  # ascending keys
+            assert all(type(c) is Fraction and c for c in form.coeffs.values())
+    assert specs[4].denominator_entries()[1:] == ((LinearForm({1: half, 3: -half}), 2),
+                                                  (LinearForm({1: half, 4: -half}), 1))
+    with pytest.raises(ZeroCumulativeForm):
+        parse_spec("f[1,1;{1},{}]").denominator_entries()
 
 
 def test_custom_lmap_locality_registration_check():

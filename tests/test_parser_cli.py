@@ -487,6 +487,21 @@ def test_cli_letter_outside_lmap_alphabet(capsys, lmap, word):
     assert word in err and lmap in err
 
 
+@pytest.mark.parametrize("spec", ["f[2;0]", "f[2;-1]"])
+@pytest.mark.parametrize("command", [
+    ("eval", "--evaluator", "zeta"),
+    ("eval", "--evaluator", "ms"),
+    ("galois", "apply", "--transform", '{"shifts":[]}', "--combo"),
+])
+def test_cli_spec_letter_outside_chen_alphabet(capsys, spec, command):
+    """The zeta evaluator reads only a spec's exponents, yet a letter outside
+    the Chen alphabet is an error under it as under ms and galois apply."""
+    code, out, err = run_cli(capsys, *command, spec)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"letter x{spec[4:-1]} is outside the alphabet of L-map chen" in err
+
+
 def test_cli_precision_20(capsys):
     code, out, _ = run_cli(capsys, "--precision", "20", "eval", "--evaluator",
                            "zeta", "f[3;1]")

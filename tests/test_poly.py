@@ -78,6 +78,16 @@ def test_collect_reassembles():
     assert Polynomial().collect(1) == {}
 
 
+def test_homogeneous_parts_reassemble():
+    rng = random.Random(5)
+    for _ in range(40):
+        p = random_poly(rng, max_var=3, max_deg=3, n_terms=5)
+        parts = [p.homogeneous_part(d) for d in range(p.degree() + 2)]
+        assert all(part.degree() == d for d, part in enumerate(parts) if part)
+        assert sum(parts, Polynomial()) == p and not parts[-1]
+    assert (x * x * y + 3 * z + 2).homogeneous_part(1) == 3 * z
+
+
 def test_dependence_space_examples():
     p = Polynomial.from_linear(LinearForm({1: 1, 2: 1})) ** 2 + z
     assert p.dependence_space() == span([zvar(1) + zvar(2), zvar(3)])
@@ -124,7 +134,7 @@ def test_every_operation_keeps_canonical_form():
                    p.substitute({vs[0]: r, rng.randint(1, 5): s}),
                    p.rename({rng.randint(1, 4): rng.randint(1, 5) for _ in range(3)}),
                    (p * Polynomial.from_linear(form)).divide_by_form(form),
-                   *p.collect(*vs).values()]
+                   p.homogeneous_part(rng.randint(0, 4)), *p.collect(*vs).values()]
         quot = p.divide_by_form(form)
         results += [quot] if quot is not None else []
         for res in results:
