@@ -291,7 +291,7 @@ class GermCombo:
             key = spec_monomial(specs)
             merged[key] = merged.get(key, Polynomial()) + h
         self.terms = tuple(sorted(((h, m) for m, h in merged.items() if h),
-                                  key=lambda t: [(s.lmap.name, s.sort_key()) for s in t[1]]))
+                                  key=lambda t: [s.sort_key() for s in t[1]]))
 
     def __eq__(self, other):
         return isinstance(other, GermCombo) and self.terms == other.terms
@@ -383,8 +383,6 @@ def iter_evaluator(perm_cap: int = 8) -> Evaluator:
 
 
 def _zeta_of_spec(spec: FractionSpec, precision: int) -> tuple[Fraction, Fraction]:
-    if spec.lmap.name not in ("chen", "weak-chen"):
-        raise NotChen(f"{spec!r} is not a Chen fraction")
     s = spec.exponents
     if not s:
         return Fraction(1), Fraction(0)
@@ -414,12 +412,20 @@ def zeta_eval(combo: GermCombo, precision: int = 8,
     """Assign multiple zeta values to the Lyndon Chen generators and extend by
     locality multiplicativity and linearity; holomorphic coefficients
     contribute their value at zero.  Raises ValueError for a precision
-    outside 0..MAX_PRECISION, whether or not an MZV is needed."""
+    outside 0..MAX_PRECISION, and NotChen for a spec outside the Chen
+    L-maps, whether or not an MZV is needed: a term whose coefficient
+    vanishes at zero contributes 0 and computes none."""
     _check_precision(precision)
     combo.validate_locality(q)
+    for _, specs in combo.terms:
+        for sp in specs:
+            if sp.lmap.name not in ("chen", "weak-chen"):
+                raise NotChen(f"{sp!r} is not a Chen fraction")
     mid = rad = Fraction(0)
     for h, specs in combo.terms:
         c0 = h.constant_term()
+        if not c0:
+            continue
         for mono, coeff in _lyndon_product(specs).items():
             # MZV enclosures are nonnegative, so bounds multiply directly
             lo = hi = Fraction(1)

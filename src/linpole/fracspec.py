@@ -177,7 +177,9 @@ class FractionSpec:
         return tuple(sorted(vs))
 
     def sort_key(self):
-        return (self.lmap.alphabet.word_key(self.word()),)
+        """L-map name, then word: specs of different L-maps never compare
+        letters, which need not be comparable."""
+        return (self.lmap.name, self.lmap.alphabet.word_key(self.word()))
 
     def __repr__(self):
         def letter(u):

@@ -178,20 +178,9 @@ class SimplexFraction:
         space = span(forms)
         if space.dim != len(forms):
             raise ValueError("denominator forms must be linearly independent")
-        self._fill(ent, space)
-
-    @classmethod
-    def _trusted(cls, entries: tuple[DenEntry, ...]) -> "SimplexFraction":
-        """Wrap sorted entries of independent forms and positive exponents
-        without checking them."""
-        s = object.__new__(cls)
-        s._fill(entries, span(f for f, _ in entries))
-        return s
-
-    def _fill(self, entries: tuple[DenEntry, ...], space: Subspace):
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "_space", space)
-        object.__setattr__(self, "_hash", hash(entries))
+        object.__setattr__(self, "_hash", hash(ent))
 
     def __setattr__(self, *a):
         raise AttributeError("SimplexFraction is immutable")
@@ -264,21 +253,15 @@ class Decomposition:
     __slots__ = ("terms", "holomorphic", "_hash")
 
     def __init__(self, terms: Iterable[PolarTerm], holomorphic: Polynomial):
-        merged: dict[SimplexFraction, Polynomial] = {}
-        for t in terms:
-            merged[t.simplex] = merged.get(t.simplex, Polynomial()) + t.numerator
-        self._fill([PolarTerm(num, s) for s, num in merged.items() if num], holomorphic)
-
-    @classmethod
-    def _trusted(cls, terms: list[PolarTerm], holomorphic: Polynomial) -> "Decomposition":
-        """Wrap polar terms whose simplices are pairwise distinct, without
-        merging them."""
-        d = object.__new__(cls)
-        d._fill(terms, holomorphic)
-        return d
-
-    def _fill(self, terms: list[PolarTerm], holomorphic: Polynomial):
-        terms = tuple(sorted(terms, key=lambda t: (
+        merged: dict[SimplexFraction, PolarTerm] = {}
+        for t in terms:  # a term whose simplex is new is kept as it is
+            if t.simplex in merged:
+                num = merged.pop(t.simplex).numerator + t.numerator
+                if not num:
+                    continue
+                t = PolarTerm(num, t.simplex)
+            merged[t.simplex] = t
+        terms = tuple(sorted(merged.values(), key=lambda t: (
             t.supporting_space().key(), t.p_order,
             tuple((f.key(), e) for f, e in t.simplex.entries))))
         object.__setattr__(self, "terms", terms)
@@ -313,7 +296,7 @@ def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
     into acc, {denominator: {monomial: coefficient}} with the holomorphic
     part under (); a group with a surplus power of a form, times that
     surplus, is added into the numerator state(rem_den) of its smaller
-    denominator, a subfamily of the independent forms and so independent."""
+    denominator."""
     forms = [f for f, _ in den]
     support = num.support()
     offset = max(itertools.chain(support, *(f.support() for f in forms)), default=0)
@@ -333,7 +316,7 @@ def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
         rem_num = [(f, m - e) for (f, e), m in zip(den, slot) if m > e]
         if rem_num:
             extra = math.prod((Polynomial.from_linear(f) ** e for f, e in rem_num), start=ONE)
-            _axpy(state(rem_den, independent=True), 1, (part * extra).coeffs)
+            _axpy(state(rem_den), 1, (part * extra).coeffs)
         else:
             _axpy(acc.setdefault(rem_den, {}), 1, part.coeffs)
 
@@ -364,14 +347,14 @@ def _decompose(f: RationalGerm, q: InnerProduct) -> Decomposition:
     """
     splits, nums, heap, order, acc = {}, {}, [], itertools.count(), {}
 
-    def state(entries, independent=False):  # the numerator of this denominator, queued when new
+    def state(entries):  # the numerator of this denominator, queued when new
         d = tuple(sorted(entries, key=lambda t: t[0].key()))
         if not d:
             return acc.setdefault((), {})
         if d not in nums:
             forms = tuple(f for f, _ in d)
             if forms not in splits:  # (pivot, circuit), None when independent
-                circuit = None if independent else find_circuit(forms)
+                circuit = find_circuit(forms)
                 splits[forms] = circuit and (
                     next(i for i, c in zip(*circuit) if c == -1), circuit)
             split, nums[d] = splits[forms], {}
@@ -390,12 +373,10 @@ def _decompose(f: RationalGerm, q: InnerProduct) -> Decomposition:
                 if i != pivot:
                     nd = {**dict(d), d[i][0]: d[i][1] - 1, d[pivot][0]: d[pivot][1] + 1}
                     _axpy(state((f, e) for f, e in nd.items() if e), c, n)
-    # Every dict was built by _axpy from canonical monomials and Fractions,
-    # and every denominator is sorted, independent and its own key.
+    # Every dict was built by _axpy from canonical monomials and Fractions.
     holo = Polynomial._trusted(acc.pop((), {}))
-    return Decomposition._trusted(
-        [PolarTerm(Polynomial._trusted(t), SimplexFraction._trusted(den))
-         for den, t in acc.items() if t], holo)
+    return Decomposition([PolarTerm(Polynomial._trusted(t), SimplexFraction(den))
+                          for den, t in acc.items() if t], holo)
 
 
 def recompose(d: Decomposition) -> RationalGerm:

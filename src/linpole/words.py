@@ -131,7 +131,7 @@ class LinComb:
         _axpy(self.coeffs, _as_fraction(k), other)
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        out = LinComb._trusted(dict(self.coeffs))
+        out = LinComb(self.coeffs)
         out.add(other)
         return out
 
@@ -157,7 +157,7 @@ class LinComb:
         out: dict = {}
         for mono, c in self.coeffs.items():
             _axpy(out, c, _shuffle_ints({w: 1} for w in mono))
-        return LinComb._trusted(out)
+        return LinComb(out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -321,7 +321,7 @@ def lyndon_rewrite(w: Word, alphabet: Alphabet) -> LinComb:
     """
     if not w:
         raise EmptyWord("cannot rewrite the empty word")
-    return LinComb._trusted(_lyndon_solve({w: _ONE}, alphabet))
+    return LinComb(_lyndon_solve({w: _ONE}, alphabet))
 
 
 def is_local_word(w: Word, alphabet: Alphabet) -> bool:

@@ -467,6 +467,28 @@ def test_cli_mzv_over_budget(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
 
 
+def test_cli_zeta_skips_a_term_that_vanishes_at_zero(capsys):
+    """A coefficient that vanishes at the origin makes its term 0, so no MZV
+    is computed, not even one over the work budget; the spec must still be
+    a Chen fraction."""
+    for evaluator in ("zeta", "ms"):
+        code, out, err = run_cli(capsys, "--precision", "1000", "eval", "--evaluator",
+                                 evaluator, '{"terms":[{"holo":"z2","specs":["f[24;1]"]}]}')
+        assert (code, out, err) == (0, "0\n", "")
+    code, out, err = run_cli(capsys, "eval", "--evaluator", "zeta",
+                             '{"terms":[{"holo":"z2","specs":["f[2;{1}]"]}]}')
+    assert code == 1 and out == "" and err == "error: f[2;{1}] is not a Chen fraction\n"
+
+
+def test_cli_combo_mixing_lmaps(capsys):
+    """Specs of two L-maps in one monomial sort by L-map name first, so their
+    int and set letters are never compared."""
+    combo = '{"terms":[{"holo":"1","specs":["f[1;1]","f[1;{2}]"]}]}'
+    assert run_cli(capsys, "eval", "--evaluator", "ms", combo) == (0, "0\n", "")
+    code, out, err = run_cli(capsys, "eval", "--evaluator", "zeta", combo)
+    assert code == 1 and out == "" and err == "error: f[1;{2}] is not a Chen fraction\n"
+
+
 @pytest.mark.parametrize("precision", ["-1", str(MAX_PRECISION + 1)])
 @pytest.mark.parametrize("command", [
     ("eval", "--evaluator", "zeta", "f[1;1]"),
