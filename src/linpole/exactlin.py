@@ -2,9 +2,11 @@
 
 Linear forms live in the direct limit of the duals of Q^k: a form is a finite
 sparse map from 1-based variable indices to nonzero rationals.  Everything here
-is exact, immutable and pure.  Forms and every value returned from this module
-hold fractions.Fraction; inside, one fraction-free elimination (`_eliminate`)
-works on integer rows, and the Fractions are made where its results leave.
+is exact, immutable and pure.  Forms and every public value returned from this
+module hold fractions.Fraction; inside, one fraction-free elimination
+(`_eliminate`) works on integer rows, and the Fractions are made where its
+results leave.  `_frame` alone returns integer rows, which the simplex split
+of germs keeps integral.
 """
 
 from __future__ import annotations
@@ -365,42 +367,48 @@ def orthogonal(q: InnerProduct, u: Subspace, v: Subspace) -> bool:
     return all(inner(q, a, b) == 0 for a in u.basis for b in v.basis)
 
 
-def _projection_coordinates(q: InnerProduct, basis: Iterable[LinearForm],
-                            targets: Iterable[LinearForm]) -> tuple[tuple[Q, ...], ...]:
-    """For each target f, the coordinates x in the independent basis L of the
-    q-orthogonal projection of f onto span(L): sum_j x_j q(L_i, L_j) = q(L_i, f).
-    Memoised per (q, basis, targets); the result is a tuple of tuples.
-    """
-    return _projection(q, tuple(basis), tuple(targets))
-
-
 @functools.lru_cache(maxsize=1024)
-def _projection(q: InnerProduct, basis: tuple[LinearForm, ...],
-                targets: tuple[LinearForm, ...]) -> tuple[tuple[Q, ...], ...]:
-    """One elimination of the Gram rows G_i, then of every right-hand side r;
-    G is symmetric and nonsingular, so r = sum x_j G_j and no r is a pivot.
-    Both are built from the integer rows B_j = d_j L_j and F = e f, whose
-    solution y_j = x_j e / d_j is read from the relation's combo.
+def _frame(q: InnerProduct, forms: tuple[LinearForm, ...],
+           variables: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Coordinates adapted to the independent forms L_1..L_k inside the span
+    W of the coordinate forms z_v, v in `variables` (which hold every
+    variable of the forms): y = (t, m) with t_j = L_j and m_i = M_i, where
+    M_1..M_(n-k) are integer forms of W, q-orthogonal to every L_j.
+
+    Returns (M, inverse).  M_i is a tuple of (variable, integer) pairs: a
+    relation among the columns (q(L_j, z_w))_j of the k x n matrix, so
+    sum_w M_i[w] q(L_j, z_w) = 0.  inverse[p] is (row, den) with
+    z_v = sum_r row[r] y_r / den for v = variables[p], row a tuple of
+    (index into y, integer) pairs: the relation a unit row z_v gets after
+    the rows of T = [L; M], which span W.  Memoised per (q, forms,
+    variables), and immutable.
     """
-    if not targets:
-        return ()
-    basis_rows = [_int_row(b.coeffs) for b in basis]
-    target_rows = [_int_row(f.coeffs) for f in targets]
-    gram = [{j + 1: _dot(q, bi, bj) for j, (bj, _) in enumerate(basis_rows)}
-            for bi, _ in basis_rows]
-    rhs = [{j + 1: _dot(q, bj, f) for j, (bj, _) in enumerate(basis_rows)}
-           for f, _ in target_rows]
-    k = len(basis)
-    relations = itertools.islice(_eliminate((*gram, *rhs)), k, None)
-    return tuple(tuple(Fraction(-combo.get(j, 0) * d, combo[k + t] * e)
-                       for j, (_, d) in enumerate(basis_rows))
-                 for t, ((_, e), (_, combo)) in enumerate(zip(target_rows, relations)))
+    # scaling a form to its integer row scales one entry of every column
+    scaled = [_int_row(f.coeffs)[0] for f in forms]
+    columns = ({j: _dot(q, row, {w: 1}) for j, row in enumerate(scaled)} for w in variables)
+    complement = tuple(tuple((variables[p], x) for p, x in sorted(combo.items()))
+                       for red, combo in _eliminate(columns) if not red)
+    n = len(variables)
+    rows = itertools.chain((f.coeffs for f in forms), (dict(m) for m in complement),
+                           ({v: 1} for v in variables))
+    relations = itertools.islice(_eliminate(rows), n, None)
+    inverse = tuple((tuple((r, -x) for r, x in sorted(combo.items()) if r < n), combo[n + p])
+                    for p, (_, combo) in enumerate(relations))
+    return complement, inverse
 
 
 def orth_decompose(q: InnerProduct, f: LinearForm, u: Subspace) -> tuple[LinearForm, LinearForm]:
-    """Split f = a + b with a in u and b q-orthogonal to u (unique, exact)."""
-    [x] = _projection_coordinates(q, u.basis, [f])
-    a = LinearForm((v, xi * c) for xi, bi in zip(x, u.basis) for v, c in bi.coeffs.items())
+    """Split f = a + b with a in u and b q-orthogonal to u (unique, exact):
+    a is the t-part of f in the frame adapted to u's basis."""
+    variables = tuple(sorted(set(f.coeffs).union(*(b.coeffs for b in u.basis))))
+    _, inverse = _frame(q, u.basis, variables)
+    a = {}
+    for v, (row, den) in zip(variables, inverse):
+        c = f[v]
+        for r, x in row:
+            if c and r < u.dim:
+                _axpy(a, c * Fraction(x, den), u.basis[r].coeffs)
+    a = LinearForm(a)
     return a, f - a
 
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import math
+from math import lcm
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import NotLocal
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, Subspace,
-                       ZERO_SPACE, _as_fraction, _axpy, _projection_coordinates,
-                       find_circuit, orthogonal, span, subspace_sum, zvar)
-from .poly import ONE, Polynomial
+                       ZERO_SPACE, _as_fraction, _axpy, _frame, find_circuit,
+                       orthogonal, span, subspace_sum)
+from .poly import (Polynomial, _add_unpacked, _pack, _packed_collect, _packed_linear,
+                   _packed_mul, _packed_power, _packed_substitute)
 
 DenEntry = tuple[LinearForm, int]
 
@@ -291,34 +292,38 @@ class Decomposition:
 def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
                    acc: dict, state):
     """Rewrite the numerator of an independent-denominator fraction, once, in
-    coordinates adapted to the supporting space and its q-complement, and
-    cancel numerator factors of the denominator forms.  Finished groups go
-    into acc, {denominator: {monomial: coefficient}} with the holomorphic
-    part under (); a group with a surplus power of a form, times that
-    surplus, is added into the numerator state(rem_den) of its smaller
-    denominator."""
-    forms = [f for f, _ in den]
-    support = num.support()
-    offset = max(itertools.chain(support, *(f.support() for f in forms)), default=0)
-    # z_v = a_v + b_v with a_v = sum_j x_vj L_j in span(L) and b_v q-orthogonal
-    # to it; L_j becomes the fresh variable offset+1+j.
-    subst: dict[int, Polynomial] = {}
-    for v, coords in zip(support, _projection_coordinates(q, forms, map(zvar, support))):
-        lin = {v: Fraction(1)}  # z_v - a_v + sum_j x_vj z_(offset+1+j)
-        for j, (x, f) in enumerate(zip(coords, forms)):
-            if x:
-                _axpy(lin, -x, f.coeffs)
-                lin[offset + 1 + j] = x
-        subst[v] = Polynomial.from_linear(LinearForm._trusted(dict(sorted(lin.items()))))
-    groups = num.substitute(subst).collect(*range(offset + 1, offset + 1 + len(forms)))
-    for slot, part in groups.items():
-        rem_den = tuple((f, e - m) for (f, e), m in zip(den, slot) if e > m)
-        rem_num = [(f, m - e) for (f, e), m in zip(den, slot) if m > e]
-        if rem_num:
-            extra = math.prod((Polynomial.from_linear(f) ** e for f, e in rem_num), start=ONE)
-            _axpy(state(rem_den), 1, (part * extra).coeffs)
-        else:
-            _axpy(acc.setdefault(rem_den, {}), 1, part.coeffs)
+    the coordinates y = (t, m) of the frame adapted to the forms, t_j = L_j
+    and m_i q-orthogonal to every L_j, and group it by the t-exponents.  A
+    group's coefficient is a polynomial in the m alone, so mapped back to z
+    it is q-orthogonal to the supporting space.  Finished groups go into
+    acc, {denominator: {monomial: coefficient}} with the holomorphic part
+    under (); a group with a surplus power of a form, times that surplus, is
+    added into the numerator state(rem_den) of its smaller denominator.
+
+    Every polynomial here has total degree at most deg(num), so it runs on
+    monomials packed at a width w with 2^w > deg(num), and on integer
+    coefficients over one common denominator.
+    """
+    forms = tuple(f for f, _ in den)
+    variables = tuple(sorted(set(num.support()).union(*(f.coeffs for f in forms))))
+    complement, inverse = _frame(q, forms, variables)
+    scale = lcm(*(d for _, d in inverse))  # z_v = (sum_r row[r] y_r) / d_v
+    terms, common, width = _pack(num, variables, scale)
+    ys = [_packed_linear(((r, x * (scale // d)) for r, x in row), width) for row, d in inverse]
+    slot = {v: p for p, v in enumerate(variables)}
+    images = [_packed_linear(((slot[v], x) for v, x in row), width) for row in complement]
+    # den's forms are primitive, so their coefficients are integers
+    powers = [[_packed_linear(((slot[v], c.numerator) for v, c in f.coeffs.items()), width)]
+              for f in forms]
+    groups = _packed_collect(_packed_substitute(terms, ys, width), len(forms), width)
+    for exps, part in groups.items():
+        rem_den = tuple((f, e - s) for (f, e), s in zip(den, exps) if e > s)
+        z = _packed_substitute(part, images, width)
+        surplus = [(pw, s - e) for pw, (_, e), s in zip(powers, den, exps) if s > e]
+        for pw, e in surplus:
+            z = _packed_mul(z, _packed_power(pw, e))
+        target = state(rem_den) if surplus else acc.setdefault(rem_den, {})
+        _add_unpacked(target, z, common, variables, width)
 
 
 def decompose(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:

@@ -27,16 +27,15 @@ from .poly import ONE
 # exhaust Python's default recursion limit of 1000 before a typed error.
 _MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([-+*/^()])|(.))")
+# Whitespace before a token is skipped; after the last token there is none
+# to match, so trailing whitespace ends the input.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([-+*/^()])|(\S))")
 
 
 def _tokenize(text: str):
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
+    while m := _TOKEN.match(text, pos):
         if m.group(4) is not None:
             raise ParseError(f"unexpected character {m.group(4)!r}", m.start(4))
         if m.group(1) is not None:
@@ -195,6 +194,8 @@ class _Parser:
             self.expect_op(")")
             self.depth -= 1
             return v
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
 

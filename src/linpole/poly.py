@@ -2,7 +2,8 @@
 
 A polynomial is one dict, `coeffs`, from monomials to nonzero Fractions.
 Monomials are tuples of (variable, exponent) pairs sorted by variable, with
-positive exponents; only this module builds or splits them.  Equality and
+positive exponents; only this module builds or splits them, and packs them
+into ints for the changes of coordinates of decompose's phase 2.  Equality and
 hashing go through the dict, and graded-lexicographic order is applied only
 where terms are read in order (`terms`, and so `repr` and JSON).  Variables
 are the same 1-based indices as in exactlin.
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from collections.abc import Iterable, Mapping
+from math import lcm
+from collections.abc import Iterable, Mapping, Sequence
 
 from .exactlin import LinearForm, Q, _as_fraction, _axpy, _signed_sum, span
 
@@ -39,6 +41,101 @@ def _lower(m: Monomial, i: int) -> Monomial:
 def _grlex_key(m: Monomial):
     top = max((v for v, _ in m), default=0)
     return (_mono_degree(m), tuple(-next((e for w, e in m if w == v), 0) for v in range(1, top + 1)))
+
+
+# Packed monomials, for the linear changes of coordinates of decompose's
+# phase 2.  Over an ordered tuple of n variables a monomial is one int, the
+# exponent of the i-th variable in bits [i*w, (i+1)*w).  While 2^w exceeds
+# every total degree in play no slot carries, so a product of monomials is
+# one int addition.  Coefficients are ints over one denominator that the
+# caller keeps.
+
+def _pack(p: "Polynomial", variables: Sequence[int],
+          scale: int) -> tuple[dict[int, int], int, int]:
+    """(terms, den, w) with p(x / scale) = sum(c * x^m for m, c in terms) / den,
+    the monomials packed over `variables` (which hold p's support) at the
+    least width w with 2^w > max(deg(p), 1)."""
+    deg = p.degree()
+    width = max(deg, 1).bit_length()
+    slot = {v: i * width for i, v in enumerate(variables)}
+    den = lcm(*(c.denominator for c in p.coeffs.values())) * scale ** deg
+    return {sum(e << slot[v] for v, e in m):
+            c.numerator * (den // (c.denominator * scale ** _mono_degree(m)))
+            for m, c in p.coeffs.items()}, den, width
+
+
+def _packed_linear(row: Iterable[tuple[int, int]], width: int) -> dict[int, int]:
+    """The linear polynomial sum(c * x_i) of (i, c) pairs, i a 0-based slot."""
+    return {1 << (i * width): c for i, c in row}
+
+
+def _packed_collect(terms: Mapping[int, int], k: int, width: int
+                    ) -> dict[tuple[int, ...], dict[int, int]]:
+    """{(e_0, ..., e_(k-1)): P_e} with the terms = sum_e x^e P_e, the P_e
+    free of the first k slots and packed over the slots after them."""
+    mask, bits = (1 << width) - 1, k * width
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for m, c in terms.items():
+        key = tuple((m >> (j * width)) & mask for j in range(k))
+        groups.setdefault(key, {})[m >> bits] = c
+    return groups
+
+
+def _add_unpacked(acc: dict, terms: Mapping[int, int], den: int,
+                  variables: Sequence[int], width: int) -> None:
+    """acc += sum(c * x^m) / den in place, acc a canonical {monomial:
+    coefficient} dict; entries that cancel are dropped."""
+    mask = (1 << width) - 1
+    for m, c in terms.items():
+        mono = []
+        for v in variables:
+            if m & mask:
+                mono.append((v, m & mask))
+            m >>= width
+            if not m:
+                break
+        mono = tuple(mono)
+        y = acc.get(mono, 0) + Fraction(c, den)
+        if y:
+            acc[mono] = y
+        else:
+            acc.pop(mono, None)
+
+
+def _packed_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    acc: dict[int, int] = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            acc[m] = acc.get(m, 0) + ca * cb
+    return {m: c for m, c in acc.items() if c}
+
+
+def _packed_power(powers: list[dict[int, int]], e: int) -> dict[int, int]:
+    """x^e, e >= 1, from powers = [x, x^2, ...], which grows in place as needed."""
+    while len(powers) < e:
+        powers.append(_packed_mul(powers[-1], powers[0]))
+    return powers[e - 1]
+
+
+def _packed_substitute(terms: Mapping[int, int], images: Sequence[Mapping[int, int]],
+                       width: int) -> dict[int, int]:
+    """sum(c * prod_i images[i]^e_i) over the terms, e_i the i-th exponent
+    of the monomial; each image is packed at the same width."""
+    mask = (1 << width) - 1
+    powers = [[x] for x in images]
+    acc: dict[int, int] = {}
+    for m, c in terms.items():
+        term = {0: c}
+        for pw in powers:
+            if not m:
+                break
+            if m & mask:
+                term = _packed_mul(term, _packed_power(pw, m & mask))
+            m >>= width
+        for mt, ct in term.items():
+            acc[mt] = acc.get(mt, 0) + ct
+    return {m: c for m, c in acc.items() if c}
 
 
 def _hyperplane_point(form: LinearForm, variables: set[int]) -> dict[int, Q] | None:
@@ -188,14 +285,11 @@ class Polynomial:
     def substitute(self, values: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Replace each variable in `values` by a polynomial; others stay."""
         acc: dict[Monomial, Fraction] = {}
-        powers: dict[tuple[int, int], Polynomial] = {}
         for m, c in self.coeffs.items():
             term = Polynomial._trusted({tuple(x for x in m if x[0] not in values): c})
             for v, e in m:
                 if v in values:
-                    if (v, e) not in powers:
-                        powers[v, e] = values[v] ** e
-                    term = term * powers[v, e]
+                    term = term * values[v] ** e
             _axpy(acc, 1, term.coeffs)
         return Polynomial._trusted(acc)
 

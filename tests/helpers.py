@@ -50,6 +50,23 @@ def random_spd_gram(rng: random.Random, n: int, rational: bool = False) -> Inner
     return InnerProduct(g)
 
 
+def gram_solve(q: InnerProduct, basis, f: LinearForm) -> tuple[Fraction, ...]:
+    """Oracle: the coordinates x of the q-orthogonal projection of f onto the
+    span of the independent basis, sum_j x_j q(L_i, L_j) = q(L_i, f), by
+    Gauss-Jordan elimination in Fractions."""
+    k = len(basis)
+    rows = [[q(a, b) for b in basis] + [q(a, f)] for a in basis]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(k):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return tuple(row[k] for row in rows)
+
+
 def assert_canonical_form(f):
     """Ascending positive indices, nonzero Fraction values, and the value
     and hash the validating constructor gives."""

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from linpole import (DEFAULT_Q, InnerProduct, LinearForm, find_circuit, inner,
                      orth_decompose, orthogonal, span, zvar, zset)
-from linpole.exactlin import _axpy, _eliminate, _projection_coordinates
+from linpole.exactlin import _axpy, _eliminate
 
 from helpers import assert_canonical_form, random_form
 
@@ -158,18 +158,21 @@ def test_eliminate_integer_contract():
 
 
 def test_projection_with_zero_gram_entries():
-    """Zero inner products leave zero entries in the Gram and right-hand-side
-    rows; none may become a pivot."""
-    assert _projection_coordinates(q, [z1, z2], [z1 + z2, z3]) == ((1, 1), (0, 0))
+    """Zero inner products leave zero entries in the matrix whose column
+    relations give the q-complement; none may become a pivot."""
+    assert orth_decompose(q, z1 + z2, span([z1, z2])) == (z1 + z2, LinearForm())
+    assert orth_decompose(q, z3, span([z1, z2])) == (LinearForm(), z3)
     g = InnerProduct([[2, 1], [1, 2]])
     basis = [z1, z1 - z2.scale(2)]  # q-orthogonal under g: a diagonal Gram matrix
     assert inner(g, basis[0], basis[1]) == 0
-    targets = [z2, z1 + z3, z3, z1.scale(Fraction(1, 3)) - z2]
-    coords = _projection_coordinates(g, basis, targets)
-    assert coords == tuple(tuple(inner(g, b, f) / inner(g, b, b) for b in basis)
-                           for f in targets)
-    assert all(type(x) is Fraction for row in coords for x in row)
-    assert coords[2] == (0, 0)
+    for f in (z2, z1 + z3, z3, z1.scale(Fraction(1, 3)) - z2):
+        a, b = orth_decompose(g, f, span(basis))
+        coords = [inner(g, u, f) / inner(g, u, u) for u in basis]
+        assert a == LinearForm((v, x * c) for x, u in zip(coords, basis)
+                               for v, c in u.coeffs.items())
+        assert a + b == f and all(inner(g, b, u) == 0 for u in basis)
+        assert_canonical_form(a)
+    assert orth_decompose(g, z3, span(basis))[0] == LinearForm()
 
 
 def test_inner_product_with_zero_entries():

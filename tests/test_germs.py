@@ -11,10 +11,10 @@ from linpole import (DEFAULT_Q, Decomposition, InnerProduct, LinearForm,
                      germ_sum, germs, is_local_pair, locality_mul,
                      ms_eval, p_residue, parse_germ, project_plus, recompose,
                      span, subspace_sum, zvar)
-from linpole.exactlin import _axpy, _projection_coordinates
+from linpole.exactlin import _axpy, _frame
 from linpole.poly import ONE
 
-from helpers import random_form, random_germ, random_poly, random_spd_gram
+from helpers import gram_solve, random_form, random_germ, random_poly, random_spd_gram
 
 q = DEFAULT_Q
 z1, z2, z3 = zvar(1), zvar(2), zvar(3)
@@ -436,7 +436,8 @@ def recursive_split(num, den, q, acc):
     # z_v = a_v + b_v with a_v = sum_j x_vj L_j in span(L) and b_v q-orthogonal
     # to it; L_j becomes the fresh variable offset+1+j.
     subst = {}
-    for v, coords in zip(support, _projection_coordinates(q, forms, map(zvar, support))):
+    for v in support:
+        coords = gram_solve(q, forms, zvar(v))
         a = LinearForm((w, x * c) for x, f in zip(coords, forms) for w, c in f.coeffs.items())
         subst[v] = Polynomial([*Polynomial.from_linear(zvar(v) - a).terms,
                                *((((offset + 1 + j, 1),), x) for j, x in enumerate(coords))])
@@ -516,6 +517,110 @@ def test_each_denominator_projected_once(monkeypatch):
         uncached(g, q)
         assert len(set(projected)) == len(projected), g
         assert () not in projected, g
+
+
+def simplex_germ(rng, trial):
+    """A germ whose denominator forms are independent, so that decompose is
+    phase 2 alone: up to three forms over z1..z4 with coefficients up to 3,
+    over a numerator of total degree at most 4 that is constant, or lies in
+    the forms' own variables, or has variables in z1..z5 (so some may lie
+    outside every form)."""
+    while True:
+        k = rng.randint(1, 3)
+        forms = [random_form(rng, 4) for _ in range(k)]
+        if span(forms).dim < k:
+            continue
+        shape = trial % 4
+        pool = sorted(set().union(*(f.coeffs for f in forms))) if shape == 1 else range(1, 6)
+        num = Polynomial.constant(rng.choice([1, -2, Fraction(3, 4)])) if shape == 0 else \
+            Polynomial({tuple((rng.choice(pool), 1) for _ in range(rng.randint(0, 4))):
+                        rng.randint(-4, 4) for _ in range(rng.randint(1, 4))})
+        if num:
+            return RationalGerm(num, [(f, rng.randint(1, 3)) for f in forms])
+
+
+def test_phase2_matches_recursive_split_on_corpus(monkeypatch):
+    """Phase 2 in adapted coordinates against the former projection and
+    substitution in d + k variables, recursing once per overflow group."""
+    rng = random.Random(2301)
+    calls = []
+    split = germs._split_simplex
+
+    def traced_split(num, den, *rest):
+        forms = [f for f, _ in den]
+        variables = set(num.support()).union(*(f.coeffs for f in forms))
+        calls.append((len(variables) - len(forms),
+                      any(c.denominator != 1 or abs(c) > 1 for f in forms
+                          for c in f.coeffs.values()),
+                      bool(set(num.support()) - set().union(*(f.coeffs for f in forms)))))
+        split(num, den, *rest)
+    monkeypatch.setattr(germs, "_split_simplex", traced_split)
+    uncached = germs._decompose.__wrapped__
+    complements, constants, grams = set(), 0, 0
+    overflows = wide = outside = 0
+    for trial in range(320):
+        g = simplex_germ(rng, trial)
+        gram = (q, random_spd_gram(rng, 3), random_spd_gram(rng, 4, rational=True))[trial % 3]
+        calls.clear()
+        ours = uncached(g, gram)
+        ref = tree_decompose(g, gram)
+        assert ours == ref, (g, gram)
+        assert [repr(x) for x in (ours, ours.terms, ours.holomorphic)] == \
+            [repr(x) for x in (ref, ref.terms, ref.holomorphic)], (g, gram)
+        complements.update(min(c, 2) for c, _, _ in calls)
+        overflows += len(calls) > 1  # a state that only an overflow group reaches
+        wide += any(w for _, w, _ in calls)
+        outside += any(o for _, _, o in calls)
+        constants += g.numerator.is_constant()
+        grams += gram != q
+    assert complements == {0, 1, 2}
+    assert min(overflows, wide, outside, constants) >= 50 and grams > 200
+
+
+def test_frame_inverts_and_is_q_orthogonal():
+    rng = random.Random(1206)
+    for trial in range(60):
+        gram = q if trial % 2 else random_spd_gram(rng, 3, rational=trial % 4 == 0)
+        k = rng.randint(0, 3)
+        forms = tuple(random_form(rng, 4, rational=trial % 3 == 0) for _ in range(k))
+        if span(forms).dim < k:
+            continue
+        variables = tuple(sorted(set(range(1, rng.randint(1, 5) + 1)).union(
+            *(f.coeffs for f in forms))))
+        complement, inverse = _frame(gram, forms, variables)
+        ms = [LinearForm(row) for row in complement]
+        assert len(ms) == len(variables) - k
+        assert all(gram(m, f) == 0 for m in ms for f in forms)
+        rows = [*forms, *ms]  # T, row by row
+        for v, (row, den) in zip(variables, inverse):  # T^-1 T = I
+            assert LinearForm((w, x * c / den) for r, x in row
+                              for w, c in rows[r].coeffs.items()) == zvar(v)
+        for r, t in enumerate(rows):  # T T^-1 = I
+            image = {}
+            for v, (row, den) in zip(variables, inverse):
+                _axpy(image, t[v] / den, dict(row))
+            assert image == {r: 1}
+
+
+def test_item8_germ_decomposes_in_seconds():
+    f = parse_germ("(-3*z1*z2^2*z3^2*z4^2 - 4*z2^2*z4^2)/((z3 - z4)^3*(z1 - 2*z2)"
+                   "*(z1 - 2*z2 + z3)*(3*z1 + z2 + 3*z3)^2)")
+    germs._decompose.cache_clear()
+    t0 = time.perf_counter()
+    d = decompose(f)
+    elapsed = time.perf_counter() - t0
+    assert recompose(d) == f
+    assert elapsed < 2, elapsed
+
+
+def test_high_power_over_one_form_decomposes_in_seconds():
+    f = parse_germ("z1^80/(z1+z2)")
+    germs._decompose.cache_clear()
+    t0 = time.perf_counter()
+    d = decompose(f)
+    elapsed = time.perf_counter() - t0
+    assert len(d.holomorphic.coeffs) == 80 and recompose(d) == f
+    assert elapsed < 4, elapsed
 
 
 def test_ladder_germ_decomposes_in_seconds():

@@ -15,7 +15,7 @@ import linpole
 from linpole import (DEFAULT_Q, LinearForm, Polynomial, dependence, exactlin,
                      germs, is_local_pair, iter_eval, parse_germ, poly,
                      span)
-from linpole.exactlin import _projection_coordinates
+from linpole.exactlin import _frame
 
 from helpers import random_form, random_germ, random_poly, random_spd_gram
 
@@ -137,7 +137,7 @@ def test_every_cache_is_bounded():
                       if isinstance(cls, type) and cls.__module__ == mod.__name__)
     caches = {f"{scope}.{name}": obj for scope, names in scopes.items()
               for name, obj in names.items() if hasattr(obj, "cache_info")}
-    for name in ("linpole.exactlin._span", "linpole.exactlin._projection",
+    for name in ("linpole.exactlin._span", "linpole.exactlin._frame",
                  "linpole.germs._decompose", "linpole.germs._dependence",
                  "linpole.poly.Polynomial.dependence_space"):
         assert name in caches
@@ -145,17 +145,18 @@ def test_every_cache_is_bounded():
         assert cache.cache_info().maxsize is not None, name
 
 
-def test_projection_coordinates_are_tuples():
+def test_frame_is_memoised_and_immutable():
     rng = random.Random(82)
     q = random_spd_gram(rng, 3)
-    forms = [LinearForm({1: 1, 2: 1}), LinearForm({2: 1, 3: -2})]
-    targets = [LinearForm({v: 1}) for v in (1, 2, 3, 4)]
-    coords = _projection_coordinates(q, forms, map(lambda f: f, targets))
-    assert type(coords) is tuple and all(type(x) is tuple for x in coords)
-    assert _projection_coordinates(q, tuple(forms), targets) is coords
-    for f, x in zip(targets, coords):  # f minus its projection is q-orthogonal to the basis
-        a = LinearForm((v, xi * c) for xi, b in zip(x, forms) for v, c in b.coeffs.items())
-        assert all(q(f - a, b) == 0 for b in forms)
+    forms = (LinearForm({1: 1, 2: 1}), LinearForm({2: 1, 3: -2}))
+    frame = _frame(q, forms, (1, 2, 3, 4))
+    assert _frame(q, tuple(list(forms)), (1, 2, 3, 4)) is frame
+    complement, inverse = frame
+    assert type(complement) is tuple and all(type(row) is tuple for row in complement)
+    assert type(inverse) is tuple and all(type(row) is tuple for row, _den in inverse)
+    for row in complement:  # q-orthogonal to every form
+        m = LinearForm(row)
+        assert all(q(m, f) == 0 for f in forms)
 
 
 def test_dependence_space_is_shared_and_correct():

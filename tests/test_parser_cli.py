@@ -50,6 +50,15 @@ def test_parse_errors_carry_position():
         parse_germ("1/(z1*z1+z2)")
 
 
+def test_trailing_whitespace_ends_the_input():
+    for text in ("z1 ", " z1 ", "z1\n", "z1 \t\n", "( z1 + z2 ) ^ 2 "):
+        assert parse_germ(text) == parse_germ(text.replace(" ", "").strip())
+    for text, position in (("", 0), ("   ", 3), ("z1+", 3), ("z1+ ", 4), ("(z1 ", 4)):
+        with pytest.raises(ParseError) as exc:
+            parse_germ(text)
+        assert exc.value.position == position
+
+
 def test_divide_by_nested_quotient():
     assert parse_germ("1/(1/z1)") == RationalGerm(Polynomial.variable(1))
     assert parse_germ("z1/(z1/z2)") == RationalGerm(Polynomial.variable(2))
@@ -241,6 +250,21 @@ def test_cli_exit_codes(capsys):
     assert code == 1
     code, out, _ = run_cli(capsys, "mul", "--locality", "raw", "1/z1", "1/z1")
     assert code == 0 and "z1" in out
+
+
+@pytest.mark.parametrize("expr", ["z1 ", " z1 "])
+def test_cli_accepts_surrounding_whitespace(capsys, expr):
+    code, out, err = run_cli(capsys, "decompose", expr)
+    assert (code, out, err) == (0, "z1\n", "")
+
+
+@pytest.mark.parametrize("argv, position", [
+    (("decompose", "   "), 3), (("decompose", ""), 0), (("decompose", "z1+"), 3),
+    (("eval", "--evaluator", "ms", ""), 0)])
+def test_cli_end_of_input_is_a_parse_error(capsys, argv, position):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: unexpected end of input (at position {position})\n"
 
 
 def test_cli_deep_nesting_is_a_parse_error(capsys):

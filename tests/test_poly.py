@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from linpole import (DEFAULT_Q, InnerProduct, LinearForm, Polynomial,
-                     decompose, span, zvar)
+                     decompose, poly, span, zvar)
 
 from helpers import random_form, random_germ, random_poly
 
@@ -156,3 +156,27 @@ def test_equality_hash_repr_ignore_insertion_order():
         for u, w in ((a, b), (a + r, r + b), (a * r, r * b)):
             assert u == w and hash(u) == hash(w) and repr(u) == repr(w)
             assert u.terms == w.terms
+
+
+def test_packed_linear_substitution_matches_substitute():
+    """Pack, substitute integer linear forms and add the result back
+    unpacked, against Polynomial.substitute.  _pack picks the least width
+    that holds the degree, so a slot that carried would show."""
+    rng = random.Random(23)
+    for trial in range(80):
+        p = random_poly(rng, max_var=3, max_deg=3, n_terms=5) * Fraction(1, rng.randint(1, 6))
+        p = p * Polynomial.variable(rng.randint(1, 3)) ** rng.randint(0, 2)
+        variables = (1, 2, 3)
+        scale = rng.randint(1, 3)
+        terms, den, width = poly._pack(p, variables, scale)
+        assert 2 ** width > max(p.degree(), 1) >= 2 ** (width - 1)
+        rows = [[(i, rng.randint(-3, 3)) for i in range(3)] for _ in variables]
+        images = [poly._packed_linear(row, width) for row in rows]
+        acc = {}
+        poly._add_unpacked(acc, poly._packed_substitute(terms, images, width), den,
+                           variables, width)
+        # z_v -> (sum_i c_i z_(i+1)) / scale
+        want = p.substitute({v: Polynomial({((i + 1, 1),): Fraction(c, scale) for i, c in row})
+                             for v, row in zip(variables, rows)})
+        assert Polynomial._trusted(acc) == want, (p, rows)
+        assert all(type(c) is Fraction and c for c in acc.values())
