@@ -104,13 +104,12 @@ def _value(g: RationalGerm, memo: dict[RationalGerm, Fraction]) -> Fraction:
     starts at a uniform i and induces a uniform order on the variables of
     each term h of ev_reg_single(g, i), a variable h lacks being an identity
     step, so value(g) = (1/k) sum_i sum_h value(h); a germ without variables
-    is its constant.  Values are memoised per germ divided by the
-    coefficient of its numerator's least monomial, so proportional terms
-    reached along different orders are evaluated once."""
+    is its constant.  Values are memoised per germ divided by its
+    numerator's lead_coefficient(), so proportional terms reached along
+    different orders are evaluated once."""
     if not g:
         return Fraction(0)
-    coeffs = g.numerator.coeffs
-    lead = coeffs[min(coeffs)]
+    lead = g.numerator.lead_coefficient()
     key = germ_scale(g, 1 / lead)
     if key not in memo:
         variables = key.variables()

@@ -12,16 +12,14 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from math import lcm
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import NotLocal
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, Subspace,
-                       ZERO_SPACE, _as_fraction, _axpy, _frame, find_circuit,
-                       orthogonal, span, subspace_sum)
-from .poly import (Polynomial, _add_unpacked, _pack, _packed_collect, _packed_linear,
-                   _packed_mul, _packed_power, _packed_substitute)
+                       ZERO_SPACE, _as_fraction, _frame, find_circuit, orthogonal,
+                       span, subspace_sum)
+from .poly import Polynomial
 
 DenEntry = tuple[LinearForm, int]
 
@@ -153,15 +151,15 @@ def germ_sum(germs: Iterable[RationalGerm]) -> RationalGerm:
     for g in germs:
         for form, e in g.denominator:
             common[form] = max(common.get(form, 0), e)
-    acc = {}
+    nums = []
     for g in germs:
         num, own = g.numerator, dict(g.denominator)
         for form, e in common.items():
             gap = e - own.get(form, 0)
             if gap:
                 num = num * Polynomial.from_linear(form) ** gap
-        _axpy(acc, 1, num.coeffs)
-    return RationalGerm(Polynomial(acc), common.items())
+        nums.append(num)
+    return RationalGerm(Polynomial.sum(nums), common.items())
 
 
 class SimplexFraction:
@@ -289,41 +287,43 @@ class Decomposition:
         return " + ".join(bits)
 
 
+@functools.lru_cache(maxsize=1024)
+def _adapted(q: InnerProduct, forms: tuple[LinearForm, ...], variables: tuple[int, ...]
+             ) -> tuple[list[int], dict[int, Polynomial]]:
+    """(t, images) for the frame adapted to the independent forms L_j over
+    the variables: with z_v = sum_j a_vj L_j + P_v, P_v q-orthogonal to
+    every L_j, images[v] = z_v + sum_j a_vj (t_j - L_j), where t_j is the
+    j-th variable index outside `variables`.  Memoised like _frame."""
+    complement, inverse = _frame(q, forms, variables)
+    k = len(forms)
+    t = list(itertools.islice((v for v in itertools.count(1) if v not in variables), k))
+    images = {}
+    for v, (row, d) in zip(variables, inverse):
+        pairs = [(((t[r], 1),), x) for r, x in row if r < k]
+        pairs += [(((w, 1),), x * c) for r, x in row if r >= k for w, c in complement[r - k]]
+        images[v] = Polynomial(pairs) * Fraction(1, d)
+    return t, images
+
+
 def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
                    acc: dict, state):
     """Rewrite the numerator of an independent-denominator fraction, once, in
-    the coordinates y = (t, m) of the frame adapted to the forms, t_j = L_j
-    and m_i q-orthogonal to every L_j, and group it by the t-exponents.  A
-    group's coefficient is a polynomial in the m alone, so mapped back to z
-    it is q-orthogonal to the supporting space.  Finished groups go into
-    acc, {denominator: {monomial: coefficient}} with the holomorphic part
-    under (); a group with a surplus power of a form, times that surplus, is
-    added into the numerator state(rem_den) of its smaller denominator.
-
-    Every polynomial here has total degree at most deg(num), so it runs on
-    monomials packed at a width w with 2^w > deg(num), and on integer
-    coefficients over one common denominator.
+    the frame adapted to the forms L_j, and group it by the powers of the
+    t_j = L_j (see _adapted).  Each group's coefficient is a polynomial in
+    the P_v, so q-orthogonal to the supporting space.  Finished groups go
+    into acc, {denominator: [numerator, ...]} with the holomorphic part
+    under (); a group with a surplus power of a form, times that surplus,
+    goes into the numerator state(rem_den) of its smaller denominator.
     """
     forms = tuple(f for f, _ in den)
     variables = tuple(sorted(set(num.support()).union(*(f.coeffs for f in forms))))
-    complement, inverse = _frame(q, forms, variables)
-    scale = lcm(*(d for _, d in inverse))  # z_v = (sum_r row[r] y_r) / d_v
-    terms, common, width = _pack(num, variables, scale)
-    ys = [_packed_linear(((r, x * (scale // d)) for r, x in row), width) for row, d in inverse]
-    slot = {v: p for p, v in enumerate(variables)}
-    images = [_packed_linear(((slot[v], x) for v, x in row), width) for row in complement]
-    # den's forms are primitive, so their coefficients are integers
-    powers = [[_packed_linear(((slot[v], c.numerator) for v, c in f.coeffs.items()), width)]
-              for f in forms]
-    groups = _packed_collect(_packed_substitute(terms, ys, width), len(forms), width)
-    for exps, part in groups.items():
+    t, images = _adapted(q, forms, variables)
+    for exps, part in num.substitute(images).collect(*t).items():
         rem_den = tuple((f, e - s) for (f, e), s in zip(den, exps) if e > s)
-        z = _packed_substitute(part, images, width)
-        surplus = [(pw, s - e) for pw, (_, e), s in zip(powers, den, exps) if s > e]
-        for pw, e in surplus:
-            z = _packed_mul(z, _packed_power(pw, e))
-        target = state(rem_den) if surplus else acc.setdefault(rem_den, {})
-        _add_unpacked(target, z, common, variables, width)
+        surplus = [(f, s - e) for (f, e), s in zip(den, exps) if s > e]
+        for f, e in surplus:
+            part = part * Polynomial.from_linear(f) ** e
+        (state(rem_den) if surplus else acc.setdefault(rem_den, [])).append(part)
 
 
 def decompose(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:
@@ -339,9 +339,9 @@ def decompose(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:
 
 @functools.lru_cache(maxsize=1024)
 def _decompose(f: RationalGerm, q: InnerProduct) -> Decomposition:
-    """One worklist of states, one per denominator, each holding the summed
-    numerator of every path that reached it (a numerator that cancels drops
-    its state).  A dependent state is split by a circuit relation
+    """One worklist of states, one per denominator, each holding the
+    numerators of every path that reached it, summed when it pops (a sum
+    that cancels drops its state).  A dependent state is split by a circuit relation
     sum(c_i L_i) - L_p = 0 (L_p its first member with coefficient -1), which
     trades one power of each other L_i for one of L_p; an independent one by
     one _split_simplex; the empty denominator is the holomorphic part.  No
@@ -352,36 +352,35 @@ def _decompose(f: RationalGerm, q: InnerProduct) -> Decomposition:
     """
     splits, nums, heap, order, acc = {}, {}, [], itertools.count(), {}
 
-    def state(entries):  # the numerator of this denominator, queued when new
+    def state(entries):  # the numerators summed into this denominator, queued when new
         d = tuple(sorted(entries, key=lambda t: t[0].key()))
         if not d:
-            return acc.setdefault((), {})
+            return acc.setdefault((), [])
         if d not in nums:
             forms = tuple(f for f, _ in d)
             if forms not in splits:  # (pivot, circuit), None when independent
                 circuit = find_circuit(forms)
                 splits[forms] = circuit and (
                     next(i for i, c in zip(*circuit) if c == -1), circuit)
-            split, nums[d] = splits[forms], {}
+            split, nums[d] = splits[forms], []
             heapq.heappush(heap, (-len(d), d[split[0]][1] if split else 0, next(order), d))
         return nums[d]
 
-    _axpy(state(f.denominator), 1, f.numerator.coeffs)
+    state(f.denominator).append(f.numerator)
     while heap:
         d = heapq.heappop(heap)[-1]
-        n, split = nums.pop(d), splits[tuple(f for f, _ in d)]
+        n, split = Polynomial.sum(nums.pop(d)), splits[tuple(f for f, _ in d)]
         if n and split is None:
-            _split_simplex(Polynomial._trusted(n), d, q, acc, state)
+            _split_simplex(n, d, q, acc, state)
         elif n:
             pivot, circuit = split
             for i, c in zip(*circuit):
                 if i != pivot:
                     nd = {**dict(d), d[i][0]: d[i][1] - 1, d[pivot][0]: d[pivot][1] + 1}
-                    _axpy(state((f, e) for f, e in nd.items() if e), c, n)
-    # Every dict was built by _axpy from canonical monomials and Fractions.
-    holo = Polynomial._trusted(acc.pop((), {}))
-    return Decomposition([PolarTerm(Polynomial._trusted(t), SimplexFraction(den))
-                          for den, t in acc.items() if t], holo)
+                    state((f, e) for f, e in nd.items() if e).append(n * c)
+    holo = Polynomial.sum(acc.pop((), []))
+    sums = ((den, Polynomial.sum(nums)) for den, nums in acc.items())
+    return Decomposition([PolarTerm(num, SimplexFraction(den)) for den, num in sums if num], holo)
 
 
 def recompose(d: Decomposition) -> RationalGerm:

@@ -1,11 +1,17 @@
 """Sparse multivariate polynomials over the rationals.
 
-A polynomial is one dict, `coeffs`, from monomials to nonzero Fractions.
-Monomials are tuples of (variable, exponent) pairs sorted by variable, with
-positive exponents; only this module builds or splits them, and packs them
-into ints for the changes of coordinates of decompose's phase 2.  Equality and
-hashing go through the dict, and graded-lexicographic order is applied only
-where terms are read in order (`terms`, and so `repr` and JSON).  Variables
+A polynomial is integer numerators over one common denominator `den` >= 1:
+`coeffs` maps each monomial, packed into one int, to its nonzero numerator,
+and gcd(den, *coeffs.values()) = 1.  So the form is canonical, and equality
+and hashing are structural.  A packed monomial holds its total degree in bits
+[0, w) and the exponent of z_v in bits [v*w, (v+1)*w), w = _WIDTH (packed
+exponent vectors: Monagan and Pearce, CASC 2007), so a product of monomials
+is one int addition.  Total degrees stay at most _MAX_DEGREE < 2^w and
+variable indices at most _MAX_VARIABLE: an operation whose result would pass
+either raises BudgetExceeded before it packs anything, so no slot carries
+into the next.  Only this module packs or splits monomials; `terms` reads
+them as tuples of (variable, exponent) pairs with Fraction coefficients in
+graded-lexicographic order, which is what repr and JSON print.  Variables
 are the same 1-based indices as in exactlin.
 """
 
@@ -13,96 +19,61 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
-from collections.abc import Iterable, Mapping, Sequence
+from math import gcd, lcm
+from collections.abc import Iterable, Mapping
 
-from .exactlin import LinearForm, Q, _as_fraction, _axpy, _signed_sum, span
+from .errors import BudgetExceeded
+from .exactlin import LinearForm, Q, _as_fraction, _signed_sum, span, zvar
 
 Monomial = tuple[tuple[int, int], ...]  # ((var, exp), ...) sorted by var
 
-
-def _mono_mul(a: Monomial, b: Iterable[tuple[int, int]]) -> Monomial:
-    d = dict(a)
-    for v, e in b:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+_WIDTH = 16  # bits per slot of a packed monomial
+_MASK = (1 << _WIDTH) - 1
+_MAX_DEGREE = _MASK
+_MAX_VARIABLE = 1024
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _check(degree: int, variable: int = 0) -> None:
+    if degree > _MAX_DEGREE:
+        raise BudgetExceeded(f"total degree {degree} exceeds the limit {_MAX_DEGREE}")
+    if variable > _MAX_VARIABLE:
+        raise BudgetExceeded(f"variable z{variable} exceeds the limit z{_MAX_VARIABLE}")
 
 
-def _lower(m: Monomial, i: int) -> Monomial:
-    """m with the exponent of its i-th variable lowered by one."""
-    v, e = m[i]
-    return m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]
+def _pack(mono: Iterable[tuple[int, int]]) -> int:
+    """A monomial given as (variable, exponent) pairs, packed; a repeated
+    variable's exponents add."""
+    m = deg = 0
+    for v, e in mono:
+        if e:
+            if e < 0 or v < 1:
+                raise ValueError(f"bad monomial factor {(v, e)!r}")
+            deg += e
+            _check(deg, v)
+            m += e << (v * _WIDTH)
+    return m + deg
+
+
+def _unpack(m: int) -> Monomial:
+    mono, v = [], 0
+    m >>= _WIDTH
+    while m:
+        v += 1
+        if m & _MASK:
+            mono.append((v, m & _MASK))
+        m >>= _WIDTH
+    return tuple(mono)
 
 
 def _grlex_key(m: Monomial):
-    top = max((v for v, _ in m), default=0)
-    return (_mono_degree(m), tuple(-next((e for w, e in m if w == v), 0) for v in range(1, top + 1)))
+    exps = dict(m)
+    top = m[-1][0] if m else 0
+    return sum(exps.values()), tuple(-exps.get(v, 0) for v in range(1, top + 1))
 
 
-# Packed monomials, for the linear changes of coordinates of decompose's
-# phase 2.  Over an ordered tuple of n variables a monomial is one int, the
-# exponent of the i-th variable in bits [i*w, (i+1)*w).  While 2^w exceeds
-# every total degree in play no slot carries, so a product of monomials is
-# one int addition.  Coefficients are ints over one denominator that the
-# caller keeps.
-
-def _pack(p: "Polynomial", variables: Sequence[int],
-          scale: int) -> tuple[dict[int, int], int, int]:
-    """(terms, den, w) with p(x / scale) = sum(c * x^m for m, c in terms) / den,
-    the monomials packed over `variables` (which hold p's support) at the
-    least width w with 2^w > max(deg(p), 1)."""
-    deg = p.degree()
-    width = max(deg, 1).bit_length()
-    slot = {v: i * width for i, v in enumerate(variables)}
-    den = lcm(*(c.denominator for c in p.coeffs.values())) * scale ** deg
-    return {sum(e << slot[v] for v, e in m):
-            c.numerator * (den // (c.denominator * scale ** _mono_degree(m)))
-            for m, c in p.coeffs.items()}, den, width
-
-
-def _packed_linear(row: Iterable[tuple[int, int]], width: int) -> dict[int, int]:
-    """The linear polynomial sum(c * x_i) of (i, c) pairs, i a 0-based slot."""
-    return {1 << (i * width): c for i, c in row}
-
-
-def _packed_collect(terms: Mapping[int, int], k: int, width: int
-                    ) -> dict[tuple[int, ...], dict[int, int]]:
-    """{(e_0, ..., e_(k-1)): P_e} with the terms = sum_e x^e P_e, the P_e
-    free of the first k slots and packed over the slots after them."""
-    mask, bits = (1 << width) - 1, k * width
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    for m, c in terms.items():
-        key = tuple((m >> (j * width)) & mask for j in range(k))
-        groups.setdefault(key, {})[m >> bits] = c
-    return groups
-
-
-def _add_unpacked(acc: dict, terms: Mapping[int, int], den: int,
-                  variables: Sequence[int], width: int) -> None:
-    """acc += sum(c * x^m) / den in place, acc a canonical {monomial:
-    coefficient} dict; entries that cancel are dropped."""
-    mask = (1 << width) - 1
-    for m, c in terms.items():
-        mono = []
-        for v in variables:
-            if m & mask:
-                mono.append((v, m & mask))
-            m >>= width
-            if not m:
-                break
-        mono = tuple(mono)
-        y = acc.get(mono, 0) + Fraction(c, den)
-        if y:
-            acc[mono] = y
-        else:
-            acc.pop(mono, None)
-
-
-def _packed_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+def _mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The product of two {packed monomial: integer} dicts, zero terms
+    dropped; the caller has bounded its degree."""
     acc: dict[int, int] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -111,31 +82,14 @@ def _packed_mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     return {m: c for m, c in acc.items() if c}
 
 
-def _packed_power(powers: list[dict[int, int]], e: int) -> dict[int, int]:
-    """x^e, e >= 1, from powers = [x, x^2, ...], which grows in place as needed."""
-    while len(powers) < e:
-        powers.append(_packed_mul(powers[-1], powers[0]))
-    return powers[e - 1]
-
-
-def _packed_substitute(terms: Mapping[int, int], images: Sequence[Mapping[int, int]],
-                       width: int) -> dict[int, int]:
-    """sum(c * prod_i images[i]^e_i) over the terms, e_i the i-th exponent
-    of the monomial; each image is packed at the same width."""
-    mask = (1 << width) - 1
-    powers = [[x] for x in images]
-    acc: dict[int, int] = {}
-    for m, c in terms.items():
-        term = {0: c}
-        for pw in powers:
-            if not m:
-                break
-            if m & mask:
-                term = _packed_mul(term, _packed_power(pw, m & mask))
-            m >>= width
-        for mt, ct in term.items():
-            acc[mt] = acc.get(mt, 0) + ct
-    return {m: c for m, c in acc.items() if c}
+def _reduced(coeffs: dict[int, int], den: int) -> "Polynomial":
+    """sum(c * x^m) / den in canonical form, den > 0 and no c zero."""
+    if den != 1:
+        g = gcd(den, *coeffs.values())
+        if g != 1:
+            den //= g
+            coeffs = {m: c // g for m, c in coeffs.items()}
+    return Polynomial._trusted(coeffs, den)
 
 
 def _hyperplane_point(form: LinearForm, variables: set[int]) -> dict[int, Q] | None:
@@ -154,29 +108,31 @@ def _hyperplane_point(form: LinearForm, variables: set[int]) -> dict[int, Q] | N
 class Polynomial:
     """Immutable sparse polynomial; zero coefficients are never stored."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "den")
 
     def __init__(self, terms: Mapping[Monomial, Q] | Iterable[tuple[Monomial, Q]] = ()):
-        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
-        acc: dict[Monomial, Fraction] = {}
-        for m, c in items:
-            m = tuple(sorted((v, e) for v, e in m if e))
-            if any(e < 0 or v < 1 for v, e in m):
-                raise ValueError(f"bad monomial {m!r}")
-            if len(dict(m)) < len(m):  # a repeated variable
-                m = _mono_mul((), m)
-            c = _as_fraction(c)
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        acc: dict[int, Q] = {}
+        for mono, c in items:  # an int is its own numerator over 1
+            m = _pack(mono)
+            c = c if type(c) is int else _as_fraction(c)
             if c:
-                acc[m] = acc.get(m, Fraction(0)) + c
-        object.__setattr__(self, "coeffs", {m: c for m, c in acc.items() if c})
+                acc[m] = acc[m] + c if m in acc else c
+        acc = {m: c for m, c in acc.items() if c}
+        den = lcm(*(c.denominator for c in acc.values()))
+        self._fill({m: c.numerator * (den // c.denominator) for m, c in acc.items()}, den)
 
     @classmethod
-    def _trusted(cls, coeffs: dict[Monomial, Fraction]) -> "Polynomial":
-        """Wrap a dict of canonical monomials to nonzero Fractions, owned by
+    def _trusted(cls, coeffs: dict[int, int], den: int = 1) -> "Polynomial":
+        """Wrap canonical packed numerators over their denominator, owned by
         the result.  Nothing is checked."""
         p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
+        p._fill(coeffs, den)
         return p
+
+    def _fill(self, coeffs: dict[int, int], den: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -184,20 +140,38 @@ class Polynomial:
     @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         """(monomial, coefficient) pairs in graded-lexicographic order."""
-        return tuple(sorted(self.coeffs.items(), key=lambda t: _grlex_key(t[0])))
+        return tuple(sorted(((_unpack(m), Fraction(c, self.den)) for m, c in self.coeffs.items()),
+                            key=lambda t: _grlex_key(t[0])))
 
     @staticmethod
     def constant(c) -> "Polynomial":
         c = _as_fraction(c)
-        return Polynomial._trusted({(): c} if c else {})
+        return Polynomial._trusted({0: c.numerator} if c else {}, c.denominator)
 
     @staticmethod
     def variable(v: int) -> "Polynomial":
-        return Polynomial({((v, 1),): Fraction(1)})
+        return Polynomial.from_linear(zvar(v))
 
     @staticmethod
     def from_linear(form: LinearForm) -> "Polynomial":
-        return Polynomial._trusted({((v, 1),): c for v, c in form.coeffs.items()})
+        _check(1, max(form.coeffs, default=0))
+        den = lcm(*(c.denominator for c in form.coeffs.values()))
+        return Polynomial._trusted({(1 << v * _WIDTH) + 1: c.numerator * (den // c.denominator)
+                                    for v, c in form.coeffs.items()}, den)
+
+    @staticmethod
+    def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
+        """The sum of the polynomials, over the lcm of their denominators."""
+        polys = [p for p in polys if p.coeffs]
+        if len(polys) == 1:
+            return polys[0]
+        den = lcm(*(p.den for p in polys))
+        acc: dict[int, int] = {}
+        for p in polys:
+            k = den // p.den
+            for m, c in p.coeffs.items():
+                acc[m] = acc[m] + c * k if m in acc else c * k
+        return _reduced({m: c for m, c in acc.items() if c}, den)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -205,22 +179,21 @@ class Polynomial:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+        return (isinstance(other, Polynomial) and self.den == other.den
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash((frozenset(self.coeffs.items()), self.den))
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(other)
-        acc = dict(self.coeffs)
-        _axpy(acc, 1, other.coeffs)
-        return Polynomial._trusted(acc)
+        return Polynomial.sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._trusted({m: -c for m, c in self.coeffs.items()})
+        return Polynomial._trusted({m: -c for m, c in self.coeffs.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -230,82 +203,125 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             k = _as_fraction(other)
-            return Polynomial._trusted({m: k * c for m, c in self.coeffs.items()} if k else {})
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m, c = _mono_mul(m1, m2), c1 * c2
-                acc[m] = acc[m] + c if m in acc else c
-        return Polynomial._trusted({m: c for m, c in acc.items() if c})
+            return _reduced({m: c * k.numerator for m, c in self.coeffs.items()} if k else {},
+                            self.den * k.denominator)
+        _check(self.degree() + other.degree())
+        return _reduced(_mul(self.coeffs, other.coeffs), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
+        """By repeated multiplication, which for a sparse base costs less than
+        repeated squaring (Fateman, SIAM J. Comput. 3, 1974).  The content of
+        a power is the power of the content (Gauss), so no gcd is taken."""
         if k < 0:
             raise ValueError("negative power")
-        out = Polynomial.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        _check(self.degree() * k)
+        if len(self.coeffs) == 1:
+            (m, c), = self.coeffs.items()
+            return Polynomial._trusted({m * k: c ** k}, self.den ** k)
+        out = {0: 1}
+        for _ in range(k):
+            out = _mul(out, self.coeffs)
+        return Polynomial._trusted(out, self.den ** k)
 
     def degree(self) -> int:
-        return max(map(_mono_degree, self.coeffs), default=0)
+        return max((m & _MASK for m in self.coeffs), default=0)
 
     def homogeneous_part(self, d: int) -> "Polynomial":
         """The sum of the terms of total degree d."""
-        return Polynomial._trusted({m: c for m, c in self.coeffs.items()
-                                    if _mono_degree(m) == d})
+        return _reduced({m: c for m, c in self.coeffs.items() if m & _MASK == d}, self.den)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted({v for m in self.coeffs for v, _ in m}))
+        mask = 0
+        for m in self.coeffs:
+            mask |= m
+        return tuple(v for v, _ in _unpack(mask))
 
     def constant_term(self) -> Q:
-        return self.coeffs.get((), Fraction(0))
+        return Fraction(self.coeffs.get(0, 0), self.den)
 
     def is_constant(self) -> bool:
         return all(not m for m in self.coeffs)
 
+    def lead_coefficient(self) -> Q:
+        """The coefficient of the least packed monomial, 0 for the zero
+        polynomial: one fixed coefficient, so p / p.lead_coefficient() is the
+        same for every nonzero multiple of p."""
+        return Fraction(self.coeffs[min(self.coeffs)], self.den) if self.coeffs else Fraction(0)
+
     def evaluate(self, point: Mapping[int, Q]) -> Q:
-        total = Fraction(0)
+        values = {}
+        for v in self.support():
+            x = _as_fraction(point.get(v, 0))
+            values[v] = x.numerator if x.denominator == 1 else x
+        total = 0
         for m, c in self.coeffs.items():
-            val = c
-            for v, e in m:
-                val *= _as_fraction(point.get(v, 0)) ** e
-            total += val
-        return total
+            for v, e in _unpack(m):
+                c *= values[v] ** e
+            total += c
+        return Fraction(total) / self.den
 
     def partial(self, v: int) -> "Polynomial":
-        return Polynomial._trusted({_lower(m, i): c * e for m, c in self.coeffs.items()
-                                    for i, (w, e) in enumerate(m) if w == v})
+        shift = v * _WIDTH
+        return _reduced({m - (1 << shift) - 1: c * ((m >> shift) & _MASK)
+                         for m, c in self.coeffs.items() if (m >> shift) & _MASK}, self.den)
 
     def substitute(self, values: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Replace each variable in `values` by a polynomial; others stay."""
-        acc: dict[Monomial, Fraction] = {}
+        """Replace each variable in `values` by a polynomial; others stay.
+
+        Every image is written over the lcm D of their denominators, so a
+        term in which the substituted variables have total degree s gives
+        an integer polynomial over D^s, and all terms share D^K, K the
+        largest s."""
+        values = {v: values[v] for v in self.support() if v in values}
+        if not values:
+            return self
+        den = lcm(*(p.den for p in values.values()))
+        powers = {v: [{0: 1}, {m: c * (den // p.den) for m, c in p.coeffs.items()}]
+                  for v, p in values.items()}
+        slots = [(v, v * _WIDTH, p.degree()) for v, p in values.items()]
+        split, top, degree = [], 0, 0  # (rest of the monomial, coefficient, [(v, e)], s)
         for m, c in self.coeffs.items():
-            term = Polynomial._trusted({tuple(x for x in m if x[0] not in values): c})
-            for v, e in m:
-                if v in values:
-                    term = term * values[v] ** e
-            _axpy(acc, 1, term.coeffs)
-        return Polynomial._trusted(acc)
+            exps, s, d = [], 0, m & _MASK
+            for v, shift, dv in slots:
+                e = (m >> shift) & _MASK
+                if e:
+                    exps.append((v, e))
+                    s += e
+                    d += e * (dv - 1)
+                    m -= (e << shift) + e
+            split.append((m, c, exps, s))
+            top, degree = max(top, s), max(degree, d)
+        _check(degree)
+        acc: dict[int, int] = {}
+        for rest, c, exps, s in split:
+            term = {rest: c * den ** (top - s)}
+            for v, e in exps:
+                pw = powers[v]
+                while len(pw) <= e:
+                    pw.append(_mul(pw[-1], pw[1]))
+                term = _mul(term, pw[e])
+            for m, x in term.items():
+                acc[m] = acc[m] + x if m in acc else x
+        return _reduced({m: c for m, c in acc.items() if c}, self.den * den ** top)
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Rename variables; variables mapped to one index merge."""
         return Polynomial((tuple((mapping.get(v, v), e) for v, e in m), c)
-                          for m, c in self.coeffs.items())
+                          for m, c in self.terms)
 
     def collect(self, *vs: int) -> dict[tuple[int, ...], "Polynomial"]:
         """{(k1, ..., kn): P_k} with self = sum_k P_k z_v1^k1 ... z_vn^kn over
-        the variables vs = (v1, ..., vn), and no P_k involving any of them."""
-        groups: dict[tuple[int, ...], dict[Monomial, Fraction]] = {}
+        the distinct variables vs = (v1, ..., vn), and no P_k involving any
+        of them."""
+        shifts = [v * _WIDTH for v in vs]
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
         for m, c in self.coeffs.items():
-            rest = dict(m)
-            groups.setdefault(tuple(rest.pop(v, 0) for v in vs), {})[tuple(rest.items())] = c
-        return {k: Polynomial._trusted(t) for k, t in groups.items()}
+            key = tuple((m >> s) & _MASK for s in shifts)
+            rest = m - sum(e << s for e, s in zip(key, shifts)) - sum(key)
+            groups.setdefault(key, {})[rest] = c
+        return {k: _reduced(t, self.den) for k, t in groups.items()}
 
     def divide_by_form(self, form: LinearForm) -> "Polynomial | None":
         """Exact quotient self / form, or None when the form does not divide.
@@ -322,24 +338,23 @@ class Polynomial:
             raise ZeroDivisionError("division by the zero form")
         if not self.coeffs:
             return ZERO
-        point = _hyperplane_point(form, {w for m in self.coeffs for w, _ in m})
+        point = _hyperplane_point(form, set(self.support()))
         if point is None or self.evaluate(point):
             return None
         v = min(form.coeffs)
         inv = 1 / form.coeffs[v]
-        minus_r = Polynomial._trusted({((w, 1),): -a * inv
-                                       for w, a in form.coeffs.items() if w != v})
+        z_v = Polynomial.variable(v)
+        minus_r = z_v - Polynomial.from_linear(form) * inv
         parts = self.collect(v)
-        quot: dict[Monomial, Fraction] = {}
+        quot = []
         carry = ZERO  # -R Q_k / c
         for k in range(max(parts, default=(0,))[0], 0, -1):
             q = parts[k,] * inv + carry if (k,) in parts else carry
-            shift = ((v, k - 1),) if k > 1 else ()
-            quot.update((_mono_mul(m, shift), c) for m, c in q.coeffs.items())
+            quot.append(q * z_v ** (k - 1))
             carry = minus_r * q
         if carry != parts.get((0,), ZERO) * -inv:
             return None
-        return Polynomial._trusted(quot)
+        return Polynomial.sum(quot)
 
     @functools.lru_cache(maxsize=1024)
     def dependence_space(self):
@@ -349,10 +364,10 @@ class Polynomial:
         of vanishing derivative are ker M, and their annihilator under the
         standard pairing is the row space of M.  Memoised per polynomial.
         """
-        rows: dict[Monomial, dict[int, Fraction]] = {}
+        rows: dict[int, dict[int, int]] = {}
         for m, c in self.coeffs.items():
-            for i, (v, e) in enumerate(m):
-                rows.setdefault(_lower(m, i), {})[v] = c * e
+            for v, e in _unpack(m):
+                rows.setdefault(m - (1 << v * _WIDTH) - 1, {})[v] = c * e
         return span(LinearForm(row) for row in rows.values())
 
     def __repr__(self):

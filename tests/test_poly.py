@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from hypothesis import given, strategies as st
 
-from linpole import (DEFAULT_Q, InnerProduct, LinearForm, Polynomial,
+from linpole import (DEFAULT_Q, BudgetExceeded, InnerProduct, LinearForm, Polynomial,
                      decompose, poly, span, zvar)
 
 from helpers import random_form, random_germ, random_poly
@@ -113,14 +116,14 @@ def test_power_matches_repeated_multiplication(a, b, k):
 
 
 def assert_canonical(p):
-    """Monomials sorted by variable with positive exponents, nonzero
-    Fraction coefficients, and nothing the validating constructor would
-    rewrite."""
-    for m, c in p.coeffs.items():
-        assert all(v >= 1 and e >= 1 for v, e in m), m
-        assert [v for v, _ in m] == sorted({v for v, _ in m}), m
-        assert type(c) is Fraction and c, c
-    assert p.coeffs == Polynomial(p.coeffs).coeffs
+    """Nonzero integer numerators over a denominator >= 1 that shares no
+    factor with all of them, on packed monomials that the validating
+    constructor rebuilds from `terms` unchanged."""
+    assert type(p.den) is int and p.den >= 1, p.den
+    assert all(type(c) is int and c for c in p.coeffs.values()), p.coeffs
+    assert math.gcd(p.den, *p.coeffs.values()) == 1, (p.den, p.coeffs)
+    rebuilt = Polynomial(p.terms)
+    assert (rebuilt.coeffs, rebuilt.den) == (p.coeffs, p.den)
 
 
 def test_every_operation_keeps_canonical_form():
@@ -149,7 +152,7 @@ def test_every_operation_keeps_canonical_form():
 def test_equality_hash_repr_ignore_insertion_order():
     rng = random.Random(13)
     for _ in range(40):
-        items = list(random_poly(rng, max_var=4, max_deg=3, n_terms=8).coeffs.items())
+        items = list(random_poly(rng, max_var=4, max_deg=3, n_terms=8).terms)
         a = Polynomial(dict(items))
         b = Polynomial(dict(reversed(items)))
         r = random_poly(rng, max_var=4)
@@ -158,25 +161,31 @@ def test_equality_hash_repr_ignore_insertion_order():
             assert u.terms == w.terms
 
 
-def test_packed_linear_substitution_matches_substitute():
-    """Pack, substitute integer linear forms and add the result back
-    unpacked, against Polynomial.substitute.  _pack picks the least width
-    that holds the degree, so a slot that carried would show."""
-    rng = random.Random(23)
-    for trial in range(80):
-        p = random_poly(rng, max_var=3, max_deg=3, n_terms=5) * Fraction(1, rng.randint(1, 6))
-        p = p * Polynomial.variable(rng.randint(1, 3)) ** rng.randint(0, 2)
-        variables = (1, 2, 3)
-        scale = rng.randint(1, 3)
-        terms, den, width = poly._pack(p, variables, scale)
-        assert 2 ** width > max(p.degree(), 1) >= 2 ** (width - 1)
-        rows = [[(i, rng.randint(-3, 3)) for i in range(3)] for _ in variables]
-        images = [poly._packed_linear(row, width) for row in rows]
-        acc = {}
-        poly._add_unpacked(acc, poly._packed_substitute(terms, images, width), den,
-                           variables, width)
-        # z_v -> (sum_i c_i z_(i+1)) / scale
-        want = p.substitute({v: Polynomial({((i + 1, 1),): Fraction(c, scale) for i, c in row})
-                             for v, row in zip(variables, rows)})
-        assert Polynomial._trusted(acc) == want, (p, rows)
-        assert all(type(c) is Fraction and c for c in acc.values())
+def test_packing_limits_raise_budget_exceeded(monkeypatch):
+    """Each limit at a small patched value: a result past it raises before
+    anything is packed, and one at it is built."""
+    monkeypatch.setattr(poly, "_MAX_DEGREE", 6)
+    monkeypatch.setattr(poly, "_MAX_VARIABLE", 5)
+    assert (x + y) ** 3 * (x - 1) ** 3 == ((x + y) * (x - 1)) ** 3
+    assert Polynomial({((1, 2), (2, 4)): 1}).degree() == 6
+    assert (x * y * z).substitute({1: y * y, 2: y * y * y}) == y ** 5 * z
+    assert Polynomial.variable(5).support() == (5,)
+    for build in (lambda: Polynomial({((1, 3), (2, 4)): 1}), lambda: (x + 1) ** 7,
+                  lambda: x ** 4 * (y ** 3 + 1), lambda: (x * y).substitute({1: z ** 6}),
+                  lambda: Polynomial.variable(6), lambda: x.rename({1: 6}),
+                  lambda: Polynomial.from_linear(LinearForm({1: 1, 6: 2}))):
+        with pytest.raises(BudgetExceeded, match="exceeds the limit"):
+            build()
+
+
+def test_packing_limits_hold_without_carry():
+    """At the real limits a slot is full but carries nothing."""
+    top = x ** poly._MAX_DEGREE
+    assert top.terms == ((((1, poly._MAX_DEGREE),), 1),)
+    assert (x ** 40000 * y ** 25535).terms == ((((1, 40000), (2, 25535)), 1),)
+    far = Polynomial.variable(poly._MAX_VARIABLE)
+    assert (far * far).terms == ((((poly._MAX_VARIABLE, 2),), 1),)
+    for build in (lambda: x ** (poly._MAX_DEGREE + 1), lambda: x ** 40000 * y ** 30000,
+                  lambda: Polynomial.variable(poly._MAX_VARIABLE + 1)):
+        with pytest.raises(BudgetExceeded):
+            build()

@@ -24,15 +24,18 @@ def test_audit_covers_every_trusted_constructor():
 
 def test_audit_passes_canonical_trusted_objects():
     one = Fraction(1)
+    p = Polynomial({((1, 2),): one, (): Fraction(3, 2)})
     cases = [
         (LinearForm, ({1: one, 3: Fraction(-2)},)),
-        (Polynomial, ({((1, 2),): one, (): Fraction(3)},)),
+        (Polynomial, (dict(p.coeffs), p.den)),
         (RationalGerm, (Polynomial.constant(2), ((LinearForm({1: 1, 2: 1}), 2),))),
         (FractionSpec, ((2, 1), (1, 2), chen_lmap())),
         (LinComb, ({(1, 2): one},)),
     ]
     for cls, args in cases:
-        assert trusted_audit.audited(cls)(*args) == cls(*args)
+        obj = trusted_audit.audited(cls)(*args)
+        assert obj == trusted_audit.reference(cls, obj, args)
+    assert trusted_audit.audited(Polynomial)(dict(p.coeffs), p.den) == p
 
 
 def test_audit_catches_a_non_canonical_trusted_form():
@@ -42,4 +45,18 @@ def test_audit_catches_a_non_canonical_trusted_form():
             trusted_audit.audited(LinearForm)({2: 1, 1: 1})
         assert len(trusted_audit.MISMATCHES) == seen + 1
     finally:  # a deliberate mismatch must not fail an audited session
+        del trusted_audit.MISMATCHES[seen:]
+
+
+def test_audit_catches_a_non_canonical_trusted_polynomial():
+    """Numerators that share a factor with the denominator, and a zero
+    numerator."""
+    seen = len(trusted_audit.MISMATCHES)
+    z1, = Polynomial.variable(1).coeffs
+    try:
+        for args in (({0: 2}, 4), ({0: 1, z1: 0}, 1)):
+            with pytest.raises(AssertionError, match="Polynomial._trusted"):
+                trusted_audit.audited(Polynomial)(*args)
+        assert len(trusted_audit.MISMATCHES) == seen + 2
+    finally:
         del trusted_audit.MISMATCHES[seen:]
