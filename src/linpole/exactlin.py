@@ -154,8 +154,11 @@ def zvar(v: int) -> LinearForm:
 
 
 def zset(indices: Iterable[int]) -> LinearForm:
-    """z_I = sum of z_i over a finite index set."""
-    return LinearForm({i: Fraction(1) for i in indices})
+    """z_I = sum of z_i over a finite nonempty index set."""
+    form = LinearForm({i: Fraction(1) for i in indices})
+    if not form:
+        raise ValueError("z_I needs a nonempty index set")
+    return form
 
 
 class InnerProduct:
@@ -383,9 +386,15 @@ def _frame(q: InnerProduct, forms: tuple[LinearForm, ...],
     the rows of T = [L; M], which span W.  Memoised per (q, forms,
     variables), and immutable.
     """
-    # scaling a form to its integer row scales one entry of every column
+    # Scaling a form to its integer row scales one entry of every column,
+    # and scaling q by the common denominator g of its Gram block scales
+    # every column: neither changes the relations, and the columns are ints.
     scaled = [_int_row(f.coeffs)[0] for f in forms]
-    columns = ({j: _dot(q, row, {w: 1}) for j, row in enumerate(scaled)} for w in variables)
+    g, block = lcm(*(x.denominator for row in q.gram for x in row)), q.block_size
+    gram = [[int(x * g) for x in row] for row in q.gram]
+    columns = ({j: sum(x * gram[i - 1][w - 1] for i, x in row.items() if i <= block)
+                if w <= block else g * row.get(w, 0) for j, row in enumerate(scaled)}
+               for w in variables)
     complement = tuple(tuple((variables[p], x) for p, x in sorted(combo.items()))
                        for red, combo in _eliminate(columns) if not red)
     n = len(variables)

@@ -155,7 +155,8 @@ class FractionSpec:
             for s, u in zip(reversed(self.exponents), reversed(self.letters)):
                 _axpy(acc, 1, self.lmap.form(u).coeffs)
                 if not acc:
-                    raise ZeroCumulativeForm(f"cumulative form vanished at letter {u!r}")
+                    raise ZeroCumulativeForm(
+                        f"cumulative form vanished at letter {word_str((u,))}")
                 dens.append((LinearForm._trusted(dict(sorted(acc.items()))), s))
             object.__setattr__(self, "_entries", tuple(dens))
         return self._entries

@@ -240,13 +240,16 @@ def parse_spec(text: str):
     m = _SPEC_RE.match(text)
     if not m:
         raise ParseError("bad fraction spec literal", 0)
-    s_part, u_part = m.group(1).strip(), m.group(2).strip()
+    s_part = m.group(1).strip()
     exps = [int(x) for x in s_part.split(",")] if s_part else []
     letters: list = []
-    for chunk in re.findall(r"\{[^}]*\}|[^,{}\s]+", u_part):
-        if chunk.startswith("{"):
-            letters.append(frozenset(int(x) for x in chunk[1:-1].split(",") if x.strip()))
+    for chunk in re.finditer(r"\{[^}]*\}|[^,{}\s]+", m.group(2)):
+        if chunk[0].startswith("{"):
+            letter = frozenset(int(x) for x in chunk[0][1:-1].split(",") if x.strip())
+            if not letter:
+                raise ParseError("empty set letter", m.start(2) + chunk.start())
+            letters.append(letter)
         else:
-            letters.append(int(chunk))
+            letters.append(int(chunk[0]))
     lmap = speer_lmap() if any(isinstance(u, frozenset) for u in letters) else chen_lmap()
     return FractionSpec(exps, letters, lmap)

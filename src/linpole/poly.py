@@ -251,16 +251,12 @@ class Polynomial:
         return Fraction(self.coeffs[min(self.coeffs)], self.den) if self.coeffs else Fraction(0)
 
     def evaluate(self, point: Mapping[int, Q]) -> Q:
-        values = {}
-        for v in self.support():
-            x = _as_fraction(point.get(v, 0))
-            values[v] = x.numerator if x.denominator == 1 else x
-        total = 0
+        total = Fraction(0)
         for m, c in self.coeffs.items():
             for v, e in _unpack(m):
-                c *= values[v] ** e
+                c *= _as_fraction(point.get(v, 0)) ** e
             total += c
-        return Fraction(total) / self.den
+        return total / self.den
 
     def partial(self, v: int) -> "Polynomial":
         shift = v * _WIDTH
@@ -270,40 +266,32 @@ class Polynomial:
     def substitute(self, values: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Replace each variable in `values` by a polynomial; others stay.
 
-        Every image is written over the lcm D of their denominators, so a
-        term in which the substituted variables have total degree s gives
-        an integer polynomial over D^s, and all terms share D^K, K the
-        largest s."""
+        The images are written over the lcm D of their denominators, so a
+        term whose substituted variables have total degree s is an integer
+        polynomial over D^s; every term is brought to D^deg(self)."""
         values = {v: values[v] for v in self.support() if v in values}
         if not values:
             return self
-        den = lcm(*(p.den for p in values.values()))
+        den, top = lcm(*(p.den for p in values.values())), self.degree()
         powers = {v: [{0: 1}, {m: c * (den // p.den) for m, c in p.coeffs.items()}]
                   for v, p in values.items()}
-        slots = [(v, v * _WIDTH, p.degree()) for v, p in values.items()]
-        split, top, degree = [], 0, 0  # (rest of the monomial, coefficient, [(v, e)], s)
-        for m, c in self.coeffs.items():
-            exps, s, d = [], 0, m & _MASK
-            for v, shift, dv in slots:
-                e = (m >> shift) & _MASK
-                if e:
-                    exps.append((v, e))
-                    s += e
-                    d += e * (dv - 1)
-                    m -= (e << shift) + e
-            split.append((m, c, exps, s))
-            top, degree = max(top, s), max(degree, d)
-        _check(degree)
+        slots = [(v, v * _WIDTH, p.degree() - 1) for v, p in values.items()]
         acc: dict[int, int] = {}
-        for rest, c, exps, s in split:
-            term = {rest: c * den ** (top - s)}
+        for m, c in self.coeffs.items():
+            exps, s, degree = [], 0, m & _MASK  # degree: of the term's image
+            for v, shift, gain in slots:
+                if e := (m >> shift) & _MASK:
+                    exps.append((v, e))
+                    s, degree, m = s + e, degree + e * gain, m - (e << shift) - e
+            _check(degree)
+            term = {m: c * den ** (top - s)}
             for v, e in exps:
                 pw = powers[v]
                 while len(pw) <= e:
                     pw.append(_mul(pw[-1], pw[1]))
                 term = _mul(term, pw[e])
-            for m, x in term.items():
-                acc[m] = acc[m] + x if m in acc else x
+            for mt, x in term.items():
+                acc[mt] = acc[mt] + x if mt in acc else x
         return _reduced({m: c for m, c in acc.items() if c}, self.den * den ** top)
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
@@ -316,20 +304,20 @@ class Polynomial:
         the distinct variables vs = (v1, ..., vn), and no P_k involving any
         of them."""
         shifts = [v * _WIDTH for v in vs]
+        slots = sum(_MASK << s for s in shifts)
         groups: dict[tuple[int, ...], dict[int, int]] = {}
         for m, c in self.coeffs.items():
             key = tuple((m >> s) & _MASK for s in shifts)
-            rest = m - sum(e << s for e, s in zip(key, shifts)) - sum(key)
-            groups.setdefault(key, {})[rest] = c
+            groups.setdefault(key, {})[m - (m & slots) - sum(key)] = c
         return {k: _reduced(t, self.den) for k, t in groups.items()}
 
     def divide_by_form(self, form: LinearForm) -> "Polynomial | None":
         """Exact quotient self / form, or None when the form does not divide.
 
-        Synthetic division in the smallest variable v of the form: with
-        form = c z_v + R and self = sum_k P_k z_v^k, the quotient is
-        sum_k Q_k z_v^k with Q_{k-1} = (P_k - R Q_k) / c from the top degree
-        down, and the form divides exactly iff R Q_0 = P_0.
+        With form = c z_v + R, v its smallest variable, u = form is a
+        coordinate in place of z_v: self = sum_k u^k P_k with the P_k free of
+        u, and the form divides exactly iff P_0 = 0, with quotient
+        sum_k u^(k-1) P_k.  Here u is written as z_v itself.
 
         A divisor's variables all occur in self, and self vanishes on its
         hyperplane, here at `_hyperplane_point`: most forms fail one of these.
@@ -341,20 +329,13 @@ class Polynomial:
         point = _hyperplane_point(form, set(self.support()))
         if point is None or self.evaluate(point):
             return None
-        v = min(form.coeffs)
-        inv = 1 / form.coeffs[v]
-        z_v = Polynomial.variable(v)
-        minus_r = z_v - Polynomial.from_linear(form) * inv
-        parts = self.collect(v)
-        quot = []
-        carry = ZERO  # -R Q_k / c
-        for k in range(max(parts, default=(0,))[0], 0, -1):
-            q = parts[k,] * inv + carry if (k,) in parts else carry
-            quot.append(q * z_v ** (k - 1))
-            carry = minus_r * q
-        if carry != parts.get((0,), ZERO) * -inv:
+        v, lin = min(form.coeffs), Polynomial.from_linear(form)
+        z_v = Polynomial.variable(v)  # z_v = (u - R) / c
+        parts = self.substitute({v: (z_v * (1 + form.coeffs[v]) - lin) * (1 / form.coeffs[v])})
+        parts = parts.collect(v)
+        if (0,) in parts:
             return None
-        return Polynomial.sum(quot)
+        return Polynomial.sum(p * z_v ** (k - 1) for (k,), p in parts.items()).substitute({v: lin})
 
     @functools.lru_cache(maxsize=1024)
     def dependence_space(self):

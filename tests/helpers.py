@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -74,6 +75,17 @@ def assert_canonical_form(f):
     assert all(type(c) is Fraction and c for c in f.coeffs.values())
     g = LinearForm(dict(f.coeffs))
     assert f == g and hash(f) == hash(g)
+
+
+def assert_canonical_poly(p):
+    """Nonzero integer numerators over a denominator >= 1 that shares no
+    factor with all of them, on packed monomials that the validating
+    constructor rebuilds from `terms` unchanged."""
+    assert type(p.den) is int and p.den >= 1, p.den
+    assert all(type(c) is int and c for c in p.coeffs.values()), p.coeffs
+    assert math.gcd(p.den, *p.coeffs.values()) == 1, (p.den, p.coeffs)
+    rebuilt = Polynomial(p.terms)
+    assert (rebuilt.coeffs, rebuilt.den) == (p.coeffs, p.den)
 
 
 def germ_point_value(g: RationalGerm, point: dict[int, Fraction]) -> Fraction:

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from linpole import (Forest, ForestNode, FractionSpec, GermCombo, LinComb,
-                     LinearForm, NotLocal, NotLocalSpec, RationalGerm,
-                     WordEndsInX0, X0, chen_lmap, expand_product,
+                     LinearForm, LinpoleError, NotLocal, NotLocalSpec, ParseError,
+                     RationalGerm, WordEndsInX0, X0, chen_lmap, expand_product,
                      flatten_forest, forest_fraction, germ_mul, germ_scale,
                      germ_sum, is_local_pair, lyndon_decompose, lyndon_rewrite,
                      parse_spec, phi, shuffle, spec_of_word, speer_lmap,
-                     weak_chen_lmap, word_of_fraction, zvar)
+                     weak_chen_lmap, word_of_fraction, zset, zvar)
 
 from helpers import (combination_equals_germ, fraction_shuffle,
                      random_point_off_poles)
@@ -381,8 +381,15 @@ def test_zero_cumulative_form_detected():
                       "cancelling")
     spec = FractionSpec((1, 1), (1, 2), cancelling)  # constructing does not raise
     for _ in range(2):
-        with pytest.raises(ZeroCumulativeForm):
+        with pytest.raises(ZeroCumulativeForm, match="vanished at letter x1$"):
             spec.germ()
+
+
+def test_empty_index_set_is_not_a_speer_letter():
+    with pytest.raises(ValueError, match="nonempty index set"):
+        zset([])
+    with pytest.raises(LinpoleError, match=r"letter x\{\} is outside the alphabet of L-map"):
+        speer_lmap().form(frozenset())
 
 
 def test_denominator_entries_cached_tuple():
@@ -424,8 +431,12 @@ def test_denominator_entries_match_validating_sums():
             assert all(type(c) is Fraction and c for c in form.coeffs.values())
     assert specs[4].denominator_entries()[1:] == ((LinearForm({1: half, 3: -half}), 2),
                                                   (LinearForm({1: half, 4: -half}), 1))
-    with pytest.raises(ZeroCumulativeForm):
-        parse_spec("f[1,1;{1},{}]").denominator_entries()
+    # the empty set is no Speer letter: no spec reaches a zero cumulative
+    # form through it
+    with pytest.raises(ParseError, match="empty set letter"):
+        parse_spec("f[1,1;{1},{}]")
+    with pytest.raises(LinpoleError, match="outside the alphabet of L-map speer"):
+        FractionSpec((1, 1), ({1}, ()), speer_lmap()).denominator_entries()
 
 
 def test_custom_lmap_locality_registration_check():

@@ -252,6 +252,25 @@ def test_cli_exit_codes(capsys):
     assert code == 0 and "z1" in out
 
 
+@pytest.mark.parametrize("argv, position", [
+    (("eval", "--evaluator", "ms", "f[1,1;{},{1}]"), 6), (("unphi", "f[2;{}]"), 4),
+    (("eval", "--evaluator", "ms", "f[2;{ }]"), 4)])
+def test_cli_empty_set_letter_is_a_parse_error(capsys, argv, position):
+    """The empty set is no letter of the Speer alphabet, as x{} is no word
+    letter."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: empty set letter (at position {position})\n"
+
+
+def test_cli_degree_beyond_the_packing_limit_exits_1_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "decompose", "z1^100000/(z1+z2)")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == "error: total degree 100000 exceeds the limit 65535\n"
+
+
 @pytest.mark.parametrize("expr", ["z1 ", " z1 "])
 def test_cli_accepts_surrounding_whitespace(capsys, expr):
     code, out, err = run_cli(capsys, "decompose", expr)

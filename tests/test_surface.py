@@ -1,5 +1,6 @@
-"""The public surface of the package: one name per object, and a source tree
-that imports nothing outside the standard library."""
+"""The public surface of the package: one name per object, a source tree
+that imports nothing outside the standard library, and a polynomial format
+that no module but poly reads."""
 
 import ast
 import sys
@@ -40,3 +41,23 @@ def test_source_imports_only_the_standard_library():
                 if top != "linpole" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {module}")
     assert outside == []
+
+
+def test_no_module_but_poly_uses_its_private_names():
+    """Packed monomials and their helpers stay inside linpole.poly: no other
+    module imports a private name from it or reads one off it."""
+    leaks = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("poly", "linpole.poly"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id == "poly":
+                names = [node.attr]
+            else:
+                continue
+            leaks += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("_")]
+    assert leaks == []

@@ -1,15 +1,18 @@
-"""sympy as an independent oracle for the exact linear algebra and division.
+"""sympy as an independent oracle for the exact linear algebra and the
+polynomial arithmetic.
 
 span, orth_decompose, find_circuit, the positive-definiteness check of
 InnerProduct and Polynomial.dependence_space all run on one elimination
 routine in exactlin; these tests check each against sympy's own rref, solve,
-det and nullspace, and Polynomial.divide_by_form against sympy's div.
+det and nullspace, Polynomial.divide_by_form against sympy's div, and the
+other Polynomial operations against sympy's expand, subs, diff and Poly.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -17,7 +20,8 @@ from linpole import (DEFAULT_Q, InnerProduct, LinearForm, Polynomial, find_circu
                      orth_decompose, span)
 from linpole.poly import _hyperplane_point
 
-from helpers import assert_canonical_form, random_form, random_poly, random_spd_gram
+from helpers import (assert_canonical_form, assert_canonical_poly, random_form, random_poly,
+                     random_spd_gram)
 
 NV = 4
 
@@ -258,3 +262,56 @@ def test_divide_by_form_matches_sympy_div():
         assert check(num * lin, form) == num
         vanishing += 1
     assert vanishing >= 20
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+polys = st.dictionaries(st.tuples(*(st.integers(0, 2) for _ in range(NV))), rationals,
+                        max_size=4).map(lambda d: Polynomial(
+                            {tuple(enumerate(m, 1)): c for m, c in d.items()}))
+forms = st.dictionaries(st.integers(1, NV), rationals.filter(bool), min_size=1).map(LinearForm)
+points = st.tuples(*(rationals for _ in range(NV)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, polys, polys, rationals, st.integers(0, 3),
+       st.lists(st.integers(1, NV), min_size=1, max_size=3, unique=True), forms, points)
+def test_polynomial_operations_match_sympy(p, r, s, k, n, vs, form, point):
+    zs = sympy.symbols(f"z1:{NV + 1}")
+    P, R, S, K = sympy_poly(p, zs), sympy_poly(r, zs), sympy_poly(s, zs), to_sympy(k)
+
+    def same(ours, want):
+        assert_canonical_poly(ours)
+        assert sympy.expand(sympy_poly(ours, zs) - want) == 0, (ours, want)
+
+    same(p + r, P + R)
+    same(p - r, P - R)
+    same(p * r, P * R)
+    same(p * k, P * K)
+    same(k * p, P * K)
+    same(p + k, P + K)
+    same(Polynomial.sum([p, r, s, -p]), R + S)
+    same(p ** n, P ** n)
+    same(p.substitute({vs[0]: r, vs[-1]: s}),
+         P.subs({zs[vs[0] - 1]: R, zs[vs[-1] - 1]: S}, simultaneous=True))
+    same(p.partial(vs[0]), sympy.diff(P, zs[vs[0] - 1]))
+    terms = sympy.Poly(P, *zs).terms() if p else []
+    for d in range(p.degree() + 2):
+        same(p.homogeneous_part(d),
+             sum((c * sympy.Mul(*(z ** e for z, e in zip(zs, m)))
+                  for m, c in terms if sum(m) == d), sympy.Integer(0)))
+    parts = p.collect(*vs)
+    want = sympy.Poly(P, *(zs[v - 1] for v in vs)).as_dict() if p else {}
+    assert set(parts) == {m for m, c in want.items() if c}
+    for m, part in parts.items():
+        assert not set(vs) & set(part.support())
+        same(part, want[m])
+    assert p.evaluate(dict(enumerate(point, 1))) == from_sympy(
+        P.subs(dict(zip(zs, map(to_sympy, point)))))
+    for num in (p, p * Polynomial.from_linear(form)):
+        quotient, remainder = sympy.div(sympy_poly(num, zs),
+                                        sympy_poly(Polynomial.from_linear(form), zs),
+                                        *zs, domain=sympy.QQ)
+        ours = num.divide_by_form(form)
+        assert (ours is None) == (remainder != 0), (num, form)
+        if ours is not None:
+            same(ours, quotient)
