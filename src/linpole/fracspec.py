@@ -155,8 +155,7 @@ class FractionSpec:
             for s, u in zip(reversed(self.exponents), reversed(self.letters)):
                 _axpy(acc, 1, self.lmap.form(u).coeffs)
                 if not acc:
-                    raise ZeroCumulativeForm(
-                        f"cumulative form vanished at letter {word_str((u,))}")
+                    raise ZeroCumulativeForm(f"cumulative form vanished at {word_str((u,))}")
                 dens.append((LinearForm._trusted(dict(sorted(acc.items()))), s))
             object.__setattr__(self, "_entries", tuple(dens))
         return self._entries

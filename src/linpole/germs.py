@@ -290,10 +290,10 @@ class Decomposition:
 @functools.lru_cache(maxsize=1024)
 def _adapted(q: InnerProduct, forms: tuple[LinearForm, ...], variables: tuple[int, ...]
              ) -> tuple[list[int], dict[int, Polynomial]]:
-    """(t, images) for the frame adapted to the independent forms L_j over
-    the variables: with z_v = sum_j a_vj L_j + P_v, P_v q-orthogonal to
-    every L_j, images[v] = z_v + sum_j a_vj (t_j - L_j), where t_j is the
-    j-th variable index outside `variables`.  Memoised like _frame."""
+    """(t, images): z_v = sum_j a_vj L_j + sum_i b_vi M_i in the frame of
+    the independent forms L_j (_frame), and images[v] = sum_j a_vj t_j +
+    sum_i b_vi M_i, t_j the j-th variable index outside `variables`.
+    Memoised like _frame."""
     complement, inverse = _frame(q, forms, variables)
     k = len(forms)
     t = list(itertools.islice((v for v in itertools.count(1) if v not in variables), k))
@@ -308,12 +308,12 @@ def _adapted(q: InnerProduct, forms: tuple[LinearForm, ...], variables: tuple[in
 def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
                    acc: dict, state):
     """Rewrite the numerator of an independent-denominator fraction, once, in
-    the frame adapted to the forms L_j, and group it by the powers of the
-    t_j = L_j (see _adapted).  Each group's coefficient is a polynomial in
-    the P_v, so q-orthogonal to the supporting space.  Finished groups go
-    into acc, {denominator: [numerator, ...]} with the holomorphic part
+    the frame adapted to its forms L_j (_adapted), and group it by powers of
+    the t_j, which stand for the L_j.  A group's coefficient is a polynomial
+    in the M_i, so q-orthogonal to the supporting space.  Finished groups
+    go into acc, {denominator: [numerator, ...]} with the holomorphic part
     under (); a group with a surplus power of a form, times that surplus,
-    goes into the numerator state(rem_den) of its smaller denominator.
+    goes into the numerators state(rem_den) of its smaller denominator.
     """
     forms = tuple(f for f, _ in den)
     variables = tuple(sorted(set(num.support()).union(*(f.coeffs for f in forms))))
@@ -341,18 +341,19 @@ def decompose(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Decomposition:
 def _decompose(f: RationalGerm, q: InnerProduct) -> Decomposition:
     """One worklist of states, one per denominator, each holding the
     numerators of every path that reached it, summed when it pops (a sum
-    that cancels drops its state).  A dependent state is split by a circuit relation
-    sum(c_i L_i) - L_p = 0 (L_p its first member with coefficient -1), which
-    trades one power of each other L_i for one of L_p; an independent one by
-    one _split_simplex; the empty denominator is the holomorphic part.  No
-    split adds a form: a circuit split keeps the family (whose circuit is
-    fixed and pivot exponent grows) or drops a form, an overflow drops one.
-    So states pop with more forms first, then a lower pivot exponent, each
-    after all of its parents, and each is split once.
+    that cancels drops its state).  A dependent state is split by a circuit
+    relation sum(c_i L_i) - L_p = 0 (L_p its first member with coefficient
+    -1), which trades one power of each other L_i for one of L_p; an
+    independent one by one _split_simplex; the empty denominator is the
+    holomorphic part.  No split adds a form: a circuit split keeps the
+    family (whose circuit is fixed and pivot exponent grows) or drops a
+    form, an overflow drops one.  So states pop with more forms first, then
+    a lower pivot exponent, each after all of its parents, and each is
+    split once.
     """
     splits, nums, heap, order, acc = {}, {}, [], itertools.count(), {}
 
-    def state(entries):  # the numerators summed into this denominator, queued when new
+    def state(entries):  # the numerators of this denominator, queued when new
         d = tuple(sorted(entries, key=lambda t: t[0].key()))
         if not d:
             return acc.setdefault((), [])

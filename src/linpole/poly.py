@@ -82,16 +82,6 @@ def _mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     return {m: c for m, c in acc.items() if c}
 
 
-def _reduced(coeffs: dict[int, int], den: int) -> "Polynomial":
-    """sum(c * x^m) / den in canonical form, den > 0 and no c zero."""
-    if den != 1:
-        g = gcd(den, *coeffs.values())
-        if g != 1:
-            den //= g
-            coeffs = {m: c // g for m, c in coeffs.items()}
-    return Polynomial._trusted(coeffs, den)
-
-
 def _hyperplane_point(form: LinearForm, variables: set[int]) -> dict[int, Q] | None:
     """The point z_w = a*w (w != v), z_v = -sum(c_w * w) of the hyperplane
     sum(c_w z_w) = 0, with v its smallest variable and a = c_v; None when the
@@ -124,8 +114,11 @@ class Polynomial:
 
     @classmethod
     def _trusted(cls, coeffs: dict[int, int], den: int = 1) -> "Polynomial":
-        """Wrap canonical packed numerators over their denominator, owned by
-        the result.  Nothing is checked."""
+        """Wrap nonzero numerators on valid packed monomials over den > 0,
+        owned by the result; only a factor they share with den is divided
+        out, nothing is checked."""
+        if den != 1 and (g := gcd(den, *coeffs.values())) != 1:
+            den, coeffs = den // g, {m: c // g for m, c in coeffs.items()}
         p = object.__new__(cls)
         p._fill(coeffs, den)
         return p
@@ -171,7 +164,7 @@ class Polynomial:
             k = den // p.den
             for m, c in p.coeffs.items():
                 acc[m] = acc[m] + c * k if m in acc else c * k
-        return _reduced({m: c for m, c in acc.items() if c}, den)
+        return Polynomial._trusted({m: c for m, c in acc.items() if c}, den)
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -196,24 +189,21 @@ class Polynomial:
         return Polynomial._trusted({m: -c for m, c in self.coeffs.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
-        return self + (-other)
+        return self + other * -1
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             k = _as_fraction(other)
-            return _reduced({m: c * k.numerator for m, c in self.coeffs.items()} if k else {},
-                            self.den * k.denominator)
+            return Polynomial._trusted({m: c * k.numerator for m, c in self.coeffs.items()}
+                                       if k else {}, self.den * k.denominator)
         _check(self.degree() + other.degree())
-        return _reduced(_mul(self.coeffs, other.coeffs), self.den * other.den)
+        return Polynomial._trusted(_mul(self.coeffs, other.coeffs), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         """By repeated multiplication, which for a sparse base costs less than
-        repeated squaring (Fateman, SIAM J. Comput. 3, 1974).  The content of
-        a power is the power of the content (Gauss), so no gcd is taken."""
+        repeated squaring (Fateman, SIAM J. Comput. 3, 1974)."""
         if k < 0:
             raise ValueError("negative power")
         _check(self.degree() * k)
@@ -230,7 +220,8 @@ class Polynomial:
 
     def homogeneous_part(self, d: int) -> "Polynomial":
         """The sum of the terms of total degree d."""
-        return _reduced({m: c for m, c in self.coeffs.items() if m & _MASK == d}, self.den)
+        return Polynomial._trusted({m: c for m, c in self.coeffs.items() if m & _MASK == d},
+                                   self.den)
 
     def support(self) -> tuple[int, ...]:
         mask = 0
@@ -260,7 +251,7 @@ class Polynomial:
 
     def partial(self, v: int) -> "Polynomial":
         shift = v * _WIDTH
-        return _reduced({m - (1 << shift) - 1: c * ((m >> shift) & _MASK)
+        return Polynomial._trusted({m - (1 << shift) - 1: c * ((m >> shift) & _MASK)
                          for m, c in self.coeffs.items() if (m >> shift) & _MASK}, self.den)
 
     def substitute(self, values: Mapping[int, "Polynomial"]) -> "Polynomial":
@@ -292,7 +283,7 @@ class Polynomial:
                 term = _mul(term, pw[e])
             for mt, x in term.items():
                 acc[mt] = acc[mt] + x if mt in acc else x
-        return _reduced({m: c for m, c in acc.items() if c}, self.den * den ** top)
+        return Polynomial._trusted({m: c for m, c in acc.items() if c}, self.den * den ** top)
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Rename variables; variables mapped to one index merge."""
@@ -309,7 +300,7 @@ class Polynomial:
         for m, c in self.coeffs.items():
             key = tuple((m >> s) & _MASK for s in shifts)
             groups.setdefault(key, {})[m - (m & slots) - sum(key)] = c
-        return {k: _reduced(t, self.den) for k, t in groups.items()}
+        return {k: Polynomial._trusted(t, self.den) for k, t in groups.items()}
 
     def divide_by_form(self, form: LinearForm) -> "Polynomial | None":
         """Exact quotient self / form, or None when the form does not divide.

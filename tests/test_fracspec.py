@@ -381,7 +381,7 @@ def test_zero_cumulative_form_detected():
                       "cancelling")
     spec = FractionSpec((1, 1), (1, 2), cancelling)  # constructing does not raise
     for _ in range(2):
-        with pytest.raises(ZeroCumulativeForm, match="vanished at letter x1$"):
+        with pytest.raises(ZeroCumulativeForm, match="vanished at x1$"):
             spec.germ()
 
 

@@ -49,14 +49,14 @@ def test_audit_catches_a_non_canonical_trusted_form():
 
 
 def test_audit_catches_a_non_canonical_trusted_polynomial():
-    """Numerators that share a factor with the denominator, and a zero
-    numerator."""
+    """A zero numerator, a negative denominator, and a packed monomial whose
+    total-degree slot disagrees with its exponents."""
     seen = len(trusted_audit.MISMATCHES)
     z1, = Polynomial.variable(1).coeffs
     try:
-        for args in (({0: 2}, 4), ({0: 1, z1: 0}, 1)):
+        for args in (({0: 1, z1: 0}, 1), ({0: 1}, -2), ({z1 + 1: 1}, 1)):
             with pytest.raises(AssertionError, match="Polynomial._trusted"):
                 trusted_audit.audited(Polynomial)(*args)
-        assert len(trusted_audit.MISMATCHES) == seen + 2
+        assert len(trusted_audit.MISMATCHES) == seen + 3
     finally:
         del trusted_audit.MISMATCHES[seen:]
