@@ -289,36 +289,36 @@ class Decomposition:
 
 @functools.lru_cache(maxsize=1024)
 def _adapted(q: InnerProduct, forms: tuple[LinearForm, ...], variables: tuple[int, ...]
-             ) -> tuple[list[int], dict[int, Polynomial]]:
-    """(t, images): z_v = sum_j a_vj L_j + sum_i b_vi M_i in the frame of
-    the independent forms L_j (_frame), and images[v] = sum_j a_vj t_j +
-    sum_i b_vi M_i, t_j the j-th variable index outside `variables`.
-    Memoised like _frame."""
+             ) -> tuple[list[int], dict[int, Polynomial], dict[int, Polynomial]]:
+    """(t, to_y, to_z) for the frame (_frame) of the independent forms L_j:
+    y = (t, m) are the first indices outside `variables`, to_y sends each
+    z_v to its coordinates sum_j a_vj t_j + sum_i b_vi m_i, and to_z sends
+    each m_i back to the form M_i in z.  Memoised like _frame."""
     complement, inverse = _frame(q, forms, variables)
-    k = len(forms)
-    t = list(itertools.islice((v for v in itertools.count(1) if v not in variables), k))
-    images = {}
-    for v, (row, d) in zip(variables, inverse):
-        pairs = [(((t[r], 1),), x) for r, x in row if r < k]
-        pairs += [(((w, 1),), x * c) for r, x in row if r >= k for w, c in complement[r - k]]
-        images[v] = Polynomial(pairs) * Fraction(1, d)
-    return t, images
+    y = list(itertools.islice((v for v in itertools.count(1) if v not in variables),
+                              len(variables)))
+    to_y = {v: Polynomial([(((y[r], 1),), x) for r, x in row]) * Fraction(1, d)
+            for v, (row, d) in zip(variables, inverse)}
+    to_z = {m: Polynomial([(((w, 1),), x) for w, x in row])
+            for m, row in zip(y[len(forms):], complement)}
+    return y[:len(forms)], to_y, to_z
 
 
 def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
                    acc: dict, state):
     """Rewrite the numerator of an independent-denominator fraction, once, in
-    the frame adapted to its forms L_j (_adapted), and group it by powers of
-    the t_j, which stand for the L_j.  A group's coefficient is a polynomial
-    in the M_i, so q-orthogonal to the supporting space.  Finished groups
-    go into acc, {denominator: [numerator, ...]} with the holomorphic part
-    under (); a group with a surplus power of a form, times that surplus,
-    goes into the numerators state(rem_den) of its smaller denominator.
+    the coordinates (t, m) of the frame adapted to its forms L_j (_adapted),
+    map the m back to z, and group by the powers of the t_j, which stand
+    for the L_j.  A group's coefficient is a polynomial in the M_i, so
+    q-orthogonal to the supporting space.  Finished groups go into acc,
+    {denominator: [numerator, ...]} with the holomorphic part under (); a
+    group with a surplus power of a form, times that surplus, goes into the
+    numerators state(rem_den) of its smaller denominator.
     """
     forms = tuple(f for f, _ in den)
     variables = tuple(sorted(set(num.support()).union(*(f.coeffs for f in forms))))
-    t, images = _adapted(q, forms, variables)
-    for exps, part in num.substitute(images).collect(*t).items():
+    t, to_y, to_z = _adapted(q, forms, variables)
+    for exps, part in num.substitute(to_y).substitute(to_z).collect(*t).items():
         rem_den = tuple((f, e - s) for (f, e), s in zip(den, exps) if e > s)
         surplus = [(f, s - e) for (f, e), s in zip(den, exps) if s > e]
         for f, e in surplus:

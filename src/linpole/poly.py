@@ -321,9 +321,9 @@ class Polynomial:
         if point is None or self.evaluate(point):
             return None
         v, lin = min(form.coeffs), Polynomial.from_linear(form)
-        z_v = Polynomial.variable(v)  # z_v = (u - R) / c
-        parts = self.substitute({v: (z_v * (1 + form.coeffs[v]) - lin) * (1 / form.coeffs[v])})
-        parts = parts.collect(v)
+        c, z_v = form.coeffs[v], Polynomial.variable(v)
+        # z_v = (u - R) / c, R = form - c z_v
+        parts = self.substitute({v: (z_v * (1 + c) - lin) * (1 / c)}).collect(v)
         if (0,) in parts:
             return None
         return Polynomial.sum(p * z_v ** (k - 1) for (k,), p in parts.items()).substitute({v: lin})
