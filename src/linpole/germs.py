@@ -297,10 +297,9 @@ def _adapted(q: InnerProduct, forms: tuple[LinearForm, ...], variables: tuple[in
     complement, inverse = _frame(q, forms, variables)
     y = list(itertools.islice((v for v in itertools.count(1) if v not in variables),
                               len(variables)))
-    to_y = {v: Polynomial([(((y[r], 1),), x) for r, x in row]) * Fraction(1, d)
+    to_y = {v: Polynomial.linear(((y[r], x) for r, x in row), d)
             for v, (row, d) in zip(variables, inverse)}
-    to_z = {m: Polynomial([(((w, 1),), x) for w, x in row])
-            for m, row in zip(y[len(forms):], complement)}
+    to_z = {m: Polynomial.linear(row) for m, row in zip(y[len(forms):], complement)}
     return y[:len(forms)], to_y, to_z
 
 
@@ -315,6 +314,9 @@ def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
     group with a surplus power of a form, times that surplus, goes into the
     numerators state(rem_den) of its smaller denominator.
     """
+    if num.is_constant():  # polar as it stands, with no frame to build
+        acc.setdefault(den, []).append(num)
+        return
     forms = tuple(f for f, _ in den)
     variables = tuple(sorted(set(num.support()).union(*(f.coeffs for f in forms))))
     t, to_y, to_z = _adapted(q, forms, variables)

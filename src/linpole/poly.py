@@ -55,20 +55,8 @@ def _pack(mono: Iterable[tuple[int, int]]) -> int:
 
 
 def _unpack(m: int) -> Monomial:
-    mono, v = [], 0
-    m >>= _WIDTH
-    while m:
-        v += 1
-        if m & _MASK:
-            mono.append((v, m & _MASK))
-        m >>= _WIDTH
-    return tuple(mono)
-
-
-def _grlex_key(m: Monomial):
-    exps = dict(m)
-    top = m[-1][0] if m else 0
-    return sum(exps.values()), tuple(-exps.get(v, 0) for v in range(1, top + 1))
+    return tuple((v, e) for v in range(1, m.bit_length() // _WIDTH + 1)
+                 if (e := m >> v * _WIDTH & _MASK))
 
 
 def _mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
@@ -133,8 +121,10 @@ class Polynomial:
     @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         """(monomial, coefficient) pairs in graded-lexicographic order."""
-        return tuple(sorted(((_unpack(m), Fraction(c, self.den)) for m, c in self.coeffs.items()),
-                            key=lambda t: _grlex_key(t[0])))
+        top = max(self.support(), default=0)
+        order = sorted(self.coeffs, key=lambda m: (m & _MASK, [-(m >> v * _WIDTH & _MASK)
+                                                             for v in range(1, top + 1)]))
+        return tuple((_unpack(m), Fraction(self.coeffs[m], self.den)) for m in order)
 
     @staticmethod
     def constant(c) -> "Polynomial":
@@ -146,18 +136,25 @@ class Polynomial:
         return Polynomial.from_linear(zvar(v))
 
     @staticmethod
+    def linear(row: Iterable[tuple[int, int]], den: int = 1) -> "Polynomial":
+        """sum(c * z_v for v, c in row) / den: distinct variables, integer
+        coefficients and den > 0."""
+        row = dict(row)
+        if min(row, default=1) < 1 or den < 1:
+            raise ValueError(f"bad linear row {row!r} over {den}")
+        _check(1, max(row, default=0))
+        return Polynomial._trusted({(1 << v * _WIDTH) + 1: c for v, c in row.items() if c}, den)
+
+    @staticmethod
     def from_linear(form: LinearForm) -> "Polynomial":
-        _check(1, max(form.coeffs, default=0))
         den = lcm(*(c.denominator for c in form.coeffs.values()))
-        return Polynomial._trusted({(1 << v * _WIDTH) + 1: c.numerator * (den // c.denominator)
-                                    for v, c in form.coeffs.items()}, den)
+        return Polynomial.linear(((v, c.numerator * (den // c.denominator))
+                                  for v, c in form.coeffs.items()), den)
 
     @staticmethod
     def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
         """The sum of the polynomials, over the lcm of their denominators."""
         polys = [p for p in polys if p.coeffs]
-        if len(polys) == 1:
-            return polys[0]
         den = lcm(*(p.den for p in polys))
         acc: dict[int, int] = {}
         for p in polys:
