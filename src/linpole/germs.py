@@ -287,40 +287,32 @@ class Decomposition:
         return " + ".join(bits)
 
 
-@functools.lru_cache(maxsize=1024)
-def _adapted(q: InnerProduct, forms: tuple[LinearForm, ...], variables: tuple[int, ...]
-             ) -> tuple[list[int], dict[int, Polynomial], dict[int, Polynomial]]:
-    """(t, to_y, to_z) for the frame (_frame) of the independent forms L_j:
-    y = (t, m) are the first indices outside `variables`, to_y sends each
-    z_v to its coordinates sum_j a_vj t_j + sum_i b_vi m_i, and to_z sends
-    each m_i back to the form M_i in z.  Memoised like _frame."""
-    complement, inverse = _frame(q, forms, variables)
-    y = list(itertools.islice((v for v in itertools.count(1) if v not in variables),
-                              len(variables)))
-    to_y = {v: Polynomial.linear(((y[r], x) for r, x in row), d)
-            for v, (row, d) in zip(variables, inverse)}
-    to_z = {m: Polynomial.linear(row) for m, row in zip(y[len(forms):], complement)}
-    return y[:len(forms)], to_y, to_z
-
-
 def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
                    acc: dict, state):
     """Rewrite the numerator of an independent-denominator fraction, once, in
-    the coordinates (t, m) of the frame adapted to its forms L_j (_adapted),
-    map the m back to z, and group by the powers of the t_j, which stand
-    for the L_j.  A group's coefficient is a polynomial in the M_i, so
-    q-orthogonal to the supporting space.  Finished groups go into acc,
-    {denominator: [numerator, ...]} with the holomorphic part under (); a
-    group with a surplus power of a form, times that surplus, goes into the
-    numerators state(rem_den) of its smaller denominator.
+    the coordinates y = (t, m) of the frame of its forms L_j (_frame): with
+    z_v = sum_j a_vj L_j + sum_i b_vi M_i, one substitution sends z_v to
+    sum_j a_vj t_j + sum_i b_vi m_i, a second sends m_i back to the form M_i
+    in z, and the result is grouped by the powers of the t_j, which stand
+    for the L_j; y holds the first indices outside the variables.  A group's
+    coefficient is a polynomial in the M_i, so q-orthogonal to the
+    supporting space.  Finished groups go into acc, {denominator:
+    [numerator, ...]} with the holomorphic part under (); a group with a
+    surplus power of a form, times that surplus, goes into the numerators
+    state(rem_den) of its smaller denominator.
     """
     if num.is_constant():  # polar as it stands, with no frame to build
         acc.setdefault(den, []).append(num)
         return
     forms = tuple(f for f, _ in den)
     variables = tuple(sorted(set(num.support()).union(*(f.coeffs for f in forms))))
-    t, to_y, to_z = _adapted(q, forms, variables)
-    for exps, part in num.substitute(to_y).substitute(to_z).collect(*t).items():
+    complement, inverse = _frame(q, forms, variables)
+    y = list(itertools.islice((v for v in itertools.count(1) if v not in variables),
+                              len(variables)))
+    to_y = {v: Polynomial.linear(((y[r], x) for r, x in row), d)
+            for v, (row, d) in zip(variables, inverse)}
+    to_z = {m: Polynomial.linear(row) for m, row in zip(y[len(forms):], complement)}
+    for exps, part in num.substitute(to_y).substitute(to_z).collect(*y[:len(forms)]).items():
         rem_den = tuple((f, e - s) for (f, e), s in zip(den, exps) if e > s)
         surplus = [(f, s - e) for (f, e), s in zip(den, exps) if s > e]
         for f, e in surplus:

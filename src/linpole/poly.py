@@ -40,7 +40,7 @@ def _check(degree: int, variable: int = 0) -> None:
         raise BudgetExceeded(f"variable z{variable} exceeds the limit z{_MAX_VARIABLE}")
 
 
-def _pack(mono: Iterable[tuple[int, int]]) -> int:
+def _encode(mono: Iterable[tuple[int, int]]) -> int:
     """A monomial given as (variable, exponent) pairs, packed; a repeated
     variable's exponents add."""
     m = deg = 0
@@ -54,9 +54,13 @@ def _pack(mono: Iterable[tuple[int, int]]) -> int:
     return m + deg
 
 
-def _unpack(m: int) -> Monomial:
-    return tuple((v, e) for v in range(1, m.bit_length() // _WIDTH + 1)
-                 if (e := m >> v * _WIDTH & _MASK))
+def _decode(m: int) -> Monomial:
+    mono, v = [], 0
+    while m := m >> _WIDTH:
+        v += 1
+        if m & _MASK:
+            mono.append((v, m & _MASK))
+    return tuple(mono)
 
 
 def _mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
@@ -92,7 +96,7 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Q] = {}
         for mono, c in items:  # an int is its own numerator over 1
-            m = _pack(mono)
+            m = _encode(mono)
             c = c if type(c) is int else _as_fraction(c)
             if c:
                 acc[m] = acc[m] + c if m in acc else c
@@ -124,7 +128,7 @@ class Polynomial:
         top = max(self.support(), default=0)
         order = sorted(self.coeffs, key=lambda m: (m & _MASK, [-(m >> v * _WIDTH & _MASK)
                                                              for v in range(1, top + 1)]))
-        return tuple((_unpack(m), Fraction(self.coeffs[m], self.den)) for m in order)
+        return tuple((_decode(m), Fraction(self.coeffs[m], self.den)) for m in order)
 
     @staticmethod
     def constant(c) -> "Polynomial":
@@ -147,14 +151,17 @@ class Polynomial:
 
     @staticmethod
     def from_linear(form: LinearForm) -> "Polynomial":
+        _check(1, max(form.coeffs, default=0))
         den = lcm(*(c.denominator for c in form.coeffs.values()))
-        return Polynomial.linear(((v, c.numerator * (den // c.denominator))
-                                  for v, c in form.coeffs.items()), den)
+        return Polynomial._trusted({(1 << v * _WIDTH) + 1: c.numerator * (den // c.denominator)
+                                    for v, c in form.coeffs.items()}, den)
 
     @staticmethod
     def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
         """The sum of the polynomials, over the lcm of their denominators."""
         polys = [p for p in polys if p.coeffs]
+        if len(polys) == 1:
+            return polys[0]
         den = lcm(*(p.den for p in polys))
         acc: dict[int, int] = {}
         for p in polys:
@@ -224,7 +231,7 @@ class Polynomial:
         mask = 0
         for m in self.coeffs:
             mask |= m
-        return tuple(v for v, _ in _unpack(mask))
+        return tuple(v for v, _ in _decode(mask))
 
     def constant_term(self) -> Q:
         return Fraction(self.coeffs.get(0, 0), self.den)
@@ -239,17 +246,17 @@ class Polynomial:
         return Fraction(self.coeffs[min(self.coeffs)], self.den) if self.coeffs else Fraction(0)
 
     def evaluate(self, point: Mapping[int, Q]) -> Q:
-        total = Fraction(0)
+        total = 0
         for m, c in self.coeffs.items():
-            for v, e in _unpack(m):
-                c *= _as_fraction(point.get(v, 0)) ** e
+            for v, e in _decode(m):
+                x = _as_fraction(point.get(v, 0))  # in ints while integral
+                c *= (x.numerator if x.denominator == 1 else x) ** e
             total += c
-        return total / self.den
+        return Fraction(total) / self.den
 
     def partial(self, v: int) -> "Polynomial":
-        shift = v * _WIDTH
-        return Polynomial._trusted({m - (1 << shift) - 1: c * ((m >> shift) & _MASK)
-                         for m, c in self.coeffs.items() if (m >> shift) & _MASK}, self.den)
+        z_v = Polynomial.variable(v)
+        return Polynomial.sum(p * k * z_v ** (k - 1) for (k,), p in self.collect(v).items() if k)
 
     def substitute(self, values: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Replace each variable in `values` by a polynomial; others stay.
@@ -291,6 +298,8 @@ class Polynomial:
         """{(k1, ..., kn): P_k} with self = sum_k P_k z_v1^k1 ... z_vn^kn over
         the distinct variables vs = (v1, ..., vn), and no P_k involving any
         of them."""
+        if len(set(vs)) < len(vs) or min(vs, default=1) < 1:
+            raise ValueError(f"collect needs distinct positive variables, got {vs!r}")
         shifts = [v * _WIDTH for v in vs]
         slots = sum(_MASK << s for s in shifts)
         groups: dict[tuple[int, ...], dict[int, int]] = {}
@@ -335,7 +344,7 @@ class Polynomial:
         """
         rows: dict[int, dict[int, int]] = {}
         for m, c in self.coeffs.items():
-            for v, e in _unpack(m):
+            for v, e in _decode(m):
                 rows.setdefault(m - (1 << v * _WIDTH) - 1, {})[v] = c * e
         return span(LinearForm(row) for row in rows.values())
 

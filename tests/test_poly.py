@@ -81,6 +81,16 @@ def test_collect_reassembles():
     assert Polynomial().collect(1) == {}
 
 
+def test_collect_and_partial_reject_bad_variables():
+    """Slot 0 of a packed monomial is its degree, so index 0 is no variable."""
+    p = x * x * y + 3 * z
+    for bad in ((1, 1), (0,), (2, -1)):
+        with pytest.raises(ValueError):
+            p.collect(*bad)
+    with pytest.raises(ValueError):
+        p.partial(0)
+
+
 def test_homogeneous_parts_reassemble():
     rng = random.Random(5)
     for _ in range(40):
