@@ -91,7 +91,7 @@ def _factored(g: RationalGerm) -> _Value:
         if num.is_constant():
             return _Value(num.constant_term())
         if num.degree() == 1 and not num.constant_term():
-            form = LinearForm({v: num.partial(v).constant_term() for v in num.support()})
+            form = LinearForm({mono[0][0]: c for mono, c in num.terms})
             prim, scalar = form.primitive()
             return _Value(scalar, {prim: 1})
     return _Value(Fraction(1), rest=g)
