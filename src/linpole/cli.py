@@ -277,7 +277,7 @@ def cmd_galois(args):
               {"all_ok": report.all_ok,
                "entries": [{"combo": name, "ms_of_transformed": ser.rational_str(l),
                             "evaluator_value": ser.rational_str(r),
-                            "diff": f"{float(d):.3g}", "ok": ok}
+                            "diff": ser.float_str(d, 3), "ok": ok}
                            for name, l, r, d, ok in report.entries]})
         return 0 if report.all_ok else 1
 

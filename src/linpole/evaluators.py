@@ -32,6 +32,7 @@ from .germs import RationalGerm, dependence, germ_scale, germ_sum, ms_eval
 from .fracspec import (FractionSpec, SpecMonomial, lyndon_decompose,
                        monomial_mul, spec_monomial)
 from .poly import Polynomial
+from .serialize import float_str
 from .words import LinComb, is_lyndon, local_word_pair
 
 
@@ -100,67 +101,54 @@ def _blocks(f: RationalGerm) -> list[list[int]]:
 
 
 def _value(g: RationalGerm, memo: dict[RationalGerm, Fraction]) -> Fraction:
-    """The average over the orderings of g's k variables.  A uniform order
+    """The average over the orderings of g's variables of the iterated
+    constant coefficients.  A memo miss splits g into its _blocks.  With no
+    block, g is its constant.  With one block of k variables, a uniform order
     starts at a uniform i and induces a uniform order on the variables of
     each term h of ev_reg_single(g, i), a variable h lacks being an identity
-    step, so value(g) = (1/k) sum_i sum_h value(h); a germ without variables
-    is its constant.  Values are memoised per germ divided by its
-    numerator's lead_coefficient(), so proportional terms reached along
-    different orders are evaluated once."""
+    step, so value(g) = (1/k) sum_i sum_h value(h).  With several, and the
+    numerator written as sum_a P_a m_a, P_a in the first block's variables
+    and m_a a monomial in the others', value(g) = sum_a value(P_a / D_1)
+    prod_b value(m_ab / D_b), D_b the forms of block b.  This is exact: the
+    constant coefficient in z_i passes through a factor free of z_i, so each
+    order gives the product of the blocks' values in the orders it induces,
+    and the average over all orders is the product of the averages.  Values
+    are memoised per germ divided by its numerator's lead_coefficient(), so
+    proportional terms reached along different orders are evaluated once."""
     if not g:
         return Fraction(0)
     lead = g.numerator.lead_coefficient()
     key = germ_scale(g, 1 / lead)
-    if key not in memo:
-        variables = key.variables()
-        if not variables:
-            memo[key] = key.numerator.constant_term()
-        else:
-            memo[key] = sum((_value(h, memo) for i in variables for h in _reg_terms(key, i)),
-                            Fraction(0)) / len(variables)
-    return lead * memo[key]
-
-
-def _block_value(f: RationalGerm) -> Fraction:
-    """The iterated value of f.  With the numerator written as
-    sum_a P_a m_a, P_a in the first block's variables and m_a a monomial in
-    the others', it is sum_a value(P_a / D_1) prod_b value(m_ab / D_b), D_b
-    the forms of block b.  This is exact: the constant coefficient in z_i
-    passes through a factor free of z_i, so each order of the variables
-    gives the product of the blocks' values in the orders it induces, and
-    the average over all orders is the product of the averages."""
-    memo: dict[RationalGerm, Fraction] = {}
-    blocks = _blocks(f)
-    if len(blocks) < 2:
-        return _value(f, memo)
-    block_of = {v: j for j, vs in enumerate(blocks) for v in vs}
-    dens: list[list[tuple[LinearForm, int]]] = [[] for _ in blocks]
-    for form, e in f.denominator:
-        dens[block_of[form.support()[0]]].append((form, e))
-    rest_vars = [v for vs in blocks[1:] for v in vs]
-    total = Fraction(0)
-    for exps, part in f.numerator.collect(*rest_vars).items():
-        powers = dict(zip(rest_vars, exps))
-        value = _value(RationalGerm(part, dens[0]), memo)
-        for vs, den in zip(blocks[1:], dens[1:]):
-            if not value:
-                break
-            mono = Polynomial({tuple((v, powers[v]) for v in vs): 1})
-            value *= _value(RationalGerm(mono, den), memo)
-        total += value
-    return total
+    if key in memo:
+        return lead * memo[key]
+    blocks = _blocks(key)
+    if not blocks:
+        value = key.numerator.constant_term()
+    elif len(blocks) == 1:
+        value = sum((_value(h, memo) for i in blocks[0] for h in _reg_terms(key, i)),
+                    Fraction(0)) / len(blocks[0])
+    else:
+        dens = [[(form, e) for form, e in key.denominator if form.support()[0] in vs]
+                for vs in blocks]
+        rest_vars = [v for vs in blocks[1:] for v in vs]
+        value = Fraction(0)
+        for exps, part in key.numerator.collect(*rest_vars).items():
+            powers = dict(zip(rest_vars, exps))
+            term = _value(RationalGerm(part, dens[0]), memo)
+            for vs, den in zip(blocks[1:], dens[1:]):
+                if not term:
+                    break
+                mono = Polynomial({tuple((v, powers[v]) for v in vs): 1})
+                term *= _value(RationalGerm(mono, den), memo)
+            value += term
+    memo[key] = value
+    return lead * value
 
 
 def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
               perm_cap: int = 8) -> Q:
     """Average of iterated single-variable regularised evaluations over all
-    orderings of the variables; `perm_cap` caps the number of variables,
-    counted over all blocks.
-
-    Variables linked by denominator forms make a block, and the value is a
-    sum of products of block values, each the mean over the first variable
-    i of the values of the terms of ev_reg_single(., i).
-    """
+    orderings of the variables (see _value); `perm_cap` caps their number."""
     # A germ depends on no form outside its own variables, so only an
     # explicit list needs the dependence check.
     check = variables is not None
@@ -172,7 +160,7 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
         for form in dependence(f, DEFAULT_Q).basis:
             if not set(form.support()) <= set(variables):
                 raise DependenceEscapesVars(f"germ depends on {form!r}")
-    return _block_value(f)
+    return _value(f, {})
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +520,8 @@ class FactorizationReport:
         return all(ok for *_, ok in self.entries)
 
     def __repr__(self):
-        lines = [f"{'PASS' if ok else 'FAIL'} {name}: ms={float(lhs):.9g} "
-                 f"e={float(rhs):.9g} |diff|={float(diff):.3g}"
+        lines = [f"{'PASS' if ok else 'FAIL'} {name}: ms={float_str(lhs, 9)} "
+                 f"e={float_str(rhs, 9)} |diff|={float_str(diff, 3)}"
                  for name, lhs, rhs, diff, ok in self.entries]
         return "\n".join(lines)
 

@@ -217,7 +217,9 @@ def spec_of_word(w: Word, lmap: LMap) -> FractionSpec:
 
 
 def word_of_fraction(spec: FractionSpec) -> Word:
-    """Inverse of phi on the locality family."""
+    """Inverse of phi on the locality family; a letter outside the alphabet raises."""
+    for u in spec.letters:
+        spec.lmap.form(u)
     if not spec.is_local():
         raise NotLocalSpec(f"{spec!r} has non-local letters")
     return spec.word()

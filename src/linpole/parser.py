@@ -251,5 +251,7 @@ def parse_spec(text: str):
             letters.append(letter)
         else:
             letters.append(int(chunk[0]))
+    if len({isinstance(u, frozenset) for u in letters}) > 1:
+        raise ParseError("integer letters and set letters cannot be mixed in one spec", m.start(2))
     lmap = speer_lmap() if any(isinstance(u, frozenset) for u in letters) else chen_lmap()
     return FractionSpec(exps, letters, lmap)

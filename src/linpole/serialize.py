@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from decimal import Context
+from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
 from .exactlin import LinearForm, Subspace
@@ -42,13 +42,21 @@ def subspace_to_json(s: Subspace) -> dict:
     return {"dim": s.dim, "basis": [form_to_json(f) for f in s.basis]}
 
 
+def float_str(x, digits: int) -> str:
+    """x to `digits` significant digits as a float prints it; a nonzero x
+    beyond the float range goes through Decimal, not an OverflowError or 0."""
+    x = Fraction(x)
+    try:
+        f = float(x)
+    except OverflowError:
+        f = 0.0
+    if f or not x:
+        return f"{f:.{digits}g}"
+    wide = Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    return f"{wide.normalize(wide.divide(x.numerator, x.denominator)):g}"
+
+
 def eval_result_json(value, error_bound, evaluator: str) -> dict:
-    if isinstance(value, Fraction) and error_bound == 0:
-        val = rational_str(value)
-    else:
-        val = f"{float(value):.15g}"
-    err = f"{float(error_bound):.3g}"
-    if error_bound and err == "0":  # below the float range, from precision 308 on
-        tiny = Context(prec=3).divide(error_bound.numerator, error_bound.denominator)
-        err = f"{tiny.normalize():g}"
-    return {"value": val, "error_bound": err, "evaluator": evaluator}
+    exact = isinstance(value, Fraction) and error_bound == 0
+    return {"value": rational_str(value) if exact else float_str(value, 15),
+            "error_bound": float_str(error_bound, 3), "evaluator": evaluator}

@@ -288,8 +288,12 @@ def test_iter_eval_steps_block_by_block(monkeypatch):
     # a step in z1 leaves the constant 1 and a step in z2..z5 leaves no
     # term, so the value is 1/5 after five steps
     lost = parse_germ("z2*z3*z4*z5/((z1+z2)*(z1+z3)*(z1+z4)*(z1+z5))")
+    # forks: a step in z1 leaves two chains in disjoint variables, which
+    # split into blocks below the root
+    fork5 = parse_germ("z2*z3*z4*z5/((z1+z2)*(z2+z3)*(z1+z4)*(z4+z5))")
+    fork7 = parse_germ("z2*z3*z4*z5*z6*z7/((z1+z2)*(z2+z3)*(z3+z4)*(z1+z5)*(z5+z6)*(z6+z7))")
     counts = []
-    for g in (a, b, ab, lost):
+    for g in (a, b, ab, lost, fork5, fork7):
         steps.clear()
         iter_eval(g)
         counts.append(len(steps))
@@ -298,6 +302,9 @@ def test_iter_eval_steps_block_by_block(monkeypatch):
     assert counts[2] < 5 * 2 ** 4  # below a pass over every subset of the five variables
     assert counts[3] <= 10
     assert iter_eval(lost) == iter_eval_by_orderings(lost, [1, 2, 3, 4, 5]) == Fraction(1, 5)
+    assert counts[4] <= 9 and counts[5] <= 17
+    assert iter_eval(fork5) == iter_eval_by_orderings(fork5, [1, 2, 3, 4, 5]) == Fraction(1, 20)
+    assert iter_eval(fork7) == Fraction(1, 252)
     assert iter_eval(ab) == iter_eval(a) * iter_eval(b) == iter_eval_by_orderings(ab, [1, 2, 3, 4, 5])
     # the cap counts every variable, though each block is below it
     with pytest.raises(TooManyVariables):

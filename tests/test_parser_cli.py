@@ -1,3 +1,4 @@
+import decimal
 import json
 import random
 import sys
@@ -12,6 +13,7 @@ from linpole import (LinearForm, NonHomogeneousPole, ParseError, Polynomial,
                      parse_spec, parse_word, subset_alphabet, word_str, zvar)
 from linpole.cli import main
 from linpole.evaluators import MAX_PRECISION
+from linpole.serialize import float_str
 
 import parser_oracle
 from helpers import random_germ
@@ -557,14 +559,67 @@ def test_cli_letter_outside_lmap_alphabet(capsys, lmap, word):
     ("eval", "--evaluator", "zeta"),
     ("eval", "--evaluator", "ms"),
     ("galois", "apply", "--transform", '{"shifts":[]}', "--combo"),
+    ("unphi",),
 ])
 def test_cli_spec_letter_outside_chen_alphabet(capsys, spec, command):
-    """The zeta evaluator reads only a spec's exponents, yet a letter outside
-    the Chen alphabet is an error under it as under ms and galois apply."""
+    """The zeta evaluator reads only a spec's exponents, and unphi only its
+    word, yet a letter outside the Chen alphabet is an error under them as
+    under ms and galois apply."""
     code, out, err = run_cli(capsys, *command, spec)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"letter x{spec[4:-1]} is outside the alphabet of L-map chen" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("unphi", "f[1,1;1,{2}]"),
+    ("eval", "--evaluator", "ms", "f[1,1;1,{2}]"),
+    ("eval", "--evaluator", "iter", "f[1,1;1,{2}]"),
+    ("galois", "derive", "--generators", "f[2,1;1,{2}]"),
+])
+def test_cli_spec_mixing_integer_and_set_letters(capsys, command):
+    """No alphabet holds both kinds of letter, so a spec literal that mixes
+    them is a parse error, as a mixed word is for the lyndon verbs."""
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+    assert "integer letters and set letters" in err
+
+
+@pytest.mark.parametrize("command, expected", [
+    (("eval", "--evaluator", "zeta", '{"terms":[{"holo":"10^400","specs":["f[2;1]"]}]}'),
+     "1.64493406684937e+400 (err<=1.16e+388)\n"),
+    (("eval", "--evaluator", "zeta", '{"terms":[{"holo":"1/10^400","specs":["f[2;1]"]}]}'),
+     "1.64493406684937e-400 (err<=1.16e-412)\n"),
+    (("galois", "check", "--generators", "f[2;1]", "--combos", '["10^400"]'),
+     "ms=1e+400 e=1e+400 |diff|=0\nall: PASS\n"),
+    (("galois", "check", "--evaluator", "zeta", "--generators", "f[2;1]", "--combos",
+      '[{"terms":[{"holo":"10^400","specs":["f[3;1]"]}]}]'),
+     "ms=0 e=1.2020569e+400 |diff|=1.2e+400\nall: FAIL\n"),
+], ids=["eval-above", "eval-below", "check-ms", "check-zeta"])
+def test_cli_values_beyond_the_float_range(capsys, command, expected):
+    """Values a float cannot hold print in the same format as those it can,
+    neither as an OverflowError nor as 0."""
+    code, out, err = run_cli(capsys, *command)
+    assert code == (1 if expected.endswith("FAIL\n") else 0) and err == ""
+    assert out.endswith(expected)
+    json_code, out, err = run_cli(capsys, "--format", "json", *command)
+    assert json_code == code and err == ""
+    data = json.loads(out)
+    if "entries" in data:
+        assert data["entries"][0]["diff"] == expected.split("|diff|=")[1].split("\n")[0]
+    else:
+        assert f'{data["value"]} (err<={data["error_bound"]})\n' == expected
+
+
+def test_float_str_keeps_its_own_decimal_context():
+    """Beyond the float range the digits come from a context of the helper's
+    own, so a narrow context in the caller's thread neither traps nor rounds
+    them."""
+    with decimal.localcontext(decimal.Context(prec=2, Emin=-500, Emax=500)):
+        assert float_str(Fraction(3 * 10 ** 600, 7), 15) == "4.28571428571429e+599"
+        assert float_str(Fraction(-1, 10 ** 600), 3) == "-1e-600"
+        assert float_str(Fraction(2, 3), 15) == "0.666666666666667"
 
 
 def test_cli_precision_20(capsys):
