@@ -100,49 +100,52 @@ def _blocks(f: RationalGerm) -> list[list[int]]:
     return sorted((sorted(b) for b in blocks), key=len, reverse=True)
 
 
-def _value(g: RationalGerm, memo: dict[RationalGerm, Fraction]) -> Fraction:
+def _value(g: RationalGerm) -> Fraction:
     """The average over the orderings of g's variables of the iterated
-    constant coefficients.  A memo miss splits g into its _blocks.  With no
-    block, g is its constant.  With one block of k variables, a uniform order
-    starts at a uniform i and induces a uniform order on the variables of
-    each term h of ev_reg_single(g, i), a variable h lacks being an identity
-    step, so value(g) = (1/k) sum_i sum_h value(h).  With several, and the
-    numerator written as sum_a P_a m_a, P_a in the first block's variables
-    and m_a a monomial in the others', value(g) = sum_a value(P_a / D_1)
-    prod_b value(m_ab / D_b), D_b the forms of block b.  This is exact: the
-    constant coefficient in z_i passes through a factor free of z_i, so each
-    order gives the product of the blocks' values in the orders it induces,
-    and the average over all orders is the product of the averages.  Values
-    are memoised per germ divided by its numerator's lead_coefficient(), so
-    proportional terms reached along different orders are evaluated once."""
+    constant coefficients: lead * _monic_value(g / lead), lead the
+    numerator's lead_coefficient(), so that proportional terms reached along
+    different orders, or in different calls, are evaluated once.  Values are
+    cached across calls, in _monic_value."""
     if not g:
         return Fraction(0)
     lead = g.numerator.lead_coefficient()
-    key = germ_scale(g, 1 / lead)
-    if key in memo:
-        return lead * memo[key]
-    blocks = _blocks(key)
+    return lead * _monic_value(germ_scale(g, 1 / lead))
+
+
+@functools.lru_cache(maxsize=8192)
+def _monic_value(g: RationalGerm) -> Fraction:
+    """_value of a germ whose numerator has lead coefficient 1.  A miss
+    splits g into its _blocks.  With no block, g is its constant.  With one
+    block of k variables, a uniform order starts at a uniform i and induces a
+    uniform order on the variables of each term h of ev_reg_single(g, i), a
+    variable h lacks being an identity step, so value(g) = (1/k) sum_i
+    sum_h value(h).  With several, and the numerator written as
+    sum_a P_a m_a, P_a in the first block's variables and m_a a monomial in
+    the others', value(g) = sum_a value(P_a / D_1) prod_b value(m_ab / D_b),
+    D_b the forms of block b.  This is exact: the constant coefficient in
+    z_i passes through a factor free of z_i, so each order gives the product
+    of the blocks' values in the orders it induces, and the average over all
+    orders is the product of the averages."""
+    blocks = _blocks(g)
     if not blocks:
-        value = key.numerator.constant_term()
-    elif len(blocks) == 1:
-        value = sum((_value(h, memo) for i in blocks[0] for h in _reg_terms(key, i)),
-                    Fraction(0)) / len(blocks[0])
-    else:
-        dens = [[(form, e) for form, e in key.denominator if form.support()[0] in vs]
-                for vs in blocks]
-        rest_vars = [v for vs in blocks[1:] for v in vs]
-        value = Fraction(0)
-        for exps, part in key.numerator.collect(*rest_vars).items():
-            powers = dict(zip(rest_vars, exps))
-            term = _value(RationalGerm(part, dens[0]), memo)
-            for vs, den in zip(blocks[1:], dens[1:]):
-                if not term:
-                    break
-                mono = Polynomial({tuple((v, powers[v]) for v in vs): 1})
-                term *= _value(RationalGerm(mono, den), memo)
-            value += term
-    memo[key] = value
-    return lead * value
+        return g.numerator.constant_term()
+    if len(blocks) == 1:
+        return sum((_value(h) for i in blocks[0] for h in _reg_terms(g, i)),
+                   Fraction(0)) / len(blocks[0])
+    dens = [[(form, e) for form, e in g.denominator if form.support()[0] in vs]
+            for vs in blocks]
+    rest_vars = [v for vs in blocks[1:] for v in vs]
+    value = Fraction(0)
+    for exps, part in g.numerator.collect(*rest_vars).items():
+        powers = dict(zip(rest_vars, exps))
+        term = _value(RationalGerm(part, dens[0]))
+        for vs, den in zip(blocks[1:], dens[1:]):
+            if not term:
+                break
+            mono = Polynomial({tuple((v, powers[v]) for v in vs): 1})
+            term *= _value(RationalGerm(mono, den))
+        value += term
+    return value
 
 
 def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
@@ -160,7 +163,7 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
         for form in dependence(f, DEFAULT_Q).basis:
             if not set(form.support()) <= set(variables):
                 raise DependenceEscapesVars(f"germ depends on {form!r}")
-    return _value(f, {})
+    return _value(f)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ the Lyndon decomposition exploits.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -34,16 +35,19 @@ class LMap:
 
     When `check_locality_on` letters are supplied, the locality-map property
     (u local v implies the assigned forms are q-orthogonal) is verified at
-    construction.
+    construction.  An L-map is immutable: the built-in ones are shared by
+    every spec that uses them.
     """
+
+    __slots__ = ("alphabet", "assign", "name", "q")
 
     def __init__(self, alphabet: Alphabet, assign: Callable[[object], LinearForm],
                  name: str, q: InnerProduct = DEFAULT_Q,
                  check_locality_on: Optional[Sequence] = None):
-        self.alphabet = alphabet
-        self.assign = assign
-        self.name = name
-        self.q = q
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "assign", assign)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "q", q)
         if check_locality_on is not None:
             letters = list(check_locality_on)
             for i, u in enumerate(letters):
@@ -51,6 +55,9 @@ class LMap:
                     if alphabet.local_letters(u, v) and inner(q, assign(u), assign(v)) != 0:
                         raise ValueError(
                             f"not a locality map: {u!r} local {v!r} but forms not orthogonal")
+
+    def __setattr__(self, *a):
+        raise AttributeError("LMap is immutable")
 
     def form(self, letter) -> LinearForm:
         try:
@@ -66,20 +73,25 @@ class LMap:
         return f"LMap({self.name})"
 
 
+_CHEN = LMap(integer_alphabet(), zvar, "chen")
+_WEAK_CHEN = LMap(integer_alphabet(), zvar, "weak-chen")
+_SPEER = LMap(subset_alphabet(), zset, "speer")
+
+
 def chen_lmap() -> LMap:
-    """Integer letters u -> z_u with distinctness locality."""
-    return LMap(integer_alphabet(), lambda u: zvar(u), "chen")
+    """Integer letters u -> z_u with distinctness locality (one shared map)."""
+    return _CHEN
 
 
 def weak_chen_lmap() -> LMap:
     """Same assignment as the Chen map; specs may repeat letters (and are then
     outside the locality family, so only the plain homomorphism applies)."""
-    return LMap(integer_alphabet(), lambda u: zvar(u), "weak-chen")
+    return _WEAK_CHEN
 
 
 def speer_lmap() -> LMap:
     """Finite-set letters I -> z_I with disjointness locality."""
-    return LMap(subset_alphabet(), lambda s: zset(s), "speer")
+    return _SPEER
 
 
 def _canon_letter(letter):
@@ -91,7 +103,7 @@ def _canon_letter(letter):
 class FractionSpec:
     """Exponent vector + letter vector under an L-map."""
 
-    __slots__ = ("exponents", "letters", "lmap", "_hash", "_entries")
+    __slots__ = ("exponents", "letters", "lmap", "_hash", "_entries", "_sort_key")
 
     def __init__(self, exponents: Iterable[int], letters: Iterable, lmap: LMap):
         exps = tuple(int(s) for s in exponents)
@@ -148,16 +160,11 @@ class FractionSpec:
         return RationalGerm(1, self.denominator_entries())
 
     def denominator_entries(self) -> tuple[tuple[LinearForm, int], ...]:
-        """(cumulative form, exponent) pairs, computed on first use."""
+        """(cumulative form, exponent) pairs, computed on first use; equal
+        vectors under one L-map share them (_cumulative_entries)."""
         if not hasattr(self, "_entries"):
-            dens = []
-            acc: dict[int, Fraction] = {}
-            for s, u in zip(reversed(self.exponents), reversed(self.letters)):
-                _axpy(acc, 1, self.lmap.form(u).coeffs)
-                if not acc:
-                    raise ZeroCumulativeForm(f"cumulative form vanished at {word_str((u,))}")
-                dens.append((LinearForm._trusted(dict(sorted(acc.items()))), s))
-            object.__setattr__(self, "_entries", tuple(dens))
+            object.__setattr__(self, "_entries",
+                               _cumulative_entries(self.exponents, self.letters, self.lmap))
         return self._entries
 
     def evaluate(self, point) -> Fraction:
@@ -178,8 +185,11 @@ class FractionSpec:
 
     def sort_key(self):
         """L-map name, then word: specs of different L-maps never compare
-        letters, which need not be comparable."""
-        return (self.lmap.name, self.lmap.alphabet.word_key(self.word()))
+        letters, which need not be comparable.  Built on first use."""
+        if not hasattr(self, "_sort_key"):
+            object.__setattr__(self, "_sort_key",
+                               (self.lmap.name, self.lmap.alphabet.word_key(self.word())))
+        return self._sort_key
 
     def __repr__(self):
         def letter(u):
@@ -188,6 +198,21 @@ class FractionSpec:
             return str(u)
         return (f"f[{','.join(map(str, self.exponents))};"
                 f"{','.join(letter(u) for u in self.letters)}]")
+
+
+@functools.lru_cache(maxsize=4096)
+def _cumulative_entries(exps: tuple[int, ...], lets: tuple,
+                        lmap: LMap) -> tuple[tuple[LinearForm, int], ...]:
+    """The (cumulative form, exponent) pairs of f[exps; lets] under lmap,
+    which keys the cache by identity."""
+    dens = []
+    acc: dict[int, Fraction] = {}
+    for s, u in zip(reversed(exps), reversed(lets)):
+        _axpy(acc, 1, lmap.form(u).coeffs)
+        if not acc:
+            raise ZeroCumulativeForm(f"cumulative form vanished at {word_str((u,))}")
+        dens.append((LinearForm._trusted(dict(sorted(acc.items()))), s))
+    return tuple(dens)
 
 
 def phi(w: Word, lmap: LMap) -> RationalGerm:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
@@ -44,7 +45,13 @@ def subspace_to_json(s: Subspace) -> dict:
 
 def float_str(x, digits: int) -> str:
     """x to `digits` significant digits as a float prints it; a nonzero x
-    beyond the float range goes through Decimal, not an OverflowError or 0."""
+    beyond the float range goes through Decimal, not an OverflowError or 0.
+
+    Decimal's conversion of a huge integer is quadratic in its digits, so
+    |x| is first written as (m + r) 10^s with m an integer of at least
+    digits + 2 digits and 0 <= r < 1, s estimated from the bit lengths; a
+    sticky last digit records whether r is 0, so the value rounds exactly
+    as x does."""
     x = Fraction(x)
     try:
         f = float(x)
@@ -53,7 +60,11 @@ def float_str(x, digits: int) -> str:
     if f or not x:
         return f"{f:.{digits}g}"
     wide = Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX)
-    return f"{wide.normalize(wide.divide(x.numerator, x.denominator)):g}"
+    n, d = abs(x.numerator), x.denominator
+    s = math.floor((n.bit_length() - d.bit_length()) * math.log10(2)) - digits - 3
+    m, rest = divmod(n, d * 10 ** s) if s >= 0 else divmod(n * 10 ** -s, d)
+    sign = "-" if x < 0 else ""
+    return f"{wide.normalize(wide.create_decimal(f'{sign}{10 * m + bool(rest)}E{s - 1}')):g}"
 
 
 def eval_result_json(value, error_bound, evaluator: str) -> dict:

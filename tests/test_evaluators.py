@@ -19,7 +19,7 @@ from linpole import (DEFAULT_Q, BudgetExceeded, DependenceEscapesVars,
                      TooManyVariables, apply_transform, chen_lmap,
                      check_factorization, compose_transforms, d_residue,
                      dependence, ev_reg_single, expand_product,
-                     galois_from_evaluator, germ_mul, germ_sum,
+                     galois_from_evaluator, germ_mul, germ_scale, germ_sum,
                      invert_transform, iter_eval, iter_evaluator,
                      locality_lyndon_generators, ms_eval, ms_evaluator,
                      mzv_numeric, p_residue, parse_germ, parse_spec,
@@ -294,6 +294,7 @@ def test_iter_eval_steps_block_by_block(monkeypatch):
     fork7 = parse_germ("z2*z3*z4*z5*z6*z7/((z1+z2)*(z2+z3)*(z3+z4)*(z1+z5)*(z5+z6)*(z6+z7))")
     counts = []
     for g in (a, b, ab, lost, fork5, fork7):
+        evaluators._monic_value.cache_clear()  # count a cold call
         steps.clear()
         iter_eval(g)
         counts.append(len(steps))
@@ -311,6 +312,29 @@ def test_iter_eval_steps_block_by_block(monkeypatch):
         iter_eval(ab, perm_cap=4)
     with pytest.raises(TooManyVariables):
         iter_eval(a, variables=[1, 2, 3, 4, 5], perm_cap=4)
+
+
+def test_iter_eval_values_cached_across_calls(monkeypatch):
+    """Cold _reg_terms step counts on the nested-sum germs
+    (z1-zk)^2/(z1 (z1+z2) ... (z1+...+zk)), and none on a repeated call."""
+    steps = []
+    reg_terms = evaluators._reg_terms
+
+    def counting(f, i):
+        steps.append(i)
+        return reg_terms(f, i)
+
+    monkeypatch.setattr(evaluators, "_reg_terms", counting)
+    for k, cold in ((5, 163), (6, 490), (7, 1441)):
+        sums = ("+".join(f"z{j}" for j in range(1, i + 1)) for i in range(1, k + 1))
+        g = parse_germ(f"(z1-z{k})^2/(" + "*".join(f"({s})" for s in sums) + ")")
+        evaluators._monic_value.cache_clear()
+        steps.clear()
+        value = iter_eval(g)
+        assert len(steps) == cold
+        steps.clear()
+        assert iter_eval(g) == value and iter_eval(germ_scale(g, -3)) == -3 * value
+        assert not steps
 
 
 # ------------------------------------------------------------ mzv

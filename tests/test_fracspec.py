@@ -397,6 +397,36 @@ def test_denominator_entries_cached_tuple():
     entries = spec.denominator_entries()
     assert entries == ((zvar(2), 1), (zvar(1) + zvar(2), 2))
     assert spec.denominator_entries() is entries
+    # equal vectors under one L-map share the forms; another L-map of the
+    # same name has forms of its own
+    assert FractionSpec((2, 1), (1, 2), chen).denominator_entries() is entries
+    from linpole import LMap
+    shifted = LMap(chen.alphabet, lambda u: zvar(u + 1), "chen")
+    assert FractionSpec((2, 1), (1, 2), shifted).denominator_entries() == (
+        (zvar(3), 1), (zvar(2) + zvar(3), 2))
+
+
+def test_sort_key_kept():
+    spec = parse_spec("f[2,1;3,1]")
+    key = spec.sort_key()
+    assert key == ("chen", chen.alphabet.word_key((X0, 3, 1)))
+    assert spec.sort_key() is key
+
+
+def test_builtin_lmaps_are_shared_and_immutable():
+    """Every parsed spec holds the one built-in L-map of its alphabet, so
+    no assignment may change it under them."""
+    assert parse_spec("f[2;1]").lmap is parse_spec("f[3;2]").lmap is chen_lmap() is chen
+    assert parse_spec("f[1;{1}]").lmap is speer_lmap() is speer
+    assert weak_chen_lmap() is weak_chen_lmap() is not chen
+    spec = parse_spec("f[2;1]")
+    before = hash(spec)
+    for lmap in (chen, weak_chen_lmap(), speer):
+        for name in ("name", "alphabet", "assign", "q", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(lmap, name, "x")
+    assert chen.name == "chen" and hash(spec) == before
+    assert spec == FractionSpec((2,), (1,), chen)
 
 
 def _summed_entries(spec):

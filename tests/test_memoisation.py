@@ -139,7 +139,8 @@ def test_every_cache_is_bounded():
               for name, obj in names.items() if hasattr(obj, "cache_info")}
     for name in ("linpole.exactlin._span", "linpole.exactlin._frame",
                  "linpole.germs._decompose", "linpole.germs._dependence",
-                 "linpole.poly.Polynomial.dependence_space"):
+                 "linpole.poly.Polynomial.dependence_space",
+                 "linpole.evaluators._monic_value", "linpole.fracspec._cumulative_entries"):
         assert name in caches
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name

@@ -622,6 +622,51 @@ def test_float_str_keeps_its_own_decimal_context():
         assert float_str(Fraction(2, 3), 15) == "0.666666666666667"
 
 
+def _float_str_by_full_division(x, digits):
+    """float_str as it was: beyond the float range, one Decimal division of
+    the whole numerator and denominator, which is quadratic in their digits."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = 0.0
+    if f:
+        return f"{f:.{digits}g}"
+    wide = decimal.Context(prec=digits, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    return f"{wide.normalize(wide.divide(x.numerator, x.denominator)):g}"
+
+
+def test_float_str_matches_full_division_beyond_the_float_range():
+    rng = random.Random(65)
+    values = []
+    for e in (309, 310, 400, 2000):
+        values += [Fraction(10 ** e), Fraction(rng.randrange(1, 10 ** 9) * 10 ** e + 1, 7),
+                   Fraction(1, rng.randrange(1, 10 ** 6) * 10 ** e),
+                   Fraction(rng.randrange(10 ** e, 10 ** (e + 30)), rng.randrange(1, 10 ** 25)),
+                   Fraction(rng.randrange(1, 10 ** 40), 10 ** e * rng.randrange(1, 10 ** 30)),
+                   Fraction(2 ** (4 * e), 3 ** e)]
+        # ties at 1, 3 and 9 digits round half to even; one unit more or
+        # less decides them
+        for d in (1, 3, 9):
+            tie = (rng.randrange(10 ** (d - 1), 10 ** d) * 10 + 5) * 10 ** e
+            values += [Fraction(tie), Fraction(tie + 1), Fraction(tie - 1), Fraction(1, tie)]
+    values += [-x for x in values[::3]]
+    for x in values:
+        for digits in (1, 3, 9, 15):
+            assert float_str(x, digits) == _float_str_by_full_division(x, digits), (x, digits)
+    for x in (Fraction(3 * 10 ** 99999 + 7, 9), Fraction(-1, 7 * 10 ** 99999 + 1)):
+        assert float_str(x, 15) == _float_str_by_full_division(x, 15)
+
+
+def test_cli_value_of_a_million_digits(capsys):
+    """float_str cuts the quotient before Decimal sees it; one Decimal
+    division of the whole value took about 20 s here."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eval", "--evaluator", "zeta",
+                             '{"terms":[{"holo":"10^1000000","specs":["f[2;1]"]}]}')
+    assert time.perf_counter() - start < 3
+    assert code == 0 and err == "" and out == "1.64493406684937e+1000000 (err<=1.16e+999988)\n"
+
+
 def test_cli_precision_20(capsys):
     code, out, _ = run_cli(capsys, "--precision", "20", "eval", "--evaluator",
                            "zeta", "f[3;1]")
