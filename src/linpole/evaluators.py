@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -414,19 +415,29 @@ def zeta_eval(combo: GermCombo, precision: int = 8,
     mid = rad = Fraction(0)
     for h, specs in combo.terms:
         c0 = h.constant_term()
-        if not c0:
-            continue
-        for mono, coeff in _lyndon_product(specs).items():
-            # MZV enclosures are nonnegative, so bounds multiply directly
-            lo = hi = Fraction(1)
-            for gen in mono:
-                val, err = _zeta_of_spec(gen, precision)
-                lo, hi = lo * (val - err), hi * (val + err)
-                if not hi:
-                    break
-            k = coeff * c0
-            mid += k * (lo + hi) / 2
-            rad += abs(k) * (hi - lo) / 2
+        if c0:
+            m, r = _zeta_monomial(specs, precision)
+            mid += c0 * m
+            rad += abs(c0) * r
+    return mid, rad
+
+
+@functools.lru_cache(maxsize=1024)
+def _zeta_monomial(specs: SpecMonomial, precision: int) -> tuple[Fraction, Fraction]:
+    """Midpoint and radius of the enclosure of the zeta value of one locality
+    monomial: the sums of coeff (lo+hi)/2 and |coeff| (hi-lo)/2 over its
+    Lyndon product, [lo, hi] the product of the generators' enclosures."""
+    mid = rad = Fraction(0)
+    for mono, coeff in _lyndon_product(specs).items():
+        # MZV enclosures are nonnegative, so bounds multiply directly
+        lo = hi = Fraction(1)
+        for gen in mono:
+            val, err = _zeta_of_spec(gen, precision)
+            lo, hi = lo * (val - err), hi * (val + err)
+            if not hi:
+                break
+        mid += coeff * (lo + hi) / 2
+        rad += abs(coeff) * (hi - lo) / 2
     return mid, rad
 
 
@@ -449,7 +460,11 @@ def zeta_evaluator(precision: int = 8, q: InnerProduct = DEFAULT_Q) -> Evaluator
 class GaloisTransform:
     """Generator substitution S -> S + c_S on a fixed set of Lyndon locality
     fraction specs, extended multiplicatively over locality monomials and
-    linearly over presentations."""
+    linearly over presentations.  A transform is immutable (`shifts` is a
+    read-only mapping), so the image of each monomial is computed once per
+    transform, in _image."""
+
+    __slots__ = ("shifts",)
 
     def __init__(self, shifts: dict[FractionSpec, Fraction]):
         for spec in shifts:
@@ -459,7 +474,11 @@ class GaloisTransform:
                 raise ValueError("the empty fraction cannot be a generator")
             if not is_lyndon(spec.word(), spec.lmap.alphabet):
                 raise ValueError(f"generator {spec!r} is not a Lyndon fraction")
-        self.shifts = {s: _as_fraction(c) for s, c in shifts.items()}
+        object.__setattr__(self, "shifts", types.MappingProxyType(
+            {s: _as_fraction(c) for s, c in shifts.items()}))
+
+    def __setattr__(self, *a):
+        raise AttributeError("GaloisTransform is immutable")
 
     def generator_set(self) -> frozenset:
         return frozenset(self.shifts)
@@ -469,6 +488,19 @@ class GaloisTransform:
 
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.shifts.values())
+
+    @functools.lru_cache(maxsize=1024)
+    def _image(self, specs: SpecMonomial) -> tuple[tuple[SpecMonomial, Fraction], ...]:
+        """The image of a locality monomial: its Lyndon product with every
+        generator g replaced by g + c_g, as (monomial, coefficient) pairs.
+        The cache keys the transform by identity."""
+        shifted = LinComb()
+        for mono, coeff in _lyndon_product(specs).items():
+            image = LinComb({(): 1})
+            for g in mono:
+                image = image.product(LinComb({(): self.shift(g), (g,): 1}), monomial_mul)
+            shifted.add(image, coeff)
+        return tuple(shifted.items())
 
     def __repr__(self):
         inner_part = ", ".join(f"{s!r}+{c}" for s, c in self.shifts.items())
@@ -489,16 +521,8 @@ def apply_transform(t: GaloisTransform, combo: GermCombo,
     """Substitute S -> S + c_S in every locality monomial; coefficients pass
     through unchanged."""
     combo.validate_locality(q)
-    out: list[tuple[Polynomial, tuple[FractionSpec, ...]]] = []
-    for h, specs in combo.terms:
-        shifted = LinComb()
-        for mono, coeff in _lyndon_product(specs).items():
-            image = LinComb({(): 1})
-            for g in mono:
-                image = image.product(LinComb({(): t.shift(g), (g,): 1}), monomial_mul)
-            shifted.add(image, coeff)
-        out.extend((h * coeff, mono) for mono, coeff in shifted.items())
-    return GermCombo(out)
+    return GermCombo([(h * coeff, mono) for h, specs in combo.terms
+                      for mono, coeff in t._image(specs)])
 
 
 def compose_transforms(t1: GaloisTransform, t2: GaloisTransform) -> GaloisTransform:
@@ -534,9 +558,10 @@ def check_factorization(e: Evaluator, t: GaloisTransform, tests: Sequence[GermCo
                         q: InnerProduct = DEFAULT_Q) -> FactorizationReport:
     """Verify |ms(apply(t, x)) - e(x)| <= tol on each test combo."""
     tol = _as_fraction(tol)
+    ms = ms_evaluator(q)
     entries = []
     for x in tests:
-        lhs, _err = ms_evaluator(q).eval_combo(apply_transform(t, x, q))
+        lhs, _err = ms.eval_combo(apply_transform(t, x, q))
         rhs, _err = e.eval_combo(x)
         diff = abs(lhs - rhs)
         entries.append((repr(x), lhs, rhs, diff, diff <= tol))

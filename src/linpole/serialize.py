@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
@@ -45,7 +46,9 @@ def subspace_to_json(s: Subspace) -> dict:
 
 def float_str(x, digits: int) -> str:
     """x to `digits` significant digits as a float prints it; a nonzero x
-    beyond the float range goes through Decimal, not an OverflowError or 0.
+    beyond the float range goes through Decimal, not an OverflowError or 0,
+    and so does one in the subnormal range, where a float keeps too few
+    significant bits for the digits.
 
     Decimal's conversion of a huge integer is quadratic in its digits, so
     |x| is first written as (m + r) 10^s with m an integer of at least
@@ -57,7 +60,7 @@ def float_str(x, digits: int) -> str:
         f = float(x)
     except OverflowError:
         f = 0.0
-    if f or not x:
+    if abs(f) >= sys.float_info.min or not x:
         return f"{f:.{digits}g}"
     wide = Context(prec=digits, Emin=MIN_EMIN, Emax=MAX_EMAX)
     n, d = abs(x.numerator), x.denominator

@@ -25,7 +25,8 @@ from linpole import (DEFAULT_Q, BudgetExceeded, DependenceEscapesVars,
                      mzv_numeric, p_residue, parse_germ, parse_spec,
                      spec_of_word, speer_lmap, zeta_eval, zeta_evaluator, zvar)
 from linpole import evaluators, germs
-from linpole.words import integer_alphabet
+from linpole.fracspec import lyndon_decompose, monomial_mul
+from linpole.words import LinComb, integer_alphabet
 
 from helpers import random_form, random_germ, random_poly
 
@@ -718,8 +719,9 @@ def random_combos(rng, n, gens=None):
 
 
 def test_spec_memo_independent_of_call_history():
-    """zeta_eval and apply_transform print the same in a fresh interpreter
-    and after other combos have filled the memo of generator rewrites."""
+    """zeta_eval, apply_transform and check_factorization print the same in
+    a fresh interpreter and after other combos have filled the memos of
+    generator rewrites, monomial enclosures and images."""
     rng = random.Random(39)
     gens = weight4_generators()
     shifts = {repr(g): rng.randint(-3, 3) for g in gens}
@@ -729,13 +731,14 @@ def test_spec_memo_independent_of_call_history():
         "import json, sys\n"
         "from fractions import Fraction\n"
         "from linpole import (GaloisTransform, GermCombo, Polynomial, apply_transform,\n"
-        "                     parse_spec, zeta_eval)\n"
+        "                     check_factorization, parse_spec, zeta_eval, zeta_evaluator)\n"
         "shifts, combos = json.loads(sys.stdin.read())\n"
         "t = GaloisTransform({parse_spec(s): Fraction(c) for s, c in shifts.items()})\n"
         "for terms in combos:\n"
         "    c = GermCombo([(Polynomial.constant(Fraction(h)), [parse_spec(s) for s in specs])\n"
         "                   for h, specs in terms])\n"
-        "    print(repr(zeta_eval(c, 8)), repr(apply_transform(t, c)))\n")
+        "    print(repr(zeta_eval(c, 8)), repr(apply_transform(t, c)))\n"
+        "    print(repr(check_factorization(zeta_evaluator(8), t, [c], Fraction(1, 10 ** 6))))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"),
@@ -751,9 +754,161 @@ def test_spec_memo_independent_of_call_history():
         c = GermCombo([(Polynomial.constant(Fraction(h)), [parse_spec(s) for s in specs])
                        for h, specs in terms])
         warm.append(f"{zeta_eval(c, 8)!r} {apply_transform(t, c)!r}")
+        warm.append(repr(check_factorization(zeta_evaluator(8), t, [c], Fraction(1, 10 ** 6))))
         for _, specs in c.terms:
             assert evaluators._lyndon_product(specs) == evaluators._lyndon_product(specs)
     assert fresh.stdout.splitlines() == warm
+
+
+# The Galois path as it was before its per-monomial memos: every call works
+# through each term's Lyndon product and reads no per-monomial cache.  The
+# differential test below compares the memoised functions against these.
+
+def reference_lyndon_product(specs):
+    acc = LinComb({(): 1})
+    for sp in specs:
+        acc = acc.product(lyndon_decompose([(sp, Fraction(1))]), monomial_mul)
+    return acc
+
+
+def reference_zeta_eval(combo, precision=8, q=DEFAULT_Q):
+    combo.validate_locality(q)
+    for _, specs in combo.terms:
+        for sp in specs:
+            if sp.lmap.name not in ("chen", "weak-chen"):
+                raise NotChen(f"{sp!r} is not a Chen fraction")
+    mid = rad = Fraction(0)
+    for h, specs in combo.terms:
+        c0 = h.constant_term()
+        if not c0:
+            continue
+        for mono, coeff in reference_lyndon_product(specs).items():
+            lo = hi = Fraction(1)
+            for gen in mono:
+                val, err = evaluators._zeta_of_spec(gen, precision)
+                lo, hi = lo * (val - err), hi * (val + err)
+                if not hi:
+                    break
+            k = coeff * c0
+            mid += k * (lo + hi) / 2
+            rad += abs(k) * (hi - lo) / 2
+    return mid, rad
+
+
+def reference_apply_transform(t, combo, q=DEFAULT_Q):
+    combo.validate_locality(q)
+    out = []
+    for h, specs in combo.terms:
+        shifted = LinComb()
+        for mono, coeff in reference_lyndon_product(specs).items():
+            image = LinComb({(): 1})
+            for g in mono:
+                image = image.product(LinComb({(): t.shift(g), (g,): 1}), monomial_mul)
+            shifted.add(image, coeff)
+        out.extend((h * coeff, mono) for mono, coeff in shifted.items())
+    return GermCombo(out)
+
+
+def reference_check_factorization(e, t, tests, tol):
+    entries = []
+    for x in tests:
+        lhs, _err = ms_evaluator().eval_combo(reference_apply_transform(t, x))
+        rhs, _err = e(x)
+        diff = abs(lhs - rhs)
+        entries.append((repr(x), lhs, rhs, diff, diff <= tol))
+    return evaluators.FactorizationReport(entries)
+
+
+def outcome(call):
+    """A call's result with its repr, or the type and text of its error."""
+    try:
+        out = call()
+    except NotLocal as exc:
+        return "NotLocal", str(exc)
+    return out, repr(out)
+
+
+def test_galois_path_matches_uncached_reference_cold_and_warm():
+    """zeta_eval, apply_transform and check_factorization give results equal
+    to, and printing as, those of the per-term reference loops: with the
+    per-monomial memos emptied first and then with them filled, on seeded
+    combos with constant and polynomial coefficients, two of them not
+    local."""
+    rng = random.Random(51)
+    gens = weight4_generators()
+    f21, f22, f31 = parse_spec("f[2;1]"), parse_spec("f[2;2]"), parse_spec("f[3;1]")
+    z3_poly = Polynomial.variable(3)
+    combos = random_combos(rng, 25, gens)
+    combos += [GermCombo([(h * (z3_poly + rng.randint(0, 3)), specs) for h, specs in c.terms])
+               for c in random_combos(rng, 6, gens)]
+    # not Lyndon: their Lyndon products have negative coefficients
+    combos += [GermCombo([(Polynomial.constant(3), (parse_spec("f[2,2;2,1]"),)),
+                          (Polynomial.constant(-1), (parse_spec("f[2,2;2,1]"), parse_spec("f[2;3]")))]),
+               GermCombo([(Polynomial.constant(1), (parse_spec("f[2,2,1;3,2,1]"),))])]
+    combos += [GermCombo([(z3_poly + 2, (f21, f22)), (Polynomial.constant(1), ())]),
+               GermCombo([(Polynomial.constant(2), (f21, f31))]),  # letters not local
+               GermCombo([(Polynomial.constant(2), (f22,)), (P1 + 1, (f21,))])]  # coefficient
+    shifts = {g: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for g in gens}
+    transforms = [GaloisTransform(shifts), galois_from_evaluator(zeta_evaluator(8), gens)]
+    bound = Fraction(1, 10 ** 6)
+    want = []
+    for c in combos:
+        want += [outcome(lambda: reference_zeta_eval(c, p)) for p in (8, 5)]
+        for t in transforms:
+            want.append(outcome(lambda: reference_apply_transform(t, c)))
+        want.append(outcome(lambda: reference_check_factorization(
+            lambda x: reference_zeta_eval(x, 8), transforms[1], [c], bound)))
+        want.append(outcome(lambda: reference_check_factorization(
+            ms_evaluator().eval_combo, transforms[0], [c], Fraction(0))))
+    assert [w[0] for w in want].count("NotLocal") == 12
+    evaluators._zeta_monomial.cache_clear()
+    GaloisTransform._image.cache_clear()
+    for _ in ("cold", "warm"):
+        got = []
+        for c in combos:
+            got += [outcome(lambda: zeta_eval(c, p)) for p in (8, 5)]
+            for t in transforms:
+                got.append(outcome(lambda: apply_transform(t, c)))
+            got.append(outcome(lambda: check_factorization(
+                zeta_evaluator(8), transforms[1], [c], bound)))
+            got.append(outcome(lambda: check_factorization(
+                ms_evaluator(), transforms[0], [c])))
+        assert [g[1] for g in got] == [w[1] for w in want]
+        for (g, _), (w, _) in zip(got, want):
+            if isinstance(w, evaluators.FactorizationReport):
+                assert g.entries == w.entries
+            else:
+                assert g == w
+
+
+def test_transform_shifts_are_read_only():
+    g = parse_spec("f[2;1]")
+    t = GaloisTransform({g: 1})
+    with pytest.raises(TypeError):
+        t.shifts[g] = Fraction(2)
+    with pytest.raises(AttributeError):
+        t.shifts = {g: Fraction(2)}
+    assert t.shifts == {g: Fraction(1)} and t.shift(g) == 1
+
+
+def test_derived_transforms_never_share_images():
+    """A transform, its inverse and its composites each keep images of their
+    own: applied after t has filled its entries, each equals the same
+    transform built afresh."""
+    gens = weight4_generators()
+    rng = random.Random(52)
+    t = GaloisTransform({g: Fraction(rng.randint(1, 3)) for g in gens})
+    moved = 0
+    for combo in random_combos(rng, 10, gens):
+        shifted = apply_transform(t, combo)
+        inv, comp = invert_transform(t), compose_transforms(t, t)
+        for derived, shifts in ((inv, {g: -c for g, c in t.shifts.items()}),
+                                (comp, {g: 2 * c for g, c in t.shifts.items()}),
+                                (t, dict(t.shifts))):
+            assert apply_transform(derived, combo) == apply_transform(GaloisTransform(shifts), combo)
+        moved += apply_transform(inv, combo) != shifted
+        assert apply_transform(inv, shifted).germ() == combo.germ()
+    assert moved >= 5
 
 
 def test_compose_and_invert():

@@ -140,7 +140,8 @@ def test_every_cache_is_bounded():
     for name in ("linpole.exactlin._span", "linpole.exactlin._frame",
                  "linpole.germs._decompose", "linpole.germs._dependence",
                  "linpole.poly.Polynomial.dependence_space",
-                 "linpole.evaluators._monic_value", "linpole.fracspec._cumulative_entries"):
+                 "linpole.evaluators._monic_value", "linpole.fracspec._cumulative_entries",
+                 "linpole.evaluators._zeta_monomial", "linpole.evaluators.GaloisTransform._image"):
         assert name in caches
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name

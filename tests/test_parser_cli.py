@@ -623,13 +623,15 @@ def test_float_str_keeps_its_own_decimal_context():
 
 
 def _float_str_by_full_division(x, digits):
-    """float_str as it was: beyond the float range, one Decimal division of
-    the whole numerator and denominator, which is quadratic in their digits."""
+    """float_str by one Decimal division of the whole numerator and
+    denominator, which is quadratic in their digits, wherever a float cannot
+    hold x to full precision: beyond the float range and in the subnormal
+    range."""
     try:
         f = float(x)
     except OverflowError:
         f = 0.0
-    if f:
+    if abs(f) >= sys.float_info.min:
         return f"{f:.{digits}g}"
     wide = decimal.Context(prec=digits, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
     return f"{wide.normalize(wide.divide(x.numerator, x.denominator)):g}"
@@ -655,6 +657,25 @@ def test_float_str_matches_full_division_beyond_the_float_range():
             assert float_str(x, digits) == _float_str_by_full_division(x, digits), (x, digits)
     for x in (Fraction(3 * 10 ** 99999 + 7, 9), Fraction(-1, 7 * 10 ** 99999 + 1)):
         assert float_str(x, 15) == _float_str_by_full_division(x, 15)
+
+
+def test_float_str_matches_full_division_in_the_subnormal_range():
+    """A float below the least normal float keeps too few significant bits
+    for 15 digits, so those values take the Decimal path too."""
+    rng = random.Random(66)
+    tiny = Fraction(sys.float_info.min)
+    values = [Fraction(1, 302876 * 10 ** 309), tiny * Fraction(999999, 10 ** 6),
+              Fraction(sys.float_info.min * sys.float_info.epsilon)]
+    for e in range(308, 325):
+        values += [Fraction(rng.randrange(1, 10 ** 9), 10 ** (e + 9)),
+                   Fraction(1, 3 * 10 ** e)]
+    values += [-x for x in values[::2]]
+    for x in values:
+        assert 0 < abs(float(x)) < sys.float_info.min or not float(x)
+        for digits in (1, 3, 9, 15):
+            assert float_str(x, digits) == _float_str_by_full_division(x, digits), (x, digits)
+    assert float_str(Fraction(1, 302876 * 10 ** 309), 15) == "3.30168121607523e-315"
+    assert float_str(tiny, 15) == f"{sys.float_info.min:.15g}"
 
 
 def test_cli_value_of_a_million_digits(capsys):
