@@ -28,7 +28,7 @@ from .errors import (BudgetExceeded, DependenceEscapesVars, DivergentIndex,
                      EvaluatorDomain, IncompatibleGenerators, NotChen, NotLocal,
                      TooManyVariables)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, orthogonal,
-                       span, _as_fraction)
+                       span, _Frozen, _as_fraction)
 from .germs import RationalGerm, dependence, germ_scale, germ_sum, ms_eval
 from .fracspec import (FractionSpec, SpecMonomial, lyndon_decompose,
                        monomial_mul, spec_monomial)
@@ -266,11 +266,13 @@ def mzv_numeric(s: Sequence[int], precision: int = 8) -> tuple[Fraction, Fractio
 # combinations of holomorphic coefficients times local fraction monomials
 # ---------------------------------------------------------------------------
 
-class GermCombo:
+class GermCombo(_Frozen):
     """Sum of terms h * S1 * ... * Sr: a polynomial coefficient times a
     locality monomial of fraction specs.  The explicit presentation is the
     domain of the zeta evaluator and of Galois transforms.  Terms are kept
-    in one canonical order: by each spec's L-map name, then its word."""
+    in one canonical order: by each spec's L-map name, then its word.  Specs
+    under distinct L-maps of one name never merge; their terms tie in that
+    order and keep the order they came in, and no value depends on it."""
 
     __slots__ = ("terms",)
 
@@ -281,8 +283,9 @@ class GermCombo:
                 h = Polynomial.constant(_as_fraction(h))
             key = spec_monomial(specs)
             merged[key] = merged.get(key, Polynomial()) + h
-        self.terms = tuple(sorted(((h, m) for m, h in merged.items() if h),
-                                  key=lambda t: [s.sort_key() for s in t[1]]))
+        object.__setattr__(self, "terms", tuple(sorted(
+            ((h, m) for m, h in merged.items() if h),
+            key=lambda t: [s.sort_key() for s in t[1]])))
 
     def __eq__(self, other):
         return isinstance(other, GermCombo) and self.terms == other.terms
@@ -383,10 +386,10 @@ def _zeta_of_spec(spec: FractionSpec, precision: int) -> tuple[Fraction, Fractio
 
 
 @functools.lru_cache(maxsize=1024)
-def _spec_lyndon(spec: FractionSpec) -> dict[SpecMonomial, Fraction]:
-    """One spec's Lyndon decomposition, memoised per spec; callers only
-    read the shared dict."""
-    return lyndon_decompose([(spec, Fraction(1))])
+def _spec_lyndon(spec: FractionSpec) -> types.MappingProxyType:
+    """One spec's Lyndon decomposition, {SpecMonomial: Fraction}, memoised
+    per spec and handed out read-only, since every caller shares it."""
+    return types.MappingProxyType(lyndon_decompose([(spec, Fraction(1))]))
 
 
 def _lyndon_product(specs: Sequence[FractionSpec]) -> LinComb:
@@ -457,7 +460,7 @@ def zeta_evaluator(precision: int = 8, q: InnerProduct = DEFAULT_Q) -> Evaluator
 # Galois transforms: constant shifts of the Lyndon generators
 # ---------------------------------------------------------------------------
 
-class GaloisTransform:
+class GaloisTransform(_Frozen):
     """Generator substitution S -> S + c_S on a fixed set of Lyndon locality
     fraction specs, extended multiplicatively over locality monomials and
     linearly over presentations.  A transform is immutable (`shifts` is a
@@ -476,9 +479,6 @@ class GaloisTransform:
                 raise ValueError(f"generator {spec!r} is not a Lyndon fraction")
         object.__setattr__(self, "shifts", types.MappingProxyType(
             {s: _as_fraction(c) for s, c in shifts.items()}))
-
-    def __setattr__(self, *a):
-        raise AttributeError("GaloisTransform is immutable")
 
     def generator_set(self) -> frozenset:
         return frozenset(self.shifts)

@@ -30,7 +30,27 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {x!r} to a rational")
 
 
-class LinearForm:
+class _Frozen:
+    """Base of the value types: an instance cannot be changed once built, so
+    it is safe as a memo key and can be shared, and a copy is the object
+    itself, as for Fraction.  Constructors fill their slots through
+    object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class LinearForm(_Frozen):
     """A rational linear form sum(c_v * z_v) with finite support."""
 
     __slots__ = ("coeffs", "_hash", "_key")
@@ -56,9 +76,6 @@ class LinearForm:
     def _fill(self, coeffs: dict[int, Fraction]):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_hash", hash(tuple(coeffs.items())))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("LinearForm is immutable")
 
     def __hash__(self):
         return self._hash
@@ -161,7 +178,7 @@ def zset(indices: Iterable[int]) -> LinearForm:
     return form
 
 
-class InnerProduct:
+class InnerProduct(_Frozen):
     """Inner product on the filtered space: a rational SPD Gram block on the
     first n variables, extended by the identity beyond.
 
@@ -192,9 +209,6 @@ class InnerProduct:
                     raise ValueError("gram block must be positive definite")
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "_hash", hash(g))
-
-    def __setattr__(self, *a):
-        raise AttributeError("InnerProduct is immutable")
 
     @property
     def block_size(self) -> int:
@@ -238,7 +252,7 @@ def _dot(q: InnerProduct, a: Mapping[int, Q], b: Mapping[int, Q]) -> Q:
     return total
 
 
-class Subspace:
+class Subspace(_Frozen):
     """A finite-dimensional subspace of linear forms, held as a reduced
     row-echelon basis over the ascending variable support.  Canonical: two
     constructions of the same subspace compare equal.
@@ -249,9 +263,6 @@ class Subspace:
     def __init__(self, basis: Sequence[LinearForm]):
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "_hash", hash(self.basis))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
 
     @property
     def dim(self) -> int:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
                      ZeroCumulativeForm, _payload_shape)
-from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, _axpy, inner,
+from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, _Frozen, _axpy, inner,
                        orthogonal, span, zset, zvar)
 from .germs import RationalGerm
 
@@ -30,7 +30,7 @@ from .words import (Alphabet, LinComb, Word, X0, _ZERO, _lyndon_solve,
                     subset_alphabet, word_str)
 
 
-class LMap:
+class LMap(_Frozen):
     """Alphabet plus assignment letter -> linear form.
 
     When `check_locality_on` letters are supplied, the locality-map property
@@ -55,9 +55,6 @@ class LMap:
                     if alphabet.local_letters(u, v) and inner(q, assign(u), assign(v)) != 0:
                         raise ValueError(
                             f"not a locality map: {u!r} local {v!r} but forms not orthogonal")
-
-    def __setattr__(self, *a):
-        raise AttributeError("LMap is immutable")
 
     def form(self, letter) -> LinearForm:
         try:
@@ -100,8 +97,14 @@ def _canon_letter(letter):
     return letter
 
 
-class FractionSpec:
-    """Exponent vector + letter vector under an L-map."""
+class FractionSpec(_Frozen):
+    """Exponent vector + letter vector under an L-map.
+
+    Two specs are equal when their vectors are and they hold the same L-map
+    object, so no memo keyed on specs hands one L-map's result to another
+    of the same name; the name only labels a map.  Two such maps still tie
+    in sort_key, and no value depends on the order of a tie.
+    """
 
     __slots__ = ("exponents", "letters", "lmap", "_hash", "_entries", "_sort_key")
 
@@ -126,14 +129,11 @@ class FractionSpec:
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "letters", lets)
         object.__setattr__(self, "lmap", lmap)
-        object.__setattr__(self, "_hash", hash((exps, lets, lmap.name)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FractionSpec is immutable")
+        object.__setattr__(self, "_hash", hash((exps, lets, lmap)))
 
     def __eq__(self, other):
         return (isinstance(other, FractionSpec) and self.exponents == other.exponents
-                and self.letters == other.letters and self.lmap.name == other.lmap.name)
+                and self.letters == other.letters and self.lmap is other.lmap)
 
     def __hash__(self):
         return self._hash
@@ -185,7 +185,9 @@ class FractionSpec:
 
     def sort_key(self):
         """L-map name, then word: specs of different L-maps never compare
-        letters, which need not be comparable.  Built on first use."""
+        letters, which need not be comparable.  Two distinct L-maps sharing
+        a name and a word tie, so sorting keeps such specs in input order;
+        no value depends on that order.  Built on first use."""
         if not hasattr(self, "_sort_key"):
             object.__setattr__(self, "_sort_key",
                                (self.lmap.name, self.lmap.alphabet.word_key(self.word())))
@@ -256,7 +258,7 @@ Combination = list[tuple[FractionSpec, Fraction]]
 def expand_product(a: FractionSpec, b: FractionSpec) -> Combination:
     """Product of two local ordered fractions as a combination of ordered
     fractions: shuffle the words and map back through phi."""
-    if a.lmap.name != b.lmap.name:
+    if a.lmap is not b.lmap:
         raise ValueError("specs use different L-maps")
     # A fraction with numerator 1 depends exactly on the span of its pole forms.
     ua, ub = (span(f for f, _ in s.denominator_entries()) for s in (a, b))
@@ -290,7 +292,7 @@ def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
     in one pass under the ordering invariant of `words.lyndon_rewrite`.
     """
     out = LinComb()
-    by_lmap: dict[str, tuple[LMap, dict]] = {}
+    by_lmap: dict[LMap, dict] = {}
     for spec, coeff in combo:
         if not spec.is_local():
             raise NotLocalSpec(f"{spec!r} has non-local letters")
@@ -298,15 +300,15 @@ def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
         if not w:
             out.add({(): coeff})
             continue
-        words = by_lmap.setdefault(spec.lmap.name, (spec.lmap, {}))[1]
+        words = by_lmap.setdefault(spec.lmap, {})
         words[w] = words.get(w, _ZERO) + coeff
-    for lmap, words in by_lmap.values():
+    for lmap, words in by_lmap.items():
         for mono, c in _lyndon_solve(words, lmap.alphabet).items():
             out.add({spec_monomial(spec_of_word(v, lmap) for v in mono): c})
     return out.coeffs
 
 
-class ForestNode:
+class ForestNode(_Frozen):
     """Node of a nested-set forest: an index set, an exponent, children with
     pairwise-disjoint subsets of this set."""
 
@@ -327,9 +329,6 @@ class ForestNode:
         object.__setattr__(self, "index_set", s)
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "children", kids)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ForestNode is immutable")
 
     def nodes(self):
         yield self
@@ -356,7 +355,7 @@ def _check_disjoint(sets: Sequence[frozenset]):
         seen |= s
 
 
-class Forest:
+class Forest(_Frozen):
     """A tuple of root nodes with pairwise-disjoint index sets."""
 
     __slots__ = ("roots",)
@@ -365,9 +364,6 @@ class Forest:
         roots = tuple(roots)
         _check_disjoint([r.index_set for r in roots])
         object.__setattr__(self, "roots", roots)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Forest is immutable")
 
     def nodes(self):
         for r in self.roots:

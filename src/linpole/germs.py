@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .errors import NotLocal
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, Subspace,
-                       ZERO_SPACE, _as_fraction, _frame, find_circuit, orthogonal,
+                       ZERO_SPACE, _Frozen, _as_fraction, _frame, find_circuit, orthogonal,
                        span, subspace_sum)
 from .poly import Polynomial
 
@@ -37,7 +37,7 @@ def _coerce_poly(x) -> Polynomial:
     return Polynomial.constant(_as_fraction(x))
 
 
-class RationalGerm:
+class RationalGerm(_Frozen):
     """numerator / product(form^exp); denominator forms need not be independent.
 
     Construction normalises to a canonical presentation: each denominator form
@@ -89,9 +89,6 @@ class RationalGerm:
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "_hash", hash((numerator, denominator)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalGerm is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, RationalGerm)
@@ -162,7 +159,7 @@ def germ_sum(germs: Iterable[RationalGerm]) -> RationalGerm:
     return RationalGerm(Polynomial.sum(nums), common.items())
 
 
-class SimplexFraction:
+class SimplexFraction(_Frozen):
     """1 / (L1^s1 ... Lk^sk) with linearly independent, canonically sorted forms."""
 
     __slots__ = ("entries", "_space", "_hash")
@@ -180,9 +177,6 @@ class SimplexFraction:
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "_space", space)
         object.__setattr__(self, "_hash", hash(ent))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SimplexFraction is immutable")
 
     def __eq__(self, other):
         return isinstance(other, SimplexFraction) and self.entries == other.entries
@@ -204,7 +198,7 @@ class SimplexFraction:
         return f"1/({_den_repr(self.entries)})"
 
 
-class PolarTerm:
+class PolarTerm(_Frozen):
     """numerator * simplex fraction, with Dep(numerator) q-orthogonal to the
     supporting space of the denominator."""
 
@@ -216,9 +210,6 @@ class PolarTerm:
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "simplex", simplex)
         object.__setattr__(self, "_hash", hash((numerator, simplex)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("PolarTerm is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, PolarTerm) and self.numerator == other.numerator
@@ -241,7 +232,7 @@ class PolarTerm:
         return f"({self.numerator!r})*{self.simplex!r}"
 
 
-class Decomposition:
+class Decomposition(_Frozen):
     """Canonical splitting of a germ: polar terms plus a holomorphic part.
 
     Terms are grouped and ordered by (supporting-space key, p-order,
@@ -266,9 +257,6 @@ class Decomposition:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "holomorphic", holomorphic)
         object.__setattr__(self, "_hash", hash((terms, holomorphic)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Decomposition is immutable")
 
     def __eq__(self, other):
         return (isinstance(other, Decomposition) and self.terms == other.terms

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from collections.abc import Iterable, Mapping
 
 from .errors import BudgetExceeded
-from .exactlin import LinearForm, Q, _as_fraction, _signed_sum, span, zvar
+from .exactlin import LinearForm, Q, _Frozen, _as_fraction, _signed_sum, span, zvar
 
 Monomial = tuple[tuple[int, int], ...]  # ((var, exp), ...) sorted by var
 
@@ -87,7 +87,7 @@ def _hyperplane_point(form: LinearForm, variables: set[int]) -> dict[int, Q] | N
     return point
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """Immutable sparse polynomial; zero coefficients are never stored."""
 
     __slots__ = ("coeffs", "den")
@@ -118,9 +118,6 @@ class Polynomial:
     def _fill(self, coeffs: dict[int, int], den: int):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Polynomial is immutable")
 
     @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:

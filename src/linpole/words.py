@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import EmptyWord, NotLocal
-from .exactlin import _as_fraction, _axpy
+from .exactlin import _Frozen, _as_fraction, _axpy
 
 
 class _X0:
@@ -40,16 +40,18 @@ EMPTY_WORD: Word = ()
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-class Alphabet:
+class Alphabet(_Frozen):
     """Well-ordered letter set U with an irreflexive symmetric locality
     relation, augmented by x0 (smaller than, and local to, everything)."""
+
+    __slots__ = ("_key", "_local", "name")
 
     def __init__(self, *, key: Callable = lambda u: u,
                  local: Callable = lambda u, v: u != v,
                  name: str = "integers"):
-        self._key = key
-        self._local = local
-        self.name = name
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_local", local)
+        object.__setattr__(self, "name", name)
 
     def letter_key(self, letter):
         if letter is X0:
@@ -137,7 +139,7 @@ class LinComb:
 
     def product(self, other, mul: Callable) -> "LinComb":
         """Bilinear extension of `mul(key1, key2)`, which yields (key,
-        multiplicity) pairs; `other` is a LinComb or a {key: coefficient} dict."""
+        multiplicity) pairs; `other` is a LinComb or a {key: coefficient} mapping."""
         acc: dict = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.items():

@@ -891,6 +891,34 @@ def test_transform_shifts_are_read_only():
     assert t.shifts == {g: Fraction(1)} and t.shift(g) == 1
 
 
+def test_cached_lyndon_decompositions_are_read_only():
+    spec = parse_spec("f[2,2;1,2]")
+    got = evaluators._spec_lyndon(spec)
+    want = dict(lyndon_decompose([(spec, Fraction(1))]))
+    with pytest.raises(TypeError):
+        got[()] = Fraction(1)
+    with pytest.raises(TypeError):
+        del got[next(iter(got))]
+    assert evaluators._spec_lyndon(spec) is got and got == want
+
+
+def test_transform_keys_specs_by_their_lmap_object():
+    """A spec under a second L-map named chen is transformed under its own
+    forms, whichever spec of that name and word filled the caches first."""
+    from linpole import LMap
+    shifted = LMap(integer_alphabet(), lambda u: zvar(u + 1), "chen")
+    mine, builtin = FractionSpec((2, 1), (2, 1), shifted), parse_spec("f[2,1;2,1]")
+    want = {mine: parse_germ("1/(z2*(z2+z3)^2)"), builtin: parse_germ("1/(z1*(z1+z2)^2)")}
+    for order in ((builtin, mine), (mine, builtin)):
+        for cache in (evaluators._spec_lyndon, evaluators._zeta_monomial,
+                      GaloisTransform._image):
+            cache.cache_clear()
+        for spec in order:
+            combo = GermCombo([(1, (spec,))])
+            assert apply_transform(GaloisTransform({}), combo).germ() == want[spec]
+            assert zeta_eval(combo) == zeta_eval(GermCombo([(1, (builtin,))]))
+
+
 def test_derived_transforms_never_share_images():
     """A transform, its inverse and its composites each keep images of their
     own: applied after t has filled its entries, each equals the same

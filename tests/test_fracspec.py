@@ -429,6 +429,34 @@ def test_builtin_lmaps_are_shared_and_immutable():
     assert spec == FractionSpec((2,), (1,), chen)
 
 
+def test_a_second_lmap_of_a_builtin_name_keeps_its_specs():
+    """Specs tell L-maps apart by object: a spec under another map named
+    chen, sending letter u to z_(u+1), is never merged with, or rebuilt
+    under, the built-in map."""
+    from linpole import LMap
+    from linpole.words import integer_alphabet
+    shifted = LMap(integer_alphabet(), lambda u: zvar(u + 1), "chen")
+    mine, builtin = FractionSpec((2, 1), (2, 1), shifted), parse_spec("f[2,1;2,1]")
+    assert mine != builtin and repr(mine) == repr(builtin)
+    assert mine == FractionSpec((2, 1), (2, 1), shifted)
+    assert hash(mine) == hash(FractionSpec((2, 1), (2, 1), shifted))
+    combo = GermCombo([(1, (mine,)), (1, (builtin,))])
+    assert [specs[0].lmap for _, specs in combo.terms] == [shifted, chen]
+    assert repr(combo) == "(1)*f[2,1;2,1] + (1)*f[2,1;2,1]"
+    assert combo.germ() == germ_sum([mine.germ(), builtin.germ()])
+    for first, second in ((mine, builtin), (builtin, mine)):
+        out = lyndon_decompose([(first, Fraction(1)), (second, Fraction(2))])
+        assert out == {(first,): 1, (second,): 2}
+        assert [m[0].lmap for m in out] == [first.lmap, second.lmap]
+    a, b = FractionSpec((1,), (1,), shifted), FractionSpec((2,), (2,), shifted)
+    for x, y in ((a, parse_spec("f[2;2]")), (parse_spec("f[1;1]"), b)):
+        with pytest.raises(ValueError, match="different L-maps"):
+            expand_product(x, y)
+    product = expand_product(a, b)
+    assert all(s.lmap is shifted for s, _ in product)
+    assert GermCombo([(c, (s,)) for s, c in product]).germ() == germ_mul(a.germ(), b.germ())
+
+
 def _summed_entries(spec):
     """(cumulative form, exponent) pairs, each form a validating LinearForm sum."""
     acc, out = LinearForm(), []

@@ -135,6 +135,18 @@ def test_recompose_examples():
     assert recompose(decompose(g, q)) == g
 
 
+def test_decomposition_merges_terms_on_one_simplex():
+    simplex = germs.SimplexFraction([(z1, 1), (z2, 2)])
+    other = germs.SimplexFraction([(z1 + z2, 1)])
+    t = germs.PolarTerm(P3, simplex)
+    d = Decomposition([t, germs.PolarTerm(P3 * 2, simplex),
+                       germs.PolarTerm(ONE, other)], Polynomial())
+    assert d.terms == (germs.PolarTerm(P3 * 3, simplex), germs.PolarTerm(ONE, other))
+    cancelled = Decomposition([t, germs.PolarTerm(-P3, simplex)], P1)
+    assert cancelled.terms == () and cancelled.holomorphic == P1
+    assert cancelled == Decomposition((), P1)
+
+
 def test_decompose_roundtrip_corpus():
     rng = random.Random(42)
     for _ in range(200):

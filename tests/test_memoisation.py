@@ -1,14 +1,18 @@
 """The memoised exact linear algebra: bounded caches whose answers do not
 depend on what was asked before."""
 
+import copy
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 import sympy
 
 import linpole
@@ -145,6 +149,44 @@ def test_every_cache_is_bounded():
         assert name in caches
     for name, cache in caches.items():
         assert cache.cache_info().maxsize is not None, name
+
+
+def _linpole_classes():
+    for info in pkgutil.iter_modules(linpole.__path__):
+        mod = importlib.import_module(f"linpole.{info.name}")
+        yield from (cls for cls in vars(mod).values()
+                    if isinstance(cls, type) and cls.__module__ == mod.__name__)
+
+
+def test_value_types_are_frozen():
+    """Every value type is a _Frozen: it keys memos, so no assignment or
+    deletion may change it, and a copy is the object itself.  LinComb is
+    the one mutable type that compares by value; it keys no memo."""
+    frozen = exactlin._Frozen
+    assert [cls.__name__ for cls in _linpole_classes() if cls is not frozen
+            and ("__setattr__" in vars(cls) or "__delattr__" in vars(cls))] == []
+    assert [cls.__name__ for cls in _linpole_classes() if "__eq__" in vars(cls)
+            and cls is not linpole.LinComb and not issubclass(cls, frozen)] == []
+    g = parse_germ("z3/(z1*(z1+z2))")
+    d = germs.decompose(g, DEFAULT_Q)
+    spec = linpole.parse_spec("f[2,1;2,1]")
+    node = linpole.ForestNode({1, 2}, [linpole.ForestNode({1})])
+    values = [linpole.zvar(1), DEFAULT_Q, span([linpole.zvar(1)]), Polynomial.variable(1),
+              g, d.terms[0].simplex, d.terms[0], d, linpole.chen_lmap(), spec, node,
+              linpole.Forest([node]), linpole.GaloisTransform({linpole.parse_spec("f[2;1]"): 1}),
+              linpole.GermCombo([(1, (spec,))]), linpole.integer_alphabet()]
+    assert len({type(x) for x in values}) == 15
+    for x in values:
+        slot = type(x).__slots__[0]
+        before = getattr(x, slot)
+        for name in (slot, "extra"):
+            with pytest.raises(AttributeError, match=f"{type(x).__name__} is immutable"):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError, match=f"{type(x).__name__} is immutable"):
+                delattr(x, name)
+        assert getattr(x, slot) is before
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+    assert spec.germ() == parse_germ("1/(z1*(z1+z2)^2)")
 
 
 def test_frame_is_memoised_and_immutable():

@@ -708,6 +708,39 @@ def test_cli_galois_check_fail_exits_1(capsys):
     assert code == 1 and "all: FAIL" in out
 
 
+def test_cli_galois_compose(capsys):
+    t1 = '{"shifts":[{"spec":"f[2;1]","value":"1/2"},{"spec":"f[3;1]","value":"2"}]}'
+    t2 = '{"shifts":[{"spec":"f[3;1]","value":"-1/3"},{"spec":"f[2;1]","value":"1"}]}'
+    code, out, _ = run_cli(capsys, "galois", "compose", "--transform", t1, "--transform2", t2)
+    assert code == 0 and out == "GaloisTransform(f[2;1]+3/2, f[3;1]+5/3)\n"
+    code, out, _ = run_cli(capsys, "--format", "json", "galois", "compose",
+                           "--transform", t1, "--transform2", t2)
+    assert code == 0 and json.loads(out) == {"shifts": [
+        {"spec": "f[2;1]", "value": "3/2"}, {"spec": "f[3;1]", "value": "5/3"}]}
+    code, out, err = run_cli(capsys, "galois", "compose", "--transform", t1,
+                             "--transform2", '{"shifts":[{"spec":"f[2;1]","value":"1"}]}')
+    assert (code, out) == (1, "") and err == "error: transforms use different generator sets\n"
+
+
+def test_cli_lyndon_test(capsys):
+    for word, verdict in (("x0x1", True), ("x1x0x1", False)):
+        code, out, _ = run_cli(capsys, "lyndon", "test", word)
+        assert code == 0 and out == f"{str(verdict).lower()}\n"
+        code, out, _ = run_cli(capsys, "--format", "json", "lyndon", "test", word)
+        assert code == 0 and json.loads(out) == {"lyndon": verdict}
+
+
+def test_cli_galois_derive_without_a_spec_literal(capsys):
+    code, out, err = run_cli(capsys, "galois", "derive", "--generators", "x")
+    assert (code, out) == (2, "") and "expected spec literals like f[2;1]" in err
+
+
+def test_cli_zeta_combo_coefficient_must_be_holomorphic(capsys):
+    code, out, err = run_cli(capsys, "eval", "--evaluator", "zeta",
+                             '{"terms":[{"holo":"1/z1","specs":["f[2;1]"]}]}')
+    assert (code, out) == (1, "") and "combo coefficient must be holomorphic" in err
+
+
 def test_cli_stdin(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO("z2/(z1+z2)"))
