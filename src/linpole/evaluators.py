@@ -32,7 +32,7 @@ from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, orthogonal,
 from .germs import RationalGerm, dependence, germ_scale, germ_sum, ms_eval
 from .fracspec import (FractionSpec, SpecMonomial, lyndon_decompose,
                        monomial_mul, spec_monomial)
-from .poly import Polynomial
+from .poly import ZERO, Polynomial
 from .serialize import float_str
 from .words import LinComb, is_lyndon, local_word_pair
 
@@ -282,7 +282,7 @@ class GermCombo(_Frozen):
             if not isinstance(h, Polynomial):
                 h = Polynomial.constant(_as_fraction(h))
             key = spec_monomial(specs)
-            merged[key] = merged.get(key, Polynomial()) + h
+            merged[key] = merged.get(key, ZERO) + h
         object.__setattr__(self, "terms", tuple(sorted(
             ((h, m) for m, h in merged.items() if h),
             key=lambda t: [s.sort_key() for s in t[1]])))
@@ -378,8 +378,6 @@ def iter_evaluator(perm_cap: int = 8) -> Evaluator:
 
 def _zeta_of_spec(spec: FractionSpec, precision: int) -> tuple[Fraction, Fraction]:
     s = spec.exponents
-    if not s:
-        return Fraction(1), Fraction(0)
     if s[0] == 1:
         return Fraction(0), Fraction(0)
     return mzv_numeric(s, precision)

@@ -76,6 +76,8 @@ class LinearForm(_Frozen):
     def _fill(self, coeffs: dict[int, Fraction]):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_hash", hash(tuple(coeffs.items())))
+        object.__setattr__(self, "_key", tuple((1, -v, c) if c > 0 else (-1, v, c)
+                                               for v, c in coeffs.items()))
 
     def __hash__(self):
         return self._hash
@@ -115,18 +117,16 @@ class LinearForm(_Frozen):
                    Fraction(0))
 
     def key(self) -> tuple:
-        """Total-order key: compare coefficient sequences along z1, z2, ...
-
-        Missing coefficients count as 0, so e.g. z1 > z2 and z1+z2 > z1.
-        Built on the first call and kept, since the form cannot change.
+        """Total-order key: the coefficient sequences along z1, z2, ... up
+        to each form's last variable, compared lexicographically, so the
+        first variable where they differ decides, a gap counting as 0; a
+        form that ends there is the smaller, whatever the sign of the other's
+        next coefficient.  So z1 > z2, z1 + z3 < z1 + z2, and z1 is below
+        both z1 + z2 and z1 - z2.  Built with the form, one entry per
+        variable v of coefficient c: (1, -v, c) for c > 0, (-1, v, c) for
+        c < 0.  (Not hashed: hash(-1) == hash(-2).)
         """
-        try:
-            return self._key
-        except AttributeError:
-            top = max(self.coeffs, default=0)
-            key = tuple(self.coeffs.get(v, Fraction(0)) for v in range(1, top + 1))
-            object.__setattr__(self, "_key", key)
-            return key
+        return self._key
 
     def primitive(self) -> tuple["LinearForm", Q]:
         """Return (canonical primitive form, scalar) with self = scalar * form.

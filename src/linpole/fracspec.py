@@ -169,13 +169,7 @@ class FractionSpec(_Frozen):
 
     def evaluate(self, point) -> Fraction:
         """Exact value at a rational point off the pole locus."""
-        val = Fraction(1)
-        for form, e in self.denominator_entries():
-            d = form.evaluate(point)
-            if d == 0:
-                raise ZeroDivisionError(f"point lies on the pole {form!r}")
-            val /= d ** e
-        return val
+        return self.germ().evaluate(point)
 
     def variables(self) -> tuple[int, ...]:
         vs: set[int] = set()

@@ -64,19 +64,15 @@ class RationalGerm(_Frozen):
             if scalar != 1:
                 num = num * (Fraction(1) / scalar ** exp)
             dens[prim] = dens.get(prim, 0) + exp
-        if num:
-            for form in sorted(dens, key=LinearForm.key):
-                while dens[form] > 0:
-                    quot = num.divide_by_form(form)
-                    if quot is None:
-                        break
-                    num = quot
-                    dens[form] -= 1
-        else:
-            dens = {}
-        entries = tuple(sorted(((f, e) for f, e in dens.items() if e),
-                               key=lambda t: t[0].key()))
-        self._fill(num, entries)
+        order = sorted(dens, key=LinearForm.key) if num else ()
+        for form in order:
+            while dens[form] > 0:
+                quot = num.divide_by_form(form)
+                if quot is None:
+                    break
+                num = quot
+                dens[form] -= 1
+        self._fill(num, tuple((f, dens[f]) for f in order if dens[f]))
 
     @classmethod
     def _trusted(cls, numerator: Polynomial, denominator: tuple) -> "RationalGerm":
@@ -190,9 +186,6 @@ class SimplexFraction(_Frozen):
 
     def supporting_space(self) -> Subspace:
         return self._space
-
-    def germ(self) -> RationalGerm:
-        return RationalGerm(1, self.entries)
 
     def __repr__(self):
         return f"1/({_den_repr(self.entries)})"

@@ -23,7 +23,8 @@ from math import gcd, lcm
 from collections.abc import Iterable, Mapping
 
 from .errors import BudgetExceeded
-from .exactlin import LinearForm, Q, _Frozen, _as_fraction, _signed_sum, span, zvar
+from .exactlin import (LinearForm, Q, _Frozen, _as_fraction, _int_row, _signed_sum, span,
+                       zvar)
 
 Monomial = tuple[tuple[int, int], ...]  # ((var, exp), ...) sorted by var
 
@@ -122,9 +123,9 @@ class Polynomial(_Frozen):
     @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         """(monomial, coefficient) pairs in graded-lexicographic order."""
-        top = max(self.support(), default=0)
-        order = sorted(self.coeffs, key=lambda m: (m & _MASK, [-(m >> v * _WIDTH & _MASK)
-                                                             for v in range(1, top + 1)]))
+        # a monomial that ends early has a lower degree, so this is the
+        # dense order on exponent vectors
+        order = sorted(self.coeffs, key=lambda m: (m & _MASK, [(v, -e) for v, e in _decode(m)]))
         return tuple((_decode(m), Fraction(self.coeffs[m], self.den)) for m in order)
 
     @staticmethod
@@ -148,10 +149,7 @@ class Polynomial(_Frozen):
 
     @staticmethod
     def from_linear(form: LinearForm) -> "Polynomial":
-        _check(1, max(form.coeffs, default=0))
-        den = lcm(*(c.denominator for c in form.coeffs.values()))
-        return Polynomial._trusted({(1 << v * _WIDTH) + 1: c.numerator * (den // c.denominator)
-                                    for v, c in form.coeffs.items()}, den)
+        return Polynomial.linear(*_int_row(form.coeffs))
 
     @staticmethod
     def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
@@ -171,8 +169,6 @@ class Polynomial(_Frozen):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other)
         return (isinstance(other, Polynomial) and self.den == other.den
                 and self.coeffs == other.coeffs)
 

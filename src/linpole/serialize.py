@@ -13,8 +13,7 @@ from .poly import Polynomial
 
 
 def rational_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def form_to_json(f: LinearForm) -> dict:

@@ -46,9 +46,7 @@ class Alphabet(_Frozen):
 
     __slots__ = ("_key", "_local", "name")
 
-    def __init__(self, *, key: Callable = lambda u: u,
-                 local: Callable = lambda u, v: u != v,
-                 name: str = "integers"):
+    def __init__(self, *, key: Callable, local: Callable, name: str):
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_local", local)
         object.__setattr__(self, "name", name)

@@ -285,3 +285,36 @@ def test_trusted_forms_are_canonical():
     for bad in (0, -1, 1.0, "1"):
         with pytest.raises(ValueError):
             zvar(bad)
+
+
+def dense_key(f):
+    """Reference order key: the coefficients along z1..z_top, top the
+    form's largest variable, as a tuple compared lexicographically."""
+    return tuple(f[v] for v in range(1, max(f.coeffs, default=0) + 1))
+
+
+def test_sparse_key_orders_forms_as_the_dense_key():
+    """On 20,000 random pairs over z1..z7 with negative and rational
+    coefficients and gaps, half of them a form against its prefix, an
+    extension of a prefix, its negation or itself."""
+    rng = random.Random(29)
+
+    def form(lo=1):
+        return LinearForm({v: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
+                           for v in range(lo, 8) if rng.random() < 0.5})
+
+    groups = []
+    for _ in range(300):
+        a, cut = form(), rng.randint(0, 7)
+        prefix = LinearForm({v: c for v, c in a.coeffs.items() if v <= cut})
+        groups.append([(f, f.key(), dense_key(f))
+                       for f in (a, prefix, prefix + form(cut + 1), -a, form())])
+    pool = [f for group in groups for f in group]
+    for i in range(20000):
+        (a, ka, da), (b, kb, db) = (rng.choices(rng.choice(groups), k=2) if i % 2
+                                    else rng.choices(pool, k=2))
+        assert (ka < kb) == (da < db), (a, b)
+        assert (ka == kb) == (a == b), (a, b)
+    assert z2.key() < z1.key() < (z1 + z2).key()
+    assert z1.key() < (z1 - z2).key() and (z1 + z3).key() < (z1 + z2).key()
+    assert LinearForm().key() < (-z3).key() < (z1 - z2).key()

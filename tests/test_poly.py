@@ -160,6 +160,22 @@ def test_equality_hash_repr_ignore_insertion_order():
             assert u.terms == w.terms
 
 
+def test_terms_in_dense_graded_lexicographic_order():
+    """Reference order: total degree, then the exponents along z1..z_top, top
+    the polynomial's largest variable, a larger exponent first."""
+    rng = random.Random(29)
+    for _ in range(400):
+        p = random_poly(rng, max_var=rng.randint(1, 7), max_deg=3, n_terms=8)
+        top = max(p.support(), default=0)
+
+        def dense(mono):
+            exps = dict(mono)
+            return sum(exps.values()), [-exps.get(v, 0) for v in range(1, top + 1)]
+
+        monos = [m for m, _ in p.terms]
+        assert monos == sorted(monos, key=dense), p
+
+
 def test_packing_limits_raise_budget_exceeded(monkeypatch):
     """Each limit at a small patched value: a result past it raises before
     anything is packed, and one at it is built."""
