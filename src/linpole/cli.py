@@ -75,7 +75,7 @@ def _evaluator(args) -> Evaluator:
         return ms_evaluator(args.q)
     if args.evaluator == "iter":
         return iter_evaluator(perm_cap=args.perm_cap)
-    return zeta_evaluator(precision=args.precision)
+    return zeta_evaluator(precision=args.precision, q=args.q)
 
 
 def _parse_combo(payload: str) -> GermCombo:

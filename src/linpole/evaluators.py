@@ -30,7 +30,7 @@ from .errors import (BudgetExceeded, DependenceEscapesVars, DivergentIndex,
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, orthogonal,
                        span, _Frozen, _as_fraction)
 from .germs import RationalGerm, dependence, germ_scale, germ_sum, ms_eval
-from .fracspec import (FractionSpec, SpecMonomial, lyndon_decompose,
+from .fracspec import (FractionSpec, SpecMonomial, _integer, lyndon_decompose,
                        monomial_mul, spec_monomial)
 from .poly import ZERO, Polynomial
 from .serialize import float_str
@@ -245,13 +245,14 @@ def mzv_numeric(s: Sequence[int], precision: int = 8) -> tuple[Fraction, Fractio
     """Multiple zeta value (sum over n1 > ... > nk >= 1 of prod n_j^{-s_j})
     as (value, error_bound) with |true - value| <= error_bound < 10^-precision.
 
-    Raises DivergentIndex when the leading exponent is 1, ValueError for a
-    precision outside 0..MAX_PRECISION, and BudgetExceeded, before any
+    Raises TypeError for an exponent that is not an int, DivergentIndex
+    when the leading exponent is 1, ValueError for a precision outside
+    0..MAX_PRECISION, and BudgetExceeded, before any
     summation, when (n+1)^2 n_terms (precision+100) exceeds MZV_BUDGET, n
     the weight and n_terms the truncation length.  Results are memoised per
     (s, precision).
     """
-    s = tuple(int(x) for x in s)
+    s = tuple(_integer(x, "exponents") for x in s)
     _check_precision(precision)
     if not s:
         return Fraction(1), Fraction(0)

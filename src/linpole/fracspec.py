@@ -109,7 +109,7 @@ class FractionSpec(_Frozen):
     __slots__ = ("exponents", "letters", "lmap", "_hash", "_entries", "_sort_key")
 
     def __init__(self, exponents: Iterable[int], letters: Iterable, lmap: LMap):
-        exps = tuple(int(s) for s in exponents)
+        exps = tuple(_integer(s, "exponents") for s in exponents)
         lets = tuple(_canon_letter(u) for u in letters)
         if len(exps) != len(lets):
             raise ValueError("exponent and letter vectors must have equal length")
@@ -310,10 +310,10 @@ class ForestNode(_Frozen):
 
     def __init__(self, index_set: Iterable[int], children: Sequence["ForestNode"] = (),
                  exponent: int = 1):
-        s = frozenset(_integer(i) for i in index_set)
+        s = frozenset(_integer(i, _FOREST_ENTRIES) for i in index_set)
         if not s:
             raise ValueError("node index set must be nonempty")
-        if _integer(exponent) < 1:
+        if _integer(exponent, _FOREST_ENTRIES) < 1:
             raise ValueError("node exponent must be positive")
         kids = tuple(children)
         for k in kids:
@@ -335,9 +335,14 @@ class ForestNode(_Frozen):
         return f"Node({set(self.index_set)}{exp}{inner_part})"
 
 
-def _integer(x) -> int:
+_FOREST_ENTRIES = "forest set entries and exponents"
+
+
+def _integer(x, what: str) -> int:
+    """x, an int; anything else, a bool or a float with an integral value
+    included, raises TypeError, so no value is truncated."""
     if not isinstance(x, int) or isinstance(x, bool):
-        raise TypeError(f"forest set entries and exponents must be integers, not {x!r}")
+        raise TypeError(f"{what} must be integers, not {x!r}")
     return x
 
 

@@ -231,27 +231,53 @@ def parse_word(text: str):
 
 
 _SPEC_RE = re.compile(r"^\s*f\[([^;\]]*);([^\]]*)\]\s*$")
+# A comma between entries, not one inside a set letter such as {1,3}.
+_ENTRY_SEPARATOR = re.compile(r",(?![^{}]*\})")
+_INTEGER = re.compile(r"[+-]?\d+")
+
+
+def _entries(text: str, pos: int) -> list[tuple[str, int]]:
+    """The comma-separated entries of text, which starts at position pos,
+    stripped, each with the position of its first character; blank text
+    has none."""
+    if not text.strip():
+        return []
+    entries = []
+    for entry in _ENTRY_SEPARATOR.split(text):
+        entries.append((entry.strip(), pos + len(entry) - len(entry.lstrip())))
+        pos += len(entry) + 1
+    return entries
+
+
+def _integer(entry: str, pos: int) -> int:
+    if not _INTEGER.fullmatch(entry):
+        raise ParseError(f"expected an integer, got {entry!r}" if entry else "empty entry", pos)
+    return int(entry)
 
 
 def parse_spec(text: str):
-    """Fraction-spec literal f[s1,...,sk; u1,...,uk]; set letters as {1,3}."""
+    """Fraction-spec literal f[s1,...,sk; u1,...,uk]; set letters as {1,3}.
+    Each entry is an integer, or a nonempty set of them for a letter, and
+    the two lists have equal length; anything else raises ParseError."""
     from .fracspec import FractionSpec, chen_lmap, speer_lmap
 
     m = _SPEC_RE.match(text)
     if not m:
         raise ParseError("bad fraction spec literal", 0)
-    s_part = m.group(1).strip()
-    exps = [int(x) for x in s_part.split(",")] if s_part else []
+    exps = [_integer(*entry) for entry in _entries(m.group(1), m.start(1))]
     letters: list = []
-    for chunk in re.finditer(r"\{[^}]*\}|[^,{}\s]+", m.group(2)):
-        if chunk[0].startswith("{"):
-            letter = frozenset(int(x) for x in chunk[0][1:-1].split(",") if x.strip())
-            if not letter:
-                raise ParseError("empty set letter", m.start(2) + chunk.start())
-            letters.append(letter)
+    for entry, pos in _entries(m.group(2), m.start(2)):
+        if entry.startswith("{") and entry.endswith("}"):
+            members = _entries(entry[1:-1], pos + 1)
+            if not members:
+                raise ParseError("empty set letter", pos)
+            letters.append(frozenset(_integer(*member) for member in members))
         else:
-            letters.append(int(chunk[0]))
+            letters.append(_integer(entry, pos))
     if len({isinstance(u, frozenset) for u in letters}) > 1:
         raise ParseError("integer letters and set letters cannot be mixed in one spec", m.start(2))
+    if len(exps) != len(letters):
+        raise ParseError(f"exponent and letter lists have lengths {len(exps)} and "
+                         f"{len(letters)}", m.start(1))
     lmap = speer_lmap() if any(isinstance(u, frozenset) for u in letters) else chen_lmap()
     return FractionSpec(exps, letters, lmap)

@@ -445,6 +445,20 @@ def test_cli_gram_config(capsys, tmp_path):
     assert out.strip() == "true"
 
 
+def test_cli_gram_reaches_the_zeta_evaluator(capsys, tmp_path):
+    """Under --gram, eval with the zeta evaluator checks locality with the
+    Gram block, as galois apply does: z2 is not orthogonal to z1 there."""
+    cfg = tmp_path / "gram.json"
+    cfg.write_text(json.dumps({"gram": [["2", "1"], ["1", "2"]]}))
+    combo = '{"terms":[{"holo":"z2","specs":["f[2;1]"]}]}'
+    want = "error: coefficient z2 not orthogonal to its fraction part\n"
+    for argv in (("eval", "--evaluator", "zeta", combo),
+                 ("galois", "apply", "--transform", '{"shifts":[]}', "--combo", combo)):
+        assert run_cli(capsys, "--gram", str(cfg), *argv) == (1, "", want)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+
+
 @pytest.mark.parametrize("config", [[1, 2], {"gram": 5}, {"gram": [[1.5]]},
                                     {"grm": [[2]]}],
                          ids=["top-level-list", "gram-not-rows", "float-entry",
