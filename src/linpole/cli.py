@@ -25,16 +25,13 @@ from .fracspec import (Forest, FractionSpec, chen_lmap, expand_product,
                        weak_chen_lmap, word_of_fraction)
 from .germs import (d_residue, decompose, dependence, germ_mul,
                     is_local_pair, locality_mul, p_residue, project_plus)
-from .parser import parse_germ, parse_spec, parse_word
+from .parser import _ENTRY_SEPARATOR, parse_germ, parse_spec, parse_word
 from .poly import Polynomial
 from .words import (X0, Alphabet, cfl, integer_alphabet, is_lyndon,
                     locality_lyndon_generators, lyndon_rewrite, shuffle,
                     subset_alphabet, word_str)
 
 LMAPS = {"chen": chen_lmap, "weak-chen": weak_chen_lmap, "speer": speer_lmap}
-
-# A comma between letters, not one inside a set letter such as x{1,2}.
-_LETTER_SEPARATOR = re.compile(r",(?![^{}]*\})")
 
 
 def _parse_spec_list(text: str) -> list[FractionSpec]:
@@ -192,7 +189,7 @@ def cmd_shuffle(args):
 
 def cmd_lyndon(args):
     if args.action == "generators":
-        flat = list(parse_word(_LETTER_SEPARATOR.sub("", args.word)))
+        flat = list(parse_word(_ENTRY_SEPARATOR.sub("", args.word)))
         alpha = _alphabet_for(flat)
         gens = locality_lyndon_generators(alpha, args.max_length, letters=flat)
         _emit(args, "\n".join(word_str(w) for w in gens),

@@ -245,12 +245,11 @@ def mzv_numeric(s: Sequence[int], precision: int = 8) -> tuple[Fraction, Fractio
     """Multiple zeta value (sum over n1 > ... > nk >= 1 of prod n_j^{-s_j})
     as (value, error_bound) with |true - value| <= error_bound < 10^-precision.
 
-    Raises TypeError for an exponent that is not an int, DivergentIndex
-    when the leading exponent is 1, ValueError for a precision outside
-    0..MAX_PRECISION, and BudgetExceeded, before any
-    summation, when (n+1)^2 n_terms (precision+100) exceeds MZV_BUDGET, n
-    the weight and n_terms the truncation length.  Results are memoised per
-    (s, precision).
+    Raises TypeError for a non-int exponent, DivergentIndex when the leading
+    exponent is 1, ValueError for a precision outside 0..MAX_PRECISION, and
+    BudgetExceeded, before any summation, when (n+1)^2 n_terms
+    (precision+100) exceeds MZV_BUDGET, n the weight and n_terms the
+    truncation length.  Results are memoised per (s, precision).
     """
     s = tuple(_integer(x, "exponents") for x in s)
     _check_precision(precision)

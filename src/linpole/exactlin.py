@@ -117,15 +117,12 @@ class LinearForm(_Frozen):
                    Fraction(0))
 
     def key(self) -> tuple:
-        """Total-order key: the coefficient sequences along z1, z2, ... up
-        to each form's last variable, compared lexicographically, so the
-        first variable where they differ decides, a gap counting as 0; a
-        form that ends there is the smaller, whatever the sign of the other's
-        next coefficient.  So z1 > z2, z1 + z3 < z1 + z2, and z1 is below
-        both z1 + z2 and z1 - z2.  Built with the form, one entry per
-        variable v of coefficient c: (1, -v, c) for c > 0, (-1, v, c) for
-        c < 0.  (Not hashed: hash(-1) == hash(-2).)
-        """
+        """Total-order key: the coefficients along z1, z2, ... to each form's
+        last variable, compared lexicographically; a gap counts as 0 and a
+        form that ends first is the smaller, so z1 > z2 and z1 < z1 - z2.
+        Built with the form, one entry per variable v of coefficient c:
+        (1, -v, c) for c > 0, (-1, v, c) for c < 0; not hashed, since
+        hash(-1) == hash(-2)."""
         return self._key
 
     def primitive(self) -> tuple["LinearForm", Q]:

@@ -310,10 +310,10 @@ class ForestNode(_Frozen):
 
     def __init__(self, index_set: Iterable[int], children: Sequence["ForestNode"] = (),
                  exponent: int = 1):
-        s = frozenset(_integer(i, _FOREST_ENTRIES) for i in index_set)
+        s = frozenset(_integer(i) for i in index_set)
         if not s:
             raise ValueError("node index set must be nonempty")
-        if _integer(exponent, _FOREST_ENTRIES) < 1:
+        if _integer(exponent) < 1:
             raise ValueError("node exponent must be positive")
         kids = tuple(children)
         for k in kids:
@@ -335,12 +335,7 @@ class ForestNode(_Frozen):
         return f"Node({set(self.index_set)}{exp}{inner_part})"
 
 
-_FOREST_ENTRIES = "forest set entries and exponents"
-
-
-def _integer(x, what: str) -> int:
-    """x, an int; anything else, a bool or a float with an integral value
-    included, raises TypeError, so no value is truncated."""
+def _integer(x, what: str = "forest set entries and exponents") -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"{what} must be integers, not {x!r}")
     return x

@@ -231,28 +231,28 @@ def parse_word(text: str):
 
 
 _SPEC_RE = re.compile(r"^\s*f\[([^;\]]*);([^\]]*)\]\s*$")
-# A comma between entries, not one inside a set letter such as {1,3}.
+# A comma between entries or letters, not one inside a set letter such as {1,3}.
 _ENTRY_SEPARATOR = re.compile(r",(?![^{}]*\})")
 _INTEGER = re.compile(r"[+-]?\d+")
 
 
-def _entries(text: str, pos: int) -> list[tuple[str, int]]:
-    """The comma-separated entries of text, which starts at position pos,
-    stripped, each with the position of its first character; blank text
-    has none."""
-    if not text.strip():
-        return []
-    entries = []
-    for entry in _ENTRY_SEPARATOR.split(text):
-        entries.append((entry.strip(), pos + len(entry) - len(entry.lstrip())))
+def _spec_list(text: str, pos: int, sets: bool = False) -> list:
+    """The comma-separated list of a spec literal at position pos: integers,
+    or with sets=True also nonempty sets of them such as {1,3}."""
+    out = []
+    for entry in _ENTRY_SEPARATOR.split(text) if text.strip() else ():
+        at, body = pos + len(entry) - len(entry.lstrip()), entry.strip()
+        if sets and body[:1] == "{" and body[-1:] == "}":
+            members = _spec_list(body[1:-1], at + 1)
+            if not members:
+                raise ParseError("empty set letter", at)
+            out.append(frozenset(members))
+        elif _INTEGER.fullmatch(body):
+            out.append(int(body))
+        else:
+            raise ParseError(f"expected an integer, got {body!r}" if body else "empty entry", at)
         pos += len(entry) + 1
-    return entries
-
-
-def _integer(entry: str, pos: int) -> int:
-    if not _INTEGER.fullmatch(entry):
-        raise ParseError(f"expected an integer, got {entry!r}" if entry else "empty entry", pos)
-    return int(entry)
+    return out
 
 
 def parse_spec(text: str):
@@ -264,20 +264,11 @@ def parse_spec(text: str):
     m = _SPEC_RE.match(text)
     if not m:
         raise ParseError("bad fraction spec literal", 0)
-    exps = [_integer(*entry) for entry in _entries(m.group(1), m.start(1))]
-    letters: list = []
-    for entry, pos in _entries(m.group(2), m.start(2)):
-        if entry.startswith("{") and entry.endswith("}"):
-            members = _entries(entry[1:-1], pos + 1)
-            if not members:
-                raise ParseError("empty set letter", pos)
-            letters.append(frozenset(_integer(*member) for member in members))
-        else:
-            letters.append(_integer(entry, pos))
+    exps = _spec_list(m.group(1), m.start(1))
+    letters = _spec_list(m.group(2), m.start(2), sets=True)
     if len({isinstance(u, frozenset) for u in letters}) > 1:
         raise ParseError("integer letters and set letters cannot be mixed in one spec", m.start(2))
     if len(exps) != len(letters):
-        raise ParseError(f"exponent and letter lists have lengths {len(exps)} and "
-                         f"{len(letters)}", m.start(1))
+        raise ParseError("exponent and letter lists differ in length", m.start(1))
     lmap = speer_lmap() if any(isinstance(u, frozenset) for u in letters) else chen_lmap()
     return FractionSpec(exps, letters, lmap)

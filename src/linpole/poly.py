@@ -23,8 +23,7 @@ from math import gcd, lcm
 from collections.abc import Iterable, Mapping
 
 from .errors import BudgetExceeded
-from .exactlin import (LinearForm, Q, _Frozen, _as_fraction, _int_row, _signed_sum, span,
-                       zvar)
+from .exactlin import LinearForm, Q, _Frozen, _as_fraction, _int_row, _signed_sum, span, zvar
 
 Monomial = tuple[tuple[int, int], ...]  # ((var, exp), ...) sorted by var
 
@@ -123,8 +122,7 @@ class Polynomial(_Frozen):
     @property
     def terms(self) -> tuple[tuple[Monomial, Fraction], ...]:
         """(monomial, coefficient) pairs in graded-lexicographic order."""
-        # a monomial that ends early has a lower degree, so this is the
-        # dense order on exponent vectors
+        # monomials of one degree end together, so this is the dense order
         order = sorted(self.coeffs, key=lambda m: (m & _MASK, [(v, -e) for v, e in _decode(m)]))
         return tuple((_decode(m), Fraction(self.coeffs[m], self.den)) for m in order)
 
