@@ -7,11 +7,12 @@ Every invocation runs in-process through `linpole.cli.main`.  Its outcome is
 the exit code, standard output and the first line of standard error.  The
 committed file holds, per verb, the sha256 of the verb's outcomes in order
 and a short digest of each one, so a changed output is named by the first
-invocation that moved.  The inputs come from one `random.Random` and the
-generators of `helpers.py`, so they do not depend on the hash seed.  No
-invocation reaches an argparse error, whose text differs between Python
-versions.  Inner-product files are written to a temporary directory, and an
-argv names them by the placeholders `{gram2}` and `{gram3}`.
+invocation that moved.  The inputs are text drawn from one `random.Random`
+by the text generators of `helpers.py`, so they depend neither on the hash
+seed nor on how the package renders its values.  No invocation reaches an
+argparse error, whose text differs between Python versions.  Inner-product
+files are written to a temporary directory, and an argv names them by the
+placeholders `{gram2}` and `{gram3}`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from helpers import random_form, random_germ, random_poly  # noqa: E402
+from helpers import random_form_text, random_germ_text, random_poly_text  # noqa: E402
 from linpole.cli import main as cli_main  # noqa: E402
 
 CORPUS_FILE = HERE / "cli_corpus.json"
@@ -39,10 +40,6 @@ GRAMS = {"{gram2}": [["2", "1"], ["1", "2"]],
 # the four option sets every germ verb runs under
 VARIANTS = ((), ("--format", "json"), ("--gram", "{gram2}"),
             ("--format", "json", "--gram", "{gram3}"))
-
-
-def _germ_text(rng: random.Random, max_var: int = 3) -> str:
-    return repr(random_germ(rng, max_var=max_var))
 
 
 def _word(rng: random.Random, letters, n_max: int = 3) -> str:
@@ -67,7 +64,7 @@ def _speer_spec(rng: random.Random) -> str:
 
 
 def _holo(rng: random.Random) -> str:
-    return repr(random_poly(rng, max_var=3, max_deg=2, n_terms=2))
+    return random_poly_text(rng, max_var=3, max_deg=2, n_terms=2)
 
 
 def _combo(rng: random.Random) -> dict:
@@ -110,25 +107,25 @@ def invocations(seed: int = SEED) -> list[tuple[str, ...]]:
         out.extend(variant + argv for variant in VARIANTS)
 
     for _ in range(24):
-        each_variant("decompose", _germ_text(rng, rng.choice((2, 3, 3, 4))))
+        each_variant("decompose", random_germ_text(rng, rng.choice((2, 3, 3, 4))))
     for _ in range(10):
-        each_variant("pi-plus", _germ_text(rng))
+        each_variant("pi-plus", random_germ_text(rng, 3))
     for _ in range(10):
-        each_variant("residue", "--kind", rng.choice("pd"), _germ_text(rng))
+        each_variant("residue", "--kind", rng.choice("pd"), random_germ_text(rng, 3))
     for _ in range(10):
-        each_variant("dep", _germ_text(rng))
+        each_variant("dep", random_germ_text(rng, 3))
     for _ in range(10):
-        each_variant("orth", _germ_text(rng), _germ_text(rng))
+        each_variant("orth", random_germ_text(rng, 3), random_germ_text(rng, 3))
     for _ in range(8):
-        a = repr(random_form(rng, 3))
+        a = random_form_text(rng, 3)
         each_variant("orth", f"1/({a})", f"z{rng.randint(1, 3)}")
     for _ in range(12):
         each_variant("mul", "--locality", rng.choice(("strict", "raw")),
-                     _germ_text(rng), _germ_text(rng))
+                     random_germ_text(rng, 3), random_germ_text(rng, 3))
     for _ in range(12):
-        each_variant("eval", "--evaluator", "ms", _germ_text(rng))
+        each_variant("eval", "--evaluator", "ms", random_germ_text(rng, 3))
     for _ in range(10):
-        each_variant("eval", "--evaluator", "iter", _germ_text(rng))
+        each_variant("eval", "--evaluator", "iter", random_germ_text(rng, 3))
     for _ in range(6):
         each_variant("eval", "--evaluator", rng.choice(("ms", "iter")), _chen_spec(rng, 2))
         each_variant("eval", "--evaluator", rng.choice(("ms", "iter")), json.dumps(_combo(rng)))

@@ -41,6 +41,35 @@ def random_germ(rng: random.Random, max_var: int = 4, max_factors: int = 3,
     return RationalGerm(num, dens)
 
 
+def random_form_text(rng: random.Random, max_var: int = 4) -> str:
+    """The text of a nonzero form with coefficients -3..3, written without
+    the package, so that it stays fixed when the package's rendering moves."""
+    while True:
+        terms = [f"{rng.choice((-3, -2, -1, 1, 2, 3))}*z{v}"
+                 for v in range(1, max_var + 1) if rng.random() < 0.6]
+        if terms:
+            return " + ".join(terms)
+
+
+def random_poly_text(rng: random.Random, max_var: int = 4, max_deg: int = 2,
+                     n_terms: int = 3) -> str:
+    """The text of a polynomial drawn as random_poly draws one."""
+    return " + ".join(
+        "*".join([str(rng.randint(-4, 4))] + [f"z{v}^{rng.randint(1, max_deg)}"
+                                              for v in range(1, max_var + 1)
+                                              if rng.random() < 0.4])
+        for _ in range(rng.randint(1, n_terms)))
+
+
+def random_germ_text(rng: random.Random, max_var: int = 4, max_factors: int = 3,
+                     max_exp: int = 3) -> str:
+    """The text of a germ drawn as random_germ draws one."""
+    num = random_poly_text(rng, max_var)
+    dens = [f"({random_form_text(rng, max_var)})^{rng.randint(1, max_exp)}"
+            for _ in range(rng.randint(0, max_factors))]
+    return f"({num})/({'*'.join(dens)})" if dens else num
+
+
 def random_spd_gram(rng: random.Random, n: int, rational: bool = False) -> InnerProduct:
     """A^T A + n*I with a random small integer A (`rational`: entries with
     denominators 1-3) is symmetric positive definite."""
