@@ -274,7 +274,7 @@ def digests(seed: int = SEED) -> tuple[dict, list[tuple[str, ...]]]:
     return {"seed": seed, "verbs": dict(sorted(verbs.items()))}, cases
 
 
-def mismatches(seed: int = SEED) -> list[str]:
+def mismatches() -> list[str]:
     """One line per verb whose digest differs from the committed file,
     naming the first argv whose output moved."""
     committed = json.loads(CORPUS_FILE.read_text())
@@ -298,8 +298,8 @@ def mismatches(seed: int = SEED) -> list[str]:
     return lines
 
 
-def write(seed: int = SEED) -> None:
-    data, _ = digests(seed)
+def write() -> None:
+    data, _ = digests()
     CORPUS_FILE.write_text(json.dumps(data, indent=1) + "\n")
 
 
