@@ -20,25 +20,17 @@ from .evaluators import (Evaluator, GaloisTransform, GermCombo, apply_transform,
                          galois_from_evaluator, invert_transform,
                          iter_evaluator, ms_evaluator, zeta_evaluator)
 from .exactlin import DEFAULT_Q, load_inner_product
-from .fracspec import (Forest, FractionSpec, chen_lmap, expand_product,
-                       flatten_forest, forest_fraction, phi, speer_lmap,
-                       weak_chen_lmap, word_of_fraction)
+from .fracspec import (Forest, chen_lmap, expand_product, flatten_forest, forest_fraction,
+                       phi, speer_lmap, weak_chen_lmap, word_of_fraction)
 from .germs import (d_residue, decompose, dependence, germ_mul,
                     is_local_pair, locality_mul, p_residue, project_plus)
-from .parser import _ENTRY_SEPARATOR, parse_germ, parse_spec, parse_word
+from .parser import _ENTRY_SEPARATOR, parse_germ, parse_spec, parse_spec_list, parse_word
 from .poly import Polynomial
 from .words import (X0, Alphabet, cfl, integer_alphabet, is_lyndon,
                     locality_lyndon_generators, lyndon_rewrite, shuffle,
                     subset_alphabet, word_str)
 
 LMAPS = {"chen": chen_lmap, "weak-chen": weak_chen_lmap, "speer": speer_lmap}
-
-
-def _parse_spec_list(text: str) -> list[FractionSpec]:
-    literals = re.findall(r"f\[[^\]]*\]", text)
-    if not literals:
-        raise ParseError("expected spec literals like f[2;1]", 0)
-    return [parse_spec(s) for s in literals]
 
 
 def _read_payload(text: str) -> str:
@@ -75,15 +67,17 @@ def _evaluator(args) -> Evaluator:
     return zeta_evaluator(precision=args.precision, q=args.q)
 
 
-def _parse_combo(payload: str) -> GermCombo:
-    """Combo JSON: {"terms": [{"holo": "<germ expr>", "specs": ["f[..]", ...]}]}.
-    A bare spec literal or a germ expression also works."""
-    payload = payload.strip()
-    if payload.startswith("{"):
-        data = json.loads(payload)
+def _parse_combo(payload) -> GermCombo:
+    """Combo JSON: {"terms": [{"holo": "<germ expr>", "specs": ["f[..]", ...]}]},
+    as text or decoded.  A bare spec literal or a germ expression also works."""
+    if not isinstance(payload, dict):
+        payload = payload.strip()
+        if payload.startswith("{"):
+            payload = json.loads(payload)
+    if isinstance(payload, dict):
         terms = []
         with _payload_shape("combo"):
-            for t in data["terms"]:
+            for t in payload["terms"]:
                 holo, specs = t.get("holo", "1"), t.get("specs", [])
                 if not (isinstance(holo, str) and isinstance(specs, list)
                         and all(isinstance(s, str) for s in specs)):
@@ -105,10 +99,10 @@ def _parse_combo(payload: str) -> GermCombo:
 
 
 def _parse_transform(payload: str) -> GaloisTransform:
+    """Transform JSON; GaloisTransform reads each value, so a float is refused."""
     data = json.loads(payload)
     with _payload_shape("transform"):
-        return GaloisTransform({parse_spec(t["spec"]): Fraction(t["value"])
-                                for t in data["shifts"]})
+        return GaloisTransform({parse_spec(t["spec"]): t["value"] for t in data["shifts"]})
 
 
 def _transform_json(t: GaloisTransform) -> dict:
@@ -241,7 +235,7 @@ def cmd_flatten(args):
 def cmd_galois(args):
     if args.action == "derive":
         ev = _evaluator(args)
-        gens = _parse_spec_list(args.generators)
+        gens = parse_spec_list(args.generators)
         t = galois_from_evaluator(ev, gens)
         _emit(args, repr(t), _transform_json(t))
     elif args.action == "apply":
@@ -261,10 +255,8 @@ def cmd_galois(args):
     else:  # check
         ev = _evaluator(args)
         with _payload_shape("combos"):
-            combos = [
-                _parse_combo(json.dumps(entry) if isinstance(entry, dict) else entry)
-                for entry in json.loads(_read_payload(args.combos))]
-        gens = _parse_spec_list(args.generators)
+            combos = [_parse_combo(entry) for entry in json.loads(_read_payload(args.combos))]
+        gens = parse_spec_list(args.generators)
         t = galois_from_evaluator(ev, gens)
         tol = Fraction(args.tol) if args.tol else Fraction(0)
         report = check_factorization(ev, t, combos, tol, args.q)
@@ -394,8 +386,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (LinpoleError, ValueError, ZeroDivisionError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (LinpoleError, ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

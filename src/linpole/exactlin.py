@@ -229,24 +229,18 @@ DEFAULT_Q = InnerProduct()
 
 def inner(q: InnerProduct, a: LinearForm, b: LinearForm) -> Q:
     """Symmetric bilinear value of the two forms under q."""
-    return Fraction(_dot(q, a.coeffs, b.coeffs))
-
-
-def _dot(q: InnerProduct, a: Mapping[int, Q], b: Mapping[int, Q]) -> Q:
-    """inner() on {var: coeff} mappings: an int for integer rows that meet
-    no Gram block entry, else a Fraction (which _int_row clears)."""
-    n = q.block_size
+    n, bc = q.block_size, b.coeffs
     total = 0
-    for i, ai in a.items():
+    for i, ai in a.coeffs.items():
         if i <= n:
-            for j, bj in b.items():
+            for j, bj in bc.items():
                 if j <= n:
                     total += q.gram[i - 1][j - 1] * (ai * bj)
         else:
-            bi = b.get(i)
+            bi = bc.get(i)
             if bi:
                 total += ai * bi
-    return total
+    return Fraction(total)
 
 
 class Subspace(_Frozen):

@@ -21,38 +21,36 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
                      ZeroCumulativeForm, _payload_shape)
-from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, _Frozen, _axpy, inner,
-                       orthogonal, span, zset, zvar)
+from .exactlin import DEFAULT_Q, LinearForm, _Frozen, _axpy, inner, zset, zvar
 from .germs import RationalGerm
 
 from .words import (Alphabet, LinComb, Word, X0, _ZERO, _lyndon_solve,
-                    _shuffle_ints, integer_alphabet, is_local_word, shuffle,
-                    subset_alphabet, word_str)
+                    _shuffle_ints, integer_alphabet, is_local_word, local_word_pair,
+                    shuffle, subset_alphabet, word_str)
 
 
 class LMap(_Frozen):
     """Alphabet plus assignment letter -> linear form.
 
     When `check_locality_on` letters are supplied, the locality-map property
-    (u local v implies the assigned forms are q-orthogonal) is verified at
-    construction.  An L-map is immutable: the built-in ones are shared by
-    every spec that uses them.
+    is verified on them at construction: any two local letters among them
+    are assigned forms orthogonal under DEFAULT_Q.  Spec locality itself is
+    read off the letters alone.  An L-map is immutable: the built-in ones
+    are shared by every spec that uses them.
     """
 
-    __slots__ = ("alphabet", "assign", "name", "q")
+    __slots__ = ("alphabet", "assign", "name")
 
     def __init__(self, alphabet: Alphabet, assign: Callable[[object], LinearForm],
-                 name: str, q: InnerProduct = DEFAULT_Q,
-                 check_locality_on: Optional[Sequence] = None):
+                 name: str, check_locality_on: Optional[Sequence] = None):
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "assign", assign)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "q", q)
         if check_locality_on is not None:
             letters = list(check_locality_on)
             for i, u in enumerate(letters):
                 for v in letters[i + 1:]:
-                    if alphabet.local_letters(u, v) and inner(q, assign(u), assign(v)) != 0:
+                    if alphabet.local_letters(u, v) and inner(DEFAULT_Q, assign(u), assign(v)):
                         raise ValueError(
                             f"not a locality map: {u!r} local {v!r} but forms not orthogonal")
 
@@ -93,7 +91,7 @@ def speer_lmap() -> LMap:
 
 def _canon_letter(letter):
     if isinstance(letter, (set, frozenset, tuple, list)) and not isinstance(letter, str):
-        return frozenset(int(i) for i in letter)
+        return frozenset(_integer(i, "set letter members") for i in letter)
     return letter
 
 
@@ -250,14 +248,15 @@ Combination = list[tuple[FractionSpec, Fraction]]
 
 
 def expand_product(a: FractionSpec, b: FractionSpec) -> Combination:
-    """Product of two local ordered fractions as a combination of ordered
-    fractions: shuffle the words and map back through phi."""
+    """Product of two ordered fractions whose letters are pairwise local, as
+    a combination of ordered fractions: shuffle the words and map back
+    through phi."""
     if a.lmap is not b.lmap:
         raise ValueError("specs use different L-maps")
-    # A fraction with numerator 1 depends exactly on the span of its pole forms.
-    ua, ub = (span(f for f, _ in s.denominator_entries()) for s in (a, b))
-    if not orthogonal(a.lmap.q, ua, ub):
-        raise NotLocal(f"{a!r} and {b!r} are not q-orthogonal")
+    for s in (a, b):
+        s.denominator_entries()  # a letter outside the alphabet raises here
+    if not local_word_pair(a.letters, b.letters, a.lmap.alphabet):
+        raise NotLocal(f"{a!r} and {b!r} share non-local letters")
     out: Combination = []
     for w, c in shuffle(a.word(), b.word()).items():
         out.append((spec_of_word(w, a.lmap), c))
@@ -370,15 +369,6 @@ class Forest(_Frozen):
                               d.get("exp", 1))
         with _payload_shape("forest"):
             return Forest([node(d) for d in data["nodes"]])
-
-    def to_json(self) -> dict:
-        def node(n: ForestNode, next_id: list[int]) -> dict:
-            nid = next_id[0]
-            next_id[0] += 1
-            return {"id": nid, "set": sorted(n.index_set), "exp": n.exponent,
-                    "children": [node(c, next_id) for c in n.children]}
-        counter = [1]
-        return {"nodes": [node(r, counter) for r in self.roots]}
 
     def __repr__(self):
         return f"Forest({list(self.roots)!r})"

@@ -231,6 +231,8 @@ def parse_word(text: str):
 
 
 _SPEC_RE = re.compile(r"^\s*f\[([^;\]]*);([^\]]*)\]\s*$")
+# A semicolon between spec literals, not the one inside a literal such as f[2;1].
+_LITERAL_SEPARATOR = re.compile(r";(?![^\[]*\])")
 # A comma between entries or letters, not one inside a set letter such as {1,3}.
 _ENTRY_SEPARATOR = re.compile(r",(?![^{}]*\})")
 _INTEGER = re.compile(r"[+-]?\d+")
@@ -272,3 +274,15 @@ def parse_spec(text: str):
         raise ParseError("exponent and letter lists differ in length", m.start(1))
     lmap = speer_lmap() if any(isinstance(u, frozenset) for u in letters) else chen_lmap()
     return FractionSpec(exps, letters, lmap)
+
+
+def parse_spec_list(text: str) -> list:
+    """Spec literals separated by semicolons, such as f[2;1]; f[3,1;1,2].
+    Each entry is exactly one literal; anything else raises ParseError."""
+    specs, pos = [], 0
+    for entry in _LITERAL_SEPARATOR.split(text):
+        if not _SPEC_RE.match(entry):
+            raise ParseError("expected spec literals like f[2;1]", pos)
+        specs.append(parse_spec(entry))
+        pos += len(entry) + 1
+    return specs

@@ -282,8 +282,7 @@ class Polynomial(_Frozen):
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Rename variables; variables mapped to one index merge."""
-        return Polynomial((tuple((mapping.get(v, v), e) for v, e in m), c)
-                          for m, c in self.terms)
+        return self.substitute({v: Polynomial.variable(w) for v, w in mapping.items()})
 
     def collect(self, *vs: int) -> dict[tuple[int, ...], "Polynomial"]:
         """{(k1, ..., kn): P_k} with self = sum_k P_k z_v1^k1 ... z_vn^kn over

@@ -349,9 +349,7 @@ def locality_cfl(w: Word, alphabet: Alphabet) -> tuple[list[Word], int]:
     for f, m in factors:
         if f == (X0,):
             r += m
-        else:
-            if m != 1:
-                raise NotLocal("repeated non-x0 Lyndon factor in a local word")
+        else:  # m is 1: a local word repeats no letter but x0
             main.append(f)
     return main, r
 

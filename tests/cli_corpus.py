@@ -233,8 +233,23 @@ def invocations(seed: int = SEED) -> list[tuple[str, ...]]:
                  ("galois", "check", "--generators", "f[2;1]", "--combos", '["f[2;1]"]',
                   "--tol", "x"),
                  ("galois", "check", "--evaluator", "zeta", "--generators", "f[2;1]",
-                  "--combos", '["f[2,2;1,1]"]')):
+                  "--combos", '["f[2,2;1,1]"]'),
+                 ("galois", "derive", "--generators", "f[2;1] xyz"),
+                 ("galois", "derive", "--generators", "f[2;1],f[3;1]"),
+                 ("galois", "derive", "--generators", "f[2;1];"),
+                 ("galois", "invert", "--transform",
+                  '{"shifts":[{"spec":"f[2;1]","value":0.1}]}'),
+                 ("expand", "f[2;0]", "f[1;1]"),
+                 ("expand", "f[1;{1}]", "f[2;{0}]")):
         out.append(argv)
+
+    # spec locality reads letters only: no inner product reaches it, and
+    # letter-local specs whose forms a Gram block couples still expand
+    each_variant("expand", "f[1;1]", "f[2;2]")
+    each_variant("expand", "f[2;{1}]", "f[1;{2,3}]")
+    for _ in range(6):
+        each_variant("expand", _chen_spec(rng, 2, local=rng.random() < 0.7),
+                     _chen_spec(rng, 2))
     return out
 
 

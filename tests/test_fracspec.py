@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from linpole import (Forest, ForestNode, FractionSpec, GermCombo, LinComb,
+from linpole import (DEFAULT_Q, Forest, ForestNode, FractionSpec, GermCombo, LinComb,
                      LinearForm, LinpoleError, NotLocal, NotLocalSpec, ParseError,
                      RationalGerm, WordEndsInX0, X0, chen_lmap, expand_product,
                      flatten_forest, forest_fraction, germ_mul, germ_scale,
                      germ_sum, is_local_pair, lyndon_decompose, lyndon_rewrite,
-                     parse_spec, phi, shuffle, spec_of_word, speer_lmap,
-                     weak_chen_lmap, word_of_fraction, zset, zvar)
+                     orthogonal, parse_spec, phi, shuffle, span, spec_of_word,
+                     speer_lmap, weak_chen_lmap, word_of_fraction, zset, zvar)
 
 from helpers import (combination_equals_germ, fraction_shuffle,
                      random_point_off_poles)
@@ -87,7 +87,7 @@ def test_expand_product_requires_locality():
             lmap, letter = speer, lambda: frozenset(rng.sample(range(1, 6), rng.randint(1, 2)))
         s1, s2 = (FractionSpec([rng.randint(1, 2) for _ in lets], lets, lmap)
                   for lets in ([letter() for _ in range(rng.randint(1, 3))] for _ in range(2)))
-        local = is_local_pair(s1.germ(), s2.germ(), lmap.q)
+        local = is_local_pair(s1.germ(), s2.germ(), DEFAULT_Q)
         outcomes[local] += 1
         if local:
             expand_product(s1, s2)
@@ -95,6 +95,50 @@ def test_expand_product_requires_locality():
             with pytest.raises(NotLocal):
                 expand_product(s1, s2)
     assert min(outcomes.values()) >= 10
+
+
+def test_expand_product_letter_locality_matches_orthogonal_pole_spans():
+    """On the built-in maps the letter test of expand_product agrees with
+    the span test it replaced: the pole forms of the two specs span
+    subspaces orthogonal under DEFAULT_Q.  Letters may repeat."""
+    rng = random.Random(30)
+    outcomes = {True: 0, False: 0}
+    for i in range(20000):
+        if i % 2:
+            lmap, letter = chen, lambda: rng.randint(1, 5)
+        else:
+            lmap, letter = speer, lambda: frozenset(rng.sample(range(1, 6), rng.randint(1, 2)))
+        s1, s2 = (FractionSpec([rng.randint(1, 2) for _ in lets], lets, lmap)
+                  for lets in ([letter() for _ in range(rng.randint(1, 3))] for _ in range(2)))
+        spans = (span(f for f, _ in s.denominator_entries()) for s in (s1, s2))
+        local = orthogonal(DEFAULT_Q, *spans)
+        outcomes[local] += 1
+        try:
+            expand_product(s1, s2)
+        except NotLocal:
+            assert not local, (s1, s2)
+        else:
+            assert local, (s1, s2)
+    assert min(outcomes.values()) >= 5000
+
+
+def test_expand_product_under_a_map_that_is_not_a_locality_map():
+    """Letters 1 and 3 are local but their telescoping forms are not
+    orthogonal: the shuffle expansion is returned, and it is still the germ
+    product, Phi being a shuffle homomorphism for any assignment."""
+    from linpole import LMap
+    from linpole.words import integer_alphabet
+
+    half = Fraction(1, 2)
+    telescoping = LMap(integer_alphabet(),
+                       lambda u: LinearForm({u: half, u + 1: -half}), "telescoping")
+    a = FractionSpec((2, 1), (1, 3), telescoping)
+    b = FractionSpec((1,), (2,), telescoping)
+    spans = (span(f for f, _ in s.denominator_entries()) for s in (a, b))
+    assert not orthogonal(DEFAULT_Q, *spans)
+    combo = expand_product(a, b)
+    assert len(combo) == 4  # the shuffles of x0x1x3 and x2
+    assert germ_sum(germ_scale(s.germ(), c) for s, c in combo) == germ_mul(a.germ(), b.germ())
 
 
 def test_homomorphism_random_pairs():
@@ -358,7 +402,7 @@ def test_spec_of_word_matches_validating_constructor():
 
 def test_forest_json_roundtrip():
     wide = Forest([ForestNode({1, 2}, [ForestNode({1}), ForestNode({2})], 2)])
-    data = wide.to_json()
+    data = {"nodes": [{"set": [1, 2], "exp": 2, "children": [{"set": [1]}, {"set": [2]}]}]}
     back = Forest.from_json(data)
     assert forest_fraction(back) == forest_fraction(wide)
     assert [sorted(n.index_set) for n in back.nodes()] == \

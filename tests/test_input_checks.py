@@ -8,7 +8,8 @@ import pytest
 from linpole import (EmptyWord, ForestNode, FractionSpec, GaloisTransform, InnerProduct,
                      LinearForm, LMap, NotLocal, PolarTerm, Polynomial, RationalGerm,
                      SimplexFraction, chen_lmap, integer_alphabet, locality_cfl,
-                     locality_lyndon_generators, lyndon_rewrite, mzv_numeric, zvar)
+                     locality_lyndon_generators, lyndon_rewrite, mzv_numeric, speer_lmap,
+                     zvar)
 from linpole.cli import main
 
 z1, z2 = zvar(1), zvar(2)
@@ -45,13 +46,16 @@ def _bad_lmap_form():
     (lambda: mzv_numeric([2, True], 5), TypeError),
     (lambda: FractionSpec([2.7], [1], chen), TypeError),
     (lambda: FractionSpec([Fraction(2)], [1], chen), TypeError),
+    (lambda: FractionSpec([1], [{1.5}], speer_lmap()), TypeError),
+    (lambda: FractionSpec([1], [[2.9, 1]], speer_lmap()), TypeError),
 ], ids=["gram-not-square", "form-variable-0", "form-float-coefficient", "germ-zero-form",
         "simplex-exponent-0", "simplex-repeated-form", "simplex-dependent-forms",
         "polar-term-zero-numerator", "poly-negative-exponent", "poly-linear-variable-0",
         "poly-negative-power", "divide-by-zero-form", "lmap-assigns-no-form",
         "forest-exponent-0", "generator-not-local", "generator-empty",
         "generator-not-lyndon", "lyndon-rewrite-empty", "locality-cfl-repeated-factor", "generators-max-length-0", "mzv-float-exponent",
-        "mzv-bool-exponent", "spec-float-exponent", "spec-fraction-exponent"])
+        "mzv-bool-exponent", "spec-float-exponent", "spec-fraction-exponent",
+        "spec-float-set-member", "spec-float-in-set-list"])
 def test_each_input_check_raises_its_type(call, exc):
     with pytest.raises(exc):
         call()

@@ -574,11 +574,12 @@ def test_cli_letter_outside_lmap_alphabet(capsys, lmap, word):
     ("eval", "--evaluator", "ms"),
     ("galois", "apply", "--transform", '{"shifts":[]}', "--combo"),
     ("unphi",),
+    ("expand", "f[1;1]"),
 ])
 def test_cli_spec_letter_outside_chen_alphabet(capsys, spec, command):
-    """The zeta evaluator reads only a spec's exponents, and unphi only its
-    word, yet a letter outside the Chen alphabet is an error under them as
-    under ms and galois apply."""
+    """The zeta evaluator reads only a spec's exponents, unphi only its
+    word and expand only its letters' locality, yet a letter outside the
+    Chen alphabet is an error under them as under ms and galois apply."""
     code, out, err = run_cli(capsys, *command, spec)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -747,6 +748,33 @@ def test_cli_lyndon_test(capsys):
 def test_cli_galois_derive_without_a_spec_literal(capsys):
     code, out, err = run_cli(capsys, "galois", "derive", "--generators", "x")
     assert (code, out) == (2, "") and "expected spec literals like f[2;1]" in err
+
+
+@pytest.mark.parametrize("generators", ["f[2;1] xyz", "f[2;1],f[3;1]", "f[2;1];",
+                                        "f[2;1]f[3;1]"])
+def test_cli_generators_are_spec_literals_and_nothing_else(capsys, generators):
+    code, out, err = run_cli(capsys, "galois", "derive", "--generators", generators)
+    assert (code, out) == (2, "") and err.startswith("parse error: ")
+    code, out, _ = run_cli(capsys, "galois", "derive", "--generators", " f[2;1] ; f[3;1]")
+    assert code == 0 and out == "GaloisTransform(f[2;1]+0, f[3;1]+0)\n"
+
+
+def test_cli_shift_value_is_read_as_a_rational(capsys):
+    for value, want in (('"1/2"', (0, "GaloisTransform(f[2;1]+-1/2)\n")),
+                        ("3", (0, "GaloisTransform(f[2;1]+-3)\n")), ("0.1", (1, ""))):
+        transform = '{"shifts":[{"spec":"f[2;1]","value":%s}]}' % value
+        code, out, err = run_cli(capsys, "galois", "invert", "--transform", transform)
+        assert (code, out) == want
+    assert err == "error: malformed transform JSON (TypeError: cannot coerce 0.1 to a rational)\n"
+
+
+def test_cli_galois_check_reads_a_combo_dict_as_its_text(capsys):
+    combo = {"terms": [{"holo": "2", "specs": ["f[2;1]", "f[3;2]"]}, {"specs": ["f[2,1;1,2]"]}]}
+    reports = [run_cli(capsys, "--format", fmt, "galois", "check", "--generators",
+                       "f[2;1];f[3;1]", "--combos", json.dumps([entry]))
+               for fmt in ("text", "json") for entry in (combo, json.dumps(combo))]
+    assert reports[0] == reports[1] and reports[2] == reports[3]
+    assert reports[0][0] == 0 and "all: PASS" in reports[0][1]
 
 
 def test_cli_zeta_combo_coefficient_must_be_holomorphic(capsys):
