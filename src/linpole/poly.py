@@ -282,7 +282,8 @@ class Polynomial(_Frozen):
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Rename variables; variables mapped to one index merge."""
-        return self.substitute({v: Polynomial.variable(w) for v, w in mapping.items()})
+        return self.substitute({v: Polynomial.variable(mapping[v])
+                                for v in self.support() if v in mapping})
 
     def collect(self, *vs: int) -> dict[tuple[int, ...], "Polynomial"]:
         """{(k1, ..., kn): P_k} with self = sum_k P_k z_v1^k1 ... z_vn^kn over
