@@ -22,7 +22,7 @@ class NonHomogeneousPole(LinpoleError):
 class ParseError(LinpoleError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class EmptyWord(LinpoleError):

@@ -25,7 +25,7 @@ Q = Fraction  # the coefficient field
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
 

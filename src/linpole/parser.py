@@ -283,6 +283,9 @@ def parse_spec_list(text: str) -> list:
     for entry in _LITERAL_SEPARATOR.split(text):
         if not _SPEC_RE.match(entry):
             raise ParseError("expected spec literals like f[2;1]", pos)
-        specs.append(parse_spec(entry))
+        try:
+            specs.append(parse_spec(entry))
+        except ParseError as exc:  # report the position in the whole list
+            raise ParseError(exc.message, pos + exc.position) from None
         pos += len(entry) + 1
     return specs

@@ -8,12 +8,13 @@ plain tuples of letters; all ordering questions go through an Alphabet.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import EmptyWord, NotLocal
+from .errors import BudgetExceeded, EmptyWord, NotLocal
 from .exactlin import _Frozen, _as_fraction, _axpy
 
 
@@ -38,6 +39,9 @@ Word = tuple  # tuple of letters (payloads or X0)
 EMPTY_WORD: Word = ()
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+
+# The most words locality_lyndon_generators returns.
+GENERATOR_LIMIT = 4096
 
 
 class Alphabet(_Frozen):
@@ -266,15 +270,31 @@ def cfl(w: Word, alphabet: Alphabet) -> list[tuple[Word, int]]:
     return grouped
 
 
+@functools.lru_cache(maxsize=4096)
+def _lyndon_step(w: Word, alphabet: Alphabet) -> tuple[tuple, int, tuple]:
+    """The elimination step of a word: the monomial of its CFL factors, the
+    product of their multiplicities' factorials (the coefficient of w in the
+    monomial's expansion), and every other word of that expansion with its
+    integer multiplicity.  The alphabet keys the cache by identity."""
+    factors = cfl(w, alphabet)
+    # the factors are non-increasing, so this monomial is already sorted
+    mono = tuple(f for f, m in factors for _ in range(m))
+    fact = math.prod(math.factorial(m) for _, m in factors)
+    rest = tuple((v, k) for v, k in _shuffle_ints({f: 1} for f in mono).items() if v != w)
+    return mono, fact, rest
+
+
 def _lyndon_solve(combo: dict, alphabet: Alphabet) -> dict:
     """The Lyndon polynomial whose expansion is `combo`, a {word: Fraction}
     combination of nonempty words.
 
     Pops the largest word left in the residual, which fixes the coefficient
     of its own monomial (see `lyndon_rewrite`), and subtracts that monomial's
-    expansion, which only touches smaller anagrams: each word is factorised
-    at most once.  The expansion is in integer multiplicities, so each
-    residual update is one Fraction times an int.
+    expansion, which only touches smaller anagrams: each word is popped at
+    most once, and `_lyndon_step` gives its step.  The residual is kept as integer numerators over one
+    common denominator; where a lead c / fact does not divide, the whole
+    residual is rescaled by fact / gcd(c, fact), so each update is an int
+    times an int and each emitted coefficient is one Fraction.
     """
     # Rank the letters 1..n and read a word as a base-(n+1) integer: no digit
     # is 0, so distinct words get distinct codes, ordered lexicographically
@@ -289,7 +309,8 @@ def _lyndon_solve(combo: dict, alphabet: Alphabet) -> dict:
             n = n * base + rank[a]
         return n
 
-    residual = dict(combo)
+    den = math.lcm(*(c.denominator for c in combo.values()))
+    residual = {w: c.numerator * (den // c.denominator) for w, c in combo.items()}
     heap = [(-code(w), w) for w in residual]
     heapq.heapify(heap)
     out: dict = {}
@@ -298,16 +319,19 @@ def _lyndon_solve(combo: dict, alphabet: Alphabet) -> dict:
         c = residual.pop(w)
         if not c:
             continue
-        factors = cfl(w, alphabet)
-        # the factors are non-increasing, so this monomial is already sorted
-        mono = tuple(f for f, m in factors for _ in range(m))
-        lead = c / math.prod(math.factorial(m) for _, m in factors)
-        out[mono] = lead
-        for v, k in _shuffle_ints({w: 1} for w in mono).items():
-            if v != w:
-                if v not in residual:
-                    heapq.heappush(heap, (-code(v), v))
-                residual[v] = residual.get(v, _ZERO) - lead * k
+        mono, fact, rest = _lyndon_step(w, alphabet)
+        if c % fact:
+            s = fact // math.gcd(c, fact)
+            den *= s
+            c *= s
+            for v in residual:
+                residual[v] *= s
+        lead = c // fact
+        out[mono] = Fraction(lead, den)
+        for v, k in rest:
+            if v not in residual:
+                heapq.heappush(heap, (-code(v), v))
+            residual[v] = residual.get(v, 0) - lead * k
     return out
 
 
@@ -357,22 +381,38 @@ def locality_cfl(w: Word, alphabet: Alphabet) -> tuple[list[Word], int]:
 def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
                                letters: Sequence) -> list[Word]:
     """All locality Lyndon words over x0 and `letters` not ending in x0, up
-    to the length bound, sorted by (length, lex)."""
+    to the length bound, sorted by (length, lex); more than GENERATOR_LIMIT
+    raise BudgetExceeded.  A depth-first walk over the local prenecklaces
+    (Fredricksen-Kessler-Maiorana): one of length n and period p extends by
+    letters a >= w[n-p], keeping p when a == w[n-p], and is Lyndon when
+    n == p.  Locality and the prenecklace property are prefix-closed, so
+    every generator is reached.  Letters are walked as ranks, x0 being 0."""
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
     pool = [X0] + sorted(set(letters) - {X0}, key=alphabet.letter_key)
-    out: list[Word] = []
-
-    def extend(prefix: Word, length: int):
-        if prefix and prefix[-1] is not X0:
-            if is_lyndon(prefix, alphabet):
-                out.append(prefix)
-        if length == max_length:
-            return
-        for a in pool:
-            if local_word_pair((a,), prefix, alphabet):
-                extend(prefix + (a,), length + 1)
-
-    extend(EMPTY_WORD, 0)
-    out.sort(key=lambda w: (len(w), alphabet.word_key(w)))
-    return out
+    too_many = BudgetExceeded(f"more than {GENERATOR_LIMIT} locality Lyndon words "
+                              f"up to length {max_length}")
+    # x0^k u is a generator for each letter u above x0 and each k < max_length
+    if (len(pool) - 1) * max_length > GENERATOR_LIMIT:
+        raise too_many
+    ranks = range(len(pool))
+    out: list[tuple] = []
+    word: list[int] = []
+    # (length, last rank, period, ranks local to every letter before the last)
+    stack = [(1, a, 1, tuple(ranks)) for a in reversed(ranks)]
+    while stack:
+        n, a, p, allowed = stack.pop()
+        del word[n - 1:]
+        word.append(a)
+        if a:
+            allowed = tuple(b for b in allowed if alphabet.local_letters(pool[a], pool[b]))
+            if n == p:
+                if len(out) == GENERATOR_LIMIT:
+                    raise too_many
+                out.append(tuple(word))
+        if n < max_length and len(allowed) > 1:  # x0 alone cannot end a generator
+            floor = word[n - p]
+            stack.extend((n + 1, b, p if b == floor else n + 1, allowed)
+                         for b in reversed(allowed) if b >= floor)
+    out.sort(key=lambda t: (len(t), t))
+    return [tuple(pool[a] for a in t) for t in out]

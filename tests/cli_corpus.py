@@ -240,7 +240,11 @@ def invocations(seed: int = SEED) -> list[tuple[str, ...]]:
                  ("galois", "invert", "--transform",
                   '{"shifts":[{"spec":"f[2;1]","value":0.1}]}'),
                  ("expand", "f[2;0]", "f[1;1]"),
-                 ("expand", "f[1;{1}]", "f[2;{0}]")):
+                 ("expand", "f[1;{1}]", "f[2;{0}]"),
+                 ("galois", "invert", "--transform",
+                  '{"shifts":[{"spec":"f[2;1]","value":true}]}'),
+                 ("galois", "derive", "--generators", "f[2;1];f[a;1]"),
+                 ("lyndon", "generators", "x0,x1,x2", "--max-length", "993")):
         out.append(argv)
 
     # spec locality reads letters only: no inner product reaches it, and

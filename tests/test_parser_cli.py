@@ -13,7 +13,9 @@ from linpole import (LinearForm, NonHomogeneousPole, ParseError, Polynomial,
                      parse_spec, parse_word, subset_alphabet, word_str, zvar)
 from linpole.cli import main
 from linpole.evaluators import MAX_PRECISION
+from linpole.parser import parse_spec_list
 from linpole.serialize import float_str
+from linpole.words import GENERATOR_LIMIT
 
 import parser_oracle
 from helpers import random_germ
@@ -766,6 +768,31 @@ def test_cli_shift_value_is_read_as_a_rational(capsys):
         code, out, err = run_cli(capsys, "galois", "invert", "--transform", transform)
         assert (code, out) == want
     assert err == "error: malformed transform JSON (TypeError: cannot coerce 0.1 to a rational)\n"
+
+
+def test_cli_shift_value_refuses_a_bool(capsys):
+    transform = '{"shifts":[{"spec":"f[2;1]","value":true}]}'
+    code, out, err = run_cli(capsys, "galois", "invert", "--transform", transform)
+    assert (code, out) == (1, "")
+    assert err == "error: malformed transform JSON (TypeError: cannot coerce True to a rational)\n"
+
+
+@pytest.mark.parametrize("generators, position", [
+    ("f[a;1]", 2), ("f[2;1];f[a;1]", 9), (" f[2;1] ;  f[2;{1,a}]", 18), ("f[2;1];f[1;1", 7)])
+def test_spec_list_errors_count_positions_from_the_list(capsys, generators, position):
+    with pytest.raises(ParseError) as exc:
+        parse_spec_list(generators)
+    assert exc.value.position == position
+    code, out, err = run_cli(capsys, "galois", "derive", "--generators", generators)
+    assert (code, out) == (2, "") and err == f"parse error: {exc.value}\n"
+
+
+def test_cli_lyndon_generators_beyond_the_word_limit(capsys):
+    code, out, err = run_cli(capsys, "lyndon", "generators", "x0,x1,x2", "--max-length", "993")
+    assert (code, out) == (1, "")
+    assert err == f"error: more than {GENERATOR_LIMIT} locality Lyndon words up to length 993\n"
+    code, out, _ = run_cli(capsys, "lyndon", "generators", "x2,x1,x2", "--max-length", "66")
+    assert code == 0 and len(out.splitlines()) == 2277
 
 
 def test_cli_galois_check_reads_a_combo_dict_as_its_text(capsys):

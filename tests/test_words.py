@@ -7,14 +7,14 @@ from typing import Callable
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linpole import (EmptyWord, FractionSpec, LinComb, NotLocal, X0,
+from linpole import (BudgetExceeded, EmptyWord, FractionSpec, LinComb, NotLocal, X0,
                      cfl, chen_lmap, expand_product, integer_alphabet,
                      is_local_word, is_lyndon, local_word_pair, locality_cfl,
                      locality_lyndon_generators, lyndon_decompose,
                      lyndon_rewrite, shuffle, speer_lmap, subset_alphabet,
                      word_str)
 from linpole.fracspec import spec_monomial, spec_of_word
-from linpole.words import Alphabet, Word, _shuffle_ints
+from linpole.words import Alphabet, Word, _lyndon_solve, _lyndon_step, _shuffle_ints
 
 from helpers import brute_shuffle, fraction_shuffle
 
@@ -302,8 +302,79 @@ def test_each_word_factorised_once(monkeypatch):
                            FractionSpec((2, 1), (4, 5), chen))
     for run in (lambda: lyndon_decompose(combo), lambda: lyndon_rewrite(FOUND_WORD, A)):
         seen.clear()
+        _lyndon_step.cache_clear()
         run()
         assert seen and len(seen) == len(set(seen))
+
+
+# (x2x1)^3 = (x2)(x1x2)^2(x1), x2x1x1 = (x2)(x1)^2 and (x0x0x1)^2 repeat a
+# factor, so a lead c / 2 with c odd makes the residual rescale; x1x1x2 is
+# itself Lyndon
+REPEATED_FACTOR_WORDS = [(2, 1, 2, 1, 2, 1), (1, 1, 2), (2, 1, 1), (X0, X0, 1, X0, X0, 1)]
+
+
+def test_lyndon_solve_matches_fraction_reference():
+    """The integer elimination, cold and with its steps cached, against
+    recursive_rewrite, which rewrites each word on its own in Fractions."""
+    assert [_lyndon_step(w, A)[1] for w in REPEATED_FACTOR_WORDS] == [2, 1, 2, 2]
+    rng = random.Random(31)
+    S = subset_alphabet()
+    sets = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
+    cases = [(A, {w: _ONE}) for w in REPEATED_FACTOR_WORDS]
+    for alphabet, letters in ((A, (X0, 1, 2, 3)), (S, [X0] + sets)) * 15:
+        words = [tuple(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+                 for _ in range(rng.randint(1, 5))]
+        if alphabet is A:
+            words += rng.sample(REPEATED_FACTOR_WORDS, 2)
+        cases.append((alphabet, {w: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                                 for w in words}))
+    refs = {A: recursive_rewrite(A), S: recursive_rewrite(S)}
+    for alphabet, combo in cases:
+        want = LinComb()
+        for w, c in combo.items():
+            want.add(refs[alphabet](w), c)
+        _lyndon_step.cache_clear()
+        assert _lyndon_solve(combo, alphabet) == want.coeffs, combo
+        assert _lyndon_solve(combo, alphabet) == want.coeffs, combo
+
+
+def brute_generators(alphabet, max_length, letters):
+    """Every word over x0 and the letters up to the length, kept when it is
+    local, Lyndon and does not end in x0."""
+    pool = [X0] + list(set(letters) - {X0})
+    words = [w for w in all_words(pool, max_length)
+             if w[-1] is not X0 and is_local_word(w, alphabet) and is_lyndon(w, alphabet)]
+    return sorted(words, key=lambda w: (len(w), alphabet.word_key(w)))
+
+
+def test_locality_lyndon_generators_match_brute_force():
+    S = subset_alphabet()
+    s1, s2, s12, s23, s3 = (frozenset(s) for s in ({1}, {2}, {1, 2}, {2, 3}, {3}))
+    for alphabet, letters, max_length in (
+            (A, [1, 2, 3], 6), (A, [3, 1, 3, X0], 6), (A, [X0, X0, 4, 1, 2], 5),
+            (A, [2], 6), (A, [X0], 5), (A, [], 3),
+            (S, [s1, s2, s12], 5), (S, [s12, s23, s3, X0, s12], 5), (S, [s1, s1, s23], 6)):
+        assert (locality_lyndon_generators(alphabet, max_length, letters)
+                == brute_generators(alphabet, max_length, letters)), (letters, max_length)
+
+
+def test_locality_lyndon_generators_word_limit(monkeypatch):
+    """The limit's boundary; the CLI test of the limit runs it at its value."""
+    monkeypatch.setattr("linpole.words.GENERATOR_LIMIT", 20)
+    assert len(locality_lyndon_generators(A, 5, letters=[1, 2])) == 20
+    with pytest.raises(BudgetExceeded):  # the walk passes 20 words
+        locality_lyndon_generators(A, 6, letters=[1, 2])
+    with pytest.raises(BudgetExceeded):  # x0^k x1 alone, k < 21, is too many
+        locality_lyndon_generators(A, 21, letters=[1])
+
+    def unreachable(u, v):
+        raise AssertionError("the walk started")
+
+    # so is x0^k u over two letters, and that raises before the walk starts
+    unwalked = Alphabet(key=lambda u: u, local=unreachable, name="unwalked")
+    for max_length in (10 ** 5, 10 ** 9):
+        with pytest.raises(BudgetExceeded):
+            locality_lyndon_generators(unwalked, max_length, letters=[1, 2])
 
 
 def test_local_words():
