@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import serialize as ser
-from .errors import LinpoleError, ParseError, _payload_shape
+from .errors import LinpoleError, ParseError, _decode_json, _payload_shape
 from .evaluators import (Evaluator, GaloisTransform, GermCombo, apply_transform,
                          check_factorization, compose_transforms,
                          galois_from_evaluator, invert_transform,
@@ -73,7 +73,7 @@ def _parse_combo(payload) -> GermCombo:
     if not isinstance(payload, dict):
         payload = payload.strip()
         if payload.startswith("{"):
-            payload = json.loads(payload)
+            payload = _decode_json(payload, "combo")
     if isinstance(payload, dict):
         terms = []
         with _payload_shape("combo"):
@@ -100,7 +100,7 @@ def _parse_combo(payload) -> GermCombo:
 
 def _parse_transform(payload: str) -> GaloisTransform:
     """Transform JSON; GaloisTransform reads each value, so a float is refused."""
-    data = json.loads(payload)
+    data = _decode_json(payload, "transform")
     with _payload_shape("transform"):
         return GaloisTransform({parse_spec(t["spec"]): t["value"] for t in data["shifts"]})
 
@@ -225,7 +225,7 @@ def cmd_expand(args):
 
 
 def cmd_flatten(args):
-    forest = Forest.from_json(json.loads(_read_payload(args.forest)))
+    forest = Forest.from_json(_decode_json(_read_payload(args.forest), "forest"))
     text, terms = _spec_terms(flatten_forest(forest))
     germ = forest_fraction(forest)
     _emit(args, f"{text}\n= {germ!r}",
@@ -255,7 +255,8 @@ def cmd_galois(args):
     else:  # check
         ev = _evaluator(args)
         with _payload_shape("combos"):
-            combos = [_parse_combo(entry) for entry in json.loads(_read_payload(args.combos))]
+            combos = [_parse_combo(entry)
+                      for entry in _decode_json(_read_payload(args.combos), "combos")]
         gens = parse_spec_list(args.generators)
         t = galois_from_evaluator(ev, gens)
         tol = Fraction(args.tol) if args.tol else Fraction(0)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the readers that turn a
+malformed JSON payload into one."""
 
 import contextlib
+import json
 
 
 class LinpoleError(Exception):
@@ -72,3 +74,12 @@ def _payload_shape(what: str):
         yield
     except (AttributeError, KeyError, TypeError) as exc:
         raise LinpoleError(f"malformed {what} JSON ({type(exc).__name__}: {exc})") from exc
+
+
+def _decode_json(text: str, what: str):
+    """Decode a JSON payload; a document nested too deeply for the decoder
+    raises LinpoleError, not RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise LinpoleError(f"{what} JSON nested too deeply") from None

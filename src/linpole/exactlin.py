@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import LinpoleError
+from .errors import LinpoleError, _decode_json
 
 Q = Fraction  # the coefficient field
 
@@ -448,10 +448,8 @@ def load_inner_product(path: str) -> InnerProduct:
     Entries are integers or rational strings; a file of any other shape
     raises LinpoleError.
     """
-    import json
-
     with open(path) as fh:
-        data = json.load(fh)
+        data = _decode_json(fh.read(), f"{path}: inner-product")
     if not isinstance(data, dict) or "gram" not in data:
         raise LinpoleError(f'{path}: expected a JSON object with a "gram" key')
     gram = data["gram"]

@@ -19,7 +19,7 @@ import functools
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import (LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
+from .errors import (BudgetExceeded, LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
                      ZeroCumulativeForm, _payload_shape)
 from .exactlin import DEFAULT_Q, LinearForm, _Frozen, _axpy, inner, zset, zvar
 from .germs import RationalGerm
@@ -27,6 +27,11 @@ from .germs import RationalGerm
 from .words import (Alphabet, LinComb, Word, X0, _ZERO, _lyndon_solve,
                     _shuffle_ints, integer_alphabet, is_local_word, local_word_pair,
                     shuffle, subset_alphabet, word_str)
+
+# The largest weight of a spec (its word's length) and forest node exponent,
+# and the deepest forest a JSON payload may nest.
+_MAX_WEIGHT = 1024
+_MAX_FOREST_DEPTH = 100
 
 
 class LMap(_Frozen):
@@ -113,6 +118,8 @@ class FractionSpec(_Frozen):
             raise ValueError("exponent and letter vectors must have equal length")
         if any(s < 1 for s in exps):
             raise ValueError("exponents must be positive integers")
+        if sum(exps) > _MAX_WEIGHT:
+            raise BudgetExceeded(f"spec weight {sum(exps)} exceeds the limit {_MAX_WEIGHT}")
         self._fill(exps, lets, lmap)
 
     @classmethod
@@ -314,6 +321,8 @@ class ForestNode(_Frozen):
             raise ValueError("node index set must be nonempty")
         if _integer(exponent) < 1:
             raise ValueError("node exponent must be positive")
+        if exponent > _MAX_WEIGHT:
+            raise BudgetExceeded(f"node exponent {exponent} exceeds the limit {_MAX_WEIGHT}")
         kids = tuple(children)
         for k in kids:
             if not k.index_set <= s:
@@ -364,11 +373,13 @@ class Forest(_Frozen):
 
     @staticmethod
     def from_json(data) -> "Forest":
-        def node(d) -> ForestNode:
-            return ForestNode(d["set"], [node(c) for c in d.get("children", [])],
+        def node(d, depth: int) -> ForestNode:
+            if depth > _MAX_FOREST_DEPTH:
+                raise BudgetExceeded(f"forest nested deeper than {_MAX_FOREST_DEPTH}")
+            return ForestNode(d["set"], [node(c, depth + 1) for c in d.get("children", [])],
                               d.get("exp", 1))
         with _payload_shape("forest"):
-            return Forest([node(d) for d in data["nodes"]])
+            return Forest([node(d, 1) for d in data["nodes"]])
 
     def __repr__(self):
         return f"Forest({list(self.roots)!r})"

@@ -288,11 +288,12 @@ class Polynomial(_Frozen):
     def collect(self, *vs: int) -> dict[tuple[int, ...], "Polynomial"]:
         """{(k1, ..., kn): P_k} with self = sum_k P_k z_v1^k1 ... z_vn^kn over
         the distinct variables vs = (v1, ..., vn), and no P_k involving any
-        of them."""
+        of them.  No monomial holds a variable past _MAX_VARIABLE, so its
+        exponent reads 0 from the empty slot just past the last."""
         if len(set(vs)) < len(vs) or min(vs, default=1) < 1:
             raise ValueError(f"collect needs distinct positive variables, got {vs!r}")
-        shifts = [v * _WIDTH for v in vs]
-        slots = sum(_MASK << s for s in shifts)
+        shifts = [min(v, _MAX_VARIABLE + 1) * _WIDTH for v in vs]
+        slots = sum(_MASK << s for s in set(shifts))
         groups: dict[tuple[int, ...], dict[int, int]] = {}
         for m, c in self.coeffs.items():
             key = tuple((m >> s) & _MASK for s in shifts)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -40,8 +41,9 @@ EMPTY_WORD: Word = ()
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
-# The most words locality_lyndon_generators returns.
+# The most words, and the most letters in all, locality_lyndon_generators returns.
 GENERATOR_LIMIT = 4096
+GENERATOR_LETTERS = 2 ** 22
 
 
 class Alphabet(_Frozen):
@@ -74,21 +76,28 @@ class Alphabet(_Frozen):
         return f"Alphabet({self.name})"
 
 
-def integer_alphabet() -> Alphabet:
-    """Positive-integer letters, natural order, locality = distinctness."""
-    return Alphabet(key=lambda u: u, local=lambda u, v: u != v, name="integers")
-
-
 def _subset_key(s: frozenset) -> tuple:
     return tuple(sorted(s, reverse=True))
+
+
+def _disjoint(a: frozenset, b: frozenset) -> bool:
+    return not (a & b)
+
+
+# one alphabet per letter kind, so caches keyed on an alphabet are shared
+_INTEGERS = Alphabet(key=operator.index, local=operator.ne, name="integers")
+_SUBSETS = Alphabet(key=_subset_key, local=_disjoint, name="subsets")
+
+
+def integer_alphabet() -> Alphabet:
+    """Positive-integer letters, natural order, locality = distinctness."""
+    return _INTEGERS
 
 
 def subset_alphabet() -> Alphabet:
     """Nonempty finite integer sets; order compares the elements sorted
     descending then the cardinality; locality = disjointness."""
-    return Alphabet(key=_subset_key,
-                    local=lambda a, b: not (a & b),
-                    name="subsets")
+    return _SUBSETS
 
 
 class LinComb:
@@ -192,27 +201,22 @@ def word_str(w: Word) -> str:
 
 
 def _shuffle_counts(w: Word, v: Word) -> dict[Word, int]:
-    """All interleavings of the two words, with integer multiplicity."""
-    memo: dict[tuple[Word, Word], dict[Word, int]] = {}
-
-    def rec(a: Word, b: Word) -> dict[Word, int]:
-        if not a:
-            return {b: 1}
-        if not b:
-            return {a: 1}
-        key = (a, b)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        acc: dict[Word, int] = {}
-        for u, c in rec(a[1:], b).items():
-            acc[(a[0],) + u] = acc.get((a[0],) + u, 0) + c
-        for u, c in rec(a, b[1:]).items():
-            acc[(b[0],) + u] = acc.get((b[0],) + u, 0) + c
-        memo[key] = acc
-        return acc
-
-    return rec(w, v)
+    """All interleavings of the two words, with integer multiplicity, by a
+    table filled from the last row up, two rows at a time: cell (i, j) holds
+    those of w[i:] and v[j:], w[i] before those of (i + 1, j), then v[j]
+    before those of (i, j + 1) (Reutenauer, Free Lie Algebras, 1993, ch. 1)."""
+    n = len(v)
+    below = [{v[j:]: 1} for j in range(n + 1)]
+    for i in range(len(w) - 1, -1, -1):
+        a, row = (w[i],), [None] * n + [{w[i:]: 1}]
+        for j in range(n - 1, -1, -1):
+            acc = {a + u: c for u, c in below[j].items()}
+            b = (v[j],)
+            for u, c in row[j + 1].items():
+                acc[b + u] = acc.get(b + u, 0) + c
+            row[j] = acc
+        below = row
+    return below[0]
 
 
 def _shuffle_ints(combos: Iterable[dict[Word, int]]) -> dict[Word, int]:
@@ -378,25 +382,34 @@ def locality_cfl(w: Word, alphabet: Alphabet) -> tuple[list[Word], int]:
     return main, r
 
 
+def _check_generators(words: int, letters: int, max_length: int) -> None:
+    if words > GENERATOR_LIMIT:
+        raise BudgetExceeded(f"more than {GENERATOR_LIMIT} locality Lyndon words "
+                             f"up to length {max_length}")
+    if letters > GENERATOR_LETTERS:
+        raise BudgetExceeded(f"more than {GENERATOR_LETTERS} letters in the locality "
+                             f"Lyndon words up to length {max_length}")
+
+
 def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
                                letters: Sequence) -> list[Word]:
     """All locality Lyndon words over x0 and `letters` not ending in x0, up
     to the length bound, sorted by (length, lex); more than GENERATOR_LIMIT
-    raise BudgetExceeded.  A depth-first walk over the local prenecklaces
-    (Fredricksen-Kessler-Maiorana): one of length n and period p extends by
-    letters a >= w[n-p], keeping p when a == w[n-p], and is Lyndon when
-    n == p.  Locality and the prenecklace property are prefix-closed, so
-    every generator is reached.  Letters are walked as ranks, x0 being 0."""
+    words or GENERATOR_LETTERS letters raise BudgetExceeded.  A depth-first
+    walk over the local prenecklaces (Fredricksen-Kessler-Maiorana): one of
+    length n and period p extends by letters a >= w[n-p], keeping p when
+    a == w[n-p], and is Lyndon when n == p.  Locality and the prenecklace
+    property are prefix-closed, so every generator is reached.  Letters are
+    walked as ranks, x0 being 0."""
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
     pool = [X0] + sorted(set(letters) - {X0}, key=alphabet.letter_key)
-    too_many = BudgetExceeded(f"more than {GENERATOR_LIMIT} locality Lyndon words "
-                              f"up to length {max_length}")
     # x0^k u is a generator for each letter u above x0 and each k < max_length
-    if (len(pool) - 1) * max_length > GENERATOR_LIMIT:
-        raise too_many
+    k = len(pool) - 1
+    _check_generators(k * max_length, k * max_length * (max_length + 1) // 2, max_length)
     ranks = range(len(pool))
     out: list[tuple] = []
+    size = 0  # letters in out
     word: list[int] = []
     # (length, last rank, period, ranks local to every letter before the last)
     stack = [(1, a, 1, tuple(ranks)) for a in reversed(ranks)]
@@ -407,8 +420,8 @@ def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
         if a:
             allowed = tuple(b for b in allowed if alphabet.local_letters(pool[a], pool[b]))
             if n == p:
-                if len(out) == GENERATOR_LIMIT:
-                    raise too_many
+                size += n
+                _check_generators(len(out) + 1, size, max_length)
                 out.append(tuple(word))
         if n < max_length and len(allowed) > 1:  # x0 alone cannot end a generator
             floor = word[n - p]

@@ -30,7 +30,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from helpers import random_form_text, random_germ_text, random_poly_text  # noqa: E402
+from helpers import (chain_forest, random_form_text, random_germ_text,  # noqa: E402
+                     random_poly_text)
 from linpole.cli import main as cli_main  # noqa: E402
 
 CORPUS_FILE = HERE / "cli_corpus.json"
@@ -244,7 +245,16 @@ def invocations(seed: int = SEED) -> list[tuple[str, ...]]:
                  ("galois", "invert", "--transform",
                   '{"shifts":[{"spec":"f[2;1]","value":true}]}'),
                  ("galois", "derive", "--generators", "f[2;1];f[a;1]"),
-                 ("lyndon", "generators", "x0,x1,x2", "--max-length", "993")):
+                 ("lyndon", "generators", "x0,x1,x2", "--max-length", "993"),
+                 ("eval", "--evaluator", "zeta", "f[299999999999999999999;3]"),
+                 ("expand", "f[2,199999999999999999999;4,2]", "f[1;3]"),
+                 ("eval", "--evaluator", "iter", "f[2,2;3,999999999999999999991]"),
+                 ("flatten", '{"nodes":[{"set":[1],"exp":99999999999999999999}]}'),
+                 ("flatten", json.dumps(chain_forest(101))),
+                 ("flatten", "[" * 5000),
+                 ("galois", "apply", "--transform", "[" * 5000, "--combo", "f[2;1]"),
+                 ("lyndon", "generators", "x1", "--max-length", "4096"),
+                 ("lyndon", "generators", "x1,x2", "--max-length", "2048")):
         out.append(argv)
 
     # spec locality reads letters only: no inner product reaches it, and

@@ -183,6 +183,37 @@ def brute_shuffle(w, v):
     return {t: Fraction(c) for t, c in acc.items()}
 
 
+def chain_forest(n: int) -> dict:
+    """Forest JSON of one path of n nodes, each on the index set {1}."""
+    node = {"set": [1]}
+    for _ in range(n - 1):
+        node = {"set": [1], "children": [node]}
+    return {"nodes": [node]}
+
+
+def recursive_shuffle_counts(w, v):
+    """Reference: the pair shuffle as a memoised recursion on the first
+    letters, u ш v = a(u' ш v) + b(u ш v'), in integer multiplicities; its
+    dicts list their words in the order the table must keep."""
+    memo = {}
+
+    def rec(a, b):
+        if not a:
+            return {b: 1}
+        if not b:
+            return {a: 1}
+        if (a, b) not in memo:
+            acc = {}
+            for u, c in rec(a[1:], b).items():
+                acc[(a[0],) + u] = acc.get((a[0],) + u, 0) + c
+            for u, c in rec(a, b[1:]).items():
+                acc[(b[0],) + u] = acc.get((b[0],) + u, 0) + c
+            memo[a, b] = acc
+        return memo[a, b]
+
+    return rec(w, v)
+
+
 def fraction_shuffle(a, b):
     """Oracle: the bilinear shuffle of two {word: Fraction} dicts, folded in
     Fractions over brute_shuffle, with cancelled entries dropped."""

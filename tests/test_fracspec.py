@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from linpole import (DEFAULT_Q, Forest, ForestNode, FractionSpec, GermCombo, LinComb,
-                     LinearForm, LinpoleError, NotLocal, NotLocalSpec, ParseError,
-                     RationalGerm, WordEndsInX0, X0, chen_lmap, expand_product,
+from linpole import (DEFAULT_Q, BudgetExceeded, Forest, ForestNode, FractionSpec,
+                     GermCombo, LinComb, LinearForm, LinpoleError, NotLocal, NotLocalSpec,
+                     ParseError, RationalGerm, WordEndsInX0, X0, chen_lmap, expand_product,
                      flatten_forest, forest_fraction, germ_mul, germ_scale,
                      germ_sum, is_local_pair, lyndon_decompose, lyndon_rewrite,
                      orthogonal, parse_spec, phi, shuffle, span, spec_of_word,
                      speer_lmap, weak_chen_lmap, word_of_fraction, zset, zvar)
 
-from helpers import (combination_equals_germ, fraction_shuffle,
+from helpers import (chain_forest, combination_equals_germ, fraction_shuffle,
                      random_point_off_poles)
 
 chen = chen_lmap()
@@ -407,6 +407,23 @@ def test_forest_json_roundtrip():
     assert forest_fraction(back) == forest_fraction(wide)
     assert [sorted(n.index_set) for n in back.nodes()] == \
         [sorted(n.index_set) for n in wide.nodes()]
+
+
+def test_weights_and_forest_depth_are_bounded():
+    """A spec's weight and a node's exponent size a word before anything
+    else is built, so past the limit they raise BudgetExceeded at once."""
+    chen = chen_lmap()
+    assert FractionSpec([1024], [3], chen).weight == 1024
+    for exps in ([1025], [2, 10 ** 20], [1000, 25]):
+        with pytest.raises(BudgetExceeded, match="^spec weight"):
+            FractionSpec(exps, [3, 4][:len(exps)], chen)
+    assert ForestNode({1}, exponent=1024).exponent == 1024
+    with pytest.raises(BudgetExceeded, match="^node exponent"):
+        ForestNode({1}, exponent=10 ** 20)
+    deepest = Forest.from_json(chain_forest(100))
+    assert flatten_forest(deepest) == [(FractionSpec([100], [frozenset({1})], speer_lmap()), 1)]
+    with pytest.raises(BudgetExceeded, match="^forest nested deeper than 100"):
+        Forest.from_json(chain_forest(101))
 
 
 def test_speer_flatten_matches_chen_on_singletons():

@@ -1,6 +1,9 @@
 import decimal
 import json
+import os
 import random
+import resource
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -18,7 +21,7 @@ from linpole.serialize import float_str
 from linpole.words import GENERATOR_LIMIT
 
 import parser_oracle
-from helpers import random_germ
+from helpers import chain_forest, random_germ
 
 z1, z2 = zvar(1), zvar(2)
 
@@ -473,6 +476,9 @@ def test_cli_gram_config_rejected(capsys, tmp_path, config):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+DEEP = "[" * 5000  # nested past the JSON decoder's recursion limit
+
+
 @pytest.mark.parametrize("argv", [
     ["flatten", '{"nodes":5}'],
     ["galois", "apply", "--transform", "[1,2]", "--combo", "f[2;1]"],
@@ -487,10 +493,15 @@ def test_cli_gram_config_rejected(capsys, tmp_path, config):
     ["eval", "--evaluator", "zeta", '{"terms":[{"specs":"f[2;1]"}]}'],
     ["eval", "--evaluator", "zeta", '{"terms":[{"specs":""}]}'],
     ["eval", "--evaluator", "zeta", '{"terms":[{"holo":2,"specs":["f[2;1]"]}]}'],
+    ["flatten", DEEP],
+    ["galois", "apply", "--transform", DEEP, "--combo", "f[2;1]"],
+    ["eval", "--evaluator", "ms", '{"terms":' + DEEP],
+    ["galois", "check", "--generators", "f[2;1]", "--combos", DEEP],
 ], ids=["forest-nodes-not-list", "transform-not-object", "shift-value-list",
         "combo-terms-not-list", "combos-entry-not-combo", "forest-float-exp",
         "forest-float-set-entry", "forest-bool-exp", "combo-specs-string",
-        "combo-specs-empty-string", "combo-holo-not-string"])
+        "combo-specs-empty-string", "combo-holo-not-string", "forest-too-deep",
+        "transform-too-deep", "combo-too-deep", "combos-too-deep"])
 def test_cli_malformed_payload_rejected(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -793,6 +804,67 @@ def test_cli_lyndon_generators_beyond_the_word_limit(capsys):
     assert err == f"error: more than {GENERATOR_LIMIT} locality Lyndon words up to length 993\n"
     code, out, _ = run_cli(capsys, "lyndon", "generators", "x2,x1,x2", "--max-length", "66")
     assert code == 0 and len(out.splitlines()) == 2277
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--evaluator", "zeta", "f[299999999999999999999;3]"),
+     "spec weight 299999999999999999999 exceeds the limit 1024"),
+    (("expand", "f[2,199999999999999999999;4,2]", "f[1;3]"),
+     "spec weight 200000000000000000001 exceeds the limit 1024"),
+    (("flatten", '{"nodes":[{"set":[1],"exp":99999999999999999999}]}'),
+     "node exponent 99999999999999999999 exceeds the limit 1024"),
+    (("flatten", json.dumps(chain_forest(400))), "forest nested deeper than 100"),
+    (("lyndon", "generators", "x1", "--max-length", "4096"),
+     "more than 4194304 letters in the locality Lyndon words up to length 4096"),
+    (("lyndon", "generators", "x1,x2", "--max-length", "2048"),
+     "more than 4194304 letters in the locality Lyndon words up to length 2048"),
+], ids=["weight", "expand-weight", "node-exponent", "forest-depth", "letters-one",
+        "letters-two"])
+def test_cli_limits_exit_1_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_cli_gram_file_nested_too_deeply(capsys, tmp_path):
+    path = tmp_path / "gram.json"
+    path.write_text('{"gram":' + DEEP)
+    code, out, err = run_cli(capsys, "--gram", str(path), "decompose", "1/z1")
+    assert (code, out, err) == (1, "", f"error: {path}: inner-product JSON nested too deeply\n")
+
+
+def test_cli_answers_where_a_limit_is_not_reached(capsys):
+    code, out, _ = run_cli(capsys, "flatten", json.dumps(chain_forest(100)))
+    assert code == 0 and out.startswith("1*f[100;{1}]\n")
+    # no polynomial holds z_n past the packing limit, so its exponent is 0
+    code, out, _ = run_cli(capsys, "eval", "--evaluator", "iter", "f[2,2;3,999999999999999999991]")
+    assert (code, out) == (0, "0\n")
+    word = "x0x1x3" * 100
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        code, out, _ = run_cli(capsys, "shuffle", word, "x2")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0 and out.count("1*") == 301
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+
+def test_cli_huge_weights_and_letters_under_an_address_space_limit():
+    """Inputs whose words or packed monomials would take gigabytes, each run
+    in a child process limited to 2 GB of address space."""
+    script = ("import sys\nfrom linpole.cli import main\n"
+              "for argv in sys.argv[1:]:\n"
+              "    print(main(argv.split()), flush=True)\n")
+    argvs = ["unphi f[300000000;3]", "eval --evaluator zeta f[300000000;3]",
+             "eval --evaluator iter f[2,2;3,1000000000]"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *argvs], env=env, text=True,
+                          capture_output=True, timeout=120, preexec_fn=_limit_address_space)
+    assert proc.stdout.split() == ["1", "1", "0", "0"], proc.stderr
+    assert proc.stderr.splitlines() == ["error: spec weight 300000000 exceeds the limit 1024"] * 2
 
 
 def test_cli_galois_check_reads_a_combo_dict_as_its_text(capsys):

@@ -79,6 +79,9 @@ def test_collect_reassembles():
         assert total == p
     assert (x * x * y + 3 * z).collect(1) == {(0,): 3 * z, (2,): y}
     assert Polynomial().collect(1) == {}
+    # no polynomial holds a variable past the packing limit, so its exponent is 0
+    assert (x * x * y + 3 * z).collect(1, 2000, 10 ** 20) == {(0, 0, 0): 3 * z, (2, 0, 0): y}
+    assert (x * y).collect(10 ** 20, 5000) == {(0, 0): x * y}
 
 
 def test_collect_and_partial_reject_bad_variables():

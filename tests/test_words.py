@@ -1,6 +1,8 @@
+import collections
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 from typing import Callable
 
@@ -12,11 +14,12 @@ from linpole import (BudgetExceeded, EmptyWord, FractionSpec, LinComb, NotLocal,
                      is_local_word, is_lyndon, local_word_pair, locality_cfl,
                      locality_lyndon_generators, lyndon_decompose,
                      lyndon_rewrite, shuffle, speer_lmap, subset_alphabet,
-                     word_str)
+                     weak_chen_lmap, word_str)
 from linpole.fracspec import spec_monomial, spec_of_word
-from linpole.words import Alphabet, Word, _lyndon_solve, _lyndon_step, _shuffle_ints
+from linpole.words import (Alphabet, Word, _lyndon_solve, _lyndon_step, _shuffle_counts,
+                           _shuffle_ints)
 
-from helpers import brute_shuffle, fraction_shuffle
+from helpers import brute_shuffle, fraction_shuffle, recursive_shuffle_counts
 
 _ONE = Fraction(1)
 
@@ -32,6 +35,29 @@ def test_shuffle_examples():
     expected = brute_shuffle((X0, 1), (X0, 2))
     assert shuffle((X0, 1), (X0, 2)).coeffs == expected
     assert expected[(X0, X0, 1, 2)] == 2
+
+
+def test_shuffle_table_matches_the_recursion_in_order():
+    """The table against the memoised recursion, words listed in the same
+    order: seeded pairs of up to 8 letters, repeated letters and x0."""
+    rng = random.Random(32)
+    for _ in range(300):
+        w, v = (tuple(rng.choice((X0, 1, 1, 2, 3)) for _ in range(rng.randint(0, 8)))
+                for _ in range(2))
+        assert list(_shuffle_counts(w, v).items()) == \
+            list(recursive_shuffle_counts(w, v).items()), (w, v)
+
+
+def test_shuffle_of_a_long_word_does_not_recurse():
+    w = (X0, 1, 3) * 100
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = shuffle(w, (2,))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(got.coeffs) == 301
+    assert got.coeffs == collections.Counter(w[:k] + (2,) + w[k:] for k in range(301))
 
 
 letters = st.sampled_from([X0, 1, 2])
@@ -307,6 +333,19 @@ def test_each_word_factorised_once(monkeypatch):
         assert seen and len(seen) == len(set(seen))
 
 
+def test_one_alphabet_per_letter_kind_shares_the_steps():
+    assert integer_alphabet() is integer_alphabet() is chen_lmap().alphabet \
+        is weak_chen_lmap().alphabet
+    assert subset_alphabet() is subset_alphabet() is speer_lmap().alphabet
+    _lyndon_step.cache_clear()
+    lyndon_rewrite((2, 1, 2, 1, 1), integer_alphabet())
+    cold = _lyndon_step.cache_info()
+    lyndon_rewrite((2, 1, 2, 1, 1), integer_alphabet())
+    warm = _lyndon_step.cache_info()
+    assert cold.misses and warm.misses == cold.misses
+    assert warm.hits - cold.hits == cold.misses + cold.hits
+
+
 # (x2x1)^3 = (x2)(x1x2)^2(x1), x2x1x1 = (x2)(x1)^2 and (x0x0x1)^2 repeat a
 # factor, so a lead c / 2 with c odd makes the residual rescale; x1x1x2 is
 # itself Lyndon
@@ -375,6 +414,27 @@ def test_locality_lyndon_generators_word_limit(monkeypatch):
     for max_length in (10 ** 5, 10 ** 9):
         with pytest.raises(BudgetExceeded):
             locality_lyndon_generators(unwalked, max_length, letters=[1, 2])
+
+
+def test_locality_lyndon_generators_letter_limit(monkeypatch):
+    """The letter budget's boundary, and its early check on the x0^k u
+    words alone, which refuses both inputs below before the walk starts."""
+    monkeypatch.setattr("linpole.words.GENERATOR_LETTERS", 70)
+    assert sum(map(len, locality_lyndon_generators(A, 5, letters=[1, 2]))) == 70
+    monkeypatch.setattr("linpole.words.GENERATOR_LETTERS", 69)
+    with pytest.raises(BudgetExceeded, match="^more than 69 letters"):
+        locality_lyndon_generators(A, 5, letters=[1, 2])
+    with pytest.raises(BudgetExceeded, match="^more than 69 letters"):
+        locality_lyndon_generators(A, 12, letters=[1])  # x0^k x1, k < 12: 78 letters
+    monkeypatch.undo()
+
+    def unreachable(u, v):
+        raise AssertionError("the walk started")
+
+    unwalked = Alphabet(key=lambda u: u, local=unreachable, name="unwalked")
+    for max_length, letters in ((4096, [1]), (2048, [1, 2])):
+        with pytest.raises(BudgetExceeded, match="letters"):
+            locality_lyndon_generators(unwalked, max_length, letters=letters)
 
 
 def test_local_words():
