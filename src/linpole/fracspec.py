@@ -24,14 +24,20 @@ from .errors import (BudgetExceeded, LinpoleError, NotLocal, NotLocalSpec, WordE
 from .exactlin import DEFAULT_Q, LinearForm, _Frozen, _axpy, inner, zset, zvar
 from .germs import RationalGerm
 
-from .words import (Alphabet, LinComb, Word, X0, _ZERO, _lyndon_solve,
+from .words import (_MAX_WEIGHT, Alphabet, LinComb, Word, X0, _ZERO, _lyndon_solve,
                     _shuffle_ints, integer_alphabet, is_local_word, local_word_pair,
                     shuffle, subset_alphabet, word_str)
 
-# The largest weight of a spec (its word's length) and forest node exponent,
-# and the deepest forest a JSON payload may nest.
-_MAX_WEIGHT = 1024
+# The deepest forest: its walks recurse once per level.
 _MAX_FOREST_DEPTH = 100
+_TOO_DEEP = f"forest nested deeper than {_MAX_FOREST_DEPTH}"
+
+
+def _check_weight(weight: int, what: str = "spec") -> None:
+    """A spec's weight sizes its word, so one past _MAX_WEIGHT raises
+    BudgetExceeded before any word is built."""
+    if weight > _MAX_WEIGHT:
+        raise BudgetExceeded(f"{what} weight {weight} exceeds the limit {_MAX_WEIGHT}")
 
 
 class LMap(_Frozen):
@@ -118,8 +124,7 @@ class FractionSpec(_Frozen):
             raise ValueError("exponent and letter vectors must have equal length")
         if any(s < 1 for s in exps):
             raise ValueError("exponents must be positive integers")
-        if sum(exps) > _MAX_WEIGHT:
-            raise BudgetExceeded(f"spec weight {sum(exps)} exceeds the limit {_MAX_WEIGHT}")
+        _check_weight(sum(exps))
         self._fill(exps, lets, lmap)
 
     @classmethod
@@ -224,7 +229,10 @@ def phi(w: Word, lmap: LMap) -> RationalGerm:
 
 def spec_of_word(w: Word, lmap: LMap) -> FractionSpec:
     """The spec of a word not ending in x0; int and frozenset letters are
-    taken as canonical, any other letter is canonicalised as by FractionSpec."""
+    taken as canonical, any other letter is canonicalised as by FractionSpec,
+    and a word longer than _MAX_WEIGHT is refused as FractionSpec refuses
+    its weight."""
+    _check_weight(len(w))
     if not w:
         return FractionSpec._trusted((), (), lmap)
     if w[-1] is X0:
@@ -264,6 +272,7 @@ def expand_product(a: FractionSpec, b: FractionSpec) -> Combination:
         s.denominator_entries()  # a letter outside the alphabet raises here
     if not local_word_pair(a.letters, b.letters, a.lmap.alphabet):
         raise NotLocal(f"{a!r} and {b!r} share non-local letters")
+    _check_weight(a.weight + b.weight)  # every word of the shuffle has it
     out: Combination = []
     for w, c in shuffle(a.word(), b.word()).items():
         out.append((spec_of_word(w, a.lmap), c))
@@ -310,9 +319,10 @@ def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
 
 class ForestNode(_Frozen):
     """Node of a nested-set forest: an index set, an exponent, children with
-    pairwise-disjoint subsets of this set."""
+    pairwise-disjoint subsets of this set.  Its height, the most nodes on a
+    path down from it, is at most _MAX_FOREST_DEPTH."""
 
-    __slots__ = ("index_set", "exponent", "children")
+    __slots__ = ("index_set", "exponent", "children", "height")
 
     def __init__(self, index_set: Iterable[int], children: Sequence["ForestNode"] = (),
                  exponent: int = 1):
@@ -321,16 +331,18 @@ class ForestNode(_Frozen):
             raise ValueError("node index set must be nonempty")
         if _integer(exponent) < 1:
             raise ValueError("node exponent must be positive")
-        if exponent > _MAX_WEIGHT:
-            raise BudgetExceeded(f"node exponent {exponent} exceeds the limit {_MAX_WEIGHT}")
         kids = tuple(children)
         for k in kids:
             if not k.index_set <= s:
                 raise ValueError("child set must be contained in the parent set")
         _check_disjoint([k.index_set for k in kids])
+        height = 1 + max((k.height for k in kids), default=0)
+        if height > _MAX_FOREST_DEPTH:
+            raise BudgetExceeded(_TOO_DEEP)
         object.__setattr__(self, "index_set", s)
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "children", kids)
+        object.__setattr__(self, "height", height)
 
     def nodes(self):
         yield self
@@ -358,7 +370,9 @@ def _check_disjoint(sets: Sequence[frozenset]):
 
 
 class Forest(_Frozen):
-    """A tuple of root nodes with pairwise-disjoint index sets."""
+    """A tuple of root nodes with pairwise-disjoint index sets.  The weight,
+    the sum of all node exponents, is that of every spec it flattens to, so
+    one past _MAX_WEIGHT raises BudgetExceeded before any word is built."""
 
     __slots__ = ("roots",)
 
@@ -366,6 +380,7 @@ class Forest(_Frozen):
         roots = tuple(roots)
         _check_disjoint([r.index_set for r in roots])
         object.__setattr__(self, "roots", roots)
+        _check_weight(sum(n.exponent for n in self.nodes()), "forest")
 
     def nodes(self):
         for r in self.roots:
@@ -373,9 +388,12 @@ class Forest(_Frozen):
 
     @staticmethod
     def from_json(data) -> "Forest":
+        # the reader descends before any node is built, so it stops at the
+        # depth bound itself: from Python 3.12 the JSON decoder accepts
+        # documents nested far deeper than Python's recursion limit
         def node(d, depth: int) -> ForestNode:
             if depth > _MAX_FOREST_DEPTH:
-                raise BudgetExceeded(f"forest nested deeper than {_MAX_FOREST_DEPTH}")
+                raise BudgetExceeded(_TOO_DEEP)
             return ForestNode(d["set"], [node(c, depth + 1) for c in d.get("children", [])],
                               d.get("exp", 1))
         with _payload_shape("forest"):

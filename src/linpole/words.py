@@ -41,9 +41,10 @@ EMPTY_WORD: Word = ()
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
-# The most words, and the most letters in all, locality_lyndon_generators returns.
+# The longest word a spec may name (its weight), and so the longest locality
+# Lyndon generator; and the most words locality_lyndon_generators returns.
+_MAX_WEIGHT = 1024
 GENERATOR_LIMIT = 4096
-GENERATOR_LETTERS = 2 ** 22
 
 
 class Alphabet(_Frozen):
@@ -382,34 +383,28 @@ def locality_cfl(w: Word, alphabet: Alphabet) -> tuple[list[Word], int]:
     return main, r
 
 
-def _check_generators(words: int, letters: int, max_length: int) -> None:
-    if words > GENERATOR_LIMIT:
-        raise BudgetExceeded(f"more than {GENERATOR_LIMIT} locality Lyndon words "
-                             f"up to length {max_length}")
-    if letters > GENERATOR_LETTERS:
-        raise BudgetExceeded(f"more than {GENERATOR_LETTERS} letters in the locality "
-                             f"Lyndon words up to length {max_length}")
-
-
 def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
                                letters: Sequence) -> list[Word]:
     """All locality Lyndon words over x0 and `letters` not ending in x0, up
-    to the length bound, sorted by (length, lex); more than GENERATOR_LIMIT
-    words or GENERATOR_LETTERS letters raise BudgetExceeded.  A depth-first
-    walk over the local prenecklaces (Fredricksen-Kessler-Maiorana): one of
-    length n and period p extends by letters a >= w[n-p], keeping p when
+    to the length bound, sorted by (length, lex); a bound past _MAX_WEIGHT or
+    more than GENERATOR_LIMIT words raise BudgetExceeded.  A depth-first walk
+    over the local prenecklaces (Fredricksen-Kessler-Maiorana): one of length
+    n and period p extends by letters a >= w[n-p], keeping p when
     a == w[n-p], and is Lyndon when n == p.  Locality and the prenecklace
     property are prefix-closed, so every generator is reached.  Letters are
     walked as ranks, x0 being 0."""
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
+    if max_length > _MAX_WEIGHT:
+        raise BudgetExceeded(f"max length {max_length} exceeds the limit {_MAX_WEIGHT}")
     pool = [X0] + sorted(set(letters) - {X0}, key=alphabet.letter_key)
+    too_many = BudgetExceeded(f"more than {GENERATOR_LIMIT} locality Lyndon words "
+                              f"up to length {max_length}")
     # x0^k u is a generator for each letter u above x0 and each k < max_length
-    k = len(pool) - 1
-    _check_generators(k * max_length, k * max_length * (max_length + 1) // 2, max_length)
+    if (len(pool) - 1) * max_length > GENERATOR_LIMIT:
+        raise too_many
     ranks = range(len(pool))
     out: list[tuple] = []
-    size = 0  # letters in out
     word: list[int] = []
     # (length, last rank, period, ranks local to every letter before the last)
     stack = [(1, a, 1, tuple(ranks)) for a in reversed(ranks)]
@@ -420,8 +415,8 @@ def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
         if a:
             allowed = tuple(b for b in allowed if alphabet.local_letters(pool[a], pool[b]))
             if n == p:
-                size += n
-                _check_generators(len(out) + 1, size, max_length)
+                if len(out) == GENERATOR_LIMIT:
+                    raise too_many
                 out.append(tuple(word))
         if n < max_length and len(allowed) > 1:  # x0 alone cannot end a generator
             floor = word[n - p]

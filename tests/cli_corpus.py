@@ -250,9 +250,12 @@ def invocations(seed: int = SEED) -> list[tuple[str, ...]]:
                  ("expand", "f[2,199999999999999999999;4,2]", "f[1;3]"),
                  ("eval", "--evaluator", "iter", "f[2,2;3,999999999999999999991]"),
                  ("flatten", '{"nodes":[{"set":[1],"exp":99999999999999999999}]}'),
+                 ("flatten", '{"nodes":[{"set":[1],"exp":1024,'
+                             '"children":[{"set":[1],"exp":1024}]}]}'),
+                 ("expand", "f[1024;3]", "f[1;4]"),
                  ("flatten", json.dumps(chain_forest(101))),
-                 ("flatten", "[" * 5000),
-                 ("galois", "apply", "--transform", "[" * 5000, "--combo", "f[2;1]"),
+                 ("flatten", "[" * 100_000),
+                 ("galois", "apply", "--transform", "[" * 100_000, "--combo", "f[2;1]"),
                  ("lyndon", "generators", "x1", "--max-length", "4096"),
                  ("lyndon", "generators", "x1,x2", "--max-length", "2048")):
         out.append(argv)

@@ -410,20 +410,36 @@ def test_forest_json_roundtrip():
 
 
 def test_weights_and_forest_depth_are_bounded():
-    """A spec's weight and a node's exponent size a word before anything
-    else is built, so past the limit they raise BudgetExceeded at once."""
+    """A spec's weight sizes its word, so past the limit it raises
+    BudgetExceeded before any word is built, and so does a spec derived from
+    words: a product, or the flattening of a forest, whose weight is the sum
+    of its exponents.  A forest's walks recurse once per level, so its
+    height is bounded where a node is built, from JSON or not."""
     chen = chen_lmap()
     assert FractionSpec([1024], [3], chen).weight == 1024
     for exps in ([1025], [2, 10 ** 20], [1000, 25]):
         with pytest.raises(BudgetExceeded, match="^spec weight"):
             FractionSpec(exps, [3, 4][:len(exps)], chen)
-    assert ForestNode({1}, exponent=1024).exponent == 1024
-    with pytest.raises(BudgetExceeded, match="^node exponent"):
-        ForestNode({1}, exponent=10 ** 20)
+    with pytest.raises(BudgetExceeded, match="^spec weight 1025 exceeds the limit 1024$"):
+        expand_product(FractionSpec([1024], [3], chen), FractionSpec([1], [4], chen))
+    with pytest.raises(BudgetExceeded, match="^spec weight 1025 exceeds the limit 1024$"):
+        spec_of_word((X0,) * 1024 + (3,), chen)
+    assert flatten_forest(Forest([ForestNode({1}, exponent=1024)])) == \
+        [(FractionSpec([1024], [frozenset({1})], speer_lmap()), 1)]
+    for roots in ([ForestNode({1}, exponent=10 ** 20)],
+                  [ForestNode({1}, exponent=1000), ForestNode({2}, exponent=25)]):
+        with pytest.raises(BudgetExceeded, match="^forest weight"):
+            Forest(roots)
+    nested = {"nodes": [{"set": [1], "exp": 1024, "children": [{"set": [1], "exp": 1024}]}]}
+    with pytest.raises(BudgetExceeded, match="^forest weight 2048 exceeds the limit 1024$"):
+        Forest.from_json(nested)
     deepest = Forest.from_json(chain_forest(100))
+    assert deepest.roots[0].height == 100
     assert flatten_forest(deepest) == [(FractionSpec([100], [frozenset({1})], speer_lmap()), 1)]
-    with pytest.raises(BudgetExceeded, match="^forest nested deeper than 100"):
+    with pytest.raises(BudgetExceeded, match="^forest nested deeper than 100$"):
         Forest.from_json(chain_forest(101))
+    with pytest.raises(BudgetExceeded, match="^forest nested deeper than 100$"):
+        ForestNode({1}, [deepest.roots[0]])
 
 
 def test_speer_flatten_matches_chen_on_singletons():

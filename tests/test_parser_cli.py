@@ -476,7 +476,9 @@ def test_cli_gram_config_rejected(capsys, tmp_path, config):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-DEEP = "[" * 5000  # nested past the JSON decoder's recursion limit
+# deeper than the JSON decoder accepts: Python's recursion limit of 1000
+# bounds it up to 3.11, and a C recursion limit under 10^4 from 3.12
+DEEP = "[" * 100_000
 
 
 @pytest.mark.parametrize("argv", [
@@ -812,14 +814,17 @@ def test_cli_lyndon_generators_beyond_the_word_limit(capsys):
     (("expand", "f[2,199999999999999999999;4,2]", "f[1;3]"),
      "spec weight 200000000000000000001 exceeds the limit 1024"),
     (("flatten", '{"nodes":[{"set":[1],"exp":99999999999999999999}]}'),
-     "node exponent 99999999999999999999 exceeds the limit 1024"),
+     "forest weight 99999999999999999999 exceeds the limit 1024"),
+    (("flatten", '{"nodes":[{"set":[1],"exp":1024,"children":[{"set":[1],"exp":1024}]}]}'),
+     "forest weight 2048 exceeds the limit 1024"),
     (("flatten", json.dumps(chain_forest(400))), "forest nested deeper than 100"),
+    (("expand", "f[1024;3]", "f[1;4]"), "spec weight 1025 exceeds the limit 1024"),
     (("lyndon", "generators", "x1", "--max-length", "4096"),
-     "more than 4194304 letters in the locality Lyndon words up to length 4096"),
+     "max length 4096 exceeds the limit 1024"),
     (("lyndon", "generators", "x1,x2", "--max-length", "2048"),
-     "more than 4194304 letters in the locality Lyndon words up to length 2048"),
-], ids=["weight", "expand-weight", "node-exponent", "forest-depth", "letters-one",
-        "letters-two"])
+     "max length 2048 exceeds the limit 1024"),
+], ids=["weight", "expand-weight", "node-exponent", "forest-weight", "forest-depth",
+        "product-weight", "length-one", "length-two"])
 def test_cli_limits_exit_1_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -416,25 +416,21 @@ def test_locality_lyndon_generators_word_limit(monkeypatch):
             locality_lyndon_generators(unwalked, max_length, letters=[1, 2])
 
 
-def test_locality_lyndon_generators_letter_limit(monkeypatch):
-    """The letter budget's boundary, and its early check on the x0^k u
-    words alone, which refuses both inputs below before the walk starts."""
-    monkeypatch.setattr("linpole.words.GENERATOR_LETTERS", 70)
-    assert sum(map(len, locality_lyndon_generators(A, 5, letters=[1, 2]))) == 70
-    monkeypatch.setattr("linpole.words.GENERATOR_LETTERS", 69)
-    with pytest.raises(BudgetExceeded, match="^more than 69 letters"):
-        locality_lyndon_generators(A, 5, letters=[1, 2])
-    with pytest.raises(BudgetExceeded, match="^more than 69 letters"):
-        locality_lyndon_generators(A, 12, letters=[1])  # x0^k x1, k < 12: 78 letters
-    monkeypatch.undo()
-
+def test_locality_lyndon_generators_length_limit():
+    """A generator is the word of a spec, so the length bound stops at the
+    spec weight limit, 1024; with the word limit that caps the output at
+    2^22 letters.  Every input below is refused before the walk starts."""
     def unreachable(u, v):
         raise AssertionError("the walk started")
 
     unwalked = Alphabet(key=lambda u: u, local=unreachable, name="unwalked")
-    for max_length, letters in ((4096, [1]), (2048, [1, 2])):
-        with pytest.raises(BudgetExceeded, match="letters"):
+    for max_length, letters in ((1025, [1]), (4096, [1]), (2048, [1, 2])):
+        with pytest.raises(BudgetExceeded,
+                           match=f"^max length {max_length} exceeds the limit 1024$"):
             locality_lyndon_generators(unwalked, max_length, letters=letters)
+    # inside the length bound, five letters give 5 * 1024 words x0^k u
+    with pytest.raises(BudgetExceeded, match="^more than 4096 locality Lyndon words"):
+        locality_lyndon_generators(unwalked, 1024, letters=[1, 2, 3, 4, 5])
 
 
 def test_local_words():

@@ -18,7 +18,8 @@ import collections
 from fractions import Fraction
 from math import gcd
 
-from linpole import FractionSpec, LinComb, LinearForm, Polynomial, RationalGerm
+from linpole import (BudgetExceeded, FractionSpec, LinComb, LinearForm, Polynomial,
+                     RationalGerm)
 
 
 def _fractions(values) -> bool:
@@ -78,7 +79,7 @@ def audited(cls):
         CHECKED[cls.__name__] += 1
         try:
             ref = reference(cls, obj, args)
-        except (TypeError, ValueError) as exc:  # what the constructors raise
+        except (TypeError, ValueError, BudgetExceeded) as exc:  # what the constructors raise
             differ = [f"rejected by the validating constructor ({exc!r})"]
         else:
             differ = [name for name, same in (
