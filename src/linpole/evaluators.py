@@ -212,6 +212,24 @@ def _li_half(word: str, n_terms: int, scale: int) -> tuple[int, int]:
             sum(-(-a >> n) for a, n in zip(hi, ns)) - (-tail >> (n_terms + 1)))
 
 
+def _truncation(n: int, precision: int) -> int:
+    """The first n_terms from 2n + 10 (precision+2)/3 on with 6 (n+1)
+    10^(precision+2) (n_terms+1)^(n-1) <= 2^(n_terms+1), which keeps each of
+    the 2(n+1) factor tails of an MZV of weight n below 10^-(precision+2) / (n+1).
+    The log of the left side over the right is concave in n_terms, so once it
+    drops to 0 it stays there: a gallop passes that point, a bisection finds it."""
+    bound = 6 * (n + 1) * 10 ** (precision + 2)
+    short = lambda t: bound * (t + 1) ** (n - 1) > 2 ** (t + 1)
+    lo, step = 2 * n + 10 * (precision + 2) // 3 - 1, 1  # lo: short, or before the start
+    while short(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if short(mid) else (lo, mid)
+    return hi
+
+
 @functools.lru_cache(maxsize=1024)
 def _mzv(s: tuple[int, ...], precision: int) -> tuple[Fraction, Fraction]:
     """Hölder convolution at 1/2 (Borwein, Bradley, Broadhurst, Lisonek):
@@ -221,11 +239,7 @@ def _mzv(s: tuple[int, ...], precision: int) -> tuple[Fraction, Fraction]:
     so a product's bounds are the products of the factors' bounds."""
     word = "".join("0" * (x - 1) + "1" for x in s)
     n = len(word)
-    # Each of the 2(n+1) factor tails stays below 10^-(precision+2) / (n+1).
-    bound = 6 * (n + 1) * 10 ** (precision + 2)
-    n_terms = 2 * n + 10 * (precision + 2) // 3
-    while bound * (n_terms + 1) ** (n - 1) > 2 ** (n_terms + 1):
-        n_terms += 1
+    n_terms = _truncation(n, precision)
     if (n + 1) ** 2 * n_terms * (precision + 100) > MZV_BUDGET:
         raise BudgetExceeded(f"{_zeta_str(s)} at {precision} digits exceeds the work budget "
                              f"(weight {n}, {n_terms} terms)")
@@ -291,8 +305,7 @@ class GermCombo(_Frozen):
         return isinstance(other, GermCombo) and self.terms == other.terms
 
     def term_germs(self) -> list[RationalGerm]:
-        return [RationalGerm(h, [e for s in specs for e in s.denominator_entries()])
-                for h, specs in self.terms]
+        return [RationalGerm(h, _entries(specs)) for h, specs in self.terms]
 
     def germ(self) -> RationalGerm:
         return germ_sum(self.term_germs())
@@ -301,21 +314,31 @@ class GermCombo(_Frozen):
         """Check each monomial: specs pairwise local, every letter inside its
         L-map's alphabet with no vanishing cumulative form, coefficient
         orthogonal to the fraction part."""
-        for h, specs in self.terms:
-            for a, b in itertools.combinations(specs, 2):
-                if not local_word_pair(a.letters, b.letters, a.lmap.alphabet):
-                    raise NotLocal(f"{a!r} and {b!r} share non-local letters")
-            entries = [e for sp in specs for e in sp.denominator_entries()]
-            if entries:
-                dep = h.dependence_space()  # the zero space is orthogonal to any span
-                if dep.dim and not orthogonal(q, dep, span(f for f, _ in entries)):
-                    raise NotLocal(f"coefficient {h!r} not orthogonal to its fraction part")
+        _validate_terms(self.terms, q)
 
     def __repr__(self):
         if not self.terms:
             return "0"
         return " + ".join(f"({h!r})*" + ("*".join(map(repr, m)) or "1")
                           for h, m in self.terms)
+
+
+def _entries(specs: Sequence[FractionSpec]) -> list[tuple[LinearForm, int]]:
+    """The denominator entries of a spec product."""
+    return [e for sp in specs for e in sp.denominator_entries()]
+
+
+def _validate_terms(terms, q: InnerProduct) -> None:
+    """GermCombo.validate_locality on a sequence of (h, specs) terms."""
+    for h, specs in terms:
+        for a, b in itertools.combinations(specs, 2):
+            if not local_word_pair(a.letters, b.letters, a.lmap.alphabet):
+                raise NotLocal(f"{a!r} and {b!r} share non-local letters")
+        entries = _entries(specs)
+        if entries:
+            dep = h.dependence_space()  # the zero space is orthogonal to any span
+            if dep.dim and not orthogonal(q, dep, span(f for f, _ in entries)):
+                raise NotLocal(f"coefficient {h!r} not orthogonal to its fraction part")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +349,8 @@ class Evaluator:
     """A named evaluation procedure with (value, error_bound) results.
 
     `on_germ` takes a RationalGerm; `on_combo` takes a GermCombo.  Exact
-    evaluators report a zero error bound.
+    evaluators report a zero error bound.  Without `on_combo`, the value of
+    a combo is the sum of its terms' values (_term_values).
     """
 
     def __init__(self, name: str,
@@ -335,6 +359,14 @@ class Evaluator:
         self.name = name
         self._on_germ = on_germ
         self._on_combo = on_combo
+        self._check = self._term = None
+
+    @classmethod
+    def _termwise(cls, name: str, on_germ: Callable, check: Callable, term: Callable):
+        """Values a combo by term(h, specs) per term, once check(terms) passes."""
+        e = cls(name, on_germ)
+        e._check, e._term = check, term
+        return e
 
     def eval_germ(self, f: RationalGerm) -> tuple[Fraction, Fraction]:
         if self._on_germ is not None:
@@ -344,31 +376,38 @@ class Evaluator:
     def eval_combo(self, c: "GermCombo") -> tuple[Fraction, Fraction]:
         if self._on_combo is not None:
             return self._on_combo(c)
-        # germ evaluators are linear, and each term is smaller than the sum
-        pairs = [self.eval_germ(g) for g in c.term_germs()]
-        return sum((v for v, _ in pairs), Fraction(0)), sum((e for _, e in pairs), Fraction(0))
+        pairs = self._term_values(c.terms)  # under ms most terms are 0, and add nothing
+        return (sum((v for v, _ in pairs if v), Fraction(0)),
+                sum((e for _, e in pairs if e), Fraction(0)))
+
+    def _term_values(self, terms) -> list[tuple[Fraction, Fraction]]:
+        """The (value, error_bound) of each canonical (h, specs) term of a
+        combo: by _term once _check has passed on them all, or else as their
+        germs, all built first (germ evaluators are linear, and each term is
+        smaller than the sum)."""
+        if self._term is not None:
+            self._check(terms)
+            return [self._term(h, specs) for h, specs in terms]
+        germs = [RationalGerm(h, _entries(specs)) for h, specs in terms]
+        return [self.eval_germ(g) for g in germs]
 
     def __repr__(self):
         return f"Evaluator({self.name})"
 
 
-def _ms_combo(c: GermCombo, q: InnerProduct) -> tuple[Fraction, Fraction]:
-    """ms of a combo from the degree-0 part of each term h*S: S is
-    homogeneous of degree -w, w the sum of its exponents, so that part is
-    h_w*S with h_w the degree-w part of h, and no germ is built when h_w = 0
-    (a constant over a nonempty spec product)."""
-    total = Fraction(0)
-    for h, specs in c.terms:
-        entries = [e for sp in specs for e in sp.denominator_entries()]
-        h_w = h.homogeneous_part(sum(e for _, e in entries))
-        if h_w:
-            total += ms_eval(RationalGerm(h_w, entries), q)
-    return total, Fraction(0)
+def _ms_term(h: Polynomial, specs: SpecMonomial, q: InnerProduct) -> tuple[Fraction, Fraction]:
+    """ms of a term h*S from its degree-0 part: S is homogeneous of degree
+    -w, w the sum of its exponents, so that part is h_w*S with h_w the
+    degree-w part of h, and no germ is built when h_w = 0 (a constant over a
+    nonempty spec product)."""
+    entries = _entries(specs)
+    h_w = h.homogeneous_part(sum(e for _, e in entries))
+    return (ms_eval(RationalGerm(h_w, entries), q) if h_w else Fraction(0)), Fraction(0)
 
 
 def ms_evaluator(q: InnerProduct = DEFAULT_Q) -> Evaluator:
-    return Evaluator("ms", on_germ=lambda f: (ms_eval(f, q), Fraction(0)),
-                     on_combo=lambda c: _ms_combo(c, q))
+    return Evaluator._termwise("ms", lambda f: (ms_eval(f, q), Fraction(0)),
+                               lambda terms: None, lambda h, specs: _ms_term(h, specs, q))
 
 
 def iter_evaluator(perm_cap: int = 8) -> Evaluator:
@@ -386,7 +425,11 @@ def _zeta_of_spec(spec: FractionSpec, precision: int) -> tuple[Fraction, Fractio
 @functools.lru_cache(maxsize=1024)
 def _spec_lyndon(spec: FractionSpec) -> types.MappingProxyType:
     """One spec's Lyndon decomposition, {SpecMonomial: Fraction}, memoised
-    per spec and handed out read-only, since every caller shares it."""
+    per spec and handed out read-only, since every caller shares it.  A
+    local spec whose word is Lyndon is its own decomposition."""
+    w = spec.word()
+    if w and spec.is_local() and is_lyndon(w, spec.lmap.alphabet):
+        return types.MappingProxyType({(spec,): Fraction(1)})
     return types.MappingProxyType(lyndon_decompose([(spec, Fraction(1))]))
 
 
@@ -407,27 +450,17 @@ def zeta_eval(combo: GermCombo, precision: int = 8,
     outside 0..MAX_PRECISION, and NotChen for a spec outside the Chen
     L-maps, whether or not an MZV is needed: a term whose coefficient
     vanishes at zero contributes 0 and computes none."""
-    _check_precision(precision)
-    combo.validate_locality(q)
-    for _, specs in combo.terms:
-        for sp in specs:
-            if sp.lmap.name not in ("chen", "weak-chen"):
-                raise NotChen(f"{sp!r} is not a Chen fraction")
-    mid = rad = Fraction(0)
-    for h, specs in combo.terms:
-        c0 = h.constant_term()
-        if c0:
-            m, r = _zeta_monomial(specs, precision)
-            mid += c0 * m
-            rad += abs(c0) * r
-    return mid, rad
+    return zeta_evaluator(precision, q).eval_combo(combo)
 
 
 @functools.lru_cache(maxsize=1024)
 def _zeta_monomial(specs: SpecMonomial, precision: int) -> tuple[Fraction, Fraction]:
     """Midpoint and radius of the enclosure of the zeta value of one locality
     monomial: the sums of coeff (lo+hi)/2 and |coeff| (hi-lo)/2 over its
-    Lyndon product, [lo, hi] the product of the generators' enclosures."""
+    Lyndon product, [lo, hi] the product of the generators' enclosures:
+    for a Lyndon generator, its own MZV's."""
+    if len(specs) == 1 and _spec_lyndon(specs[0]).get(specs) == 1:
+        return _zeta_of_spec(specs[0], precision)
     mid = rad = Fraction(0)
     for mono, coeff in _lyndon_product(specs).items():
         # MZV enclosures are nonnegative, so bounds multiply directly
@@ -450,8 +483,22 @@ def zeta_evaluator(precision: int = 8, q: InnerProduct = DEFAULT_Q) -> Evaluator
             return f.numerator.constant_term(), Fraction(0)
         raise NotChen("zeta evaluation needs an explicit Chen presentation")
 
-    return Evaluator("zeta", on_germ=on_germ,
-                     on_combo=lambda c: zeta_eval(c, precision, q))
+    def check(terms):
+        _validate_terms(terms, q)
+        for _, specs in terms:
+            for sp in specs:
+                if sp.lmap.name not in ("chen", "weak-chen"):
+                    raise NotChen(f"{sp!r} is not a Chen fraction")
+
+    def term(h: Polynomial, specs: SpecMonomial):
+        """c0 times the monomial's enclosure, c0 = h(0); none is read when c0 = 0."""
+        c0 = h.constant_term()
+        if not c0:
+            return Fraction(0), Fraction(0)
+        m, r = _zeta_monomial(specs, precision)
+        return (m, r) if c0 == 1 else (c0 * m, abs(c0) * r)
+
+    return Evaluator._termwise("zeta", on_germ, check, term)
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +553,14 @@ class GaloisTransform(_Frozen):
 
 
 def galois_from_evaluator(e: Evaluator, generators: Sequence[FractionSpec]) -> GaloisTransform:
-    """The shift transform with c_S = e(S) on each generator."""
+    """The shift transform with c_S = e(S) on each generator: e's value on
+    the one-term combo 1*S, read from that term unless e has an `on_combo`."""
+    one = Polynomial.constant(1)
     shifts = {}
     for g in generators:
-        val, _err = e.eval_combo(GermCombo([(Polynomial.constant(1), (g,))]))
+        term = ((one, spec_monomial((g,))),)  # as GermCombo keys it
+        val, _err = (e.eval_combo(GermCombo(term)) if e._on_combo is not None
+                     else e._term_values(term)[0])
         shifts[g] = val
     return GaloisTransform(shifts)
 

@@ -285,6 +285,8 @@ def _lyndon_step(w: Word, alphabet: Alphabet) -> tuple[tuple, int, tuple]:
     # the factors are non-increasing, so this monomial is already sorted
     mono = tuple(f for f, m in factors for _ in range(m))
     fact = math.prod(math.factorial(m) for _, m in factors)
+    if len(set(w)) == 1:  # n copies of one letter shuffle only to w, n! times
+        return mono, fact, ()
     rest = tuple((v, k) for v, k in _shuffle_ints({f: 1} for f in mono).items() if v != w)
     return mono, fact, rest
 

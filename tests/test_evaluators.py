@@ -15,8 +15,8 @@ import pytest
 from linpole import (DEFAULT_Q, BudgetExceeded, DependenceEscapesVars,
                      DivergentIndex, Evaluator, FractionSpec, GaloisTransform,
                      GermCombo, IncompatibleGenerators, InnerProduct,
-                     LinearForm, NotChen, NotLocal, Polynomial, RationalGerm,
-                     TooManyVariables, apply_transform, chen_lmap,
+                     LinearForm, NotChen, NotLocal, NotLocalSpec, Polynomial,
+                     RationalGerm, TooManyVariables, X0, apply_transform, chen_lmap,
                      check_factorization, compose_transforms, d_residue,
                      dependence, ev_reg_single, expand_product,
                      galois_from_evaluator, germ_mul, germ_scale, germ_sum,
@@ -416,6 +416,33 @@ def test_mzv_divergent():
         mzv_numeric((1,), 6)
 
 
+def reference_truncation(n, precision):
+    """The truncation length as _mzv first found it: one step at a time."""
+    bound = 6 * (n + 1) * 10 ** (precision + 2)
+    n_terms = 2 * n + 10 * (precision + 2) // 3
+    while bound * (n_terms + 1) ** (n - 1) > 2 ** (n_terms + 1):
+        n_terms += 1
+    return n_terms
+
+
+def test_mzv_truncation_matches_stepping_search():
+    """The gallop and bisection find the stepping search's truncation length,
+    so the admitted indices, every enclosure and each refusal are unchanged;
+    a heavy index is refused at once."""
+    rng = random.Random(86)
+    grid = [(n, p) for n in (2, 3, 4, 16, 17, 300) for p in (0, 1, 8, 50, 1000)]
+    grid += [(rng.randint(2, 160), rng.randint(0, 1000)) for _ in range(40)]
+    for n, p in grid:
+        assert evaluators._truncation(n, p) == reference_truncation(n, p), (n, p)
+    want = (f"zeta(1000) at 8 digits exceeds the work budget "
+            f"(weight 1000, {reference_truncation(1000, 8)} terms)")
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        mzv_numeric((1000,), 8)
+    assert time.perf_counter() - start < 0.5
+    assert str(exc.value) == want
+
+
 def _mzv_interval(s: tuple[int, ...], n_terms: int, scale: int) -> tuple[int, int]:
     """Scaled-integer enclosure of zeta(s) = sum over n1 > ... > nk >= 1 of
     prod n_j^{-s_j}.
@@ -680,6 +707,94 @@ def test_galois_shift_definition():
     assert t.shift(f11) == 7
 
 
+POINT = {v: Fraction(v + 1, 2) for v in range(1, 7)}
+
+
+def reference_galois_from_evaluator(evaluate, generators):
+    """galois_from_evaluator as it read each generator: `evaluate` on the
+    one-term combo 1*S."""
+    shifts = {}
+    for g in generators:
+        val, _err = evaluate(GermCombo([(Polynomial.constant(1), (g,))]))
+        shifts[g] = val
+    return GaloisTransform(shifts)
+
+
+def galois_outcome(call):
+    """A transform's shifts, in order, or the type and text of its error."""
+    try:
+        t = call()
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return [(repr(g), type(c), c) for g, c in t.shifts.items()]
+
+
+def test_germ_evaluators_build_every_term_germ_first():
+    """A germ evaluator builds the germs of all of a combo's terms before it
+    evaluates any: a term whose germ cannot be built is reported even after
+    one that the evaluator refuses."""
+    from linpole import LMap, ZeroCumulativeForm
+    cancelling = LMap(integer_alphabet(),
+                      lambda u: zvar(1) if u == 1 else zvar(1).scale(-1), "zz-cancelling")
+    combo = GermCombo([(1, (parse_spec("f[1,1;1,2]"),)),
+                       (1, (FractionSpec((1, 1), (1, 2), cancelling),))])
+    with pytest.raises(ZeroCumulativeForm):
+        iter_evaluator(perm_cap=1).eval_combo(combo)
+    with pytest.raises(TooManyVariables):
+        iter_evaluator(perm_cap=1).eval_combo(GermCombo(combo.terms[:1]))
+
+
+def test_galois_from_evaluator_matches_one_term_combo_route():
+    """Each generator's value, and each bad generator's error, is that of
+    the one-term combo 1*S, for ms, iter, zeta, an on_germ evaluator and an
+    on_combo evaluator, on seeded Chen generator sets: 2 letters up to
+    weight 5 and 3 letters up to weight 4."""
+    from linpole import LMap
+    rng = random.Random(71)
+    cancelling = LMap(integer_alphabet(),
+                      lambda u: zvar(1) if u == 1 else zvar(1).scale(-1), "chen")
+    zeta8 = zeta_evaluator(8)
+    evaluators_and_refs = [
+        (ms_evaluator(), None), (iter_evaluator(), None),
+        (zeta8, lambda c: reference_zeta_eval(c, 8)),
+        (Evaluator("at-a-point", on_germ=lambda f: (f.evaluate(POINT), Fraction(0))), None),
+        (Evaluator("combo-at-a-point",
+                   on_combo=lambda c: (c.germ().evaluate(POINT), Fraction(1, 7))), None)]
+    sets = []
+    for k, weight in ((2, 5), (3, 4)):
+        for _ in range(2):
+            letters = sorted(rng.sample(range(1, 7), k))
+            words = locality_lyndon_generators(integer_alphabet(), weight, letters=letters)
+            gens = [spec_of_word(w, chen) for w in words]
+            rng.shuffle(gens)
+            sets.append(gens)
+    bad = [parse_spec("f[2;{1,2}]"),                     # not Chen
+           FractionSpec((2, 2), (2, 1), chen),            # not Lyndon
+           FractionSpec((1, 2), (1, 1), chen),            # not local
+           FractionSpec((2, 1), (1, 1), chen),            # not local, yet a Lyndon word
+           FractionSpec((2,), (0,), chen),                # letter outside the alphabet
+           FractionSpec((1,), ({1, 2},), chen),           # a set letter under Chen
+           FractionSpec((1, 1), (1, 2), cancelling),      # vanishing cumulative form
+           FractionSpec((), (), chen)]                    # empty
+    sets += [sets[0][:3] + [b] + sets[0][3:] for b in bad]
+    for e, ref in evaluators_and_refs:
+        for caches in ("cold", "warm"):
+            if caches == "cold":
+                for cache in (evaluators._spec_lyndon, evaluators._zeta_monomial):
+                    cache.cache_clear()
+            for gens in sets:
+                want = galois_outcome(
+                    lambda: reference_galois_from_evaluator(ref or e.eval_combo, gens))
+                got = galois_outcome(lambda: galois_from_evaluator(e, gens))
+                assert got == want, (e, gens)
+    outcomes = {e.name: [galois_outcome(lambda: galois_from_evaluator(e, gens))
+                         for gens in sets[-len(bad):]] for e, _ in evaluators_and_refs}
+    # the error depends on the evaluator, and every bad generator is refused
+    assert outcomes["zeta"][2][0] is NotLocalSpec
+    assert outcomes["ms"][2][0] is NotLocal
+    assert all(isinstance(o, tuple) for name in outcomes for o in outcomes[name][1:])
+
+
 def test_apply_transform_example():
     f11 = FractionSpec((1,), (1,), chen)
     t = GaloisTransform({f11: Fraction(5)})
@@ -900,6 +1015,35 @@ def test_cached_lyndon_decompositions_are_read_only():
     with pytest.raises(TypeError):
         del got[next(iter(got))]
     assert evaluators._spec_lyndon(spec) is got and got == want
+
+
+
+
+def test_spec_lyndon_shortcut_matches_lyndon_decompose():
+    """A local spec whose word is Lyndon is its own decomposition, and every
+    other spec is decomposed in full: on every local spec of weight <= 5 on
+    letters 1-3, and on specs under a second L-map named chen."""
+    from linpole import LMap
+    shifted = LMap(integer_alphabet(), lambda u: zvar(u + 1), "chen")
+    evaluators._spec_lyndon.cache_clear()
+    letters = [X0, 1, 2, 3]
+    specs = []
+    for n in range(1, 6):
+        for w in itertools.product(letters, repeat=n):
+            nonzero = [a for a in w if a is not X0]
+            if w[-1] is not X0 and len(set(nonzero)) == len(nonzero):
+                specs.append(spec_of_word(w, chen))
+    specs += [FractionSpec(sp.exponents, sp.letters, shifted) for sp in specs[::7]]
+    lyndon = 0
+    for sp in specs:
+        got = evaluators._spec_lyndon(sp)
+        assert got == lyndon_decompose([(sp, Fraction(1))]), sp
+        assert all(g.lmap is sp.lmap for mono in got for g in mono)
+        lyndon += dict(got) == {(sp,): 1}
+    assert (len(specs), lyndon) == (155, 75)
+    for w in ((1, X0, 1), (X0, 1, 1)):  # the second is a Lyndon word
+        with pytest.raises(NotLocalSpec, match="has non-local letters"):
+            evaluators._spec_lyndon(spec_of_word(w, chen))
 
 
 def test_transform_keys_specs_by_their_lmap_object():

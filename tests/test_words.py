@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from typing import Callable
 
@@ -199,6 +200,34 @@ def test_cfl_unique_against_bruteforce():
             else:
                 grouped.append((f, 1))
         assert cfl(w, A) == grouped
+
+
+def general_lyndon_step(w, alphabet):
+    """_lyndon_step with every word's shuffle expanded, one-letter words too."""
+    factors = cfl(w, alphabet)
+    mono = tuple(f for f, m in factors for _ in range(m))
+    fact = math.prod(math.factorial(m) for _, m in factors)
+    rest = tuple((v, k) for v, k in _shuffle_ints({f: 1} for f in mono).items() if v != w)
+    return mono, fact, rest
+
+
+def test_one_letter_words_skip_the_shuffle():
+    """a^n is n! times the n-th power of the Lyndon word a, with no other
+    word in its step: as the general route finds for n <= 12, and x2 repeated
+    600 times is rewritten at once."""
+    S = subset_alphabet()
+    for alphabet, a in ((A, 2), (A, X0), (S, frozenset({1, 3}))):
+        for n in range(1, 13):
+            w = (a,) * n
+            assert _lyndon_step(w, alphabet) == general_lyndon_step(w, alphabet)
+            want = LinComb({((a,),) * n: Fraction(1, math.factorial(n))})
+            assert lyndon_rewrite(w, alphabet) == want
+    for w in [(2, 2, 1), (1, 2, 2), (2, 2, X0, 2), (X0, X0, 1)]:  # not one letter
+        assert _lyndon_step(w, A) == general_lyndon_step(w, A)
+    start = time.perf_counter()
+    got = lyndon_rewrite((2,) * 600, A)
+    assert time.perf_counter() - start < 0.5
+    assert got == LinComb({((2,),) * 600: Fraction(1, math.factorial(600))})
 
 
 def test_lyndon_rewrite_examples():
