@@ -34,7 +34,7 @@ from .fracspec import (FractionSpec, SpecMonomial, _integer, lyndon_decompose,
                        monomial_mul, spec_monomial)
 from .poly import ZERO, Polynomial
 from .serialize import float_str
-from .words import LinComb, is_lyndon, local_word_pair
+from .words import _ZERO, LinComb, is_lyndon, local_word_pair
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,7 @@ def _ms_term(h: Polynomial, specs: SpecMonomial, q: InnerProduct) -> tuple[Fract
     nonempty spec product)."""
     entries = _entries(specs)
     h_w = h.homogeneous_part(sum(e for _, e in entries))
-    return (ms_eval(RationalGerm(h_w, entries), q) if h_w else Fraction(0)), Fraction(0)
+    return (ms_eval(RationalGerm(h_w, entries), q) if h_w else _ZERO), _ZERO
 
 
 def ms_evaluator(q: InnerProduct = DEFAULT_Q) -> Evaluator:
@@ -494,7 +494,7 @@ def zeta_evaluator(precision: int = 8, q: InnerProduct = DEFAULT_Q) -> Evaluator
         """c0 times the monomial's enclosure, c0 = h(0); none is read when c0 = 0."""
         c0 = h.constant_term()
         if not c0:
-            return Fraction(0), Fraction(0)
+            return _ZERO, _ZERO
         m, r = _zeta_monomial(specs, precision)
         return (m, r) if c0 == 1 else (c0 * m, abs(c0) * r)
 
