@@ -377,8 +377,7 @@ class Evaluator:
         if self._on_combo is not None:
             return self._on_combo(c)
         pairs = self._term_values(c.terms)  # under ms most terms are 0, and add nothing
-        return (sum((v for v, _ in pairs if v), Fraction(0)),
-                sum((e for _, e in pairs if e), Fraction(0)))
+        return sum([v for v, _ in pairs if v], _ZERO), sum([e for _, e in pairs if e], _ZERO)
 
     def _term_values(self, terms) -> list[tuple[Fraction, Fraction]]:
         """The (value, error_bound) of each canonical (h, specs) term of a
