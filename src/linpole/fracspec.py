@@ -24,7 +24,7 @@ from .errors import (BudgetExceeded, LinpoleError, NotLocal, NotLocalSpec, WordE
 from .exactlin import DEFAULT_Q, LinearForm, _Frozen, _axpy, inner, zset, zvar
 from .germs import RationalGerm
 
-from .words import (_MAX_WEIGHT, Alphabet, LinComb, Word, X0, _ZERO, _lyndon_solve,
+from .words import (_MAX_WEIGHT, Alphabet, Word, X0, _ZERO, _lyndon_solve,
                     _shuffle_ints, integer_alphabet, is_local_word, local_word_pair,
                     shuffle, subset_alphabet, word_str)
 
@@ -115,7 +115,8 @@ class FractionSpec(_Frozen):
     in sort_key, and no value depends on the order of a tie.
     """
 
-    __slots__ = ("exponents", "letters", "lmap", "_hash", "_entries", "_sort_key")
+    __slots__ = ("exponents", "letters", "lmap", "_hash", "_entries", "_sort_key", "_word",
+                 "_local")
 
     def __init__(self, exponents: Iterable[int], letters: Iterable, lmap: LMap):
         exps = tuple(_integer(s, "exponents") for s in exponents)
@@ -128,11 +129,14 @@ class FractionSpec(_Frozen):
         self._fill(exps, lets, lmap)
 
     @classmethod
-    def _trusted(cls, exps: tuple[int, ...], lets: tuple, lmap: LMap) -> "FractionSpec":
+    def _trusted(cls, exps: tuple[int, ...], lets: tuple, lmap: LMap,
+                 word: Optional[Word] = None) -> "FractionSpec":
         """Wrap canonical vectors (positive int exponents, canonical letters,
-        equal lengths) unchecked."""
+        equal lengths) and, when given, their word (a tuple) unchecked."""
         spec = object.__new__(cls)
         spec._fill(exps, lets, lmap)
+        if word is not None:
+            object.__setattr__(spec, "_word", word)
         return spec
 
     def _fill(self, exps: tuple[int, ...], lets: tuple, lmap: LMap):
@@ -157,14 +161,19 @@ class FractionSpec(_Frozen):
         return sum(self.exponents)
 
     def is_local(self) -> bool:
-        return is_local_word(self.letters, self.lmap.alphabet)
+        if not hasattr(self, "_local"):
+            object.__setattr__(self, "_local", is_local_word(self.letters, self.lmap.alphabet))
+        return self._local
 
     def word(self) -> Word:
-        w: list = []
-        for s, u in zip(self.exponents, self.letters):
-            w.extend([X0] * (s - 1))
-            w.append(u)
-        return tuple(w)
+        """Built on first use, unless the spec was made from it (spec_of_word)."""
+        if not hasattr(self, "_word"):
+            w: list = []
+            for s, u in zip(self.exponents, self.letters):
+                w.extend([X0] * (s - 1))
+                w.append(u)
+            object.__setattr__(self, "_word", tuple(w))
+        return self._word
 
     def germ(self) -> RationalGerm:
         return RationalGerm(1, self.denominator_entries())
@@ -231,23 +240,34 @@ def spec_of_word(w: Word, lmap: LMap) -> FractionSpec:
     """The spec of a word not ending in x0; int and frozenset letters are
     taken as canonical, any other letter is canonicalised as by FractionSpec,
     and a word longer than _MAX_WEIGHT is refused as FractionSpec refuses
-    its weight."""
+    its weight.  The spec keeps the word when every letter is canonical."""
     _check_weight(len(w))
     if not w:
-        return FractionSpec._trusted((), (), lmap)
+        return FractionSpec._trusted((), (), lmap, ())
     if w[-1] is X0:
         raise WordEndsInX0(f"{word_str(w)} ends in x0")
     exps: list[int] = []
     letters: list = []
+    canonical = True
     run = 0
     for a in w:
         if a is X0:
             run += 1
         else:
             exps.append(run + 1)
-            letters.append(a if type(a) is int or type(a) is frozenset else _canon_letter(a))
+            u = a if type(a) is int or type(a) is frozenset else _canon_letter(a)
+            canonical = canonical and u is a
+            letters.append(u)
             run = 0
-    return FractionSpec._trusted(tuple(exps), tuple(letters), lmap)
+    return FractionSpec._trusted(tuple(exps), tuple(letters), lmap,
+                                 tuple(w) if canonical else None)
+
+
+@functools.lru_cache(maxsize=4096)
+def _word_spec(w: Word, lmap: LMap) -> FractionSpec:
+    """spec_of_word for internal callers, whose words are canonical (and so
+    hashable): equal words under one L-map (by identity) share one spec."""
+    return spec_of_word(w, lmap)
 
 
 def word_of_fraction(spec: FractionSpec) -> Word:
@@ -273,10 +293,7 @@ def expand_product(a: FractionSpec, b: FractionSpec) -> Combination:
     if not local_word_pair(a.letters, b.letters, a.lmap.alphabet):
         raise NotLocal(f"{a!r} and {b!r} share non-local letters")
     _check_weight(a.weight + b.weight)  # every word of the shuffle has it
-    out: Combination = []
-    for w, c in shuffle(a.word(), b.word()).items():
-        out.append((spec_of_word(w, a.lmap), c))
-    return out
+    return [(_word_spec(w, a.lmap), c) for w, c in shuffle(a.word(), b.word()).items()]
 
 
 SpecMonomial = tuple  # tuple of FractionSpec, canonically sorted
@@ -292,6 +309,12 @@ def monomial_mul(m1: SpecMonomial, m2: SpecMonomial):
     return ((spec_monomial(m1 + m2), 1),)
 
 
+@functools.lru_cache(maxsize=4096)
+def _lyndon_spec_monomial(mono: tuple[Word, ...], lmap: LMap) -> SpecMonomial:
+    """The spec monomial of a monomial in Lyndon words under lmap."""
+    return spec_monomial(_word_spec(v, lmap) for v in mono)
+
+
 def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
     """Rewrite a combination of locality fractions as a commutative polynomial
     in the Lyndon-word fractions (the locality polynomial generators).
@@ -300,21 +323,24 @@ def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
     before any rewriting, and each L-map's words are then eliminated top-down
     in one pass under the ordering invariant of `words.lyndon_rewrite`.
     """
-    out = LinComb()
+    empty = _ZERO
     by_lmap: dict[LMap, dict] = {}
     for spec, coeff in combo:
         if not spec.is_local():
             raise NotLocalSpec(f"{spec!r} has non-local letters")
         w = spec.word()
         if not w:
-            out.add({(): coeff})
+            empty += coeff
             continue
         words = by_lmap.setdefault(spec.lmap, {})
         words[w] = words.get(w, _ZERO) + coeff
+    out: dict[SpecMonomial, Fraction] = {(): empty} if empty else {}
+    # every key below is new: _lyndon_solve emits nonzero coefficients, phi is
+    # injective on words not ending in x0, and specs of distinct L-maps differ
     for lmap, words in by_lmap.items():
         for mono, c in _lyndon_solve(words, lmap.alphabet).items():
-            out.add({spec_monomial(spec_of_word(v, lmap) for v in mono): c})
-    return out.coeffs
+            out[_lyndon_spec_monomial(mono, lmap)] = c
+    return out
 
 
 class ForestNode(_Frozen):

@@ -7,8 +7,10 @@ import math
 import random
 from fractions import Fraction
 
-from linpole import (InnerProduct, LinearForm, Polynomial, RationalGerm,
-                     germ_sum)
+from linpole import (FractionSpec, InnerProduct, LinComb, LinearForm, Polynomial,
+                     RationalGerm, germ_sum, shuffle, spec_of_word)
+from linpole.fracspec import spec_monomial
+from linpole.words import _lyndon_solve
 
 
 def random_form(rng: random.Random, max_var: int = 4, max_coef: int = 3,
@@ -223,3 +225,52 @@ def fraction_shuffle(a, b):
             for w, m in brute_shuffle(u, v).items():
                 acc[w] = acc.get(w, Fraction(0)) + c * d * m
     return {w: c for w, c in acc.items() if c}
+
+
+def random_local_pair(rng, lmap, max_weight=6):
+    """Two local specs with pairwise-disjoint letters (integers for the Chen
+    map, disjoint index sets for the Speer map) and at most `max_weight`
+    letters in their product's words, which keeps the recursive oracle fast."""
+    pool = rng.sample(range(1, 8), rng.randint(2, 5))
+    if lmap.name == "speer":
+        cuts = sorted(rng.sample(range(1, len(pool)), rng.randint(1, len(pool) - 1)))
+        letters = [frozenset(pool[i:j]) for i, j in zip([0] + cuts, cuts + [len(pool)])]
+    else:
+        letters = pool[:4]
+    exps = [rng.randint(1, 2) for _ in letters]
+    while sum(exps) > max_weight:
+        exps[exps.index(2)] = 1
+    cut = rng.randint(1, len(letters) - 1)
+    return (FractionSpec(exps[:cut], letters[:cut], lmap),
+            FractionSpec(exps[cut:], letters[cut:], lmap))
+
+
+def _rebuilt_word(spec):
+    """The word of a spec, rebuilt from its exponents and letters."""
+    return FractionSpec(spec.exponents, spec.letters, spec.lmap).word()
+
+
+def lincomb_expand_product(a, b):
+    """Reference for expand_product on local specs of one L-map: the shuffle
+    of the rebuilt words, each word mapped to a fresh spec."""
+    return [(spec_of_word(w, a.lmap), c)
+            for w, c in shuffle(_rebuilt_word(a), _rebuilt_word(b)).items()]
+
+
+def lincomb_lyndon_decompose(combo):
+    """Reference for lyndon_decompose on local specs: the words summed per
+    L-map and solved, each emitted monomial sorted from fresh specs and
+    summed in by one LinComb.add."""
+    out = LinComb()
+    by_lmap = {}
+    for spec, coeff in combo:
+        w = _rebuilt_word(spec)
+        if not w:
+            out.add({(): coeff})
+            continue
+        words = by_lmap.setdefault(spec.lmap, {})
+        words[w] = words.get(w, Fraction(0)) + coeff
+    for lmap, words in by_lmap.items():
+        for mono, c in _lyndon_solve(words, lmap.alphabet).items():
+            out.add({spec_monomial(spec_of_word(v, lmap) for v in mono): c})
+    return out.coeffs

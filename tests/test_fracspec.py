@@ -12,6 +12,7 @@ from linpole import (DEFAULT_Q, BudgetExceeded, Forest, ForestNode, FractionSpec
                      speer_lmap, weak_chen_lmap, word_of_fraction, zset, zvar)
 
 from helpers import (chain_forest, combination_equals_germ, fraction_shuffle,
+                     lincomb_expand_product, lincomb_lyndon_decompose, random_local_pair,
                      random_point_off_poles)
 
 chen = chen_lmap()
@@ -395,6 +396,12 @@ def test_spec_of_word_matches_validating_constructor():
     for letter in ((1, 2), [1, 2], {1, 2}):  # not canonical: a frozenset, as the constructor makes it
         spec = spec_of_word((X0, letter), speer)
         assert spec == FractionSpec((2,), (frozenset({1, 2}),), speer) and repr(spec) == "f[2;{1,2}]"
+        # the spec hands out the canonical word, never the one it was given
+        rebuilt = FractionSpec(spec.exponents, spec.letters, speer).word()
+        assert spec.word() == rebuilt == (X0, frozenset({1, 2}))
+        assert type(spec.word()[1]) is frozenset
+    assert spec_of_word([X0, 3], chen).word() == (X0, 3)
+    assert type(spec_of_word([X0, 3], chen).word()) is tuple
     empty = spec_of_word((), chen)
     ref = FractionSpec((), (), chen)
     assert empty == ref and hash(empty) == hash(ref) and repr(empty) == repr(ref)
@@ -532,6 +539,48 @@ def test_a_second_lmap_of_a_builtin_name_keeps_its_specs():
     product = expand_product(a, b)
     assert all(s.lmap is shifted for s, _ in product)
     assert GermCombo([(c, (s,)) for s, c in product]).germ() == germ_mul(a.germ(), b.germ())
+
+
+def test_expand_product_and_lyndon_decompose_match_the_lincomb_route():
+    """Both functions against references that map every word to a fresh
+    spec and sum one LinComb.add per monomial: equal outputs in the same
+    key order, on combinations that cancel in part or in full, hold the
+    empty word, and mix the built-in maps with a second map named chen,
+    first from cleared caches and then from warm ones."""
+    from linpole import LMap
+    from linpole.fracspec import _lyndon_spec_monomial, _word_spec
+    from linpole.words import _lyndon_step, integer_alphabet
+    shifted = LMap(integer_alphabet(), lambda u: zvar(u + 1), "chen")
+    rng = random.Random(71)
+    pairs = [random_local_pair(rng, (chen, speer)[i % 2]) for i in range(40)]
+    pairs += [(FractionSpec(a.exponents, a.letters, shifted),
+               FractionSpec(b.exponents, b.letters, shifted)) for a, b in pairs if a.lmap is chen]
+    combos = []
+    for _ in range(20):
+        combo = []
+        for a, b in rng.sample(pairs, 3):
+            k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            combo += [(s, k * c) for s, c in lincomb_expand_product(a, b)]
+            combo += [(s, -k * c) for s, c in lincomb_expand_product(b, a)[:rng.randint(0, 3)]]
+        for _ in range(rng.randint(0, 2)):
+            empty = FractionSpec((), (), rng.choice((chen, speer, shifted)))
+            combo.insert(rng.randint(0, len(combo)), (empty, Fraction(rng.randint(-1, 1))))
+        combos.append(combo)
+    for a, b in pairs[:6]:
+        combos.append(lincomb_expand_product(a, b)
+                      + [(s, -c) for s, c in lincomb_expand_product(b, a)])
+    combos.append([(FractionSpec((), (), chen), Fraction(1)),
+                   (FractionSpec((), (), shifted), Fraction(-1))])
+    for cache in (_word_spec, _lyndon_spec_monomial, _lyndon_step):
+        cache.cache_clear()
+    for _ in ("cold", "warm"):
+        for a, b in pairs:
+            assert expand_product(a, b) == lincomb_expand_product(a, b), (a, b)
+        for combo in combos:
+            got, want = lyndon_decompose(combo), lincomb_lyndon_decompose(combo)
+            assert got == want and list(got) == list(want)
+            assert all(type(c) is Fraction for c in got.values())
+    assert _word_spec.cache_info().hits and _lyndon_spec_monomial.cache_info().hits
 
 
 def _summed_entries(spec):

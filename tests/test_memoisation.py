@@ -145,6 +145,7 @@ def test_every_cache_is_bounded():
                  "linpole.germs._decompose", "linpole.germs._dependence",
                  "linpole.poly.Polynomial.dependence_space",
                  "linpole.evaluators._monic_value", "linpole.fracspec._cumulative_entries",
+                 "linpole.fracspec._word_spec", "linpole.fracspec._lyndon_spec_monomial",
                  "linpole.evaluators._zeta_monomial", "linpole.evaluators.GaloisTransform._image"):
         assert name in caches
     for name, cache in caches.items():

@@ -20,7 +20,8 @@ from linpole.fracspec import spec_monomial, spec_of_word
 from linpole.words import (Alphabet, Word, _lyndon_solve, _lyndon_step, _shuffle_counts,
                            _shuffle_ints)
 
-from helpers import brute_shuffle, fraction_shuffle, recursive_shuffle_counts
+from helpers import (brute_shuffle, fraction_shuffle, random_local_pair,
+                     recursive_shuffle_counts)
 
 _ONE = Fraction(1)
 
@@ -302,24 +303,6 @@ def test_lyndon_rewrite_matches_recursive_rewrite():
     sets = [frozenset({1}), frozenset({2}), frozenset({1, 2})]
     for w in all_words([X0] + sets, 4):
         assert lyndon_rewrite(w, S) == ref(w), word_str(w)
-
-
-def random_local_pair(rng, lmap, max_weight=6):
-    """Two local specs with pairwise-disjoint letters (integers for the Chen
-    map, disjoint index sets for the Speer map) and at most `max_weight`
-    letters in their product's words, which keeps the recursive oracle fast."""
-    pool = rng.sample(range(1, 8), rng.randint(2, 5))
-    if lmap.name == "speer":
-        cuts = sorted(rng.sample(range(1, len(pool)), rng.randint(1, len(pool) - 1)))
-        letters = [frozenset(pool[i:j]) for i, j in zip([0] + cuts, cuts + [len(pool)])]
-    else:
-        letters = pool[:4]
-    exps = [rng.randint(1, 2) for _ in letters]
-    while sum(exps) > max_weight:
-        exps[exps.index(2)] = 1
-    cut = rng.randint(1, len(letters) - 1)
-    return (FractionSpec(exps[:cut], letters[:cut], lmap),
-            FractionSpec(exps[cut:], letters[cut:], lmap))
 
 
 def test_lyndon_decompose_matches_recursive_rewrite():

@@ -9,7 +9,11 @@ the validating constructor and fails at once when the two differ in `==`,
 `Polynomial._trusted` takes packed numerators over a denominator, which the
 validating constructor does not read, so a trusted polynomial is compared
 with the one that constructor rebuilds from its `terms`; nothing reads its
-dict in key order, so that order is not compared.
+dict in key order, so that order is not compared.  `FractionSpec._trusted`
+may also take the spec's word, which the validating constructor does not:
+the word a trusted spec hands out must be the one the reference rebuilds
+from its exponents and letters, a tuple equal to it letter by letter in
+value and type.
 """
 
 from __future__ import annotations
@@ -46,8 +50,20 @@ SHAPES = {
 
 def reference(cls, obj, args):
     """What the trusted object must equal: the validating constructor's
-    result on the same arguments, or on the terms of a Polynomial."""
-    return Polynomial(obj.terms) if cls is Polynomial else cls(*args)
+    result on the same arguments, on the terms of a Polynomial, or on the
+    vectors of a FractionSpec without its word."""
+    if cls is Polynomial:
+        return Polynomial(obj.terms)
+    return cls(*args[:3]) if cls is FractionSpec else cls(*args)
+
+
+def _same_word(obj, ref) -> bool:
+    """A spec's word is its rebuilt one; a set letter equals a frozenset, so
+    the letter types are compared too."""
+    if not isinstance(obj, FractionSpec):
+        return True
+    w, v = obj.word(), ref.word()
+    return type(w) is tuple and w == v and list(map(type, w)) == list(map(type, v))
 
 
 CHECKED: collections.Counter = collections.Counter()
@@ -89,6 +105,7 @@ def audited(cls):
                 ("key order", cls is Polynomial
                  or list(getattr(obj, "coeffs", ())) == list(getattr(ref, "coeffs", ()))),
                 ("value types", shape(obj)),
+                ("word", _same_word(obj, ref)),
             ) if not same]
         if differ:
             MISMATCHES.append(f"{cls.__name__}._trusted{args!r}: {', '.join(differ)}")
