@@ -59,7 +59,7 @@ class LinearForm(_Frozen):
         items = coeffs.items() if isinstance(coeffs, (dict, Mapping)) else coeffs
         clean = {}
         for v, c in items:
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"variable index must be a positive integer, got {v!r}")
             c = _as_fraction(c)
             if c:
@@ -162,7 +162,7 @@ def _signed_sum(terms: Iterable[tuple[Q, str]]) -> str:
 
 def zvar(v: int) -> LinearForm:
     """The coordinate form z_v."""
-    if not isinstance(v, int) or v < 1:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
         raise ValueError(f"variable index must be a positive integer, got {v!r}")
     return LinearForm._trusted({v: Fraction(1)})
 

@@ -14,36 +14,39 @@ raises NonHomogeneousPole.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NonHomogeneousPole, ParseError
+from .errors import BudgetExceeded, NonHomogeneousPole, ParseError
 from .exactlin import LinearForm, zvar
 from .germs import ZERO_GERM, RationalGerm, germ_mul, germ_sum
-from .poly import ONE
+from .poly import ONE, Polynomial, check_size
 
 # Each level of parentheses costs five stack frames: deeper input would
 # exhaust Python's default recursion limit of 1000 before a typed error.
 _MAX_NESTING = 100
+# A constant power is sized before it is computed: 10^1000000 has 3.3 million
+# bits, and 3^999999999 would take minutes.
+_MAX_POWER_BITS = 1 << 22
 
 # Whitespace before a token is skipped; after the last token there is none
-# to match, so trailing whitespace ends the input.
-_TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([-+*/^()])|(\S))")
+# to match, so trailing whitespace ends the input.  ASCII only: any other
+# character is unexpected where it stands, a digit right after a z too.
+_TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([-+*/^()])|z?([^\x00-\x7f])|(\S))", re.ASCII)
+_KIND = (None, "int", "var", "op")
 
 
 def _tokenize(text: str):
     tokens = []
     pos = 0
     while m := _TOKEN.match(text, pos):
-        if m.group(4) is not None:
-            raise ParseError(f"unexpected character {m.group(4)!r}", m.start(4))
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("var", int(m.group(2)[1:]), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
+        k = m.lastindex
+        s = m.group(k)
+        if k > 3:
+            raise ParseError(f"unexpected character {s!r}", m.start(k))
+        tokens.append((_KIND[k], s if k == 3 else int(s.lstrip("z")), m.start(k)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -52,8 +55,9 @@ def _tokenize(text: str):
 class _Value:
     """coef * prod(form^exp) * rest.  rest is None for a product of powers of
     primitive linear forms, the only shape a divisor may take, and a germ
-    otherwise.  *, / and ^ act on coef and the exponents; a germ is built
-    only for the terms of a sum and once for the result."""
+    otherwise.  *, / and ^ act on coef and the exponents, and a sum keeps
+    the cheapest shape its terms allow (see _sum), so a parse normalises a
+    germ once, for the result."""
 
     __slots__ = ("coef", "factors", "rest")
 
@@ -66,12 +70,21 @@ class _Value:
     def __neg__(self) -> "_Value":
         return _Value(-self.coef, self.factors, self.rest)
 
+    def numerator(self) -> Polynomial:
+        """coef * rest's numerator * the forms of positive exponent, multiplied
+        out: the whole value when it has no pole."""
+        num = ONE if self.rest is None else self.rest.numerator
+        for f, e in self.factors.items():
+            if e > 0:
+                num = num * Polynomial.from_linear(f) ** e
+        return num * self.coef
+
     def germ(self) -> RationalGerm:
         if not self.coef:  # no power of a form is expanded only to vanish
             return ZERO_GERM
-        num, den = (ONE, ()) if self.rest is None else (self.rest.numerator, self.rest.denominator)
-        return RationalGerm(num * self.coef,
-                            [*den, *((f, -e) for f, e in self.factors.items())])
+        den = () if self.rest is None else self.rest.denominator
+        return RationalGerm(self.numerator(),
+                            [*den, *((f, -e) for f, e in self.factors.items() if e < 0)])
 
 
 def _product(a: _Value, b: _Value, sign: int) -> _Value:
@@ -80,21 +93,38 @@ def _product(a: _Value, b: _Value, sign: int) -> _Value:
     for f, e in b.factors.items():
         factors[f] = factors.get(f, 0) + sign * e
     rest = a.rest if b.rest is None else b.rest if a.rest is None else germ_mul(a.rest, b.rest)
-    return _Value(a.coef * b.coef ** sign, factors, rest)
+    return _Value(a.coef * b.coef if sign > 0 else a.coef / b.coef, factors, rest)
 
 
-def _factored(g: RationalGerm) -> _Value:
-    """A summed germ, factored again when it is a constant or a single
-    homogeneous linear form."""
-    num = g.numerator
-    if not g.denominator:
+def _sum(terms: list[_Value]) -> _Value:
+    """The sum in the cheapest shape its terms allow: terms c*L add up in one
+    LinearForm, pole-free terms in one Polynomial, and only a sum with a pole
+    in some term builds a germ per term.  A pole-free result that is a
+    constant or one homogeneous linear form is factored, so it can divide."""
+    terms = [t for t in terms if t.coef]  # as in germ(), a zero term builds nothing
+    if all(t.rest is None and list(t.factors.values()) == [1] for t in terms):
+        coeffs: dict[int, Fraction] = {}
+        for t in terms:
+            (form,) = t.factors
+            check_size(1, max(form.coeffs))  # the variable limit the term's polynomial meets
+            for v, c in form.coeffs.items():
+                coeffs[v] = coeffs.get(v, 0) + t.coef * c
+    else:
+        if all((t.rest is None or not t.rest.denominator)
+               and min(t.factors.values(), default=0) >= 0 for t in terms):
+            num = Polynomial.sum([t.numerator() for t in terms])
+        else:
+            g = germ_sum([t.germ() for t in terms])
+            if g.denominator:
+                return _Value(Fraction(1), rest=g)
+            num = g.numerator
         if num.is_constant():
             return _Value(num.constant_term())
-        if num.degree() == 1 and not num.constant_term():
-            form = LinearForm({mono[0][0]: c for mono, c in num.terms})
-            prim, scalar = form.primitive()
-            return _Value(scalar, {prim: 1})
-    return _Value(Fraction(1), rest=g)
+        if num.degree() > 1 or num.constant_term():
+            return _Value(Fraction(1), rest=RationalGerm._trusted(num, ()))
+        coeffs = {mono[0][0]: c for mono, c in num.terms}
+    form, scalar = LinearForm(coeffs).primitive()
+    return _Value(scalar, {form: 1}) if form else _Value(Fraction(0))
 
 
 class _Parser:
@@ -102,6 +132,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.forms: dict[int, LinearForm] = {}  # z_v by index, built once per parse
 
     def peek(self):
         return self.tokens[self.i]
@@ -134,7 +165,7 @@ class _Parser:
             elif len(terms) == 1:
                 return terms[0]
             else:
-                return _factored(germ_sum(t.germ() for t in terms))
+                return _sum(terms)
 
     def term(self) -> _Value:
         v = self.unary()
@@ -174,6 +205,10 @@ class _Parser:
                 if rest is not None:
                     rest = RationalGerm(rest.numerator ** k,
                                         [(f, e * k) for f, e in rest.denominator])
+                m = max(abs(v.coef.numerator), v.coef.denominator)  # k first: it may not fit a float
+                if m > 1 and (k > _MAX_POWER_BITS or k * math.log2(m) > _MAX_POWER_BITS):
+                    raise BudgetExceeded(f"a constant to the power {k} exceeds the limit of "
+                                         f"{_MAX_POWER_BITS} bits")
                 v = _Value(v.coef ** k, {f: e * k for f, e in v.factors.items()}, rest)
             else:
                 return v
@@ -185,7 +220,8 @@ class _Parser:
         if kind == "var":
             if val < 1:
                 raise ParseError("variable index must be positive", pos)
-            return _Value(Fraction(1), {zvar(val): 1})
+            form = self.forms.get(val) or self.forms.setdefault(val, zvar(val))
+            return _Value(Fraction(1), {form: 1})
         if kind == "op" and val == "(":
             self.depth += 1
             if self.depth > _MAX_NESTING:
@@ -204,7 +240,7 @@ def parse_germ(text: str) -> RationalGerm:
     return _Parser(text).parse().germ()
 
 
-_WORD_TOKEN = re.compile(r"x0|x\{(\d+(?:,\d+)*)\}|x(\d+)")
+_WORD_TOKEN = re.compile(r"x0|x\{(\d+(?:,\d+)*)\}|x(\d+)", re.ASCII)
 
 
 def parse_word(text: str):
@@ -219,7 +255,8 @@ def parse_word(text: str):
     while pos < len(text):
         m = _WORD_TOKEN.match(text, pos)
         if not m:
-            raise ParseError("bad word literal", pos)
+            # past an x, the fault is in the letter's index
+            raise ParseError("bad word literal", pos + (text[pos] == "x"))
         if m.group(1) is not None:
             letters.append(frozenset(int(x) for x in m.group(1).split(",")))
         elif m.group(2) is not None:
@@ -235,7 +272,7 @@ _SPEC_RE = re.compile(r"^\s*f\[([^;\]]*);([^\]]*)\]\s*$")
 _LITERAL_SEPARATOR = re.compile(r";(?![^\[]*\])")
 # A comma between entries or letters, not one inside a set letter such as {1,3}.
 _ENTRY_SEPARATOR = re.compile(r",(?![^{}]*\})")
-_INTEGER = re.compile(r"[+-]?\d+")
+_INTEGER = re.compile(r"[+-]?\d+", re.ASCII)
 
 
 def _spec_list(text: str, pos: int, sets: bool = False) -> list:

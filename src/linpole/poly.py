@@ -33,7 +33,9 @@ _MAX_DEGREE = _MASK
 _MAX_VARIABLE = 1024
 
 
-def _check(degree: int, variable: int = 0) -> None:
+def check_size(degree: int, variable: int = 0) -> None:
+    """BudgetExceeded unless a monomial of this total degree, and z_variable,
+    fit the packing."""
     if degree > _MAX_DEGREE:
         raise BudgetExceeded(f"total degree {degree} exceeds the limit {_MAX_DEGREE}")
     if variable > _MAX_VARIABLE:
@@ -49,7 +51,7 @@ def _encode(mono: Iterable[tuple[int, int]]) -> int:
             if e < 0 or v < 1:
                 raise ValueError(f"bad monomial factor {(v, e)!r}")
             deg += e
-            _check(deg, v)
+            check_size(deg, v)
             m += e << (v * _WIDTH)
     return m + deg
 
@@ -142,7 +144,7 @@ class Polynomial(_Frozen):
         row = dict(row)
         if min(row, default=1) < 1 or den < 1:
             raise ValueError(f"bad linear row {row!r} over {den}")
-        _check(1, max(row, default=0))
+        check_size(1, max(row, default=0))
         return Polynomial._trusted({(1 << v * _WIDTH) + 1: c for v, c in row.items() if c}, den)
 
     @staticmethod
@@ -191,7 +193,7 @@ class Polynomial(_Frozen):
             k = _as_fraction(other)
             return Polynomial._trusted({m: c * k.numerator for m, c in self.coeffs.items()}
                                        if k else {}, self.den * k.denominator)
-        _check(self.degree() + other.degree())
+        check_size(self.degree() + other.degree())
         return Polynomial._trusted(_mul(self.coeffs, other.coeffs), self.den * other.den)
 
     __rmul__ = __mul__
@@ -201,7 +203,7 @@ class Polynomial(_Frozen):
         repeated squaring (Fateman, SIAM J. Comput. 3, 1974)."""
         if k < 0:
             raise ValueError("negative power")
-        _check(self.degree() * k)
+        check_size(self.degree() * k)
         if len(self.coeffs) == 1:
             (m, c), = self.coeffs.items()
             return Polynomial._trusted({m * k: c ** k}, self.den ** k)
@@ -269,7 +271,7 @@ class Polynomial(_Frozen):
                 if e := (m >> shift) & _MASK:
                     exps.append((v, e))
                     s, degree, m = s + e, degree + e * gain, m - (e << shift) - e
-            _check(degree)
+            check_size(degree)
             term = {m: c * den ** (top - s)}
             for v, e in exps:
                 pw = powers[v]

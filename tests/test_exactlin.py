@@ -245,6 +245,14 @@ def test_zset():
     assert zset([2]) == zvar(2)
 
 
+@pytest.mark.parametrize("build", [lambda: zvar(True), lambda: LinearForm({True: 1}),
+                                   lambda: zset([2, True])], ids=["zvar", "form", "zset"])
+def test_a_bool_is_no_variable_index(build):
+    """As a coefficient is refused a bool, so is a variable index."""
+    with pytest.raises(ValueError, match="^variable index must be a positive integer, got True$"):
+        build()
+
+
 def primitive_reference(f):
     """The primitive part by the gcd and lcm of the coefficients, with no
     shortcut for forms that are primitive already."""

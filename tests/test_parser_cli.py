@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from linpole import (LinearForm, NonHomogeneousPole, ParseError, Polynomial,
+from linpole import (BudgetExceeded, LinearForm, NonHomogeneousPole, ParseError, Polynomial,
                      RationalGerm, X0, locality_lyndon_generators, parse_germ,
                      parse_spec, parse_word, subset_alphabet, word_str, zvar)
 from linpole.cli import main
@@ -174,6 +174,62 @@ def test_parser_never_expands_a_divisor(text, want):
     assert time.perf_counter() - start < 0.5
 
 
+def test_a_sum_keeps_the_variable_limit():
+    """A sum of terms c*L adds up one LinearForm, which has no variable
+    limit; it still refuses a variable past the polynomial packing limit, as
+    the polynomial of the term would."""
+    with pytest.raises(BudgetExceeded) as exc:
+        parse_germ("1/(z1+z1025)")
+    assert str(exc.value) == "variable z1025 exceeds the limit z1024"
+    assert parse_germ("1/z1025") == RationalGerm(1, [(zvar(1025), 1)])
+
+
+def test_a_parse_normalises_one_germ(monkeypatch):
+    """Parsing the benchmark germs runs RationalGerm.__init__ once per text,
+    for the result: sums of linear and of pole-free terms build no germ.
+    With pytest --audit-trusted, a trusted germ is also rebuilt through
+    __init__; that rebuild is not counted."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    texts = [g[key] for rnd in workloads.generate("germ-queries", 5, 60)
+             for g in rnd["germs"] for key in ("text", "alt", "partner_text")]
+    built = in_trusted = 0
+    init, trusted = RationalGerm.__init__, RationalGerm._trusted
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += not in_trusted
+        init(self, *args)
+
+    def counting_trusted(*args):
+        nonlocal in_trusted
+        in_trusted += 1
+        try:
+            return trusted(*args)
+        finally:
+            in_trusted -= 1
+
+    monkeypatch.setattr(RationalGerm, "__init__", counting_init)
+    monkeypatch.setattr(RationalGerm, "_trusted", staticmethod(counting_trusted))
+    for text in texts:
+        parse_germ(text)
+    assert (len(texts), built) == (720, 720)
+
+
+def test_constant_powers_are_sized_before_they_are_computed():
+    assert parse_germ("2^4194304/2^4194303") == RationalGerm(2)  # at the limit
+    assert parse_germ("1^99999999999999999999 - (-1)^99999999999999999999") == RationalGerm(2)
+    start = time.perf_counter()
+    for text in ("2^4194305", "(1/2)^4194305", "3^999999999", "(3*z1)^99999999/z1^99999999"):
+        with pytest.raises(BudgetExceeded) as exc:
+            parse_germ(text)
+        assert str(exc.value).endswith("exceeds the limit of 4194304 bits")
+    assert time.perf_counter() - start < 1
+
+
 def test_parse_word_literals():
     assert parse_word("x0x1x0x2") == (X0, 1, X0, 2)
     assert parse_word("x{1,3}x0") == (frozenset({1, 3}), X0)
@@ -268,6 +324,16 @@ def test_cli_empty_set_letter_is_a_parse_error(capsys, argv, position):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"parse error: empty set letter (at position {position})\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decompose", "z\u0661+z\u0662"), "unexpected character '\u0661' (at position 1)"),
+    (("shuffle", "x\u0661", "x2"), "bad word literal (at position 1)"),
+    (("expand", "f[\u0662;1]", "f[1;2]"), "expected an integer, got '\u0662' (at position 2)"),
+], ids=["germ", "word", "spec"])
+def test_cli_digits_are_ascii(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
 
 def test_cli_degree_beyond_the_packing_limit_exits_1_at_once(capsys):
@@ -823,8 +889,14 @@ def test_cli_lyndon_generators_beyond_the_word_limit(capsys):
      "max length 4096 exceeds the limit 1024"),
     (("lyndon", "generators", "x1,x2", "--max-length", "2048"),
      "max length 2048 exceeds the limit 1024"),
+    (("decompose", "3^999999999"),
+     "a constant to the power 999999999 exceeds the limit of 4194304 bits"),
+    (("decompose", "3^99999999/z1"),
+     "a constant to the power 99999999 exceeds the limit of 4194304 bits"),
+    (("decompose", "1/(z1+z1025)"), "variable z1025 exceeds the limit z1024"),
 ], ids=["weight", "expand-weight", "node-exponent", "forest-weight", "forest-depth",
-        "product-weight", "length-one", "length-two"])
+        "product-weight", "length-one", "length-two", "constant-power",
+        "constant-power-over-a-form", "variable-in-a-sum"])
 def test_cli_limits_exit_1_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
