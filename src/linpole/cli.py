@@ -99,8 +99,8 @@ def _parse_combo(payload) -> GermCombo:
 
 
 def _parse_transform(payload: str) -> GaloisTransform:
-    """Transform JSON; GaloisTransform reads each value, so a float is refused."""
-    data = _decode_json(payload, "transform")
+    """Transform JSON, @file or -: GaloisTransform reads each value, so a float is refused."""
+    data = _decode_json(_read_payload(payload), "transform")
     with _payload_shape("transform"):
         return GaloisTransform({parse_spec(t["spec"]): t["value"] for t in data["shifts"]})
 
@@ -124,14 +124,12 @@ def _spec_terms(combo) -> tuple[str, list[dict]]:
 
 
 def cmd_decompose(args):
-    g = parse_germ(_read_payload(args.expr))
-    d = decompose(g, args.q)
+    d = decompose(parse_germ(_read_payload(args.expr)), args.q)
     _emit(args, repr(d), ser.decomposition_to_json(d))
 
 
 def cmd_pi_plus(args):
-    g = parse_germ(_read_payload(args.expr))
-    h = project_plus(g, args.q)
+    h = project_plus(parse_germ(_read_payload(args.expr)), args.q)
     _emit(args, repr(h), ser.poly_to_json(h))
 
 
@@ -154,21 +152,18 @@ def cmd_residue(args):
 
 
 def cmd_dep(args):
-    g = parse_germ(_read_payload(args.expr))
-    s = dependence(g, args.q)
+    s = dependence(parse_germ(_read_payload(args.expr)), args.q)
     _emit(args, repr(s), ser.subspace_to_json(s))
 
 
 def cmd_orth(args):
-    f = parse_germ(_read_payload(args.expr))
-    g = parse_germ(_read_payload(args.expr2))
+    f, g = parse_germ(_read_payload(args.expr)), parse_germ(_read_payload(args.expr2))
     ok = is_local_pair(f, g, args.q)
     _emit(args, "true" if ok else "false", {"orthogonal": ok})
 
 
 def cmd_mul(args):
-    f = parse_germ(_read_payload(args.expr))
-    g = parse_germ(_read_payload(args.expr2))
+    f, g = parse_germ(_read_payload(args.expr)), parse_germ(_read_payload(args.expr2))
     out = locality_mul(f, g, args.q) if args.locality == "strict" else germ_mul(f, g)
     _emit(args, repr(out), ser.germ_to_json(out))
 
@@ -207,15 +202,12 @@ def cmd_lyndon(args):
 
 
 def cmd_phi(args):
-    w = parse_word(args.word)
-    lmap = LMAPS[args.lmap]()
-    g = phi(w, lmap)
+    g = phi(parse_word(args.word), LMAPS[args.lmap]())
     _emit(args, repr(g), ser.germ_to_json(g))
 
 
 def cmd_unphi(args):
-    spec = parse_spec(args.spec)
-    w = word_of_fraction(spec)
+    w = word_of_fraction(parse_spec(args.spec))
     _emit(args, word_str(w), {"word": word_str(w)})
 
 
@@ -239,18 +231,15 @@ def cmd_galois(args):
         t = galois_from_evaluator(ev, gens)
         _emit(args, repr(t), _transform_json(t))
     elif args.action == "apply":
-        t = _parse_transform(_read_payload(args.transform))
+        t = _parse_transform(args.transform)
         combo = _parse_combo(_read_payload(args.combo))
         out = apply_transform(t, combo, args.q)
         _emit(args, repr(out), _combo_json(out))
     elif args.action == "compose":
-        t1 = _parse_transform(_read_payload(args.transform))
-        t2 = _parse_transform(_read_payload(args.transform2))
-        t = compose_transforms(t1, t2)
+        t = compose_transforms(_parse_transform(args.transform), _parse_transform(args.transform2))
         _emit(args, repr(t), _transform_json(t))
     elif args.action == "invert":
-        t = _parse_transform(_read_payload(args.transform))
-        out = invert_transform(t)
+        out = invert_transform(_parse_transform(args.transform))
         _emit(args, repr(out), _transform_json(out))
     else:  # check
         ev = _evaluator(args)
@@ -302,69 +291,42 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("text", "json"), default="text")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_VerbParser)
 
-    p = sub.add_parser("decompose", help="canonical polar decomposition", expressions=True)
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_decompose)
+    def verb(name, func, help, *positionals, expressions=False):
+        """The subparser of one verb, its plain positionals added."""
+        p = sub.add_parser(name, help=help, expressions=expressions)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("pi-plus", help="holomorphic part of the decomposition", expressions=True)
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_pi_plus)
-
-    p = sub.add_parser("eval", help="run an evaluator", expressions=True)
+    verb("decompose", cmd_decompose, "canonical polar decomposition", "expr", expressions=True)
+    verb("pi-plus", cmd_pi_plus, "holomorphic part of the decomposition", "expr",
+         expressions=True)
+    p = verb("eval", cmd_eval, "run an evaluator", expressions=True)
     p.add_argument("--evaluator", choices=("ms", "iter", "zeta"), required=True)
     p.add_argument("expr", help="germ expression, spec literal, combo JSON, @file or -")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("residue", help="p- or d-residue", expressions=True)
+    p = verb("residue", cmd_residue, "p- or d-residue", expressions=True)
     p.add_argument("--kind", choices=("p", "d"), default="p")
     p.add_argument("expr")
-    p.set_defaults(func=cmd_residue)
-
-    p = sub.add_parser("dep", help="dependence subspace", expressions=True)
-    p.add_argument("expr")
-    p.set_defaults(func=cmd_dep)
-
-    p = sub.add_parser("orth", help="locality check for two germs", expressions=True)
-    p.add_argument("expr")
-    p.add_argument("expr2")
-    p.set_defaults(func=cmd_orth)
-
-    p = sub.add_parser("mul", help="product of germs", expressions=True)
+    verb("dep", cmd_dep, "dependence subspace", "expr", expressions=True)
+    verb("orth", cmd_orth, "locality check for two germs", "expr", "expr2", expressions=True)
+    p = verb("mul", cmd_mul, "product of germs", expressions=True)
     p.add_argument("--locality", choices=("strict", "raw"), default="strict")
     p.add_argument("expr")
     p.add_argument("expr2")
-    p.set_defaults(func=cmd_mul)
-
-    p = sub.add_parser("shuffle", help="shuffle product of two words")
-    p.add_argument("word")
-    p.add_argument("word2")
-    p.set_defaults(func=cmd_shuffle)
-
-    p = sub.add_parser("lyndon", help="Lyndon factorisation/rewriting/generators")
+    verb("shuffle", cmd_shuffle, "shuffle product of two words", "word", "word2")
+    p = verb("lyndon", cmd_lyndon, "Lyndon factorisation/rewriting/generators")
     p.add_argument("action", choices=("factor", "rewrite", "test", "generators"))
     p.add_argument("word", help="word literal; for generators: comma-separated letters")
     p.add_argument("--max-length", type=int, default=3, dest="max_length")
-    p.set_defaults(func=cmd_lyndon)
-
-    p = sub.add_parser("phi", help="word to ordered fraction")
+    p = verb("phi", cmd_phi, "word to ordered fraction")
     p.add_argument("--lmap", choices=tuple(LMAPS), default="chen")
     p.add_argument("word")
-    p.set_defaults(func=cmd_phi)
-
-    p = sub.add_parser("unphi", help="ordered fraction to word")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_unphi)
-
-    p = sub.add_parser("expand", help="product of two fraction specs")
-    p.add_argument("spec")
-    p.add_argument("spec2")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("flatten", help="forest fraction to ordered fractions")
+    verb("unphi", cmd_unphi, "ordered fraction to word", "spec")
+    verb("expand", cmd_expand, "product of two fraction specs", "spec", "spec2")
+    p = verb("flatten", cmd_flatten, "forest fraction to ordered fractions")
     p.add_argument("forest", help="forest JSON, @file or -")
-    p.set_defaults(func=cmd_flatten)
-
-    p = sub.add_parser("galois", help="derive/apply/compose/invert/check transforms")
+    p = verb("galois", cmd_galois, "derive/apply/compose/invert/check transforms")
     p.add_argument("action", choices=("derive", "apply", "compose", "invert", "check"))
     p.add_argument("--evaluator", choices=("ms", "iter", "zeta"), default="ms")
     p.add_argument("--generators", default="", help="semicolon-separated spec literals")
@@ -373,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--combo", default="")
     p.add_argument("--combos", default="", help="JSON list of combos")
     p.add_argument("--tol", default="")
-    p.set_defaults(func=cmd_galois)
-
     return ap
 
 

@@ -24,9 +24,9 @@ import types
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import (BudgetExceeded, DependenceEscapesVars, DivergentIndex,
-                     EvaluatorDomain, IncompatibleGenerators, NotChen, NotLocal,
-                     TooManyVariables)
+from .errors import (DependenceEscapesVars, DivergentIndex, EvaluatorDomain,
+                     IncompatibleGenerators, NotChen, NotLocal, TooManyVariables,
+                     _printable, limit)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, orthogonal,
                        span, _Frozen, _as_fraction)
 from .germs import RationalGerm, dependence, germ_scale, germ_sum, ms_eval
@@ -171,10 +171,6 @@ def iter_eval(f: RationalGerm, variables: Optional[Sequence[int]] = None,
 # multiple zeta values: the Hölder convolution at 1/2
 # ---------------------------------------------------------------------------
 
-MAX_PRECISION = 1000  # digits; the work grows linearly with the precision
-# Cap on (n+1)^2 n_terms (precision+100), the work of one MZV of weight n;
-# zeta(16) at 1000 digits (1.1e9) takes about 2 s with CPython 3.11.
-MZV_BUDGET = 1_500_000_000
 _DUAL = str.maketrans("01", "10")
 
 
@@ -183,8 +179,9 @@ def _zeta_str(s: tuple[int, ...]) -> str:
 
 
 def _check_precision(precision: int) -> None:
-    if not 0 <= precision <= MAX_PRECISION:
-        raise ValueError(f"precision must be between 0 and {MAX_PRECISION} digits")
+    if precision < 0:
+        raise ValueError(f"precision {precision} is negative")
+    limit("precision", precision, "precision", ValueError)  # the work grows linearly with it
 
 
 def _li_half(word: str, n_terms: int, scale: int) -> tuple[int, int]:
@@ -240,9 +237,9 @@ def _mzv(s: tuple[int, ...], precision: int) -> tuple[Fraction, Fraction]:
     word = "".join("0" * (x - 1) + "1" for x in s)
     n = len(word)
     n_terms = _truncation(n, precision)
-    if (n + 1) ** 2 * n_terms * (precision + 100) > MZV_BUDGET:
-        raise BudgetExceeded(f"{_zeta_str(s)} at {precision} digits exceeds the work budget "
-                             f"(weight {n}, {n_terms} terms)")
+    # zeta(16) at 1000 digits (1.1e9) takes about 2 s with CPython 3.11
+    limit("MZV work", (n + 1) ** 2 * n_terms * (precision + 100),
+          f"MZV work of {_zeta_str(s)} at {precision} digits")
     # Rounding loses at most n_terms + n units per factor.
     scale = 10 ** (precision + 6) * n_terms * (n + 1)
     lo = hi = 0
@@ -260,10 +257,10 @@ def mzv_numeric(s: Sequence[int], precision: int = 8) -> tuple[Fraction, Fractio
     as (value, error_bound) with |true - value| <= error_bound < 10^-precision.
 
     Raises TypeError for a non-int exponent, DivergentIndex when the leading
-    exponent is 1, ValueError for a precision outside 0..MAX_PRECISION, and
-    BudgetExceeded, before any summation, when (n+1)^2 n_terms
-    (precision+100) exceeds MZV_BUDGET, n the weight and n_terms the
-    truncation length.  Results are memoised per (s, precision).
+    exponent is 1, ValueError for a negative precision or one past the
+    precision limit, and BudgetExceeded, before any summation, when (n+1)^2
+    n_terms (precision+100) passes the MZV work limit, n the weight and
+    n_terms the truncation length.  Results are memoised per (s, precision).
     """
     s = tuple(_integer(x, "exponents") for x in s)
     _check_precision(precision)
@@ -446,7 +443,7 @@ def zeta_eval(combo: GermCombo, precision: int = 8,
     """Assign multiple zeta values to the Lyndon Chen generators and extend by
     locality multiplicativity and linearity; holomorphic coefficients
     contribute their value at zero.  Raises ValueError for a precision
-    outside 0..MAX_PRECISION, and NotChen for a spec outside the Chen
+    outside 0..LIMITS["precision"], and NotChen for a spec outside the Chen
     L-maps, whether or not an MZV is needed: a term whose coefficient
     vanishes at zero contributes 0 and computes none."""
     return zeta_evaluator(precision, q).eval_combo(combo)
@@ -519,8 +516,7 @@ class GaloisTransform(_Frozen):
                 raise NotLocal(f"generator {spec!r} is not local")
             if not spec.exponents:
                 raise ValueError("the empty fraction cannot be a generator")
-            if not is_lyndon(spec.word(), spec.lmap.alphabet):
-                raise ValueError(f"generator {spec!r} is not a Lyndon fraction")
+            _check_lyndon(spec)
         object.__setattr__(self, "shifts", types.MappingProxyType(
             {s: _as_fraction(c) for s, c in shifts.items()}))
 
@@ -547,13 +543,22 @@ class GaloisTransform(_Frozen):
         return tuple(shifted.items())
 
     def __repr__(self):
-        inner_part = ", ".join(f"{s!r}+{c}" for s, c in self.shifts.items())
+        inner_part = ", ".join(f"{s!r}+{_printable(c)}" for s, c in self.shifts.items())
         return f"GaloisTransform({inner_part})"
+
+
+def _check_lyndon(spec: FractionSpec) -> None:
+    """ValueError if a local, nonempty spec is not a Lyndon fraction."""
+    if spec.exponents and spec.is_local() and not is_lyndon(spec.word(), spec.lmap.alphabet):
+        raise ValueError(f"generator {spec!r} is not a Lyndon fraction")
 
 
 def galois_from_evaluator(e: Evaluator, generators: Sequence[FractionSpec]) -> GaloisTransform:
     """The shift transform with c_S = e(S) on each generator: e's value on
-    the one-term combo 1*S, read from that term unless e has an `on_combo`."""
+    the one-term combo 1*S, read from that term unless e has an `on_combo`.
+    A local generator that is not Lyndon is refused before any is valued."""
+    for g in generators:
+        _check_lyndon(g)
     one = Polynomial.constant(1)
     shifts = {}
     for g in generators:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import LinpoleError, _decode_json
+from .errors import LinpoleError, _decode_json, _printable
 
 Q = Fraction  # the coefficient field
 
@@ -152,6 +152,7 @@ def _signed_sum(terms: Iterable[tuple[Q, str]]) -> str:
     negative term after the first joins with " - " and its absolute value."""
     out = ""
     for c, mono in terms:
+        _printable(c)
         text = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
         if out:
             out += f" - {text}" if c < 0 else f" + {text}"

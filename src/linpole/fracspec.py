@@ -19,25 +19,14 @@ import functools
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import (BudgetExceeded, LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
-                     ZeroCumulativeForm, _payload_shape)
+from .errors import (LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
+                     ZeroCumulativeForm, _payload_shape, limit)
 from .exactlin import DEFAULT_Q, LinearForm, _Frozen, _axpy, inner, zset, zvar
 from .germs import RationalGerm
 
-from .words import (_MAX_WEIGHT, Alphabet, Word, X0, _ZERO, _lyndon_solve,
+from .words import (Alphabet, Word, X0, _ZERO, _lyndon_solve,
                     _shuffle_ints, integer_alphabet, is_local_word, local_word_pair,
                     shuffle, subset_alphabet, word_str)
-
-# The deepest forest: its walks recurse once per level.
-_MAX_FOREST_DEPTH = 100
-_TOO_DEEP = f"forest nested deeper than {_MAX_FOREST_DEPTH}"
-
-
-def _check_weight(weight: int, what: str = "spec") -> None:
-    """A spec's weight sizes its word, so one past _MAX_WEIGHT raises
-    BudgetExceeded before any word is built."""
-    if weight > _MAX_WEIGHT:
-        raise BudgetExceeded(f"{what} weight {weight} exceeds the limit {_MAX_WEIGHT}")
 
 
 class LMap(_Frozen):
@@ -125,7 +114,7 @@ class FractionSpec(_Frozen):
             raise ValueError("exponent and letter vectors must have equal length")
         if any(s < 1 for s in exps):
             raise ValueError("exponents must be positive integers")
-        _check_weight(sum(exps))
+        limit("weight", sum(exps), "spec weight")  # it sizes the word: check it first
         self._fill(exps, lets, lmap)
 
     @classmethod
@@ -239,9 +228,10 @@ def phi(w: Word, lmap: LMap) -> RationalGerm:
 def spec_of_word(w: Word, lmap: LMap) -> FractionSpec:
     """The spec of a word not ending in x0; int and frozenset letters are
     taken as canonical, any other letter is canonicalised as by FractionSpec,
-    and a word longer than _MAX_WEIGHT is refused as FractionSpec refuses
-    its weight.  The spec keeps the word when every letter is canonical."""
-    _check_weight(len(w))
+    and a word longer than the weight limit is refused as FractionSpec
+    refuses its weight.  The spec keeps the word when every letter is
+    canonical."""
+    limit("weight", len(w), "spec weight")
     if not w:
         return FractionSpec._trusted((), (), lmap, ())
     if w[-1] is X0:
@@ -292,7 +282,7 @@ def expand_product(a: FractionSpec, b: FractionSpec) -> Combination:
         s.denominator_entries()  # a letter outside the alphabet raises here
     if not local_word_pair(a.letters, b.letters, a.lmap.alphabet):
         raise NotLocal(f"{a!r} and {b!r} share non-local letters")
-    _check_weight(a.weight + b.weight)  # every word of the shuffle has it
+    limit("weight", a.weight + b.weight, "spec weight")  # every word of the shuffle has it
     return [(_word_spec(w, a.lmap), c) for w, c in shuffle(a.word(), b.word()).items()]
 
 
@@ -346,7 +336,7 @@ def lyndon_decompose(combo: Combination) -> dict[SpecMonomial, Fraction]:
 class ForestNode(_Frozen):
     """Node of a nested-set forest: an index set, an exponent, children with
     pairwise-disjoint subsets of this set.  Its height, the most nodes on a
-    path down from it, is at most _MAX_FOREST_DEPTH."""
+    path down from it, is within the forest depth limit."""
 
     __slots__ = ("index_set", "exponent", "children", "height")
 
@@ -363,8 +353,7 @@ class ForestNode(_Frozen):
                 raise ValueError("child set must be contained in the parent set")
         _check_disjoint([k.index_set for k in kids])
         height = 1 + max((k.height for k in kids), default=0)
-        if height > _MAX_FOREST_DEPTH:
-            raise BudgetExceeded(_TOO_DEEP)
+        limit("forest depth", height, "forest depth")
         object.__setattr__(self, "index_set", s)
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "children", kids)
@@ -398,7 +387,7 @@ def _check_disjoint(sets: Sequence[frozenset]):
 class Forest(_Frozen):
     """A tuple of root nodes with pairwise-disjoint index sets.  The weight,
     the sum of all node exponents, is that of every spec it flattens to, so
-    one past _MAX_WEIGHT raises BudgetExceeded before any word is built."""
+    one past the weight limit raises BudgetExceeded before any word is built."""
 
     __slots__ = ("roots",)
 
@@ -406,7 +395,7 @@ class Forest(_Frozen):
         roots = tuple(roots)
         _check_disjoint([r.index_set for r in roots])
         object.__setattr__(self, "roots", roots)
-        _check_weight(sum(n.exponent for n in self.nodes()), "forest")
+        limit("weight", sum(n.exponent for n in self.nodes()), "forest weight")
 
     def nodes(self):
         for r in self.roots:
@@ -418,8 +407,7 @@ class Forest(_Frozen):
         # depth bound itself: from Python 3.12 the JSON decoder accepts
         # documents nested far deeper than Python's recursion limit
         def node(d, depth: int) -> ForestNode:
-            if depth > _MAX_FOREST_DEPTH:
-                raise BudgetExceeded(_TOO_DEEP)
+            limit("forest depth", depth, "forest depth")
             return ForestNode(d["set"], [node(c, depth + 1) for c in d.get("children", [])],
                               d.get("exp", 1))
         with _payload_shape("forest"):

@@ -19,17 +19,10 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BudgetExceeded, NonHomogeneousPole, ParseError
+from .errors import LIMITS, NonHomogeneousPole, ParseError, _integer_literal, limit
 from .exactlin import LinearForm, zvar
 from .germs import ZERO_GERM, RationalGerm, germ_mul, germ_sum
 from .poly import ONE, Polynomial, check_size
-
-# Each level of parentheses costs five stack frames: deeper input would
-# exhaust Python's default recursion limit of 1000 before a typed error.
-_MAX_NESTING = 100
-# A constant power is sized before it is computed: 10^1000000 has 3.3 million
-# bits, and 3^999999999 would take minutes.
-_MAX_POWER_BITS = 1 << 22
 
 # Whitespace before a token is skipped; after the last token there is none
 # to match, so trailing whitespace ends the input.  ASCII only: any other
@@ -46,7 +39,7 @@ def _tokenize(text: str):
         s = m.group(k)
         if k > 3:
             raise ParseError(f"unexpected character {s!r}", m.start(k))
-        tokens.append((_KIND[k], s if k == 3 else int(s.lstrip("z")), m.start(k)))
+        tokens.append((_KIND[k], s if k == 3 else _integer_literal(s.lstrip("z")), m.start(k)))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -88,7 +81,12 @@ class _Value:
 
 
 def _product(a: _Value, b: _Value, sign: int) -> _Value:
-    """a * b for sign 1, a / b for sign -1 (b then has no rest)."""
+    """a * b for sign 1, a / b for sign -1 (b then has no rest).  The constant
+    is sized first, by log2 as powers are: each factor's bit length less one."""
+    p, q = (b.coef.numerator, b.coef.denominator)[::sign]
+    limit("constant bits", max(a.coef.numerator.bit_length() + p.bit_length(),
+                               a.coef.denominator.bit_length() + q.bit_length()) - 2,
+          "constant product bits")
     factors = dict(a.factors)
     for f, e in b.factors.items():
         factors[f] = factors.get(f, 0) + sign * e
@@ -205,10 +203,12 @@ class _Parser:
                 if rest is not None:
                     rest = RationalGerm(rest.numerator ** k,
                                         [(f, e * k) for f, e in rest.denominator])
-                m = max(abs(v.coef.numerator), v.coef.denominator)  # k first: it may not fit a float
-                if m > 1 and (k > _MAX_POWER_BITS or k * math.log2(m) > _MAX_POWER_BITS):
-                    raise BudgetExceeded(f"a constant to the power {k} exceeds the limit of "
-                                         f"{_MAX_POWER_BITS} bits")
+                # sized before it is computed: 3^999999999 would take minutes;
+                # an exponent past the float range is itself past the limit
+                m = max(abs(v.coef.numerator), v.coef.denominator)
+                if m > 1:
+                    limit("constant bits", math.ceil(k * math.log2(m)) if k.bit_length() < 1000
+                          else k, "constant power bits")
                 v = _Value(v.coef ** k, {f: e * k for f, e in v.factors.items()}, rest)
             else:
                 return v
@@ -223,9 +223,10 @@ class _Parser:
             form = self.forms.get(val) or self.forms.setdefault(val, zvar(val))
             return _Value(Fraction(1), {form: 1})
         if kind == "op" and val == "(":
-            self.depth += 1
-            if self.depth > _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
+            self.depth += 1  # five stack frames per level
+            if self.depth > LIMITS["parentheses nesting"]:
+                limit("parentheses nesting", self.depth, "parentheses nesting",
+                      lambda message: ParseError(message, pos))
             v = self.expr()
             self.expect_op(")")
             self.depth -= 1
@@ -258,9 +259,9 @@ def parse_word(text: str):
             # past an x, the fault is in the letter's index
             raise ParseError("bad word literal", pos + (text[pos] == "x"))
         if m.group(1) is not None:
-            letters.append(frozenset(int(x) for x in m.group(1).split(",")))
+            letters.append(frozenset(_integer_literal(x) for x in m.group(1).split(",")))
         elif m.group(2) is not None:
-            letters.append(int(m.group(2)))
+            letters.append(_integer_literal(m.group(2)))
         else:
             letters.append(X0)
         pos = m.end()
@@ -287,7 +288,7 @@ def _spec_list(text: str, pos: int, sets: bool = False) -> list:
                 raise ParseError("empty set letter", at)
             out.append(frozenset(members))
         elif _INTEGER.fullmatch(body):
-            out.append(int(body))
+            out.append(_integer_literal(body))
         else:
             raise ParseError(f"expected an integer, got {body!r}" if body else "empty entry", at)
         pos += len(entry) + 1

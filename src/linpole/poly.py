@@ -6,13 +6,13 @@ and gcd(den, *coeffs.values()) = 1.  So the form is canonical, and equality
 and hashing are structural.  A packed monomial holds its total degree in bits
 [0, w) and the exponent of z_v in bits [v*w, (v+1)*w), w = _WIDTH (packed
 exponent vectors: Monagan and Pearce, CASC 2007), so a product of monomials
-is one int addition.  Total degrees stay at most _MAX_DEGREE < 2^w and
-variable indices at most _MAX_VARIABLE: an operation whose result would pass
-either raises BudgetExceeded before it packs anything, so no slot carries
-into the next.  Only this module packs or splits monomials; `terms` reads
-them as tuples of (variable, exponent) pairs with Fraction coefficients in
-graded-lexicographic order, which is what repr and JSON print.  Variables
-are the same 1-based indices as in exactlin.
+is one int addition.  Total degrees stay within LIMITS["total degree"] <
+2^w and variable indices within LIMITS["variable index"]: an operation whose
+result would pass either raises BudgetExceeded before it packs anything, so
+no slot carries into the next.  Only this module packs or splits
+monomials; `terms` reads them as tuples of (variable, exponent) pairs with
+Fraction coefficients in graded-lexicographic order, which is what repr and
+JSON print.  Variables are the same 1-based indices as in exactlin.
 """
 
 from __future__ import annotations
@@ -22,24 +22,25 @@ from fractions import Fraction
 from math import gcd, lcm
 from collections.abc import Iterable, Mapping
 
-from .errors import BudgetExceeded
+from .errors import LIMITS, limit
 from .exactlin import LinearForm, Q, _Frozen, _as_fraction, _int_row, _signed_sum, span, zvar
 
 Monomial = tuple[tuple[int, int], ...]  # ((var, exp), ...) sorted by var
 
 _WIDTH = 16  # bits per slot of a packed monomial
 _MASK = (1 << _WIDTH) - 1
-_MAX_DEGREE = _MASK
-_MAX_VARIABLE = 1024
+# bound once: the checks below run in every product
+_DEGREES, _VARIABLES = LIMITS["total degree"], LIMITS["variable index"]
+assert _DEGREES <= _MASK, "a total degree fits its slot"
 
 
 def check_size(degree: int, variable: int = 0) -> None:
     """BudgetExceeded unless a monomial of this total degree, and z_variable,
     fit the packing."""
-    if degree > _MAX_DEGREE:
-        raise BudgetExceeded(f"total degree {degree} exceeds the limit {_MAX_DEGREE}")
-    if variable > _MAX_VARIABLE:
-        raise BudgetExceeded(f"variable z{variable} exceeds the limit z{_MAX_VARIABLE}")
+    if degree > _DEGREES:
+        limit("total degree", degree, "total degree")
+    if variable > _VARIABLES:
+        limit("variable index", variable, "variable index")
 
 
 def _encode(mono: Iterable[tuple[int, int]]) -> int:
@@ -290,11 +291,11 @@ class Polynomial(_Frozen):
     def collect(self, *vs: int) -> dict[tuple[int, ...], "Polynomial"]:
         """{(k1, ..., kn): P_k} with self = sum_k P_k z_v1^k1 ... z_vn^kn over
         the distinct variables vs = (v1, ..., vn), and no P_k involving any
-        of them.  No monomial holds a variable past _MAX_VARIABLE, so its
-        exponent reads 0 from the empty slot just past the last."""
+        of them.  No monomial holds a variable past the variable index
+        limit, so its exponent reads 0 from the empty slot just past the last."""
         if len(set(vs)) < len(vs) or min(vs, default=1) < 1:
             raise ValueError(f"collect needs distinct positive variables, got {vs!r}")
-        shifts = [min(v, _MAX_VARIABLE + 1) * _WIDTH for v in vs]
+        shifts = [min(v, _VARIABLES + 1) * _WIDTH for v in vs]
         slots = sum(_MASK << s for s in set(shifts))
         groups: dict[tuple[int, ...], dict[int, int]] = {}
         for m, c in self.coeffs.items():

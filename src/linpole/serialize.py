@@ -7,13 +7,14 @@ import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context
 from fractions import Fraction
 
+from .errors import _printable
 from .exactlin import LinearForm, Subspace
 from .germs import Decomposition, RationalGerm
 from .poly import Polynomial
 
 
 def rational_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(_printable(Fraction(x)))
 
 
 def form_to_json(f: LinearForm) -> dict:

@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceeded, EmptyWord, NotLocal
+from .errors import LIMITS, EmptyWord, NotLocal, limit
 from .exactlin import _Frozen, _as_fraction, _axpy
 
 
@@ -40,11 +40,6 @@ Word = tuple  # tuple of letters (payloads or X0)
 EMPTY_WORD: Word = ()
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
-
-# The longest word a spec may name (its weight), and so the longest locality
-# Lyndon generator; and the most words locality_lyndon_generators returns.
-_MAX_WEIGHT = 1024
-GENERATOR_LIMIT = 4096
 
 
 class Alphabet(_Frozen):
@@ -388,8 +383,9 @@ def locality_cfl(w: Word, alphabet: Alphabet) -> tuple[list[Word], int]:
 def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
                                letters: Sequence) -> list[Word]:
     """All locality Lyndon words over x0 and `letters` not ending in x0, up
-    to the length bound, sorted by (length, lex); a bound past _MAX_WEIGHT or
-    more than GENERATOR_LIMIT words raise BudgetExceeded.  A depth-first walk
+    to the length bound, sorted by (length, lex); a bound past the weight
+    limit (a generator is the word of a spec) or more words than the
+    generators limit raise BudgetExceeded.  A depth-first walk
     over the local prenecklaces (Fredricksen-Kessler-Maiorana): one of length
     n and period p extends by letters a >= w[n-p], keeping p when
     a == w[n-p], and is Lyndon when n == p.  Locality and the prenecklace
@@ -397,14 +393,12 @@ def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
     walked as ranks, x0 being 0."""
     if max_length < 1:
         raise ValueError("max_length must be at least 1")
-    if max_length > _MAX_WEIGHT:
-        raise BudgetExceeded(f"max length {max_length} exceeds the limit {_MAX_WEIGHT}")
+    limit("weight", max_length, "max length")
     pool = [X0] + sorted(set(letters) - {X0}, key=alphabet.letter_key)
-    too_many = BudgetExceeded(f"more than {GENERATOR_LIMIT} locality Lyndon words "
-                              f"up to length {max_length}")
+    count = f"locality Lyndon words up to length {max_length}: at least"
     # x0^k u is a generator for each letter u above x0 and each k < max_length
-    if (len(pool) - 1) * max_length > GENERATOR_LIMIT:
-        raise too_many
+    limit("generators", (len(pool) - 1) * max_length, count)
+    cap = LIMITS["generators"]
     ranks = range(len(pool))
     out: list[tuple] = []
     word: list[int] = []
@@ -417,8 +411,8 @@ def locality_lyndon_generators(alphabet: Alphabet, max_length: int,
         if a:
             allowed = tuple(b for b in allowed if alphabet.local_letters(pool[a], pool[b]))
             if n == p:
-                if len(out) == GENERATOR_LIMIT:
-                    raise too_many
+                if len(out) == cap:
+                    limit("generators", cap + 1, count)
                 out.append(tuple(word))
         if n < max_length and len(allowed) > 1:  # x0 alone cannot end a generator
             floor = word[n - p]

@@ -1,5 +1,6 @@
 """The germ parser as it stood before it kept one representation per
-subexpression, kept word for word (imports made absolute) as a reference
+subexpression, kept word for word (imports made absolute, the nesting
+limit checked through errors.limit) as a reference
 oracle for tests/test_parser_cli.py.  It builds the germ of every
 subexpression eagerly, so it is slow on high powers; use small inputs."""
 
@@ -9,14 +10,10 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from linpole.errors import NonHomogeneousPole, ParseError
+from linpole.errors import NonHomogeneousPole, ParseError, limit
 from linpole.exactlin import LinearForm, zvar
 from linpole.germs import RationalGerm, germ_mul, germ_scale, germ_sum
 from linpole.poly import Polynomial
-
-# Each level of parentheses costs five stack frames: deeper input would
-# exhaust Python's default recursion limit of 1000 before a typed error.
-_MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(z\d+)|([-+*/^()])|(.))")
 
@@ -172,8 +169,8 @@ class _Parser:
             return _Value(RationalGerm(Polynomial.variable(val)), Fraction(1), {zvar(val): 1})
         if kind == "op" and val == "(":
             self.depth += 1
-            if self.depth > _MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
+            limit("parentheses nesting", self.depth, "parentheses nesting",
+                  lambda message: ParseError(message, pos))
             v = self.expr()
             self.expect_op(")")
             self.depth -= 1

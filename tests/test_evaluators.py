@@ -25,6 +25,7 @@ from linpole import (DEFAULT_Q, BudgetExceeded, DependenceEscapesVars,
                      mzv_numeric, p_residue, parse_germ, parse_spec,
                      spec_of_word, speer_lmap, zeta_eval, zeta_evaluator, zvar)
 from linpole import evaluators, germs
+from linpole.errors import LIMITS
 from linpole.fracspec import lyndon_decompose, monomial_mul
 from linpole.words import LinComb, integer_alphabet
 
@@ -434,8 +435,8 @@ def test_mzv_truncation_matches_stepping_search():
     grid += [(rng.randint(2, 160), rng.randint(0, 1000)) for _ in range(40)]
     for n, p in grid:
         assert evaluators._truncation(n, p) == reference_truncation(n, p), (n, p)
-    want = (f"zeta(1000) at 8 digits exceeds the work budget "
-            f"(weight 1000, {reference_truncation(1000, 8)} terms)")
+    want = (f"MZV work of zeta(1000) at 8 digits "
+            f"{1001 ** 2 * reference_truncation(1000, 8) * 108} exceeds the limit 1500000000")
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as exc:
         mzv_numeric((1000,), 8)
@@ -590,7 +591,7 @@ def test_mzv_independent_of_call_history():
 
 
 def test_mzv_precision_domain():
-    for precision in (-1, evaluators.MAX_PRECISION + 1):
+    for precision in (-1, LIMITS["precision"] + 1):
         with pytest.raises(ValueError):
             mzv_numeric((2,), precision)
     val, err = mzv_numeric((2,), 0)
@@ -600,7 +601,9 @@ def test_mzv_precision_domain():
 def test_mzv_work_budget():
     for s, precision in (((24,), 1000), ((128,), 8)):
         start = time.perf_counter()
-        with pytest.raises(BudgetExceeded, match=rf"^zeta\({s[0]}\) at {precision} digits"):
+        with pytest.raises(BudgetExceeded,
+                           match=rf"^MZV work of zeta\({s[0]}\) at {precision} digits \d+ "
+                                 rf"exceeds the limit {LIMITS['MZV work']}$"):
             mzv_numeric(s, precision)
         assert time.perf_counter() - start < 0.1
     val, err = mzv_numeric((16,), 1000)
@@ -793,6 +796,22 @@ def test_galois_from_evaluator_matches_one_term_combo_route():
     assert outcomes["zeta"][2][0] is NotLocalSpec
     assert outcomes["ms"][2][0] is NotLocal
     assert all(isinstance(o, tuple) for name in outcomes for o in outcomes[name][1:])
+
+
+def test_galois_from_evaluator_refuses_a_non_lyndon_generator_before_any_value():
+    """A local, nonempty generator that is not Lyndon is refused before any
+    generator is valued, wherever it stands in the list."""
+    valued = []
+    e = Evaluator("counting", on_combo=lambda c: valued.append(c) or (Fraction(1), Fraction(0)))
+    lyndon, not_lyndon = FractionSpec((2,), (1,), chen), FractionSpec((2, 41), (1, 2), chen)
+    for gens in ([lyndon, not_lyndon], [not_lyndon, lyndon]):
+        with pytest.raises(ValueError, match="is not a Lyndon fraction"):
+            galois_from_evaluator(e, gens)
+    assert valued == []
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^generator f\[2,41;1,2\] is not a Lyndon fraction$"):
+        galois_from_evaluator(zeta_evaluator(8), [lyndon, not_lyndon])
+    assert time.perf_counter() - start < 1
 
 
 def test_apply_transform_example():

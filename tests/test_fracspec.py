@@ -443,9 +443,9 @@ def test_weights_and_forest_depth_are_bounded():
     deepest = Forest.from_json(chain_forest(100))
     assert deepest.roots[0].height == 100
     assert flatten_forest(deepest) == [(FractionSpec([100], [frozenset({1})], speer_lmap()), 1)]
-    with pytest.raises(BudgetExceeded, match="^forest nested deeper than 100$"):
+    with pytest.raises(BudgetExceeded, match="^forest depth 101 exceeds the limit 100$"):
         Forest.from_json(chain_forest(101))
-    with pytest.raises(BudgetExceeded, match="^forest nested deeper than 100$"):
+    with pytest.raises(BudgetExceeded, match="^forest depth 101 exceeds the limit 100$"):
         ForestNode({1}, [deepest.roots[0]])
 
 

@@ -15,10 +15,9 @@ from linpole import (BudgetExceeded, LinearForm, NonHomogeneousPole, ParseError,
                      RationalGerm, X0, locality_lyndon_generators, parse_germ,
                      parse_spec, parse_word, subset_alphabet, word_str, zvar)
 from linpole.cli import main
-from linpole.evaluators import MAX_PRECISION
+from linpole.errors import LIMITS
 from linpole.parser import parse_spec_list
 from linpole.serialize import float_str
-from linpole.words import GENERATOR_LIMIT
 
 import parser_oracle
 from helpers import chain_forest, random_germ
@@ -180,7 +179,7 @@ def test_a_sum_keeps_the_variable_limit():
     the polynomial of the term would."""
     with pytest.raises(BudgetExceeded) as exc:
         parse_germ("1/(z1+z1025)")
-    assert str(exc.value) == "variable z1025 exceeds the limit z1024"
+    assert str(exc.value) == "variable index 1025 exceeds the limit 1024"
     assert parse_germ("1/z1025") == RationalGerm(1, [(zvar(1025), 1)])
 
 
@@ -226,8 +225,42 @@ def test_constant_powers_are_sized_before_they_are_computed():
     for text in ("2^4194305", "(1/2)^4194305", "3^999999999", "(3*z1)^99999999/z1^99999999"):
         with pytest.raises(BudgetExceeded) as exc:
             parse_germ(text)
-        assert str(exc.value).endswith("exceeds the limit of 4194304 bits")
+        assert str(exc.value).endswith("exceeds the limit 4194304")
     assert time.perf_counter() - start < 1
+
+
+def test_constant_products_are_sized_before_they_are_computed():
+    """A product's constant is sized by log2, as a power's is: the bit
+    lengths of its factors, each less one."""
+    assert parse_germ("2^4194303*2") == RationalGerm(Polynomial.constant(2 ** 4194304))
+    assert parse_germ("2^4194304*z1/z1") == RationalGerm(Polynomial.constant(2 ** 4194304))
+    assert parse_germ("10^1000000").numerator.constant_term() == 10 ** 1000000
+    start = time.perf_counter()
+    for text in ("2^4194304*2", "(1/2)^4194304/2", "3^2600000*3^2600000*3^2600000"):
+        with pytest.raises(BudgetExceeded) as exc:
+            parse_germ(text)
+        assert str(exc.value).startswith("constant product bits ")
+    assert time.perf_counter() - start < 2
+
+
+def test_integers_are_read_and_printed_within_the_digits_limit(capsys):
+    """An integer literal is read, and a value is printed, with at most
+    LIMITS["integer digits"] digits; an inexact value prints its float form."""
+    top = "9" * LIMITS["integer digits"]
+    assert run_cli(capsys, "decompose", top) == (0, top + "\n", "")
+    assert run_cli(capsys, "decompose", f"-{top}-1") == (
+        1, "", "error: printed integer digits 4301 exceeds the limit 4300\n")
+    for argv in (("decompose", "1" + "0" * 4300), ("shuffle", "x1" + "0" * 4300, "x2"),
+                 ("expand", f"f[1{'0' * 4300};1]", "f[1;2]"),
+                 ("flatten", '{"nodes":[{"set":[1],"exp":1' + "0" * 4300 + "}]}")):
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: integer literal digits 4301 exceeds the limit 4300\n")
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "--format", fmt, "eval", "--evaluator", "ms", "10^4300")
+        assert (code, out) == (1, "") and err.startswith("error: printed integer digits 4301 ")
+    code, out, err = run_cli(capsys, "eval", "--evaluator", "zeta",
+                             '{"terms":[{"holo":"10^5000","specs":["f[2;1]"]}]}')
+    assert (code, err) == (0, "") and out == "1.64493406684937e+5000 (err<=1.16e+4988)\n"
 
 
 def test_parse_word_literals():
@@ -592,7 +625,7 @@ def test_cli_galois_apply_output_ignores_term_order(capsys):
     assert len(outputs) == 2
 
 
-@pytest.mark.parametrize("precision", ["-1", str(MAX_PRECISION + 1)])
+@pytest.mark.parametrize("precision", ["-1", str(LIMITS["precision"] + 1)])
 def test_cli_precision_out_of_range(capsys, precision):
     code, out, err = run_cli(capsys, "--precision", precision, "eval",
                              "--evaluator", "zeta", "f[3;1]")
@@ -604,7 +637,8 @@ def test_cli_mzv_over_budget(capsys):
     code, out, err = run_cli(capsys, "--precision", "1000", "eval",
                              "--evaluator", "zeta", "f[24;1]")
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+    assert err == ("error: MZV work of zeta(24) at 1000 digits 2479812500 exceeds the limit "
+                   "1500000000\n")
 
 
 def test_cli_zeta_skips_a_term_that_vanishes_at_zero(capsys):
@@ -629,7 +663,7 @@ def test_cli_combo_mixing_lmaps(capsys):
     assert code == 1 and out == "" and err == "error: f[1;{2}] is not a Chen fraction\n"
 
 
-@pytest.mark.parametrize("precision", ["-1", str(MAX_PRECISION + 1)])
+@pytest.mark.parametrize("precision", ["-1", str(LIMITS["precision"] + 1)])
 @pytest.mark.parametrize("command", [
     ("eval", "--evaluator", "zeta", "f[1;1]"),
     ("eval", "--evaluator", "zeta", "3"),
@@ -869,7 +903,8 @@ def test_spec_list_errors_count_positions_from_the_list(capsys, generators, posi
 def test_cli_lyndon_generators_beyond_the_word_limit(capsys):
     code, out, err = run_cli(capsys, "lyndon", "generators", "x0,x1,x2", "--max-length", "993")
     assert (code, out) == (1, "")
-    assert err == f"error: more than {GENERATOR_LIMIT} locality Lyndon words up to length 993\n"
+    assert err == (f"error: locality Lyndon words up to length 993: at least "
+                   f"{LIMITS['generators'] + 1} exceeds the limit {LIMITS['generators']}\n")
     code, out, _ = run_cli(capsys, "lyndon", "generators", "x2,x1,x2", "--max-length", "66")
     assert code == 0 and len(out.splitlines()) == 2277
 
@@ -883,20 +918,25 @@ def test_cli_lyndon_generators_beyond_the_word_limit(capsys):
      "forest weight 99999999999999999999 exceeds the limit 1024"),
     (("flatten", '{"nodes":[{"set":[1],"exp":1024,"children":[{"set":[1],"exp":1024}]}]}'),
      "forest weight 2048 exceeds the limit 1024"),
-    (("flatten", json.dumps(chain_forest(400))), "forest nested deeper than 100"),
+    (("flatten", json.dumps(chain_forest(400))), "forest depth 101 exceeds the limit 100"),
     (("expand", "f[1024;3]", "f[1;4]"), "spec weight 1025 exceeds the limit 1024"),
     (("lyndon", "generators", "x1", "--max-length", "4096"),
      "max length 4096 exceeds the limit 1024"),
     (("lyndon", "generators", "x1,x2", "--max-length", "2048"),
      "max length 2048 exceeds the limit 1024"),
-    (("decompose", "3^999999999"),
-     "a constant to the power 999999999 exceeds the limit of 4194304 bits"),
-    (("decompose", "3^99999999/z1"),
-     "a constant to the power 99999999 exceeds the limit of 4194304 bits"),
-    (("decompose", "1/(z1+z1025)"), "variable z1025 exceeds the limit z1024"),
+    (("decompose", "3^999999999"), "constant power bits 1584962500 exceeds the limit 4194304"),
+    (("decompose", "3^99999999/z1"), "constant power bits 158496249 exceeds the limit 4194304"),
+    (("decompose", "1/(z1+z1025)"), "variable index 1025 exceeds the limit 1024"),
+    (("decompose", "*".join(["3^2600000"] * 4)),
+     "constant product bits 8241804 exceeds the limit 4194304"),
+    (("decompose", "10^5000"), "printed integer digits 5001 exceeds the limit 4300"),
+    (("decompose", "1" + "0" * 5000), "integer literal digits 5001 exceeds the limit 4300"),
+    (("galois", "derive", "--evaluator", "zeta", "--generators", "f[2,41;1,2]"),
+     "generator f[2,41;1,2] is not a Lyndon fraction"),
 ], ids=["weight", "expand-weight", "node-exponent", "forest-weight", "forest-depth",
         "product-weight", "length-one", "length-two", "constant-power",
-        "constant-power-over-a-form", "variable-in-a-sum"])
+        "constant-power-over-a-form", "variable-in-a-sum", "constant-product",
+        "printed-integer", "integer-literal", "non-lyndon-generator"])
 def test_cli_limits_exit_1_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

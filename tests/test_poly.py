@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from linpole import (DEFAULT_Q, BudgetExceeded, InnerProduct, LinearForm, Polynomial,
                      decompose, parse_germ, poly, span, zvar)
+from linpole.errors import LIMITS
 
 from helpers import assert_canonical_poly, random_form, random_germ, random_poly
 
@@ -180,10 +181,13 @@ def test_terms_in_dense_graded_lexicographic_order():
 
 
 def test_packing_limits_raise_budget_exceeded(monkeypatch):
-    """Each limit at a small patched value: a result past it raises before
-    anything is packed, and one at it is built."""
-    monkeypatch.setattr(poly, "_MAX_DEGREE", 6)
-    monkeypatch.setattr(poly, "_MAX_VARIABLE", 5)
+    """Each limit at a small patched value, in the table and where poly
+    binds it: a result past it raises before anything is packed, and one at
+    it is built."""
+    for name, bound, value in (("total degree", "_DEGREES", 6),
+                               ("variable index", "_VARIABLES", 5)):
+        monkeypatch.setitem(LIMITS, name, value)
+        monkeypatch.setattr(poly, bound, value)
     assert (x + y) ** 3 * (x - 1) ** 3 == ((x + y) * (x - 1)) ** 3
     assert Polynomial({((1, 2), (2, 4)): 1}).degree() == 6
     assert (x * y * z).substitute({1: y * y, 2: y * y * y}) == y ** 5 * z
@@ -198,15 +202,21 @@ def test_packing_limits_raise_budget_exceeded(monkeypatch):
 
 def test_packing_limits_hold_without_carry():
     """At the real limits a slot is full but carries nothing."""
-    top = x ** poly._MAX_DEGREE
-    assert top.terms == ((((1, poly._MAX_DEGREE),), 1),)
+    degree, variable = LIMITS["total degree"], LIMITS["variable index"]
+    top = x ** degree
+    assert top.terms == ((((1, degree),), 1),)
     assert (x ** 40000 * y ** 25535).terms == ((((1, 40000), (2, 25535)), 1),)
-    far = Polynomial.variable(poly._MAX_VARIABLE)
-    assert (far * far).terms == ((((poly._MAX_VARIABLE, 2),), 1),)
-    for build in (lambda: x ** (poly._MAX_DEGREE + 1), lambda: x ** 40000 * y ** 30000,
-                  lambda: Polynomial.variable(poly._MAX_VARIABLE + 1)):
-        with pytest.raises(BudgetExceeded):
+    far = Polynomial.variable(variable)
+    assert (far * far).terms == ((((variable, 2),), 1),)
+    for build, message in ((lambda: x ** (degree + 1),
+                            "total degree 65536 exceeds the limit 65535"),
+                           (lambda: x ** 40000 * y ** 30000,
+                            "total degree 70000 exceeds the limit 65535"),
+                           (lambda: Polynomial.variable(variable + 1),
+                            "variable index 1025 exceeds the limit 1024")):
+        with pytest.raises(BudgetExceeded) as exc:
             build()
+        assert str(exc.value) == message
 
 
 def test_power_of_a_trinomial_is_fast():

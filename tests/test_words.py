@@ -16,6 +16,7 @@ from linpole import (BudgetExceeded, EmptyWord, FractionSpec, LinComb, NotLocal,
                      locality_lyndon_generators, lyndon_decompose,
                      lyndon_rewrite, shuffle, speer_lmap, subset_alphabet,
                      weak_chen_lmap, word_str)
+from linpole.errors import LIMITS
 from linpole.fracspec import spec_monomial, spec_of_word
 from linpole.words import (Alphabet, Word, _lyndon_solve, _lyndon_step, _shuffle_counts,
                            _shuffle_ints)
@@ -411,7 +412,7 @@ def test_locality_lyndon_generators_match_brute_force():
 
 def test_locality_lyndon_generators_word_limit(monkeypatch):
     """The limit's boundary; the CLI test of the limit runs it at its value."""
-    monkeypatch.setattr("linpole.words.GENERATOR_LIMIT", 20)
+    monkeypatch.setitem(LIMITS, "generators", 20)
     assert len(locality_lyndon_generators(A, 5, letters=[1, 2])) == 20
     with pytest.raises(BudgetExceeded):  # the walk passes 20 words
         locality_lyndon_generators(A, 6, letters=[1, 2])
@@ -441,7 +442,8 @@ def test_locality_lyndon_generators_length_limit():
                            match=f"^max length {max_length} exceeds the limit 1024$"):
             locality_lyndon_generators(unwalked, max_length, letters=letters)
     # inside the length bound, five letters give 5 * 1024 words x0^k u
-    with pytest.raises(BudgetExceeded, match="^more than 4096 locality Lyndon words"):
+    with pytest.raises(BudgetExceeded, match="^locality Lyndon words up to length 1024: "
+                                             "at least 5120 exceeds the limit 4096$"):
         locality_lyndon_generators(unwalked, 1024, letters=[1, 2, 3, 4, 5])
 
 

@@ -76,13 +76,13 @@ def _hash(x):
 
 
 def _repr(x):
-    """repr(x), or the ValueError that stops it: CPython 3.11 refuses to
-    convert an int of more than 4300 digits to text, and then the trusted
+    """repr(x), or the BudgetExceeded that stops it: an int of more than
+    LIMITS["integer digits"] digits is not printed, and then the trusted
     object and its reference must both refuse."""
     try:
         return repr(x)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+    except BudgetExceeded as exc:
+        return f"BudgetExceeded: {exc}"
 
 
 def audited(cls):
