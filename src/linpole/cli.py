@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import serialize as ser
 from .errors import LinpoleError, ParseError, _decode_json, _payload_shape
@@ -98,9 +97,17 @@ def _parse_combo(payload) -> GermCombo:
     return GermCombo([(g.numerator, ())])
 
 
-def _parse_transform(payload: str) -> GaloisTransform:
+def _needed(args, option: str) -> str:
+    """The value of a galois option that args.action needs."""
+    value = getattr(args, option)
+    if not value:
+        raise LinpoleError(f"galois {args.action} needs --{option}")
+    return value
+
+
+def _parse_transform(args, option: str = "transform") -> GaloisTransform:
     """Transform JSON, @file or -: GaloisTransform reads each value, so a float is refused."""
-    data = _decode_json(_read_payload(payload), "transform")
+    data = _decode_json(_read_payload(_needed(args, option)), "transform")
     with _payload_shape("transform"):
         return GaloisTransform({parse_spec(t["spec"]): t["value"] for t in data["shifts"]})
 
@@ -231,25 +238,25 @@ def cmd_galois(args):
         t = galois_from_evaluator(ev, gens)
         _emit(args, repr(t), _transform_json(t))
     elif args.action == "apply":
-        t = _parse_transform(args.transform)
+        t = _parse_transform(args)
         combo = _parse_combo(_read_payload(args.combo))
         out = apply_transform(t, combo, args.q)
         _emit(args, repr(out), _combo_json(out))
     elif args.action == "compose":
-        t = compose_transforms(_parse_transform(args.transform), _parse_transform(args.transform2))
+        t = compose_transforms(_parse_transform(args), _parse_transform(args, "transform2"))
         _emit(args, repr(t), _transform_json(t))
     elif args.action == "invert":
-        out = invert_transform(_parse_transform(args.transform))
+        out = invert_transform(_parse_transform(args))
         _emit(args, repr(out), _transform_json(out))
     else:  # check
         ev = _evaluator(args)
         with _payload_shape("combos"):
             combos = [_parse_combo(entry)
-                      for entry in _decode_json(_read_payload(args.combos), "combos")]
+                      for entry in _decode_json(_read_payload(_needed(args, "combos")),
+                                                "combos")]
         gens = parse_spec_list(args.generators)
         t = galois_from_evaluator(ev, gens)
-        tol = Fraction(args.tol) if args.tol else Fraction(0)
-        report = check_factorization(ev, t, combos, tol, args.q)
+        report = check_factorization(ev, t, combos, args.tol or 0, args.q)
         _emit(args, repr(report) + f"\nall: {'PASS' if report.all_ok else 'FAIL'}",
               {"all_ok": report.all_ok,
                "entries": [{"combo": name, "ms_of_transformed": ser.rational_str(l),

@@ -28,7 +28,7 @@ from .errors import (DependenceEscapesVars, DivergentIndex, EvaluatorDomain,
                      IncompatibleGenerators, NotChen, NotLocal, TooManyVariables,
                      _printable, limit)
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, orthogonal,
-                       span, _Frozen, _as_fraction)
+                       span, _Frozen, _Value, _as_fraction)
 from .germs import RationalGerm, dependence, germ_scale, germ_sum, ms_eval
 from .fracspec import (FractionSpec, SpecMonomial, _integer, lyndon_decompose,
                        monomial_mul, spec_monomial)
@@ -277,7 +277,7 @@ def mzv_numeric(s: Sequence[int], precision: int = 8) -> tuple[Fraction, Fractio
 # combinations of holomorphic coefficients times local fraction monomials
 # ---------------------------------------------------------------------------
 
-class GermCombo(_Frozen):
+class GermCombo(_Value, fields=("terms",)):
     """Sum of terms h * S1 * ... * Sr: a polynomial coefficient times a
     locality monomial of fraction specs.  The explicit presentation is the
     domain of the zeta evaluator and of Galois transforms.  Terms are kept
@@ -298,8 +298,9 @@ class GermCombo(_Frozen):
             ((h, m) for m, h in merged.items() if h),
             key=lambda t: [s.sort_key() for s in t[1]])))
 
-    def __eq__(self, other):
-        return isinstance(other, GermCombo) and self.terms == other.terms
+    # unhashable: a combo keys no memo, and an eager hash would hash every
+    # coefficient of each combo that apply_transform builds
+    __hash__ = None
 
     def term_germs(self) -> list[RationalGerm]:
         return [RationalGerm(h, _entries(specs)) for h, specs in self.terms]
@@ -345,25 +346,19 @@ def _validate_terms(terms, q: InnerProduct) -> None:
 class Evaluator:
     """A named evaluation procedure with (value, error_bound) results.
 
-    `on_germ` takes a RationalGerm; `on_combo` takes a GermCombo.  Exact
-    evaluators report a zero error bound.  Without `on_combo`, the value of
-    a combo is the sum of its terms' values (_term_values).
+    `on_germ` takes a RationalGerm.  A combo's value is the sum of its
+    terms' values (_term_values): each `term(h, specs)`, once `check(terms)`
+    has passed on them all, or else `on_germ` of each term's germ.  Exact
+    evaluators report a zero error bound.
     """
 
     def __init__(self, name: str,
                  on_germ: Optional[Callable[[RationalGerm], tuple[Fraction, Fraction]]] = None,
-                 on_combo: Optional[Callable[["GermCombo"], tuple[Fraction, Fraction]]] = None):
+                 term: Optional[Callable[[Polynomial, SpecMonomial],
+                                         tuple[Fraction, Fraction]]] = None,
+                 check: Callable[[Sequence], None] = lambda terms: None):
         self.name = name
-        self._on_germ = on_germ
-        self._on_combo = on_combo
-        self._check = self._term = None
-
-    @classmethod
-    def _termwise(cls, name: str, on_germ: Callable, check: Callable, term: Callable):
-        """Values a combo by term(h, specs) per term, once check(terms) passes."""
-        e = cls(name, on_germ)
-        e._check, e._term = check, term
-        return e
+        self._on_germ, self._term, self._check = on_germ, term, check
 
     def eval_germ(self, f: RationalGerm) -> tuple[Fraction, Fraction]:
         if self._on_germ is not None:
@@ -371,14 +366,12 @@ class Evaluator:
         raise EvaluatorDomain(f"evaluator {self.name} needs an explicit presentation")
 
     def eval_combo(self, c: "GermCombo") -> tuple[Fraction, Fraction]:
-        if self._on_combo is not None:
-            return self._on_combo(c)
         pairs = self._term_values(c.terms)  # under ms most terms are 0, and add nothing
         return sum([v for v, _ in pairs if v], _ZERO), sum([e for _, e in pairs if e], _ZERO)
 
     def _term_values(self, terms) -> list[tuple[Fraction, Fraction]]:
         """The (value, error_bound) of each canonical (h, specs) term of a
-        combo: by _term once _check has passed on them all, or else as their
+        combo: by term once check has passed on them all, or else as their
         germs, all built first (germ evaluators are linear, and each term is
         smaller than the sum)."""
         if self._term is not None:
@@ -402,8 +395,8 @@ def _ms_term(h: Polynomial, specs: SpecMonomial, q: InnerProduct) -> tuple[Fract
 
 
 def ms_evaluator(q: InnerProduct = DEFAULT_Q) -> Evaluator:
-    return Evaluator._termwise("ms", lambda f: (ms_eval(f, q), Fraction(0)),
-                               lambda terms: None, lambda h, specs: _ms_term(h, specs, q))
+    return Evaluator("ms", lambda f: (ms_eval(f, q), Fraction(0)),
+                     term=lambda h, specs: _ms_term(h, specs, q))
 
 
 def iter_evaluator(perm_cap: int = 8) -> Evaluator:
@@ -494,7 +487,7 @@ def zeta_evaluator(precision: int = 8, q: InnerProduct = DEFAULT_Q) -> Evaluator
         m, r = _zeta_monomial(specs, precision)
         return (m, r) if c0 == 1 else (c0 * m, abs(c0) * r)
 
-    return Evaluator._termwise("zeta", on_germ, check, term)
+    return Evaluator("zeta", on_germ, term, check)
 
 
 # ---------------------------------------------------------------------------
@@ -555,18 +548,13 @@ def _check_lyndon(spec: FractionSpec) -> None:
 
 def galois_from_evaluator(e: Evaluator, generators: Sequence[FractionSpec]) -> GaloisTransform:
     """The shift transform with c_S = e(S) on each generator: e's value on
-    the one-term combo 1*S, read from that term unless e has an `on_combo`.
-    A local generator that is not Lyndon is refused before any is valued."""
+    the one-term combo 1*S, read from that term.  A local generator that is
+    not Lyndon is refused before any is valued."""
     for g in generators:
         _check_lyndon(g)
-    one = Polynomial.constant(1)
-    shifts = {}
-    for g in generators:
-        term = ((one, spec_monomial((g,))),)  # as GermCombo keys it
-        val, _err = (e.eval_combo(GermCombo(term)) if e._on_combo is not None
-                     else e._term_values(term)[0])
-        shifts[g] = val
-    return GaloisTransform(shifts)
+    one = Polynomial.constant(1)  # each generator is the one term (1, (g,)), as GermCombo keys it
+    return GaloisTransform({g: e._term_values(((one, spec_monomial((g,))),))[0][0]
+                            for g in generators})
 
 
 def apply_transform(t: GaloisTransform, combo: GermCombo,
@@ -609,8 +597,11 @@ class FactorizationReport:
 def check_factorization(e: Evaluator, t: GaloisTransform, tests: Sequence[GermCombo],
                         tol: Fraction = Fraction(0),
                         q: InnerProduct = DEFAULT_Q) -> FactorizationReport:
-    """Verify |ms(apply(t, x)) - e(x)| <= tol on each test combo."""
+    """Verify |ms(apply(t, x)) - e(x)| <= tol on each test combo; a
+    negative tol raises ValueError."""
     tol = _as_fraction(tol)
+    if tol < 0:
+        raise ValueError(f"tolerance {tol} is negative")
     ms = ms_evaluator(q)
     entries = []
     for x in tests:

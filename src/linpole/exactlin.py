@@ -13,21 +13,34 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .errors import LinpoleError, _decode_json, _printable
+from .errors import LinpoleError, _decode_json, _printable, limit
 
 Q = Fraction  # the coefficient field
 
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)\s*\Z")
+
 
 def _as_fraction(x) -> Fraction:
+    """x as a Fraction: an int, or a rational string whose digit runs (an
+    underscore joins two) and decimal exponent stay within the integer
+    digits limit, checked before Fraction reads it."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to a rational")
+    if isinstance(x, str):
+        digits = x.replace("_", "")
+        limit("integer digits", max(map(len, re.findall(r"\d+", digits)), default=0),
+              "rational literal digits")
+        if exponent := _EXPONENT.search(digits):
+            limit("integer digits", int(exponent[1]), "rational literal exponent")
+    elif not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"cannot coerce {x!r} to a rational")
+    return Fraction(x)
 
 
 class _Frozen:
@@ -50,10 +63,33 @@ class _Frozen:
         return self
 
 
-class LinearForm(_Frozen):
+class _Value(_Frozen):
+    """Base of the types that compare by value.  A subclass names its fields
+    once, `class C(_Value, fields=(...))`: two values are equal when they are
+    of one type with equal fields, and the constructor calls `_hashed()` once
+    to store the hash of the field, or of the tuple of fields."""
+
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls, fields: tuple[str, ...]):
+        cls._fields = fields
+        cls._field_values = operator.attrgetter(*fields)
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self._field_values(self) == self._field_values(other))
+
+    def __hash__(self):
+        return self._hash
+
+    def _hashed(self):
+        object.__setattr__(self, "_hash", hash(self._field_values(self)))
+
+
+class LinearForm(_Value, fields=("coeffs",)):
     """A rational linear form sum(c_v * z_v) with finite support."""
 
-    __slots__ = ("coeffs", "_hash", "_key")
+    __slots__ = ("coeffs", "_key")
 
     def __init__(self, coeffs: Mapping[int, Q] | Iterable[tuple[int, Q]] = ()):
         items = coeffs.items() if isinstance(coeffs, (dict, Mapping)) else coeffs
@@ -75,15 +111,9 @@ class LinearForm(_Frozen):
 
     def _fill(self, coeffs: dict[int, Fraction]):
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", hash(tuple(coeffs.items())))
+        object.__setattr__(self, "_hash", hash(tuple(coeffs.items())))  # a dict does not hash
         object.__setattr__(self, "_key", tuple((1, -v, c) if c > 0 else (-1, v, c)
                                                for v, c in coeffs.items()))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -176,7 +206,7 @@ def zset(indices: Iterable[int]) -> LinearForm:
     return form
 
 
-class InnerProduct(_Frozen):
+class InnerProduct(_Value, fields=("gram",)):
     """Inner product on the filtered space: a rational SPD Gram block on the
     first n variables, extended by the identity beyond.
 
@@ -185,7 +215,7 @@ class InnerProduct(_Frozen):
     exactlin and germs.
     """
 
-    __slots__ = ("gram", "_hash")
+    __slots__ = ("gram",)
 
     def __init__(self, gram: Sequence[Sequence] | None = None):
         g: tuple[tuple[Q, ...], ...] = ()
@@ -206,7 +236,7 @@ class InnerProduct(_Frozen):
                 if red.get(k, 0) <= 0:
                     raise ValueError("gram block must be positive definite")
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_hash", hash(g))
+        self._hashed()
 
     @property
     def block_size(self) -> int:
@@ -214,12 +244,6 @@ class InnerProduct(_Frozen):
 
     def __call__(self, a: LinearForm, b: LinearForm) -> Q:
         return inner(self, a, b)
-
-    def __eq__(self, other):
-        return isinstance(other, InnerProduct) and self.gram == other.gram
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "InnerProduct(default)" if not self.gram else f"InnerProduct({len(self.gram)}x{len(self.gram)} block)"
@@ -244,27 +268,21 @@ def inner(q: InnerProduct, a: LinearForm, b: LinearForm) -> Q:
     return Fraction(total)
 
 
-class Subspace(_Frozen):
+class Subspace(_Value, fields=("basis",)):
     """A finite-dimensional subspace of linear forms, held as a reduced
     row-echelon basis over the ascending variable support.  Canonical: two
     constructions of the same subspace compare equal.
     """
 
-    __slots__ = ("basis", "_hash")
+    __slots__ = ("basis",)
 
     def __init__(self, basis: Sequence[LinearForm]):
         object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "_hash", hash(self.basis))
+        self._hashed()
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and self.basis == other.basis
-
-    def __hash__(self):
-        return self._hash
 
     def __le__(self, other: "Subspace") -> bool:
         return all(other.contains(f) for f in self.basis)

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
                      ZeroCumulativeForm, _payload_shape, limit)
-from .exactlin import DEFAULT_Q, LinearForm, _Frozen, _axpy, inner, zset, zvar
+from .exactlin import DEFAULT_Q, LinearForm, _Frozen, _Value, _axpy, inner, zset, zvar
 from .germs import RationalGerm
 
 from .words import (Alphabet, Word, X0, _ZERO, _lyndon_solve,
@@ -95,7 +95,7 @@ def _canon_letter(letter):
     return letter
 
 
-class FractionSpec(_Frozen):
+class FractionSpec(_Value, fields=("exponents", "letters", "lmap")):
     """Exponent vector + letter vector under an L-map.
 
     Two specs are equal when their vectors are and they hold the same L-map
@@ -104,8 +104,7 @@ class FractionSpec(_Frozen):
     in sort_key, and no value depends on the order of a tie.
     """
 
-    __slots__ = ("exponents", "letters", "lmap", "_hash", "_entries", "_sort_key", "_word",
-                 "_local")
+    __slots__ = ("exponents", "letters", "lmap", "_entries", "_sort_key", "_word", "_local")
 
     def __init__(self, exponents: Iterable[int], letters: Iterable, lmap: LMap):
         exps = tuple(_integer(s, "exponents") for s in exponents)
@@ -132,14 +131,7 @@ class FractionSpec(_Frozen):
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "letters", lets)
         object.__setattr__(self, "lmap", lmap)
-        object.__setattr__(self, "_hash", hash((exps, lets, lmap)))
-
-    def __eq__(self, other):
-        return (isinstance(other, FractionSpec) and self.exponents == other.exponents
-                and self.letters == other.letters and self.lmap is other.lmap)
-
-    def __hash__(self):
-        return self._hash
+        self._hashed()
 
     @property
     def depth(self) -> int:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 from .errors import NotLocal
 from .exactlin import (DEFAULT_Q, InnerProduct, LinearForm, Q, Subspace,
-                       ZERO_SPACE, _Frozen, _as_fraction, _frame, find_circuit, orthogonal,
+                       ZERO_SPACE, _Value, _as_fraction, _frame, find_circuit, orthogonal,
                        span, subspace_sum)
 from .poly import Polynomial
 
@@ -37,7 +37,7 @@ def _coerce_poly(x) -> Polynomial:
     return Polynomial.constant(_as_fraction(x))
 
 
-class RationalGerm(_Frozen):
+class RationalGerm(_Value, fields=("numerator", "denominator")):
     """numerator / product(form^exp); denominator forms need not be independent.
 
     Construction normalises to a canonical presentation: each denominator form
@@ -47,7 +47,7 @@ class RationalGerm(_Frozen):
     rational functions therefore construct identical objects.
     """
 
-    __slots__ = ("numerator", "denominator", "_hash")
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator, denominator: Iterable[DenEntry] = ()):
         num = _coerce_poly(numerator)
@@ -84,15 +84,7 @@ class RationalGerm(_Frozen):
     def _fill(self, numerator: Polynomial, denominator: tuple):
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "_hash", hash((numerator, denominator)))
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalGerm)
-                and self.numerator == other.numerator
-                and self.denominator == other.denominator)
-
-    def __hash__(self):
-        return self._hash
+        self._hashed()
 
     def __bool__(self):
         return bool(self.numerator)
@@ -155,10 +147,10 @@ def germ_sum(germs: Iterable[RationalGerm]) -> RationalGerm:
     return RationalGerm(Polynomial.sum(nums), common.items())
 
 
-class SimplexFraction(_Frozen):
+class SimplexFraction(_Value, fields=("entries",)):
     """1 / (L1^s1 ... Lk^sk) with linearly independent, canonically sorted forms."""
 
-    __slots__ = ("entries", "_space", "_hash")
+    __slots__ = ("entries", "_space")
 
     def __init__(self, entries: Iterable[DenEntry]):
         ent = tuple(sorted(entries, key=lambda t: t[0].key()))
@@ -172,13 +164,7 @@ class SimplexFraction(_Frozen):
             raise ValueError("denominator forms must be linearly independent")
         object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "_space", space)
-        object.__setattr__(self, "_hash", hash(ent))
-
-    def __eq__(self, other):
-        return isinstance(other, SimplexFraction) and self.entries == other.entries
-
-    def __hash__(self):
-        return self._hash
+        self._hashed()
 
     @property
     def p_order(self) -> int:
@@ -191,25 +177,18 @@ class SimplexFraction(_Frozen):
         return f"1/({_den_repr(self.entries)})"
 
 
-class PolarTerm(_Frozen):
+class PolarTerm(_Value, fields=("numerator", "simplex")):
     """numerator * simplex fraction, with Dep(numerator) q-orthogonal to the
     supporting space of the denominator."""
 
-    __slots__ = ("numerator", "simplex", "_hash")
+    __slots__ = ("numerator", "simplex")
 
     def __init__(self, numerator: Polynomial, simplex: SimplexFraction):
         if not numerator:
             raise ValueError("polar term numerator must be nonzero")
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "simplex", simplex)
-        object.__setattr__(self, "_hash", hash((numerator, simplex)))
-
-    def __eq__(self, other):
-        return (isinstance(other, PolarTerm) and self.numerator == other.numerator
-                and self.simplex == other.simplex)
-
-    def __hash__(self):
-        return self._hash
+        self._hashed()
 
     @property
     def p_order(self) -> int:
@@ -225,7 +204,7 @@ class PolarTerm(_Frozen):
         return f"({self.numerator!r})*{self.simplex!r}"
 
 
-class Decomposition(_Frozen):
+class Decomposition(_Value, fields=("terms", "holomorphic")):
     """Canonical splitting of a germ: polar terms plus a holomorphic part.
 
     Terms are grouped and ordered by (supporting-space key, p-order,
@@ -233,7 +212,7 @@ class Decomposition(_Frozen):
     pairwise distinct.
     """
 
-    __slots__ = ("terms", "holomorphic", "_hash")
+    __slots__ = ("terms", "holomorphic")
 
     def __init__(self, terms: Iterable[PolarTerm], holomorphic: Polynomial):
         merged: dict[SimplexFraction, PolarTerm] = {}
@@ -249,14 +228,7 @@ class Decomposition(_Frozen):
             tuple((f.key(), e) for f, e in t.simplex.entries))))
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "holomorphic", holomorphic)
-        object.__setattr__(self, "_hash", hash((terms, holomorphic)))
-
-    def __eq__(self, other):
-        return (isinstance(other, Decomposition) and self.terms == other.terms
-                and self.holomorphic == other.holomorphic)
-
-    def __hash__(self):
-        return self._hash
+        self._hashed()
 
     def is_zero(self) -> bool:
         return not self.terms and not self.holomorphic

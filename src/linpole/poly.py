@@ -23,7 +23,7 @@ from math import gcd, lcm
 from collections.abc import Iterable, Mapping
 
 from .errors import LIMITS, limit
-from .exactlin import LinearForm, Q, _Frozen, _as_fraction, _int_row, _signed_sum, span, zvar
+from .exactlin import LinearForm, Q, _Value, _as_fraction, _int_row, _signed_sum, span, zvar
 
 Monomial = tuple[tuple[int, int], ...]  # ((var, exp), ...) sorted by var
 
@@ -90,7 +90,7 @@ def _hyperplane_point(form: LinearForm, variables: set[int]) -> dict[int, Q] | N
     return point
 
 
-class Polynomial(_Frozen):
+class Polynomial(_Value, fields=("coeffs", "den")):
     """Immutable sparse polynomial; zero coefficients are never stored."""
 
     __slots__ = ("coeffs", "den")
@@ -169,11 +169,7 @@ class Polynomial(_Frozen):
     def __bool__(self):
         return bool(self.coeffs)
 
-    def __eq__(self, other):
-        return (isinstance(other, Polynomial) and self.den == other.den
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
+    def __hash__(self):  # on demand: most polynomials key no memo, and a dict does not hash
         return hash((frozenset(self.coeffs.items()), self.den))
 
     def __add__(self, other) -> "Polynomial":

@@ -749,9 +749,9 @@ def test_germ_evaluators_build_every_term_germ_first():
 
 def test_galois_from_evaluator_matches_one_term_combo_route():
     """Each generator's value, and each bad generator's error, is that of
-    the one-term combo 1*S, for ms, iter, zeta, an on_germ evaluator and an
-    on_combo evaluator, on seeded Chen generator sets: 2 letters up to
-    weight 5 and 3 letters up to weight 4."""
+    the one-term combo 1*S, for ms, iter, zeta, an on_germ evaluator and a
+    term evaluator, on seeded Chen generator sets: 2 letters up to weight 5
+    and 3 letters up to weight 4."""
     from linpole import LMap
     rng = random.Random(71)
     cancelling = LMap(integer_alphabet(),
@@ -761,8 +761,9 @@ def test_galois_from_evaluator_matches_one_term_combo_route():
         (ms_evaluator(), None), (iter_evaluator(), None),
         (zeta8, lambda c: reference_zeta_eval(c, 8)),
         (Evaluator("at-a-point", on_germ=lambda f: (f.evaluate(POINT), Fraction(0))), None),
-        (Evaluator("combo-at-a-point",
-                   on_combo=lambda c: (c.germ().evaluate(POINT), Fraction(1, 7))), None)]
+        (Evaluator("term-at-a-point", term=lambda h, specs: (
+            RationalGerm(h, [e for s in specs for e in s.denominator_entries()]).evaluate(POINT),
+            Fraction(1, 7))), None)]
     sets = []
     for k, weight in ((2, 5), (3, 4)):
         for _ in range(2):
@@ -802,7 +803,8 @@ def test_galois_from_evaluator_refuses_a_non_lyndon_generator_before_any_value()
     """A local, nonempty generator that is not Lyndon is refused before any
     generator is valued, wherever it stands in the list."""
     valued = []
-    e = Evaluator("counting", on_combo=lambda c: valued.append(c) or (Fraction(1), Fraction(0)))
+    e = Evaluator("counting",
+                  term=lambda h, specs: valued.append(specs) or (Fraction(1), Fraction(0)))
     lyndon, not_lyndon = FractionSpec((2,), (1,), chen), FractionSpec((2, 41), (1, 2), chen)
     for gens in ([lyndon, not_lyndon], [not_lyndon, lyndon]):
         with pytest.raises(ValueError, match="is not a Lyndon fraction"):
@@ -1254,6 +1256,6 @@ def test_ms_evaluator_extends_ev0_and_axioms():
 
 def test_evaluator_domain_error():
     from linpole import EvaluatorDomain
-    combo_only = Evaluator("combo-only", on_combo=lambda c: (Fraction(0), Fraction(0)))
+    term_only = Evaluator("term-only", term=lambda h, specs: (Fraction(0), Fraction(0)))
     with pytest.raises(EvaluatorDomain):
-        combo_only.eval_germ(RationalGerm(1, [(z1, 1)]))
+        term_only.eval_germ(RationalGerm(1, [(z1, 1)]))

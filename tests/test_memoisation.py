@@ -9,6 +9,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,6 +189,51 @@ def test_value_types_are_frozen():
         assert getattr(x, slot) is before
         assert copy.copy(x) is x and copy.deepcopy(x) is x
     assert spec.germ() == parse_germ("1/(z1*(z1+z2)^2)")
+
+
+def _rebuilt(x):
+    """An equal copy of x made afresh by the validating constructors, value
+    types inside it included; other objects, such as an L-map, are kept."""
+    if isinstance(x, Polynomial):
+        return Polynomial(x.terms)
+    if isinstance(x, exactlin._Value):
+        return type(x)(*(_rebuilt(getattr(x, name)) for name in type(x)._fields))
+    if isinstance(x, tuple):
+        return tuple(map(_rebuilt, x))
+    if isinstance(x, dict):
+        return {k: _rebuilt(v) for k, v in x.items()}
+    return x
+
+
+def test_value_types_compare_by_their_fields():
+    """Every _Value type takes == from the base, holds its declared fields as
+    its public slots, and compares by them: a value rebuilt afresh through
+    its constructor is equal and hashes alike, and no object of another
+    type, nor a look-alike holding the same fields, equals it."""
+    g = parse_germ("z3/(z1*(z1+z2))")
+    d = germs.decompose(g, DEFAULT_Q)
+    spec = linpole.parse_spec("f[2,1;2,1]")
+    values = [LinearForm({1: 1, 3: Fraction(-2, 3)}), linpole.InnerProduct([[2, 1], [1, 2]]),
+              span([linpole.zvar(1), linpole.zvar(2)]),
+              Polynomial.variable(1) * Fraction(1, 2) + 1, g, d.terms[0].simplex, d.terms[0], d,
+              spec,
+              linpole.GermCombo([(Polynomial.variable(2) + 3, (spec,)), (1, ())])]
+    value_types = {cls for cls in _linpole_classes()
+                   if issubclass(cls, exactlin._Value) and cls is not exactlin._Value}
+    assert {type(x) for x in values} == value_types and len(values) == len(value_types)
+    for x in values:
+        cls = type(x)
+        assert "__eq__" not in vars(cls), cls
+        assert sorted(s for s in cls.__slots__ if not s.startswith("_")) == sorted(cls._fields)
+        y = _rebuilt(x)
+        assert y is not x and y == x and not y != x, cls
+        if cls.__hash__ is not None:
+            assert hash(y) == hash(x), cls
+        fields = [getattr(x, name) for name in cls._fields]
+        look_alike = types.SimpleNamespace(**dict(zip(cls._fields, fields)))
+        for other in [v for v in values if type(v) is not cls] + [look_alike, *fields]:
+            assert x != other and other != x, (cls, other)
+    assert linpole.GermCombo.__hash__ is None
 
 
 def test_frame_is_memoised_and_immutable():

@@ -14,6 +14,7 @@ import pytest
 from linpole import (BudgetExceeded, LinearForm, NonHomogeneousPole, ParseError, Polynomial,
                      RationalGerm, X0, locality_lyndon_generators, parse_germ,
                      parse_spec, parse_word, subset_alphabet, word_str, zvar)
+from linpole import exactlin
 from linpole.cli import main
 from linpole.errors import LIMITS
 from linpole.parser import parse_spec_list
@@ -933,13 +934,61 @@ def test_cli_lyndon_generators_beyond_the_word_limit(capsys):
     (("decompose", "1" + "0" * 5000), "integer literal digits 5001 exceeds the limit 4300"),
     (("galois", "derive", "--evaluator", "zeta", "--generators", "f[2,41;1,2]"),
      "generator f[2,41;1,2] is not a Lyndon fraction"),
+    (("galois", "apply", "--transform",
+      '{"shifts":[{"spec":"f[2;1]","value":"1%s"}]}' % ("0" * 5000), "--combo", "f[2;1]"),
+     "rational literal digits 5001 exceeds the limit 4300"),
+    (("galois", "invert", "--transform",
+      '{"shifts":[{"spec":"f[2;1]","value":"1e999999999"}]}'),
+     "rational literal exponent 999999999 exceeds the limit 4300"),
+    (("galois", "check", "--generators", "f[2;1]", "--combos", '["f[2;1]"]',
+      "--tol", "1" + "0" * 5000), "rational literal digits 5001 exceeds the limit 4300"),
+    (("galois", "check", "--generators", "f[2;1]", "--combos", '["f[2;1]"]',
+      "--tol", "1e99999999"), "rational literal exponent 99999999 exceeds the limit 4300"),
+    (("galois", "check", "--generators", "f[2;1]", "--combos", '["f[2;1]"]', "--tol", "-1"),
+     "tolerance -1 is negative"),
 ], ids=["weight", "expand-weight", "node-exponent", "forest-weight", "forest-depth",
         "product-weight", "length-one", "length-two", "constant-power",
         "constant-power-over-a-form", "variable-in-a-sum", "constant-product",
-        "printed-integer", "integer-literal", "non-lyndon-generator"])
+        "printed-integer", "integer-literal", "non-lyndon-generator", "shift-value-digits",
+        "shift-value-exponent", "tolerance-digits", "tolerance-exponent", "negative-tolerance"])
 def test_cli_limits_exit_1_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_rational_strings_are_read_within_the_digits_limit(capsys, tmp_path):
+    """A rational string is read only when each digit run (an underscore
+    joins two) and its decimal exponent stay within LIMITS["integer digits"];
+    a refusal comes before Fraction reads it, so it takes no time."""
+    top = LIMITS["integer digits"]
+    for text, value in (("1" * top, int("1" * top)), ("1e%d" % top, 10 ** top),
+                        (" -2.5E-%d " % top, Fraction(-25, 10 ** (top + 1))),
+                        ("1" * top + "/" + "3" * top, Fraction(int("1" * top), int("3" * top)))):
+        assert exactlin._as_fraction(text) == value
+    start = time.perf_counter()
+    for text, what, n in (("1" * (top + 1), "digits", top + 1),
+                          ("1/" + "1_" * top + "1", "digits", top + 1),
+                          ("0." + "0" * top + "1", "digits", top + 1),
+                          ("1e99999999", "exponent", 99999999),
+                          ("1.5E+4301", "exponent", top + 1), ("1e-9999999", "exponent", 9999999)):
+        with pytest.raises(BudgetExceeded, match=f"^rational literal {what} {n} exceeds the "
+                                                 f"limit {top}$"):
+            exactlin._as_fraction(text)
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"gram": [["1" + "0" * 5000]]}))
+    assert run_cli(capsys, "--gram", str(path), "decompose", "1/z1") == (
+        1, "", "error: rational literal digits 5001 exceeds the limit 4300\n")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("compose", "--transform", '{"shifts":[]}'), "transform2"),
+    (("compose", "--transform2", '{"shifts":[]}'), "transform"),
+    (("apply", "--combo", "f[2;1]"), "transform"), (("invert",), "transform"),
+    (("check", "--generators", "f[2;1]"), "combos")])
+def test_cli_galois_names_a_missing_option(capsys, argv, option):
+    assert run_cli(capsys, "galois", *argv) == (
+        1, "", f"error: galois {argv[0]} needs --{option}\n")
 
 
 def test_cli_gram_file_nested_too_deeply(capsys, tmp_path):
