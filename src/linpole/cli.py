@@ -234,12 +234,12 @@ def cmd_flatten(args):
 def cmd_galois(args):
     if args.action == "derive":
         ev = _evaluator(args)
-        gens = parse_spec_list(args.generators)
+        gens = parse_spec_list(_needed(args, "generators"))
         t = galois_from_evaluator(ev, gens)
         _emit(args, repr(t), _transform_json(t))
     elif args.action == "apply":
         t = _parse_transform(args)
-        combo = _parse_combo(_read_payload(args.combo))
+        combo = _parse_combo(_read_payload(_needed(args, "combo")))
         out = apply_transform(t, combo, args.q)
         _emit(args, repr(out), _combo_json(out))
     elif args.action == "compose":
@@ -254,7 +254,7 @@ def cmd_galois(args):
             combos = [_parse_combo(entry)
                       for entry in _decode_json(_read_payload(_needed(args, "combos")),
                                                 "combos")]
-        gens = parse_spec_list(args.generators)
+        gens = parse_spec_list(_needed(args, "generators"))
         t = galois_from_evaluator(ev, gens)
         report = check_factorization(ev, t, combos, args.tol or 0, args.q)
         _emit(args, repr(report) + f"\nall: {'PASS' if report.all_ok else 'FAIL'}",

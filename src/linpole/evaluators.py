@@ -34,7 +34,7 @@ from .fracspec import (FractionSpec, SpecMonomial, _integer, lyndon_decompose,
                        monomial_mul, spec_monomial)
 from .poly import ZERO, Polynomial
 from .serialize import float_str
-from .words import _ZERO, LinComb, is_lyndon, local_word_pair
+from .words import _ZERO, LinComb, local_word_pair
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +416,7 @@ def _spec_lyndon(spec: FractionSpec) -> types.MappingProxyType:
     """One spec's Lyndon decomposition, {SpecMonomial: Fraction}, memoised
     per spec and handed out read-only, since every caller shares it.  A
     local spec whose word is Lyndon is its own decomposition."""
-    w = spec.word()
-    if w and spec.is_local() and is_lyndon(w, spec.lmap.alphabet):
+    if spec.is_lyndon():
         return types.MappingProxyType({(spec,): Fraction(1)})
     return types.MappingProxyType(lyndon_decompose([(spec, Fraction(1))]))
 
@@ -542,7 +541,7 @@ class GaloisTransform(_Frozen):
 
 def _check_lyndon(spec: FractionSpec) -> None:
     """ValueError if a local, nonempty spec is not a Lyndon fraction."""
-    if spec.exponents and spec.is_local() and not is_lyndon(spec.word(), spec.lmap.alphabet):
+    if spec.exponents and spec.is_local() and not spec.is_lyndon():
         raise ValueError(f"generator {spec!r} is not a Lyndon fraction")
 
 

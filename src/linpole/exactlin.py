@@ -5,8 +5,9 @@ sparse map from 1-based variable indices to nonzero rationals.  Everything here
 is exact, immutable and pure.  Forms and every public value returned from this
 module hold fractions.Fraction; inside, one fraction-free elimination
 (`_eliminate`) works on integer rows, and the Fractions are made where its
-results leave.  `_frame` alone returns integer rows, which the simplex split
-of germs keeps integral.
+results leave.  A form keeps its integer row once it is read, so a form
+enters the elimination with no conversion after its first.  `_frame` alone
+returns integer rows, which the simplex split of germs keeps integral.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ class _Frozen:
 class _Value(_Frozen):
     """Base of the types that compare by value.  A subclass names its fields
     once, `class C(_Value, fields=(...))`: two values are equal when they are
-    of one type with equal fields, and the constructor calls `_hashed()` once
-    to store the hash of the field, or of the tuple of fields."""
+    one object, or of one type with equal fields, compared one at a time;
+    the constructor calls `_hashed()` once to store the hash of the field,
+    or of the tuple of fields."""
 
     __slots__ = ("_hash",)
 
@@ -76,8 +78,14 @@ class _Value(_Frozen):
         cls._field_values = operator.attrgetter(*fields)
 
     def __eq__(self, other):
-        return (type(other) is type(self)
-                and self._field_values(self) == self._field_values(other))
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return False
+        for name in self._fields:
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
 
     def __hash__(self):
         return self._hash
@@ -89,7 +97,7 @@ class _Value(_Frozen):
 class LinearForm(_Value, fields=("coeffs",)):
     """A rational linear form sum(c_v * z_v) with finite support."""
 
-    __slots__ = ("coeffs", "_key")
+    __slots__ = ("coeffs", "_key", "_row")
 
     def __init__(self, coeffs: Mapping[int, Q] | Iterable[tuple[int, Q]] = ()):
         items = coeffs.items() if isinstance(coeffs, (dict, Mapping)) else coeffs
@@ -112,11 +120,20 @@ class LinearForm(_Value, fields=("coeffs",)):
     def _fill(self, coeffs: dict[int, Fraction]):
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_hash", hash(tuple(coeffs.items())))  # a dict does not hash
-        object.__setattr__(self, "_key", tuple((1, -v, c) if c > 0 else (-1, v, c)
-                                               for v, c in coeffs.items()))
+        plain = ((v, c.numerator if c.denominator == 1 else c) for v, c in coeffs.items())
+        object.__setattr__(self, "_key", tuple((1, -v, x) if x > 0 else (-1, v, x)
+                                               for v, x in plain))
 
     def __bool__(self):
         return bool(self.coeffs)
+
+    def _integer_row(self) -> tuple[dict[int, int], int]:
+        """`_int_row(coeffs)`, (d * row, d), which the exact linear algebra
+        reads: kept in the `_row` slot on first use, so a form that never
+        enters it builds none."""
+        if not hasattr(self, "_row"):
+            object.__setattr__(self, "_row", _int_row(self.coeffs))
+        return self._row
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         c = dict(self.coeffs)
@@ -151,8 +168,9 @@ class LinearForm(_Value, fields=("coeffs",)):
         last variable, compared lexicographically; a gap counts as 0 and a
         form that ends first is the smaller, so z1 > z2 and z1 < z1 - z2.
         Built with the form, one entry per variable v of coefficient c:
-        (1, -v, c) for c > 0, (-1, v, c) for c < 0; not hashed, since
-        hash(-1) == hash(-2)."""
+        (1, -v, c) for c > 0, (-1, v, c) for c < 0, an integral c as an int,
+        which compares with a Fraction exactly and faster; not hashed in
+        place of the form, since hash(-1) == hash(-2)."""
         return self._key
 
     def primitive(self) -> tuple["LinearForm", Q]:
@@ -163,9 +181,9 @@ class LinearForm(_Value, fields=("coeffs",)):
         """
         if not self.coeffs:
             return self, Fraction(1)
-        row, den = _int_row(self.coeffs)
+        row, den = self._integer_row()
         num = gcd(*row.values())
-        if self.coeffs[min(self.coeffs)] < 0:
+        if row[min(row)] < 0:
             num = -num
         if num == den:
             return self, Fraction(1)
@@ -231,7 +249,7 @@ class InnerProduct(_Value, fields=("gram",)):
             # Eliminating the rows in order leaves pivot D_k/D_(k-1) at variable
             # k, the ratio of leading minors, so all are > 0 exactly when the
             # block is positive definite.
-            rows = ({j + 1: x for j, x in enumerate(row)} for row in g)
+            rows = (_int_row({j + 1: x for j, x in enumerate(row)}) for row in g)
             for k, (red, _) in enumerate(_eliminate(rows), 1):
                 if red.get(k, 0) <= 0:
                     raise ValueError("gram block must be positive definite")
@@ -288,7 +306,7 @@ class Subspace(_Value, fields=("basis",)):
         return all(other.contains(f) for f in self.basis)
 
     def contains(self, form: LinearForm) -> bool:
-        *_, (red, _) = _eliminate(f.coeffs for f in (*self.basis, form))
+        *_, (red, _) = _eliminate(f._integer_row() for f in (*self.basis, form))
         return not red
 
     def key(self) -> tuple:
@@ -308,10 +326,11 @@ def _int_row(coeffs: Mapping[int, Q]) -> tuple[dict[int, int], int]:
     return {v: c.numerator * (d // c.denominator) for v, c in coeffs.items() if c}, d
 
 
-def _eliminate(rows: Iterable[Mapping[int, Q]]
+def _eliminate(rows: Iterable[tuple[Mapping[int, int], int]]
                ) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-    """Incremental fraction-free Gaussian elimination over {var: rational}
-    rows in list order (Bareiss, Math. Comp. 22, 1968).
+    """Incremental fraction-free Gaussian elimination over rational rows in
+    list order (Bareiss, Math. Comp. 22, 1968), each given as (d * row, d):
+    a form's `_integer_row()`, or `_int_row` of any other row.
 
     For each input yields (residual, combo), both integer dicts with
     residual = sum(combo[i] * input_i): the input reduced against the earlier
@@ -325,9 +344,8 @@ def _eliminate(rows: Iterable[Mapping[int, Q]]
     only once the generator is exhausted.
     """
     pivots: list[tuple[int, int, dict[int, int], dict[int, int]]] = []  # (var, p, row, combo)
-    for idx, coeffs in enumerate(rows):
-        red, d = _int_row(coeffs)
-        combo = {idx: d}
+    for idx, (ints, d) in enumerate(rows):
+        red, combo = dict(ints), {idx: d}
         for piv, p, row, row_combo in pivots:
             k = red.get(piv)
             if k:
@@ -369,7 +387,8 @@ def span(forms: Iterable[LinearForm]) -> Subspace:
 
 @functools.lru_cache(maxsize=1024)
 def _span(forms: tuple[LinearForm, ...]) -> Subspace:
-    rows = sorted((red for red, _ in _eliminate(f.coeffs for f in forms) if red), key=min)
+    reds = (red for red, _ in _eliminate(f._integer_row() for f in forms) if red)
+    rows = sorted(reds, key=min)
     for i in reversed(range(len(rows))):  # back-substitute into RREF
         piv = min(rows[i])
         inv = Fraction(1, rows[i][piv])
@@ -393,53 +412,53 @@ def orthogonal(q: InnerProduct, u: Subspace, v: Subspace) -> bool:
 
 @functools.lru_cache(maxsize=1024)
 def _frame(q: InnerProduct, forms: tuple[LinearForm, ...],
-           variables: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """Coordinates adapted to the independent forms L_1..L_k inside the span
-    W of the coordinate forms z_v, v in `variables` (which hold every
-    variable of the forms): y = (t, m) with t_j = L_j and m_i = M_i, where
-    M_1..M_(n-k) are integer forms of W, q-orthogonal to every L_j.
-
-    Returns (M, inverse).  M_i is a tuple of (variable, integer) pairs: a
-    relation among the columns (q(L_j, z_w))_j of the k x n matrix, so
-    sum_w M_i[w] q(L_j, z_w) = 0.  inverse[p] is (row, den) with
-    z_v = sum_r row[r] y_r / den for v = variables[p], row a tuple of
-    (index into y, integer) pairs: the relation a unit row z_v gets after
-    the rows of T = [L; M], which span W.  Memoised per (q, forms,
-    variables), and immutable.
+           variables: tuple[int, ...]) -> tuple[tuple[tuple, tuple, int], ...]:
+    """The split of each z_v, v in `variables` (which hold every variable
+    of the independent forms L_1..L_k), against span(L): one
+    (t_row, z_row, den) per v, z_v = (sum_j t_row[j] L_j + z_row) / den,
+    t_row a tuple of (j, integer) pairs and z_row of (variable, integer)
+    pairs, a form q-orthogonal to every L_j.  With the columns
+    c_w = (q(L_l, z_w))_l and the rows G_j = (q(L_l, L_j))_l =
+    sum_w L_j[w] c_w of the Gram matrix, which span Q^k, the relation
+    sum_j x_j G_j + den c_v = 0 that c_v gets after them says that
+    den z_v + sum_j x_j L_j is q-orthogonal to every L_l.  Memoised per
+    (q, forms, variables), and immutable.
     """
-    # Scaling a form to its integer row scales one entry of every column,
-    # and scaling q by the common denominator g of its Gram block scales
-    # every column: neither changes the relations, and the columns are ints.
-    scaled = [_int_row(f.coeffs)[0] for f in forms]
+    # The forms enter as their integer rows d_j L_j, and q scaled by the
+    # common denominator g of its Gram block: each scales the columns and
+    # the Gram rows alike, and keeps them integral.
     g, block = lcm(*(x.denominator for row in q.gram for x in row)), q.block_size
     gram = [[int(x * g) for x in row] for row in q.gram]
-    columns = ({j: sum(x * gram[i - 1][w - 1] for i, x in row.items() if i <= block)
-                if w <= block else g * row.get(w, 0) for j, row in enumerate(scaled)}
-               for w in variables)
-    complement = tuple(tuple((variables[p], x) for p, x in sorted(combo.items()))
-                       for red, combo in _eliminate(columns) if not red)
-    n = len(variables)
-    rows = itertools.chain((f.coeffs for f in forms), (dict(m) for m in complement),
-                           ({v: 1} for v in variables))
-    relations = itertools.islice(_eliminate(rows), n, None)
-    inverse = tuple((tuple((r, -x) for r, x in sorted(combo.items()) if r < n), combo[n + p])
-                    for p, (_, combo) in enumerate(relations))
-    return complement, inverse
+    k, rows = len(forms), [f._integer_row() for f in forms]
+    columns = {w: {j: sum(x * gram[i - 1][w - 1] for i, x in row.items() if i <= block)
+                   if w <= block else g * row.get(w, 0) for j, (row, _) in enumerate(rows)}
+               for w in variables}
+    grams = ({c: sum(x * columns[w][c] for w, x in row.items()) for c in range(k)}
+             for row, _ in rows)
+    inputs = itertools.chain(grams, (columns[v] for v in variables))
+    relations = itertools.islice(_eliminate(map(_int_row, inputs)), k, None)
+    frame = []
+    for p, (_, combo) in enumerate(relations):
+        den = combo[k + p]
+        z = {variables[p]: den}
+        for j in range(k):
+            if j in combo:
+                _axpy(z, combo[j], rows[j][0])
+        frame.append((tuple((j, -combo[j] * rows[j][1]) for j in range(k) if j in combo),
+                      tuple(sorted(z.items())), den))
+    return tuple(frame)
 
 
 def orth_decompose(q: InnerProduct, f: LinearForm, u: Subspace) -> tuple[LinearForm, LinearForm]:
     """Split f = a + b with a in u and b q-orthogonal to u (unique, exact):
-    a is the t-part of f in the frame adapted to u's basis."""
+    b sums the q-orthogonal parts of f's coordinates in the frame of u's
+    basis."""
     variables = tuple(sorted(set(f.coeffs).union(*(b.coeffs for b in u.basis))))
-    _, inverse = _frame(q, u.basis, variables)
-    a = {}
-    for v, (row, den) in zip(variables, inverse):
-        c = f[v]
-        for r, x in row:
-            if c and r < u.dim:
-                _axpy(a, c * Fraction(x, den), u.basis[r].coeffs)
-    a = LinearForm(a)
-    return a, f - a
+    b = {}
+    for v, (_, z_row, den) in zip(variables, _frame(q, u.basis, variables)):
+        _axpy(b, f[v] / den, dict(z_row))
+    b = LinearForm(b)
+    return f - b, b
 
 
 def find_circuit(forms: Sequence[LinearForm]) -> tuple[tuple[int, ...], tuple[Q, ...]] | None:
@@ -453,7 +472,7 @@ def find_circuit(forms: Sequence[LinearForm]) -> tuple[tuple[int, ...], tuple[Q,
     is the fundamental circuit of the first form that depends on its
     predecessors (minimality: dropping any member leaves an independent set).
     """
-    for red, combo in _eliminate(f.coeffs for f in forms):
+    for red, combo in _eliminate(f._integer_row() for f in forms):
         if not red:
             members = sorted(combo)
             largest = max(members, key=lambda i: forms[i].key())

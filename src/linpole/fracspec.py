@@ -24,8 +24,8 @@ from .errors import (LinpoleError, NotLocal, NotLocalSpec, WordEndsInX0,
 from .exactlin import DEFAULT_Q, LinearForm, _Frozen, _Value, _axpy, inner, zset, zvar
 from .germs import RationalGerm
 
-from .words import (Alphabet, Word, X0, _ZERO, _lyndon_solve,
-                    _shuffle_ints, integer_alphabet, is_local_word, local_word_pair,
+from .words import (Alphabet, Word, X0, _ZERO, _lyndon_solve, _shuffle_ints,
+                    integer_alphabet, is_local_word, is_lyndon, local_word_pair,
                     shuffle, subset_alphabet, word_str)
 
 
@@ -104,7 +104,8 @@ class FractionSpec(_Value, fields=("exponents", "letters", "lmap")):
     in sort_key, and no value depends on the order of a tie.
     """
 
-    __slots__ = ("exponents", "letters", "lmap", "_entries", "_sort_key", "_word", "_local")
+    __slots__ = ("exponents", "letters", "lmap", "_entries", "_sort_key", "_word", "_local",
+                 "_lyndon")
 
     def __init__(self, exponents: Iterable[int], letters: Iterable, lmap: LMap):
         exps = tuple(_integer(s, "exponents") for s in exponents)
@@ -145,6 +146,14 @@ class FractionSpec(_Value, fields=("exponents", "letters", "lmap")):
         if not hasattr(self, "_local"):
             object.__setattr__(self, "_local", is_local_word(self.letters, self.lmap.alphabet))
         return self._local
+
+    def is_lyndon(self) -> bool:
+        """A nonempty local spec whose word is Lyndon: a locality polynomial
+        generator.  Kept on first use, as is_local is."""
+        if not hasattr(self, "_lyndon"):
+            object.__setattr__(self, "_lyndon", bool(self.exponents) and self.is_local()
+                               and is_lyndon(self.word(), self.lmap.alphabet))
+        return self._lyndon
 
     def word(self) -> Word:
         """Built on first use, unless the spec was made from it (spec_of_word)."""

@@ -157,8 +157,6 @@ class SimplexFraction(_Value, fields=("entries",)):
         forms = [f for f, _ in ent]
         if any(e < 1 for _, e in ent):
             raise ValueError("exponents must be positive")
-        if len({f.key() for f in forms}) != len(forms):
-            raise ValueError("repeated denominator form")
         space = span(forms)
         if space.dim != len(forms):
             raise ValueError("denominator forms must be linearly independent")
@@ -242,13 +240,12 @@ class Decomposition(_Value, fields=("terms", "holomorphic")):
 
 def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
                    acc: dict, state):
-    """Rewrite the numerator of an independent-denominator fraction, once, in
-    the coordinates y = (t, m) of the frame of its forms L_j (_frame): with
-    z_v = sum_j a_vj L_j + sum_i b_vi M_i, one substitution sends z_v to
-    sum_j a_vj t_j + sum_i b_vi m_i, a second sends m_i back to the form M_i
-    in z, and the result is grouped by the powers of the t_j, which stand
-    for the L_j; y holds the first indices outside the variables.  A group's
-    coefficient is a polynomial in the M_i, so q-orthogonal to the
+    """Rewrite the numerator of an independent-denominator fraction, once,
+    against the frame of its forms L_j (_frame): one substitution sends each
+    z_v to sum_j a_vj t_j + P_v, with P_v its part q-orthogonal to the
+    supporting space, and groups the result by the powers of the t_j, which
+    stand for the L_j; t holds the first indices outside the variables.  A
+    group's coefficient is a polynomial in the P_v, so q-orthogonal to the
     supporting space.  Finished groups go into acc, {denominator:
     [numerator, ...]} with the holomorphic part under (); a group with a
     surplus power of a form, times that surplus, goes into the numerators
@@ -258,14 +255,13 @@ def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
         acc.setdefault(den, []).append(num)
         return
     forms = tuple(f for f, _ in den)
-    variables = tuple(sorted(set(num.support()).union(*(f.coeffs for f in forms))))
-    complement, inverse = _frame(q, forms, variables)
-    y = list(itertools.islice((v for v in itertools.count(1) if v not in variables),
-                              len(variables)))
-    to_y = {v: Polynomial.linear(((y[r], x) for r, x in row), d)
-            for v, (row, d) in zip(variables, inverse)}
-    to_z = {m: Polynomial.linear(row) for m, row in zip(y[len(forms):], complement)}
-    for exps, part in num.substitute(to_y).substitute(to_z).collect(*y[:len(forms)]).items():
+    support = num.support()
+    variables = tuple(sorted(set(support).union(*(f.coeffs for f in forms))))
+    t = list(itertools.islice((v for v in itertools.count(1) if v not in variables), len(forms)))
+    images = {v: Polynomial.linear(itertools.chain(((t[j], x) for j, x in t_row), z_row), d)
+              for v, (t_row, z_row, d) in zip(variables, _frame(q, forms, variables))
+              if v in support}
+    for exps, part in num.substitute_collect(images, *t).items():
         rem_den = tuple((f, e - s) for (f, e), s in zip(den, exps) if e > s)
         surplus = [(f, s - e) for (f, e), s in zip(den, exps) if s > e]
         for f, e in surplus:

@@ -12,7 +12,10 @@ result would pass either raises BudgetExceeded before it packs anything, so
 no slot carries into the next.  Only this module packs or splits
 monomials; `terms` reads them as tuples of (variable, exponent) pairs with
 Fraction coefficients in graded-lexicographic order, which is what repr and
-JSON print.  Variables are the same 1-based indices as in exactlin.
+JSON print.  One routine, `substitute_collect`, substitutes polynomials for
+variables and groups the result by the exponents of other variables, in
+one pass over the packed numerators; `substitute` and `collect` are its two
+halves.  Variables are the same 1-based indices as in exactlin.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from math import gcd, lcm
 from collections.abc import Iterable, Mapping
 
 from .errors import LIMITS, limit
-from .exactlin import LinearForm, Q, _Value, _as_fraction, _int_row, _signed_sum, span, zvar
+from .exactlin import LinearForm, Q, _Value, _as_fraction, _signed_sum, span, zvar
 
 Monomial = tuple[tuple[int, int], ...]  # ((var, exp), ...) sorted by var
 
@@ -150,7 +153,7 @@ class Polynomial(_Value, fields=("coeffs", "den")):
 
     @staticmethod
     def from_linear(form: LinearForm) -> "Polynomial":
-        return Polynomial.linear(*_int_row(form.coeffs))
+        return Polynomial.linear(*form._integer_row())
 
     @staticmethod
     def sum(polys: Iterable["Polynomial"]) -> "Polynomial":
@@ -249,35 +252,9 @@ class Polynomial(_Value, fields=("coeffs", "den")):
         return Polynomial.sum(p * k * z_v ** (k - 1) for (k,), p in self.collect(v).items() if k)
 
     def substitute(self, values: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Replace each variable in `values` by a polynomial; others stay.
-
-        The images are written over the lcm D of their denominators, so a
-        term whose substituted variables have total degree s is an integer
-        polynomial over D^s; every term is brought to D^deg(self)."""
-        values = {v: values[v] for v in self.support() if v in values}
-        if not values:
-            return self
-        den, top = lcm(*(p.den for p in values.values())), self.degree()
-        powers = {v: [{0: 1}, {m: c * (den // p.den) for m, c in p.coeffs.items()}]
-                  for v, p in values.items()}
-        slots = [(v, v * _WIDTH, p.degree() - 1) for v, p in values.items()]
-        acc: dict[int, int] = {}
-        for m, c in self.coeffs.items():
-            exps, s, degree = [], 0, m & _MASK  # degree: of the term's image
-            for v, shift, gain in slots:
-                if e := (m >> shift) & _MASK:
-                    exps.append((v, e))
-                    s, degree, m = s + e, degree + e * gain, m - (e << shift) - e
-            check_size(degree)
-            term = {m: c * den ** (top - s)}
-            for v, e in exps:
-                pw = powers[v]
-                while len(pw) <= e:
-                    pw.append(_mul(pw[-1], pw[1]))
-                term = _mul(term, pw[e])
-            for mt, x in term.items():
-                acc[mt] = acc[mt] + x if mt in acc else x
-        return Polynomial._trusted({m: c for m, c in acc.items() if c}, self.den * den ** top)
+        """Replace each variable in `values` by a polynomial; others stay."""
+        parts = self.substitute_collect(values)
+        return parts[()] if parts else ZERO
 
     def rename(self, mapping: Mapping[int, int]) -> "Polynomial":
         """Rename variables; variables mapped to one index merge."""
@@ -287,17 +264,53 @@ class Polynomial(_Value, fields=("coeffs", "den")):
     def collect(self, *vs: int) -> dict[tuple[int, ...], "Polynomial"]:
         """{(k1, ..., kn): P_k} with self = sum_k P_k z_v1^k1 ... z_vn^kn over
         the distinct variables vs = (v1, ..., vn), and no P_k involving any
-        of them.  No monomial holds a variable past the variable index
-        limit, so its exponent reads 0 from the empty slot just past the last."""
+        of them."""
+        return self.substitute_collect({}, *vs)
+
+    def substitute_collect(self, values: Mapping[int, "Polynomial"],
+                           *vs: int) -> dict[tuple[int, ...], "Polynomial"]:
+        """self.substitute(values).collect(*vs) in one pass over the packed
+        numerators, with no polynomial built in between.
+
+        The images are written over the lcm D of their denominators, so a
+        term whose substituted variables have total degree s is an integer
+        polynomial over D^s; every term is brought to D^deg(self).  No
+        monomial holds a variable past the variable index limit, so the
+        exponent of such a v in vs reads 0 from the empty slot just past
+        the last."""
         if len(set(vs)) < len(vs) or min(vs, default=1) < 1:
             raise ValueError(f"collect needs distinct positive variables, got {vs!r}")
+        values = {v: values[v] for v in self.support() if v in values} if values else {}
+        acc, den = self.coeffs, self.den
+        if values:
+            d, top = lcm(*(p.den for p in values.values())), self.degree()
+            powers = {v: [{0: 1}, {m: c * (d // p.den) for m, c in p.coeffs.items()}]
+                      for v, p in values.items()}
+            slots = [(v, v * _WIDTH, p.degree() - 1) for v, p in values.items()]
+            acc, den = {}, den * d ** top
+            for m, c in self.coeffs.items():
+                exps, s, degree = [], 0, m & _MASK  # degree: of the term's image
+                for v, shift, gain in slots:
+                    if e := (m >> shift) & _MASK:
+                        exps.append((v, e))
+                        s, degree, m = s + e, degree + e * gain, m - (e << shift) - e
+                check_size(degree)
+                term = {m: c * d ** (top - s)}
+                for v, e in exps:
+                    pw = powers[v]
+                    while len(pw) <= e:
+                        pw.append(_mul(pw[-1], pw[1]))
+                    term = _mul(term, pw[e])
+                for mt, x in term.items():
+                    acc[mt] = acc[mt] + x if mt in acc else x
         shifts = [min(v, _VARIABLES + 1) * _WIDTH for v in vs]
-        slots = sum(_MASK << s for s in set(shifts))
+        mask = sum(_MASK << s for s in set(shifts))
         groups: dict[tuple[int, ...], dict[int, int]] = {}
-        for m, c in self.coeffs.items():
-            key = tuple((m >> s) & _MASK for s in shifts)
-            groups.setdefault(key, {})[m - (m & slots) - sum(key)] = c
-        return {k: Polynomial._trusted(t, self.den) for k, t in groups.items()}
+        for m, c in acc.items():
+            if c:
+                key = tuple((m >> s) & _MASK for s in shifts)
+                groups.setdefault(key, {})[m - (m & mask) - sum(key)] = c
+        return {k: Polynomial._trusted(t, den) for k, t in groups.items()}
 
     def divide_by_form(self, form: LinearForm) -> "Polynomial | None":
         """Exact quotient self / form, or None when the form does not divide.
@@ -320,7 +333,7 @@ class Polynomial(_Value, fields=("coeffs", "den")):
         v, lin = min(form.coeffs), Polynomial.from_linear(form)
         c, z_v = form.coeffs[v], Polynomial.variable(v)
         # z_v = (u - R) / c, R = form - c z_v
-        parts = self.substitute({v: (z_v * (1 + c) - lin) * (1 / c)}).collect(v)
+        parts = self.substitute_collect({v: (z_v * (1 + c) - lin) * (1 / c)}, v)
         if (0,) in parts:
             return None
         return Polynomial.sum(p * z_v ** (k - 1) for (k,), p in parts.items()).substitute({v: lin})

@@ -590,6 +590,10 @@ def test_phase2_matches_recursive_split_on_corpus(monkeypatch):
 
 
 def test_frame_inverts_and_is_q_orthogonal():
+    """Each z_v = (t-part + P_v) / den with the t-part in span(L) and P_v
+    q-orthogonal to it: the two parts of a form in span(L) are the form and
+    0, the P_v span the n - k dimensional complement, and the split of a P_v
+    is 0 and P_v."""
     rng = random.Random(1206)
     for trial in range(60):
         gram = q if trial % 2 else random_spd_gram(rng, 3, rational=trial % 4 == 0)
@@ -599,19 +603,28 @@ def test_frame_inverts_and_is_q_orthogonal():
             continue
         variables = tuple(sorted(set(range(1, rng.randint(1, 5) + 1)).union(
             *(f.coeffs for f in forms))))
-        complement, inverse = _frame(gram, forms, variables)
-        ms = [LinearForm(row) for row in complement]
-        assert len(ms) == len(variables) - k
-        assert all(gram(m, f) == 0 for m in ms for f in forms)
-        rows = [*forms, *ms]  # T, row by row
-        for v, (row, den) in zip(variables, inverse):  # T^-1 T = I
-            assert LinearForm((w, x * c / den) for r, x in row
-                              for w, c in rows[r].coeffs.items()) == zvar(v)
-        for r, t in enumerate(rows):  # T T^-1 = I
-            image = {}
-            for v, (row, den) in zip(variables, inverse):
-                _axpy(image, t[v] / den, dict(row))
-            assert image == {r: 1}
+        frame = _frame(gram, forms, variables)
+        assert len(frame) == len(variables)
+        ps = [LinearForm(z_row) for _t, z_row, _d in frame]
+        assert all(gram(p, f) == 0 for p in ps for f in forms)
+        assert span(ps).dim == len(variables) - k
+        assert all(set(p.coeffs) <= set(variables) for p in ps)
+        for v, (t_row, z_row, den) in zip(variables, frame):  # z_v from its two parts
+            assert den > 0
+            t_part = LinearForm((w, x * c) for j, x in t_row for w, c in forms[j].coeffs.items())
+            assert (t_part + LinearForm(z_row)).scale(Fraction(1, den)) == zvar(v)
+
+        def parts(form):  # the t-coordinates and the z-part of a form of W
+            t, z = {}, {}
+            for v, (t_row, z_row, den) in zip(variables, frame):
+                _axpy(t, form[v] / den, dict(t_row))
+                _axpy(z, form[v] / den, dict(z_row))
+            return t, LinearForm(z)
+
+        for j, f in enumerate(forms):
+            assert parts(f) == ({j: 1}, LinearForm())
+        for p in ps:
+            assert parts(p) == ({}, p)
 
 
 def test_item8_germ_decomposes_in_seconds():

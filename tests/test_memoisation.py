@@ -242,11 +242,10 @@ def test_frame_is_memoised_and_immutable():
     forms = (LinearForm({1: 1, 2: 1}), LinearForm({2: 1, 3: -2}))
     frame = _frame(q, forms, (1, 2, 3, 4))
     assert _frame(q, tuple(list(forms)), (1, 2, 3, 4)) is frame
-    complement, inverse = frame
-    assert type(complement) is tuple and all(type(row) is tuple for row in complement)
-    assert type(inverse) is tuple and all(type(row) is tuple for row, _den in inverse)
-    for row in complement:  # q-orthogonal to every form
-        m = LinearForm(row)
+    assert type(frame) is tuple and all(type(t_row) is tuple and type(z_row) is tuple
+                                        for t_row, z_row, _den in frame)
+    for _t_row, z_row, _den in frame:  # q-orthogonal to every form
+        m = LinearForm(z_row)
         assert all(q(m, f) == 0 for f in forms)
 
 

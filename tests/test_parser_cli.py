@@ -985,7 +985,10 @@ def test_rational_strings_are_read_within_the_digits_limit(capsys, tmp_path):
     (("compose", "--transform", '{"shifts":[]}'), "transform2"),
     (("compose", "--transform2", '{"shifts":[]}'), "transform"),
     (("apply", "--combo", "f[2;1]"), "transform"), (("invert",), "transform"),
-    (("check", "--generators", "f[2;1]"), "combos")])
+    (("check", "--generators", "f[2;1]"), "combos"),
+    (("apply", "--transform", '{"shifts":[]}'), "combo"), (("derive",), "generators"),
+    (("derive", "--evaluator", "zeta"), "generators"),
+    (("check", "--combos", '["f[2;1]"]'), "generators")])
 def test_cli_galois_names_a_missing_option(capsys, argv, option):
     assert run_cli(capsys, "galois", *argv) == (
         1, "", f"error: galois {argv[0]} needs --{option}\n")

@@ -9,8 +9,10 @@ from hypothesis import given, strategies as st
 from linpole import (DEFAULT_Q, BudgetExceeded, InnerProduct, LinearForm, Polynomial,
                      decompose, parse_germ, poly, span, zvar)
 from linpole.errors import LIMITS
+from linpole.exactlin import _frame
 
-from helpers import assert_canonical_poly, random_form, random_germ, random_poly
+from helpers import (assert_canonical_poly, random_form, random_germ, random_poly,
+                     random_spd_gram)
 
 x, y, z = Polynomial.variable(1), Polynomial.variable(2), Polynomial.variable(3)
 
@@ -83,6 +85,65 @@ def test_collect_reassembles():
     # no polynomial holds a variable past the packing limit, so its exponent is 0
     assert (x * x * y + 3 * z).collect(1, 2000, 10 ** 20) == {(0, 0, 0): 3 * z, (2, 0, 0): y}
     assert (x * y).collect(10 ** 20, 5000) == {(0, 0): x * y}
+
+
+def _expanded(p, values):
+    """p with each variable in values replaced, term by term through * and
+    **: a reference that shares no loop with substitute_collect."""
+    out = []
+    for mono, c in p.terms:
+        term = Polynomial.constant(c)
+        for v, e in mono:
+            term = term * values.get(v, Polynomial.variable(v)) ** e
+        out.append(term)
+    return Polynomial.sum(out)
+
+
+def test_substitute_collect_matches_substitute_then_collect():
+    """The one-pass grouped substitution equals substitute(...).collect(...)
+    and the term-by-term expansion, grouped: on random images, on images in
+    more variables than the polynomial, on the composed images of frames
+    under Gram blocks, and at the packing limits, which raise as the two
+    passes do."""
+    rng = random.Random(3838)
+    for trial in range(150):
+        p = random_poly(rng, max_var=4, max_deg=3, n_terms=5) * Fraction(1, rng.randint(1, 4))
+        values = {v: random_poly(rng, max_var=7, max_deg=2) * Fraction(1, rng.randint(1, 5))
+                  for v in rng.sample(range(1, 7), rng.randint(0, 4))}
+        vs = tuple(rng.sample([*range(1, 9), 2000, 10 ** 20], rng.randint(0, 3)))
+        parts = p.substitute_collect(values, *vs)
+        assert parts == p.substitute(values).collect(*vs) == _expanded(p, values).collect(*vs)
+        assert all(part and not set(vs) & set(part.support()) for part in parts.values())
+        for part in parts.values():
+            assert_canonical_poly(part)
+    for trial in range(60):  # the images _split_simplex builds
+        gram = DEFAULT_Q if trial % 3 == 0 else random_spd_gram(rng, 3, rational=trial % 2 == 0)
+        forms = tuple(random_form(rng, 4) for _ in range(rng.randint(1, 3)))
+        if span(forms).dim < len(forms):
+            continue
+        p = random_poly(rng, max_var=4, max_deg=3, n_terms=5)
+        variables = tuple(sorted(set(p.support()).union(*(f.coeffs for f in forms))))
+        t = [v for v in range(1, 20) if v not in variables][:len(forms)]
+        values = {v: Polynomial.linear([*((t[j], x) for j, x in t_row), *z_row], den)
+                  for v, (t_row, z_row, den) in zip(variables, _frame(gram, forms, variables))}
+        parts = p.substitute_collect(values, *t)
+        assert parts == p.substitute(values).collect(*t) == _expanded(p, values).collect(*t)
+        for part in parts.values():  # a polar numerator: q-orthogonal to the forms
+            assert all(gram(g, f) == 0 for g in part.dependence_space().basis for f in forms)
+    far = Polynomial.variable(LIMITS["variable index"])
+    for p, values, vs in ((x ** 40000, {1: (x + y) ** 2}, ()),
+                          (x ** 33000 * y, {1: (y + z) ** 2}, (3,)),
+                          (x * y, {1: far ** 65535}, (2,))):
+        with pytest.raises(BudgetExceeded) as one_pass:
+            p.substitute_collect(values, *vs)
+        with pytest.raises(BudgetExceeded) as two_passes:
+            p.substitute(values).collect(*vs)
+        assert str(one_pass.value) == str(two_passes.value)
+        assert str(one_pass.value).startswith("total degree ")
+    with pytest.raises(BudgetExceeded, match="^variable index 1025 exceeds the limit 1024$"):
+        x.substitute_collect({1: Polynomial.variable(LIMITS["variable index"] + 1)})
+    assert (x * y).substitute_collect({1: far * far}, far.support()[0], 10 ** 20) == {
+        (2, 0): y}
 
 
 def test_collect_and_partial_reject_bad_variables():

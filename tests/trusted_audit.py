@@ -24,6 +24,7 @@ from math import gcd
 
 from linpole import (BudgetExceeded, FractionSpec, LinComb, LinearForm, Polynomial,
                      RationalGerm)
+from linpole.exactlin import _int_row
 
 
 def _fractions(values) -> bool:
@@ -33,7 +34,8 @@ def _fractions(values) -> bool:
 # class -> the shape its validating constructor guarantees, beyond what
 # ==, hash, repr and key order compare
 SHAPES = {
-    LinearForm: lambda f: _fractions(f.coeffs.values()),
+    LinearForm: lambda f: _fractions(f.coeffs.values())
+    and f._integer_row() == _int_row(f.coeffs),
     Polynomial: lambda p: type(p.den) is int and p.den >= 1
     and all(type(m) is int for m in p.coeffs)
     and all(type(c) is int and c for c in p.coeffs.values())
