@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from collections.abc import Iterable, Mapping
 
 from .errors import LIMITS, limit
@@ -77,6 +77,29 @@ def _mul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
         for mb, cb in b.items():
             m = ma + mb
             acc[m] = acc.get(m, 0) + ca * cb
+    return {m: c for m, c in acc.items() if c}
+
+
+def _power(image: dict[int, int], mask: int, e: int, chains: list) -> dict[int, int]:
+    """image^e as (g + r)^e = sum_i C(e, i) g^i r^(e-i), with g the terms
+    of the image that meet `mask` and r the others.  `chains` holds the
+    lists of powers [g^0, g^1, ...] and [r^0, r^1, ...], filled on the first
+    call and extended as far as e.  Each has fewer variables than the image:
+    the e-th power of a*t + b*z1 + c*z2 costs O(e^2), where the chain of the
+    image's own powers costs O(e^3)."""
+    if not chains:
+        chains += ([{0: 1}, {m: c for m, c in image.items() if m & mask}],
+                   [{0: 1}, {m: c for m, c in image.items() if not m & mask}])
+    g, r = chains
+    for x in chains:
+        while len(x) <= e:
+            x.append(_mul(x[-1], x[1]))
+    acc = dict(r[e])  # i = 0
+    for i in range(1, e + 1):
+        if g[i] and r[e - i]:
+            k = comb(e, i)
+            for m, c in (_mul(g[i], r[e - i]) if i < e else g[e]).items():
+                acc[m] = acc.get(m, 0) + k * c
     return {m: c for m, c in acc.items() if c}
 
 
@@ -281,11 +304,13 @@ class Polynomial(_Value, fields=("coeffs", "den")):
         if len(set(vs)) < len(vs) or min(vs, default=1) < 1:
             raise ValueError(f"collect needs distinct positive variables, got {vs!r}")
         values = {v: values[v] for v in self.support() if v in values} if values else {}
+        shifts = [min(v, _VARIABLES + 1) * _WIDTH for v in vs]
+        mask = sum(_MASK << s for s in set(shifts))
         acc, den = self.coeffs, self.den
         if values:
             d, top = lcm(*(p.den for p in values.values())), self.degree()
-            powers = {v: [{0: 1}, {m: c * (d // p.den) for m, c in p.coeffs.items()}]
-                      for v, p in values.items()}
+            powers = {v: ({1: {m: c * (d // p.den) for m, c in p.coeffs.items()}}, [])
+                      for v, p in values.items()}  # v: ({e: image^e}, chains of _power)
             slots = [(v, v * _WIDTH, p.degree() - 1) for v, p in values.items()]
             acc, den = {}, den * d ** top
             for m, c in self.coeffs.items():
@@ -297,14 +322,12 @@ class Polynomial(_Value, fields=("coeffs", "den")):
                 check_size(degree)
                 term = {m: c * d ** (top - s)}
                 for v, e in exps:
-                    pw = powers[v]
-                    while len(pw) <= e:
-                        pw.append(_mul(pw[-1], pw[1]))
-                    term = _mul(term, pw[e])
+                    done, chains = powers[v]
+                    if e not in done:
+                        done[e] = _power(done[1], mask, e, chains)
+                    term = _mul(term, done[e])
                 for mt, x in term.items():
                     acc[mt] = acc[mt] + x if mt in acc else x
-        shifts = [min(v, _VARIABLES + 1) * _WIDTH for v in vs]
-        mask = sum(_MASK << s for s in set(shifts))
         groups: dict[tuple[int, ...], dict[int, int]] = {}
         for m, c in acc.items():
             if c:
