@@ -411,14 +411,12 @@ def _zeta_of_spec(spec: FractionSpec, precision: int) -> tuple[Fraction, Fractio
     return mzv_numeric(s, precision)
 
 
-@functools.lru_cache(maxsize=1024)
-def _spec_lyndon(spec: FractionSpec) -> types.MappingProxyType:
-    """One spec's Lyndon decomposition, {SpecMonomial: Fraction}, memoised
-    per spec and handed out read-only, since every caller shares it.  A
-    local spec whose word is Lyndon is its own decomposition."""
+def _spec_lyndon(spec: FractionSpec) -> dict[SpecMonomial, Fraction]:
+    """One spec's Lyndon decomposition.  A local spec whose word is Lyndon
+    is its own decomposition."""
     if spec.is_lyndon():
-        return types.MappingProxyType({(spec,): Fraction(1)})
-    return types.MappingProxyType(lyndon_decompose([(spec, Fraction(1))]))
+        return {(spec,): Fraction(1)}
+    return lyndon_decompose([(spec, Fraction(1))])
 
 
 def _lyndon_product(specs: Sequence[FractionSpec]) -> LinComb:
@@ -447,7 +445,7 @@ def _zeta_monomial(specs: SpecMonomial, precision: int) -> tuple[Fraction, Fract
     monomial: the sums of coeff (lo+hi)/2 and |coeff| (hi-lo)/2 over its
     Lyndon product, [lo, hi] the product of the generators' enclosures:
     for a Lyndon generator, its own MZV's."""
-    if len(specs) == 1 and _spec_lyndon(specs[0]).get(specs) == 1:
+    if len(specs) == 1 and specs[0].is_lyndon():
         return _zeta_of_spec(specs[0], precision)
     mid = rad = Fraction(0)
     for mono, coeff in _lyndon_product(specs).items():

@@ -387,7 +387,13 @@ def span(forms: Iterable[LinearForm]) -> Subspace:
 
 @functools.lru_cache(maxsize=1024)
 def _span(forms: tuple[LinearForm, ...]) -> Subspace:
-    reds = (red for red, _ in _eliminate(f._integer_row() for f in forms) if red)
+    return _rref(f._integer_row() for f in forms)
+
+
+def _rref(rows: Iterable[tuple[Mapping[int, int], int]]) -> Subspace:
+    """The span of rational rows given as (d * row, d), as `_eliminate`
+    reads them, in reduced row-echelon form."""
+    reds = (red for red, _ in _eliminate(rows) if red)
     rows = sorted(reds, key=min)
     for i in reversed(range(len(rows))):  # back-substitute into RREF
         piv = min(rows[i])

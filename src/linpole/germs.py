@@ -251,9 +251,6 @@ def _split_simplex(num: Polynomial, den: tuple[DenEntry, ...], q: InnerProduct,
     surplus power of a form, times that surplus, goes into the numerators
     state(rem_den) of its smaller denominator.
     """
-    if num.is_constant():  # polar as it stands, with no frame to build
-        acc.setdefault(den, []).append(num)
-        return
     forms = tuple(f for f, _ in den)
     support = num.support()
     variables = tuple(sorted(set(support).union(*(f.coeffs for f in forms))))
@@ -372,13 +369,7 @@ def d_residue(f: RationalGerm, q: InnerProduct) -> Decomposition:
 
 def dependence(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Subspace:
     """Smallest subspace of linear forms through which the germ factors,
-    assembled additively over the canonical decomposition.  Memoised per
-    (germ, q), like decompose."""
-    return _dependence(f, q)
-
-
-@functools.lru_cache(maxsize=1024)
-def _dependence(f: RationalGerm, q: InnerProduct) -> Subspace:
+    assembled additively over the canonical decomposition."""
     d = decompose(f, q)
     pieces = [ZERO_SPACE]
     for t in d.terms:

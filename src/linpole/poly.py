@@ -26,7 +26,7 @@ from math import comb, gcd, lcm
 from collections.abc import Iterable, Mapping
 
 from .errors import LIMITS, limit
-from .exactlin import LinearForm, Q, _Value, _as_fraction, _signed_sum, span, zvar
+from .exactlin import LinearForm, Q, _Value, _as_fraction, _rref, _signed_sum, zvar
 
 Monomial = tuple[tuple[int, int], ...]  # ((var, exp), ...) sorted by var
 
@@ -373,7 +373,7 @@ class Polynomial(_Value, fields=("coeffs", "den")):
         for m, c in self.coeffs.items():
             for v, e in _decode(m):
                 rows.setdefault(m - (1 << v * _WIDTH) - 1, {})[v] = c * e
-        return span(LinearForm(row) for row in rows.values())
+        return _rref((row, 1) for row in rows.values())
 
     def __repr__(self):
         return _signed_sum((c, "*".join(f"z{v}^{e}" if e > 1 else f"z{v}" for v, e in m))

@@ -12,8 +12,8 @@ import functools
 import heapq
 import math
 import operator
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
 
 from .errors import LIMITS, EmptyWord, NotLocal, limit
 from .exactlin import _Frozen, _as_fraction, _axpy
@@ -110,7 +110,7 @@ class LinComb:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        items = coeffs.items() if isinstance(coeffs, (dict, Mapping)) else coeffs
         acc: dict = {}
         for key, c in items:
             c = _as_fraction(c)
@@ -153,7 +153,7 @@ class LinComb:
                 c12 = c1 * c2
                 for key, m in mul(k1, k2):
                     acc[key] = acc.get(key, _ZERO) + c12 * m
-        return LinComb._trusted({key: c for key, c in acc.items() if c})
+        return LinComb(acc)
 
     def shuffle_with(self, other: "LinComb") -> "LinComb":
         return self.product(other, lambda w, v: _shuffle_counts(w, v).items())

@@ -274,3 +274,39 @@ def lincomb_lyndon_decompose(combo):
         for mono, c in _lyndon_solve(words, lmap.alphabet).items():
             out.add({spec_monomial(spec_of_word(v, lmap) for v in mono): c})
     return out.coeffs
+
+
+def fast_paths() -> dict[str, tuple[str, str]]:
+    """Every functools cache decorator and every `_trusted` classmethod in
+    src/linpole, found in the source: {qualified name: (module, kind)}, the
+    name "Class.method" for a method and kind "cache" or "trusted"."""
+    import ast
+    from pathlib import Path
+
+    import linpole
+
+    def kind(fn):
+        for d in fn.decorator_list:
+            call = d.func if isinstance(d, ast.Call) else d
+            if (isinstance(call, ast.Attribute) and isinstance(call.value, ast.Name)
+                    and call.value.id == "functools" and call.attr in ("cache", "lru_cache")):
+                return "cache"
+            if fn.name == "_trusted" and isinstance(d, ast.Name) and d.id == "classmethod":
+                return "trusted"
+        return None
+
+    found = {}
+    for path in sorted(Path(linpole.__file__).resolve().parent.glob("*.py")):
+        module = f"linpole.{path.stem}"
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for name, fn in defs:
+                if k := kind(fn):
+                    found[name] = (module, k)
+    return found

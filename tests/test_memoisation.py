@@ -4,6 +4,7 @@ depend on what was asked before."""
 import copy
 import importlib
 import json
+import operator
 import os
 import pkgutil
 import random
@@ -18,11 +19,10 @@ import sympy
 
 import linpole
 from linpole import (DEFAULT_Q, LinearForm, Polynomial, dependence, exactlin,
-                     germs, is_local_pair, iter_eval, parse_germ, poly,
-                     span)
+                     germs, is_local_pair, iter_eval, parse_germ, span)
 from linpole.exactlin import _frame
 
-from helpers import random_form, random_germ, random_poly, random_spd_gram
+from helpers import fast_paths, random_form, random_germ, random_poly, random_spd_gram
 
 # Prints, for each germ under each inner product, the repr and JSON of its
 # decomposition and dependence space, its locality with the next germ and
@@ -134,22 +134,12 @@ def test_span_matches_reference_rref():
 
 
 def test_every_cache_is_bounded():
-    scopes = {}
-    for mod in (exactlin, germs, poly, linpole.fracspec, linpole.evaluators,
-                linpole.words, linpole.parser):
-        scopes[mod.__name__] = vars(mod)
-        scopes.update((f"{mod.__name__}.{name}", vars(cls)) for name, cls in vars(mod).items()
-                      if isinstance(cls, type) and cls.__module__ == mod.__name__)
-    caches = {f"{scope}.{name}": obj for scope, names in scopes.items()
-              for name, obj in names.items() if hasattr(obj, "cache_info")}
-    for name in ("linpole.exactlin._span", "linpole.exactlin._frame",
-                 "linpole.germs._decompose", "linpole.germs._dependence",
-                 "linpole.poly.Polynomial.dependence_space",
-                 "linpole.evaluators._monic_value", "linpole.fracspec._cumulative_entries",
-                 "linpole.fracspec._word_spec", "linpole.fracspec._lyndon_spec_monomial",
-                 "linpole.evaluators._zeta_monomial", "linpole.evaluators.GaloisTransform._image"):
-        assert name in caches
-    for name, cache in caches.items():
+    """Every cache that README's fast-path table lists (helpers.fast_paths
+    reads them from the source) holds a bounded number of entries."""
+    caches = {name: module for name, (module, kind) in fast_paths().items() if kind == "cache"}
+    assert caches
+    for name, module in caches.items():
+        cache = operator.attrgetter(name)(importlib.import_module(module))
         assert cache.cache_info().maxsize is not None, name
 
 

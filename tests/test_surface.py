@@ -10,6 +10,8 @@ from pathlib import Path
 
 import linpole
 
+from helpers import fast_paths
+
 SRC = Path(linpole.__file__).resolve().parent
 
 REMOVED = ("WordPolynomial", "LyndonPolynomial", "germ_add", "germ_sub",
@@ -108,3 +110,22 @@ def test_readme_lists_every_limit():
     listed = {name: int(value) for name, value in
               re.findall(r"^  - `([^`]+)` (\d+)", section, re.MULTILINE)}
     assert listed == LIMITS
+
+
+def test_readme_table_lists_every_fast_path():
+    """The first column of README's table "Fast paths and what pays for
+    them" names each cache and each `_trusted` classmethod of the source
+    (helpers.fast_paths), and a row that is kept names no other: a fast
+    path neither lands unmeasured nor stays listed once it is gone."""
+    text = (SRC.parent.parent / "README.md").read_text()
+    table = text[text.index("| fast path | paid by |"):]
+    table = table[:table.index("\n\n")]
+    firsts = [row.strip().removeprefix("| ").split(" | ")[0] for row in table.splitlines()[2:]]
+    kept = [cell for cell in firsts if not cell.startswith("removed:")]
+    named = {name for cell in kept for name in re.findall(r"`([\w.]+)`", cell)}
+    paths = fast_paths()
+    assert sorted(set(paths) - named) == []
+    listed = {name for cell in kept
+              for name in re.findall(r"`([\w.]+)` memo", cell)
+              + re.findall(r"`(\w+\._trusted)`", cell)}
+    assert sorted(listed - set(paths)) == []

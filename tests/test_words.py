@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import time
+import types
 from fractions import Fraction
 from typing import Callable
 
@@ -85,6 +86,16 @@ def test_shuffle_commutative_associative(u, v, w):
     lhs = pu.shuffle_with(pv).shuffle_with(pw)
     rhs = pu.shuffle_with(pv.shuffle_with(pw))
     assert lhs == rhs
+
+
+def test_lincomb_reads_any_mapping_as_keys_and_coefficients():
+    """Any mapping, a read-only one say, gives its keys whole, as a dict
+    does: a two-element key is not unpacked into key and coefficient, and a
+    one-element key is accepted."""
+    for coeffs in ({(1, 2): 1}, {("ab",): 1}, {(): Fraction(1, 2), (3,): -2}):
+        assert LinComb(types.MappingProxyType(coeffs)) == LinComb(coeffs)
+        assert LinComb(types.MappingProxyType(coeffs)).coeffs == {
+            key: Fraction(c) for key, c in coeffs.items()}
 
 
 def fraction_expand(mono):
