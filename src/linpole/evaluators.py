@@ -411,12 +411,13 @@ def _zeta_of_spec(spec: FractionSpec, precision: int) -> tuple[Fraction, Fractio
     return mzv_numeric(s, precision)
 
 
-def _spec_lyndon(spec: FractionSpec) -> dict[SpecMonomial, Fraction]:
-    """One spec's Lyndon decomposition.  A local spec whose word is Lyndon
-    is its own decomposition."""
+@functools.lru_cache(maxsize=1024)
+def _spec_lyndon(spec: FractionSpec) -> types.MappingProxyType:
+    """One spec's Lyndon decomposition {SpecMonomial: Fraction}, memoised and read-only
+    since every caller shares it; a local spec whose word is Lyndon is its own."""
     if spec.is_lyndon():
-        return {(spec,): Fraction(1)}
-    return lyndon_decompose([(spec, Fraction(1))])
+        return types.MappingProxyType({(spec,): Fraction(1)})
+    return types.MappingProxyType(lyndon_decompose([(spec, Fraction(1))]))
 
 
 def _lyndon_product(specs: Sequence[FractionSpec]) -> LinComb:

@@ -391,10 +391,8 @@ def _span(forms: tuple[LinearForm, ...]) -> Subspace:
 
 
 def _rref(rows: Iterable[tuple[Mapping[int, int], int]]) -> Subspace:
-    """The span of rational rows given as (d * row, d), as `_eliminate`
-    reads them, in reduced row-echelon form."""
-    reds = (red for red, _ in _eliminate(rows) if red)
-    rows = sorted(reds, key=min)
+    """RREF span of rational rows given as `_eliminate` reads them, (d * row, d)."""
+    rows = sorted((red for red, _ in _eliminate(rows) if red), key=min)
     for i in reversed(range(len(rows))):  # back-substitute into RREF
         piv = min(rows[i])
         inv = Fraction(1, rows[i][piv])

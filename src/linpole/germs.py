@@ -368,8 +368,13 @@ def d_residue(f: RationalGerm, q: InnerProduct) -> Decomposition:
 
 
 def dependence(f: RationalGerm, q: InnerProduct = DEFAULT_Q) -> Subspace:
-    """Smallest subspace of linear forms through which the germ factors,
-    assembled additively over the canonical decomposition."""
+    """Smallest subspace of linear forms through which the germ factors, assembled
+    additively over the canonical decomposition; memoised per (germ, q), like decompose."""
+    return _dependence(f, q)
+
+
+@functools.lru_cache(maxsize=1024)
+def _dependence(f: RationalGerm, q: InnerProduct) -> Subspace:
     d = decompose(f, q)
     pieces = [ZERO_SPACE]
     for t in d.terms:

@@ -119,7 +119,7 @@ def _sum(terms: list[_Value]) -> _Value:
         if num.is_constant():
             return _Value(num.constant_term())
         if num.degree() > 1 or num.constant_term():
-            return _Value(Fraction(1), rest=RationalGerm(num))
+            return _Value(Fraction(1), rest=RationalGerm._trusted(num, ()))
         coeffs = {mono[0][0]: c for mono, c in num.terms}
     form, scalar = LinearForm(coeffs).primitive()
     return _Value(scalar, {form: 1}) if form else _Value(Fraction(0))

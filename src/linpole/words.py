@@ -153,7 +153,7 @@ class LinComb:
                 c12 = c1 * c2
                 for key, m in mul(k1, k2):
                     acc[key] = acc.get(key, _ZERO) + c12 * m
-        return LinComb(acc)
+        return LinComb._trusted({key: c for key, c in acc.items() if c})
 
     def shuffle_with(self, other: "LinComb") -> "LinComb":
         return self.product(other, lambda w, v: _shuffle_counts(w, v).items())

@@ -784,7 +784,8 @@ def test_galois_from_evaluator_matches_one_term_combo_route():
     for e, ref in evaluators_and_refs:
         for caches in ("cold", "warm"):
             if caches == "cold":
-                evaluators._zeta_monomial.cache_clear()
+                for cache in (evaluators._spec_lyndon, evaluators._zeta_monomial):
+                    cache.cache_clear()
             for gens in sets:
                 want = galois_outcome(
                     lambda: reference_galois_from_evaluator(ref or e.eval_combo, gens))
@@ -1026,12 +1027,26 @@ def test_transform_shifts_are_read_only():
     assert t.shifts == {g: Fraction(1)} and t.shift(g) == 1
 
 
+def test_cached_lyndon_decompositions_are_read_only():
+    spec = parse_spec("f[2,2;1,2]")
+    got = evaluators._spec_lyndon(spec)
+    want = dict(lyndon_decompose([(spec, Fraction(1))]))
+    with pytest.raises(TypeError):
+        got[()] = Fraction(1)
+    with pytest.raises(TypeError):
+        del got[next(iter(got))]
+    assert evaluators._spec_lyndon(spec) is got and got == want
+
+
+
+
 def test_spec_lyndon_shortcut_matches_lyndon_decompose():
     """A local spec whose word is Lyndon is its own decomposition, and every
     other spec is decomposed in full: on every local spec of weight <= 5 on
     letters 1-3, and on specs under a second L-map named chen."""
     from linpole import LMap
     shifted = LMap(integer_alphabet(), lambda u: zvar(u + 1), "chen")
+    evaluators._spec_lyndon.cache_clear()
     letters = [X0, 1, 2, 3]
     specs = []
     for n in range(1, 6):
@@ -1060,7 +1075,8 @@ def test_transform_keys_specs_by_their_lmap_object():
     mine, builtin = FractionSpec((2, 1), (2, 1), shifted), parse_spec("f[2,1;2,1]")
     want = {mine: parse_germ("1/(z2*(z2+z3)^2)"), builtin: parse_germ("1/(z1*(z1+z2)^2)")}
     for order in ((builtin, mine), (mine, builtin)):
-        for cache in (evaluators._zeta_monomial, GaloisTransform._image):
+        for cache in (evaluators._spec_lyndon, evaluators._zeta_monomial,
+                      GaloisTransform._image):
             cache.cache_clear()
         for spec in order:
             combo = GermCombo([(1, (spec,))])

@@ -185,10 +185,10 @@ def test_a_sum_keeps_the_variable_limit():
 
 
 def test_a_parse_normalises_one_germ(monkeypatch):
-    """Parsing the benchmark germs runs RationalGerm.__init__ on a
-    denominator once per text, for the result: sums of linear and of
-    pole-free terms normalise no germ (a pole-free sum is wrapped with an
-    empty denominator, which has nothing to normalise)."""
+    """Parsing the benchmark germs runs RationalGerm.__init__ once per text,
+    for the result: sums of linear and of pole-free terms build no germ.
+    With pytest --audit-trusted, a trusted germ is also rebuilt through
+    __init__; that rebuild is not counted."""
     sys.path.insert(0, str(BENCH))
     try:
         import workloads
@@ -196,16 +196,24 @@ def test_a_parse_normalises_one_germ(monkeypatch):
         sys.path.remove(str(BENCH))
     texts = [g[key] for rnd in workloads.generate("germ-queries", 5, 60)
              for g in rnd["germs"] for key in ("text", "alt", "partner_text")]
-    built = 0
-    init = RationalGerm.__init__
+    built = in_trusted = 0
+    init, trusted = RationalGerm.__init__, RationalGerm._trusted
 
-    def counting_init(self, numerator, denominator=()):
+    def counting_init(self, *args):
         nonlocal built
-        denominator = tuple(denominator)
-        built += bool(denominator)
-        init(self, numerator, denominator)
+        built += not in_trusted
+        init(self, *args)
+
+    def counting_trusted(*args):
+        nonlocal in_trusted
+        in_trusted += 1
+        try:
+            return trusted(*args)
+        finally:
+            in_trusted -= 1
 
     monkeypatch.setattr(RationalGerm, "__init__", counting_init)
+    monkeypatch.setattr(RationalGerm, "_trusted", staticmethod(counting_trusted))
     for text in texts:
         parse_germ(text)
     assert (len(texts), built) == (720, 720)
