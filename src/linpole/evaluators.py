@@ -511,6 +511,9 @@ class GaloisTransform(_Frozen):
         object.__setattr__(self, "shifts", types.MappingProxyType(
             {s: _as_fraction(c) for s, c in shifts.items()}))
 
+    def __reduce__(self):  # a read-only mapping does not pickle
+        return GaloisTransform, (dict(self.shifts),)
+
     def generator_set(self) -> frozenset:
         return frozenset(self.shifts)
 

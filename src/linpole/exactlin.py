@@ -48,9 +48,12 @@ class _Frozen:
     """Base of the value types: an instance cannot be changed once built, so
     it is safe as a memo key and can be shared, and a copy is the object
     itself, as for Fraction.  Constructors fill their slots through
-    object.__setattr__."""
+    object.__setattr__, and so does unpickling.  A class lists in `_shared`
+    the functions that return its module's shared instances, which unpickle
+    as those instances."""
 
     __slots__ = ()
+    _shared: tuple = ()
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -62,6 +65,27 @@ class _Frozen:
 
     def __deepcopy__(self, memo):
         return self
+
+    def __reduce__(self):
+        for shared in self._shared:
+            if shared() is self:
+                return shared, ()
+        return _rebuild, (type(self), {name: getattr(self, name)
+                                       for c in type(self).__mro__
+                                       for name in c.__dict__.get("__slots__", ())
+                                       if hasattr(self, name)})
+
+
+def _rebuild(cls: type, slots: dict) -> _Frozen:
+    """A pickled instance: its slots as they were, but its hash computed
+    again, since a field may hash by identity (an L-map does)."""
+    obj = object.__new__(cls)
+    for name, value in slots.items():
+        if name != "_hash":
+            object.__setattr__(obj, name, value)
+    if "_hash" in slots:
+        obj._hashed()
+    return obj
 
 
 class _Value(_Frozen):
@@ -123,6 +147,9 @@ class LinearForm(_Value, fields=("coeffs",)):
         plain = ((v, c.numerator if c.denominator == 1 else c) for v, c in coeffs.items())
         object.__setattr__(self, "_key", tuple((1, -v, x) if x > 0 else (-1, v, x)
                                                for v, x in plain))
+
+    def __reduce__(self):
+        return LinearForm, (self.coeffs,)
 
     def __bool__(self):
         return bool(self.coeffs)

@@ -21,6 +21,7 @@ halves.  Variables are the same 1-based indices as in exactlin.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from math import comb, gcd, lcm
 from collections.abc import Iterable, Mapping
@@ -101,19 +102,6 @@ def _power(image: dict[int, int], mask: int, e: int, chains: list) -> dict[int, 
             for m, c in (_mul(g[i], r[e - i]) if i < e else g[e]).items():
                 acc[m] = acc.get(m, 0) + k * c
     return {m: c for m, c in acc.items() if c}
-
-
-def _hyperplane_point(form: LinearForm, variables: set[int]) -> dict[int, Q] | None:
-    """The point z_w = a*w (w != v), z_v = -sum(c_w * w) of the hyperplane
-    sum(c_w z_w) = 0, with v its smallest variable and a = c_v; None when the
-    form has a variable outside `variables`."""
-    if not variables.issuperset(form.coeffs):
-        return None
-    v = min(form.coeffs)
-    a = form.coeffs[v]
-    point = {w: a * w for w in variables}
-    point[v] = -sum(c * w for w, c in form.coeffs.items() if w != v)
-    return point
 
 
 class Polynomial(_Value, fields=("coeffs", "den")):
@@ -338,28 +326,51 @@ class Polynomial(_Value, fields=("coeffs", "den")):
     def divide_by_form(self, form: LinearForm) -> "Polynomial | None":
         """Exact quotient self / form, or None when the form does not divide.
 
-        With form = c z_v + R, v its smallest variable, u = form is a
-        coordinate in place of z_v: self = sum_k u^k P_k with the P_k free of
-        u, and the form divides exactly iff P_0 = 0, with quotient
-        sum_k u^(k-1) P_k.  Here u is written as z_v itself.
+        Synthetic division in z_v, v the form's smallest variable (von zur
+        Gathen and Gerhard, Modern Computer Algebra, 2.4), in one pass over
+        the integer numerators N = sum_k N_k z_v^k, the N_k free of z_v.
+        With c z_v + R the form's primitive integer row, the quotient's
+        slices are Q_(k-1) = (N_k - R Q_k) / c from the top slice down, and
+        the row divides N iff N_0 = R Q_0.  By Gauss's lemma a primitive row
+        divides N only with an integer quotient, so a remainder modulo c
+        also proves that it does not.  With the form = (g / d) times its
+        primitive row, the quotient's numerators carry the factor d and its
+        denominator the factor g.
 
-        A divisor's variables all occur in self, and self vanishes on its
-        hyperplane, here at `_hyperplane_point`: most forms fail one of these.
+        Every variable of a divisor occurs in self, so a form with another
+        variable is refused before any division, as most forms on the
+        evaluator paths are.
         """
         if not form:
             raise ZeroDivisionError("division by the zero form")
         if not self.coeffs:
             return ZERO
-        point = _hyperplane_point(form, set(self.support()))
-        if point is None or self.evaluate(point):
+        row, d = form._integer_row()
+        support = functools.reduce(operator.or_, self.coeffs)
+        if not all((support >> w * _WIDTH) & _MASK for w in row):
             return None
-        v, lin = min(form.coeffs), Polynomial.from_linear(form)
-        c, z_v = form.coeffs[v], Polynomial.variable(v)
-        # z_v = (u - R) / c, R = form - c z_v
-        parts = self.substitute_collect({v: (z_v * (1 + c) - lin) * (1 / c)}, v)
-        if (0,) in parts:
+        g, v = gcd(*row.values()), min(row)
+        shift, c = v * _WIDTH, row[v] // g
+        unit = (1 << shift) + 1  # z_v in a packed monomial
+        rest = [((1 << w * _WIDTH) + 1, x // g) for w, x in row.items() if w != v]
+        slices: dict[int, dict[int, int]] = {}
+        for m, x in self.coeffs.items():
+            slices.setdefault((m >> shift) & _MASK, {})[m] = x
+        quot: dict[int, int] = {}
+        for k in range(max(slices), 0, -1):
+            below = slices.setdefault(k - 1, {})
+            for m, x in slices[k].items():
+                if x:
+                    q, r = divmod(x, c)
+                    if r:
+                        return None
+                    m -= unit
+                    quot[m] = q * d
+                    for u, y in rest:
+                        below[m + u] = below.get(m + u, 0) - y * q
+        if any(slices[0].values()):
             return None
-        return Polynomial.sum(p * z_v ** (k - 1) for (k,), p in parts.items()).substitute({v: lin})
+        return Polynomial._trusted(quot, self.den * g)
 
     @functools.lru_cache(maxsize=1024)
     def dependence_space(self):

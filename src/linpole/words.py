@@ -19,14 +19,11 @@ from .errors import LIMITS, EmptyWord, NotLocal, limit
 from .exactlin import _Frozen, _as_fraction, _axpy
 
 
-class _X0:
+class _X0(_Frozen):
     __slots__ = ()
 
     def __repr__(self):
         return "x0"
-
-    def __reduce__(self):
-        return (_x0_instance, ())
 
 
 X0 = _X0()
@@ -34,6 +31,9 @@ X0 = _X0()
 
 def _x0_instance():
     return X0
+
+
+_X0._shared = (_x0_instance,)
 
 
 Word = tuple  # tuple of letters (payloads or X0)
@@ -94,6 +94,9 @@ def subset_alphabet() -> Alphabet:
     """Nonempty finite integer sets; order compares the elements sorted
     descending then the cardinality; locality = disjointness."""
     return _SUBSETS
+
+
+Alphabet._shared = (integer_alphabet, subset_alphabet)
 
 
 class LinComb:

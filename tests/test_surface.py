@@ -3,9 +3,13 @@ that imports nothing outside the standard library, and a polynomial format
 that no module but poly reads."""
 
 import ast
+import os
+import pickle
 import re
+import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import linpole
@@ -129,3 +133,56 @@ def test_readme_table_lists_every_fast_path():
               for name in re.findall(r"`([\w.]+)` memo", cell)
               + re.findall(r"`(\w+\._trusted)`", cell)}
     assert sorted(listed - set(paths)) == []
+
+
+def pickle_samples() -> list:
+    """One or more instances of every value type, and of the other frozen
+    types, built the same way in any process."""
+    from linpole import (DEFAULT_Q, Forest, ForestNode, FractionSpec, GaloisTransform,
+                         GermCombo, InnerProduct, LinearForm, Polynomial, X0, chen_lmap,
+                         decompose, integer_alphabet, parse_germ, span, speer_lmap,
+                         subset_alphabet, weak_chen_lmap, zvar)
+    germ = parse_germ("(z1^2 + 3*z2)/((z1 + z2)^2*(z1 - z2)*z3)")
+    parts = decompose(germ, InnerProduct([[2, 1], [1, 2]]))
+    chen = FractionSpec((2, 1), (1, 2), chen_lmap())
+    speer = FractionSpec((1, 2), ({1, 2}, {3}), speer_lmap())
+    return [zvar(1), LinearForm({1: Fraction(1, 2), 3: -2}), DEFAULT_Q,
+            InnerProduct([[2, 1], [1, 2]]), span([zvar(1), zvar(1) + zvar(2)]),
+            Polynomial({((1, 2), (4, 1)): Fraction(3, 5), (): 1}), germ, parts,
+            *parts.terms, *(t.simplex for t in parts.terms), chen, speer,
+            FractionSpec((1,), (3,), weak_chen_lmap()),
+            GermCombo([(Polynomial.constant(2), [chen]), (Polynomial.variable(2), [])]),
+            ForestNode({1, 2}, [ForestNode({1}, exponent=2)]),
+            Forest([ForestNode({1, 2}), ForestNode({3})]),
+            GaloisTransform({FractionSpec((2,), (1,), chen_lmap()): Fraction(1, 3)}),
+            chen_lmap(), weak_chen_lmap(), speer_lmap(), integer_alphabet(), subset_alphabet(),
+            X0]
+
+
+def test_every_value_type_survives_pickle():
+    """Values pickled in another process load equal, with equal hashes
+    (an L-map hashes by identity, so a hash is computed again on loading),
+    and the shared L-maps, alphabets and x0 load as themselves."""
+    from linpole.exactlin import _Frozen, _Value
+    samples = pickle_samples()
+
+    def subclasses(cls):
+        return {cls} | {k for sub in cls.__subclasses__() for k in subclasses(sub)}
+    assert subclasses(_Frozen) - {_Frozen, _Value} <= {type(x) for x in samples}
+    code = ("import pickle, sys; from test_surface import pickle_samples; "
+            "sys.stdout.buffer.write(pickle.dumps(pickle_samples()))")
+    path = os.pathsep.join([str(SRC.parent), str(Path(__file__).parent)])
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED="random"))
+    for loaded in (pickle.loads(child.stdout), pickle.loads(pickle.dumps(samples))):
+        for ours, theirs in zip(samples, loaded, strict=True):
+            assert type(theirs) is type(ours)
+            assert repr(theirs) == repr(ours)
+            if isinstance(ours, _Value):
+                assert theirs == ours
+                if ours.__hash__ is not None:
+                    assert hash(theirs) == hash(ours), ours
+            elif type(ours).__name__ in ("LMap", "Alphabet", "_X0"):
+                assert theirs is ours
+    assert pickle.loads(pickle.dumps(linpole.chen_lmap())) is linpole.chen_lmap()
+    assert pickle.loads(pickle.dumps(linpole.speer_lmap())) is linpole.speer_lmap()

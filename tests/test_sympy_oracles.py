@@ -4,11 +4,15 @@ polynomial arithmetic.
 span, orth_decompose, find_circuit, the positive-definiteness check of
 InnerProduct and Polynomial.dependence_space all run on one elimination
 routine in exactlin; these tests check each against sympy's own rref, solve,
-det and nullspace, Polynomial.divide_by_form against sympy's div, and the
-other Polynomial operations against sympy's expand, subs, diff and Poly.
+det and nullspace, Polynomial.divide_by_form against sympy's div, the
+other Polynomial operations against sympy's expand, subs, diff and Poly,
+and iter_eval against its definition, taken in sympy's arithmetic.
 """
 
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,9 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from linpole import (DEFAULT_Q, InnerProduct, LinearForm, Polynomial, find_circuit,
-                     orth_decompose, span)
-from linpole.poly import _hyperplane_point
+from linpole import (DEFAULT_Q, InnerProduct, LinearForm, Polynomial, RationalGerm,
+                     find_circuit, iter_eval, orth_decompose, span)
 
 from helpers import (assert_canonical_form, assert_canonical_poly, random_form, random_poly,
                      random_spd_gram)
@@ -198,6 +201,16 @@ def test_dependence_space_matches_sympy_nullspace():
     assert dims >= {1, 2, 3}
 
 
+def hyperplane_point(form, variables):
+    """The point z_w = a*w (w != v), z_v = -sum(c_w * w) of the hyperplane
+    sum(c_w z_w) = 0, with v its smallest variable and a = c_v."""
+    v = min(form.coeffs)
+    a = form.coeffs[v]
+    point = {w: a * w for w in variables}
+    point[v] = -sum(c * w for w, c in form.coeffs.items() if w != v)
+    return point
+
+
 def test_divide_by_form_matches_sympy_div():
     rng = random.Random(15)
     zs = sympy.symbols(f"z1:{NV + 1}")
@@ -228,8 +241,9 @@ def test_divide_by_form_matches_sympy_div():
         outcomes.add((ours is None, trial % 5 == 0, bool(p)))
     assert outcomes >= {(True, True, True), (False, False, True), (True, False, True)}
 
-    # Each early exit, and numerators that vanish at the point the hyperplane
-    # test evaluates without being divisible, so the division must answer.
+    # The zero and constant numerators, a numerator free of one of the form's
+    # variables, and numerators that vanish on the hyperplane at one point
+    # without being divisible.
     rng = random.Random(16)
     vanishing = 0
     for _ in range(60):
@@ -244,7 +258,7 @@ def test_divide_by_form_matches_sympy_div():
         assert check(p * lin, form) == p
         # k(point) = 0 for a form k not proportional to L, and r(point) != 0,
         # so L cannot divide k * r (L is prime) although k * r vanishes there.
-        point = _hyperplane_point(form, set(range(1, NV + 1)))
+        point = hyperplane_point(form, range(1, NV + 1))
         ks = {u: Fraction(rng.randint(-3, 3)) for u in {*form.coeffs, rng.randint(1, NV)}}
         u0 = next((u for u in ks if point[u]), None)
         if u0 is None:
@@ -262,6 +276,119 @@ def test_divide_by_form_matches_sympy_div():
         assert check(num * lin, form) == num
         vanishing += 1
     assert vanishing >= 20
+
+
+def sympy_divide(p, form):
+    """divide_by_form's answer, checked against sympy's div over every
+    variable of p and the form, and checked canonical when it divides."""
+    variables = sorted({*p.support(), *form.support()})
+    zs = dict(zip(variables, sympy.symbols(f"z:{len(variables)}")))
+
+    def expr(poly):
+        return sum((to_sympy(c) * sympy.Mul(*(zs[v] ** e for v, e in m)) for m, c in poly.terms),
+                   sympy.Integer(0))
+
+    quotient, remainder = sympy.div(expr(p), expr(Polynomial.from_linear(form)),
+                                    *zs.values(), domain=sympy.QQ)
+    ours = p.divide_by_form(form)
+    if remainder == 0:
+        assert ours is not None, (p, form)
+        assert_canonical_poly(ours)
+        assert sympy.expand(expr(ours) - quotient) == 0, (p, form, ours)
+    else:
+        assert ours is None, (p, form)
+    return ours
+
+
+Z = {v: Polynomial.variable(v) for v in (1, 2, 3, 4, 1000, 1001)}
+P = Z[1] ** 2 * Z[3] - 3 * Z[2] * Z[3] + Fraction(1, 2)
+
+
+def divides_exactly(form):
+    """Products with the form and with its square divide; a product plus a
+    constant, or plus z_v (v the form's smallest variable), does not."""
+    lin = Polynomial.from_linear(form)
+    for num in (P, P * Fraction(5, 6), 7 * Z[2] - 3):
+        assert sympy_divide(num * lin, form) == num
+        assert sympy_divide(num * lin + 1, form) is None
+        assert sympy_divide(num * lin + Z[min(form.coeffs)], form) is None
+        assert sympy_divide(num * lin ** 2 * Fraction(2, 9), form) == num * lin * Fraction(2, 9)
+
+
+def test_divide_by_form_non_primitive_rows():
+    """A row's content is folded into the quotient's denominator."""
+    for form in (LinearForm({1: 2, 2: 2}), LinearForm({1: 6, 3: -4}),
+                 LinearForm({1: -4, 2: 10, 4: 6})):
+        divides_exactly(form)
+
+
+def test_divide_by_form_fractional_coefficients():
+    """A row's denominator is folded into the quotient's numerators."""
+    for form in (LinearForm({1: Fraction(2, 3), 2: Fraction(-1, 4)}),
+                 LinearForm({1: Fraction(-3, 5), 3: Fraction(9, 10), 4: 3})):
+        divides_exactly(form)
+
+
+def test_divide_by_form_numerators_over_a_denominator():
+    form = LinearForm({1: 1, 2: -3})
+    lin = Polynomial.from_linear(form)
+    for num in (P * Fraction(1, 6), (Z[1] + Fraction(1, 3)) * lin * Fraction(7, 4)):
+        assert num.den > 1
+        sympy_divide(num, form)
+        assert sympy_divide(num * lin, form) == num
+
+
+def test_divide_by_form_high_variables():
+    form = LinearForm({1000: 1, 1001: 1})
+    lin = Polynomial.from_linear(form)
+    assert sympy_divide(Z[1000] ** 2 - Z[1001] ** 2, form) == Z[1000] - Z[1001]
+    assert sympy_divide(lin * (Z[1001] - 2 * Z[3]), form) == Z[1001] - 2 * Z[3]
+    assert sympy_divide(Z[1000] ** 2 + Z[1001] ** 2, form) is None
+    assert sympy_divide(Z[1000] ** 2 * Z[2] + Z[1001] * lin, form) is None
+    # a form with a variable past the variable index limit divides no polynomial
+    for form in (LinearForm({1: 1, 1025: 1}), LinearForm({10 ** 30: 2})):
+        assert (Z[1] * Z[1000]).divide_by_form(form) is None
+
+
+def test_divide_by_form_without_its_smallest_variable():
+    """A form whose smallest variable the numerator lacks divides only 0."""
+    for num in (Z[2] * Z[3], Z[2] + Z[3], Polynomial.constant(4), Z[2] ** 2 - Z[3] ** 2):
+        assert sympy_divide(num, LinearForm({1: 1, 2: 1})) is None
+    assert sympy_divide(Z[2] ** 2 - Z[3] ** 2, LinearForm({2: 1, 3: 1})) == Z[2] - Z[3]
+
+
+def test_divide_by_form_remainder_in_the_last_slice():
+    """Every slice with z_v divides, and the remainder is free of z_v."""
+    for form in (LinearForm({1: 1, 2: 1}), LinearForm({1: 2, 3: -1}),
+                 LinearForm({2: Fraction(1, 2), 4: 3})):
+        lin = Polynomial.from_linear(form)
+        v = min(form.coeffs)
+        r = 3 * Z[1000] + Fraction(1, 7)
+        for quot, rem in ((Z[v] ** 2 + Z[2], r), (Z[v] * r, r * Z[3])):
+            assert v not in rem.support()
+            assert sympy_divide(lin * quot + rem, form) is None
+            assert sympy_divide(lin * quot, form) == quot
+
+
+def test_divide_by_form_zero_polynomial():
+    for form in (LinearForm({1: 1, 2: 1}), LinearForm({1: 6, 3: -4}),
+                 LinearForm({1000: Fraction(1, 3), 1001: 1})):
+        assert sympy_divide(Polynomial(), form) == Polynomial()
+
+
+def test_divide_by_form_of_a_high_power_is_fast():
+    """Cancelling (z1+z2)^61 from (z1+z2)^60 * p: sixty-one divisions of
+    a numerator of 244 terms, well within one second."""
+    form = LinearForm({1: 1, 2: 1})
+    z = {v: Polynomial.variable(v) for v in (1, 2, 3, 4)}
+    p = 3 * z[1] ** 2 * z[3] - 2 * z[2] * z[4] ** 2 + z[3] ** 3 + 5
+    num = Polynomial.from_linear(form) ** 60 * p
+    assert len(num.coeffs) == 244
+    start = time.perf_counter()
+    germ = RationalGerm(num, [(form, 61)])
+    assert time.perf_counter() - start < 1.0
+    assert germ == RationalGerm(p, [(form, 1)]) and germ.numerator == p
+    assert sympy_divide(num, form) == Polynomial.from_linear(form) ** 59 * p
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -315,3 +442,59 @@ def test_polynomial_operations_match_sympy(p, r, s, k, n, vs, form, point):
         assert (ours is None) == (remainder != 0), (num, form)
         if ours is not None:
             same(ours, quotient)
+
+
+def sympy_iter_eval(germ):
+    """The iterated evaluator from its definition: for every ordering of the
+    variables, the constant Laurent coefficient in each variable in turn,
+    over the rational functions of the others; then the average.  With
+    z^m the largest power of z dividing the denominator, the rest of the
+    denominator is nonzero at z = 0 for generic values of the others, so
+    the coefficient is the m-th Taylor coefficient of the rest."""
+    zs = {v: sympy.Symbol(f"z{v}") for v in germ.variables()}
+    num = sum((to_sympy(c) * sympy.Mul(*(zs[v] ** e for v, e in m))
+               for m, c in germ.numerator.terms), sympy.Integer(0))
+    den = sympy.Mul(*(sum(to_sympy(c) * zs[v] for v, c in form.coeffs.items()) ** e
+                      for form, e in germ.denominator))
+    orders = list(itertools.permutations(sorted(zs)))
+    total = sympy.Integer(0)
+    for order in orders:
+        value = num / den
+        for v in order:
+            z = zs[v]
+            n, d = sympy.fraction(sympy.cancel(value))
+            m = min(k for (k,) in sympy.Poly(d, z).monoms())
+            value = sympy.diff(n / sympy.cancel(d / z ** m), z, m).subs(z, 0) / math.factorial(m)
+        total += sympy.cancel(value)
+    return total / len(orders)
+
+
+def balanced_germ(rng):
+    """A germ in at most 3 variables whose 2 or 3 forms share variables, and
+    whose numerator has degree equal to the total pole order: each monomial
+    takes, for every pole, the variable of its form first in an ordering
+    drawn for that monomial (any variable for a pole z_v, so that a pure
+    pole need not cancel), so that the values are mostly nonzero."""
+    nv = rng.choice([2, 3, 3])
+    dens = []
+    for _ in range(rng.randint(2, 3)):
+        vs = rng.sample(range(1, nv + 1), rng.choice([1, 2, 2, nv]))
+        dens.append((LinearForm({v: rng.choice([-2, -1, 1, 1, 2]) for v in vs}),
+                     rng.choice([1, 1, 2])))
+    num = Polynomial()
+    for _ in range(rng.randint(1, 3)):
+        pref = rng.sample(range(1, nv + 1), nv)
+        mono = [min(form.support() if len(form.coeffs) > 1 else pref, key=pref.index)
+                for form, e in dens for _ in range(e)]
+        num = num + Polynomial({tuple((v, mono.count(v)) for v in sorted(set(mono))):
+                                rng.choice([-3, -1, 1, 2])})
+    return RationalGerm(num, dens)
+
+
+def test_iter_eval_matches_sympy():
+    rng = random.Random(22)
+    germs = [balanced_germ(rng) for _ in range(30)]
+    values = [iter_eval(g) for g in germs]
+    assert sum(map(bool, values)) >= 20
+    for germ, value in zip(germs, values):
+        assert to_sympy(value) == sympy_iter_eval(germ), germ
